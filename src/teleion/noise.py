@@ -23,6 +23,7 @@ window, waits last their nominal value.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -218,19 +219,30 @@ def sample_pauli_index(u: float, p: float) -> int | None:
     return min(int((u - (1.0 - 0.75 * p)) / (0.25 * p)), 2)
 
 
+@functools.lru_cache(maxsize=None)
+def depolarizing_superop(p: float, site_dim: int = 3) -> np.ndarray:
+    """The depolarizing channel on one site as a (d*d, d*d) superoperator.
+
+    Acts on the row-major (site, site') pair: vec(out) = S @ vec(rho), with
+    S = (1 - 3p/4) I + (p/4) sum_k sigma_k (x) conj(sigma_k). Read-only; cached
+    per (p, site_dim).
+    """
+    d = site_dim
+    sup = (1.0 - 0.75 * p) * np.eye(d * d, dtype=np.complex128)
+    for sig in _site_paulis(d):
+        sup = sup + 0.25 * p * np.kron(sig, sig.conj())
+    sup.flags.writeable = False
+    return sup
+
+
 def depolarize_density_tensor(rho_t: np.ndarray, site: int, p: float,
                               site_dim: int = 3) -> np.ndarray:
     """Depolarizing channel on one site of a (dims + dims) density tensor."""
     n_axes = rho_t.ndim // 2
-    paulis = _site_paulis(site_dim)
-    out = (1.0 - 0.75 * p) * rho_t
-    for sig in paulis:
-        branch = np.tensordot(sig, rho_t, axes=([1], [site]))
-        branch = np.moveaxis(branch, 0, site)
-        branch = np.tensordot(sig.conj(), branch, axes=([1], [site + n_axes]))
-        branch = np.moveaxis(branch, 0, site + n_axes)
-        out = out + 0.25 * p * branch
-    return out
+    d = site_dim
+    sup = depolarizing_superop(p, d).reshape(d, d, d, d)
+    out = np.tensordot(sup, rho_t, axes=([2, 3], [site, site + n_axes]))
+    return np.moveaxis(out, [0, 1], [site, site + n_axes])
 
 
 def apply_depolarizing(

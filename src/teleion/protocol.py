@@ -13,15 +13,17 @@ Two execution paths share the same sequence objects:
 
 * run_shot — a single pure-state trajectory with sampled noise, keyed
   deterministically by (master_seed, shot_index);
-* run_exact — density-matrix evolution with measurement instruments and
+* exact_run — density-matrix evolution with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
-  distribution. This is the infinite-statistics reference.
+  distribution. The full register is kept only until the last row that
+  touches ion 1, ion 2 or the motion; the rest runs on ion 3's 3x3 state.
+  This is the infinite-statistics reference.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .noise import (
     RUN_STREAM_TAG,
     accrue_phase,
     depolarize_density_tensor,
+    depolarizing_superop,
     perturb_pulse,
     phase_exponent,
     sample_pauli_index,
@@ -46,6 +49,7 @@ from .trap import (
     Detect,
     Hide,
     Outcome,
+    S,
     TrapRegister,
     Wait,
     apply_pulse,
@@ -58,9 +62,15 @@ from .trap import (
 PI = math.pi
 N_IONS = 3
 N_STEPS = 35
-#: Step ids that belong to the reconstruction/analysis tail (carry the
-#: calibration phase offset).
+#: The target ion. From the cut on (after row 27 of the standard table) the
+#: exact engine keeps only its 3x3 state per quadrature node and branch.
+_TARGET = N_IONS - 1
+#: First step of the reconstruction/analysis tail, the rows that carry the
+#: calibration phase offset. It lies after the cut, so calibration replays
+#: rows from here to 33 on the cached ion-3 stack only.
 _TAIL_START = 30
+#: The mode-dependent analysis row; every row before it is shared by all modes.
+_ANALYSIS_ROW = 34
 
 
 @dataclass(frozen=True)
@@ -412,27 +422,24 @@ def _pulse_op_and_sites(pulse: trap.Pulse, fock_cutoff: int):
     raise DimensionMismatch(f"not a unitary pulse: {type(pulse).__name__}")
 
 
-@dataclass
-class _ExactState:
-    """Unnormalized branch-resolved density tensors during exact evolution."""
-
-    branches: dict[tuple[tuple[str, Outcome], ...], np.ndarray]
-    snapshots: dict[tuple[tuple[str, Outcome], ...], np.ndarray] = field(default_factory=dict)
-    final_bright: dict[tuple[tuple[str, Outcome], ...], float] = field(default_factory=dict)
+# Step labels whose detections split the exact state into reported branches.
+_SPLIT_LABELS = ("pmt1", "pmt2")
 
 
 def _evolve_exact(
-    state: _ExactState,
+    branches: dict[tuple[tuple[str, Outcome], ...], np.ndarray],
     steps,
     noise: NoiseConfig,
     det_sd: np.ndarray,
     det_h: np.ndarray,
     fock_cutoff: int,
-    snapshot_at: int | None = None,
-    split_labels: tuple[str, ...] = ("pmt1", "pmt2"),
-    prob_labels: tuple[str, ...] = ("final",),
-) -> _ExactState:
-    dims = (3,) * N_IONS + (fock_cutoff,)
+) -> dict[tuple[tuple[str, Outcome], ...], np.ndarray]:
+    """Full-register evolution of unnormalized, branch-resolved density tensors.
+
+    Branches are keyed by their reported (label, outcome) pairs. A detection in
+    `_SPLIT_LABELS` splits every branch on its reported outcome (the collapse
+    follows the true outcome); any other detection decoheres in place.
+    """
     eps = noise.detection_error
     phase_cache: dict[float, np.ndarray] = {}
 
@@ -447,68 +454,48 @@ def _evolve_exact(
         flat = rho_t.reshape(nf.size, nf.size)
         return (flat * nf[:, None] * nf.conj()[None, :]).reshape(rho_t.shape)
 
+    branches = dict(branches)
     for step in steps:
         action = step.action
-        if isinstance(action, ConditionalPulse):
-            duration = noise.pulse_durations.of(action.pulse)
-            op, sites = _pulse_op_and_sites(action.pulse, fock_cutoff)
-            depol = isinstance(action.pulse, (Carrier, BlueSideband)) and (
-                noise.depolarizing_applies(step.step_id)
-            )
-            for key in list(state.branches):
-                if dict(key).get(action.detect_label) is not action.required:
-                    continue
-                rho = dephase(state.branches[key], duration)
-                rho = _apply_unitary_density(rho, op, sites)
-                if depol:
-                    rho = depolarize_density_tensor(
-                        rho, action.pulse.ion, noise.depolarizing_per_pulse
-                    )
-                state.branches[key] = rho
-        elif isinstance(action, Detect):
+        if isinstance(action, Detect):
             duration = noise.pulse_durations.of(action)
             mask = bright_projector_mask(N_IONS, fock_cutoff, action.ion).reshape(-1)
             bright_d = np.where(mask, 1.0, 0.0)
             dark_d = 1.0 - bright_d
             new_branches: dict = {}
-            for key, rho in state.branches.items():
+            for key, rho in branches.items():
                 rho = dephase(rho, duration)
                 flat = rho.reshape(bright_d.size, bright_d.size)
                 rho_s = (flat * bright_d[:, None] * bright_d[None, :]).reshape(rho.shape)
                 rho_d = (flat * dark_d[:, None] * dark_d[None, :]).reshape(rho.shape)
-                if action.label in split_labels:
+                if action.label in _SPLIT_LABELS:
                     rep_bright = (1.0 - eps) * rho_s + eps * rho_d
                     rep_dark = eps * rho_s + (1.0 - eps) * rho_d
                     new_branches[key + ((action.label, Outcome.BRIGHT),)] = rep_bright
                     new_branches[key + ((action.label, Outcome.DARK),)] = rep_dark
-                elif action.label in prob_labels:
-                    w = float(np.real(np.trace(flat)))
-                    p_true = float(np.real(np.trace(rho_s.reshape(flat.shape)))) / max(w, 1e-300)
-                    state.final_bright[key] = (1.0 - eps) * p_true + eps * (1.0 - p_true)
-                    new_branches[key] = rho_s + rho_d
                 else:
-                    # unreferenced detect: decohere, keep the branch intact
                     new_branches[key] = rho_s + rho_d
-            state.branches = new_branches
+            branches = new_branches
         elif isinstance(action, Wait):
-            for key in list(state.branches):
-                state.branches[key] = dephase(state.branches[key], action.duration_us)
+            for key in list(branches):
+                branches[key] = dephase(branches[key], action.duration_us)
         else:
-            duration = noise.pulse_durations.of(action)
-            op, sites = _pulse_op_and_sites(action, fock_cutoff)
-            depol = isinstance(action, (Carrier, BlueSideband)) and noise.depolarizing_applies(
+            conditional = isinstance(action, ConditionalPulse)
+            pulse = action.pulse if conditional else action
+            duration = noise.pulse_durations.of(pulse)
+            op, sites = _pulse_op_and_sites(pulse, fock_cutoff)
+            depol = isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(
                 step.step_id
             )
-            for key in list(state.branches):
-                rho = dephase(state.branches[key], duration)
+            for key in list(branches):
+                if conditional and dict(key).get(action.detect_label) is not action.required:
+                    continue
+                rho = dephase(branches[key], duration)
                 rho = _apply_unitary_density(rho, op, sites)
                 if depol:
-                    rho = depolarize_density_tensor(rho, action.ion, noise.depolarizing_per_pulse)
-                state.branches[key] = rho
-
-        if snapshot_at is not None and step.step_id == snapshot_at:
-            state.snapshots = {k: v.copy() for k, v in state.branches.items()}
-    return state
+                    rho = depolarize_density_tensor(rho, pulse.ion, noise.depolarizing_per_pulse)
+                branches[key] = rho
+    return branches
 
 
 def _gh_nodes(noise: NoiseConfig, quad_points: int | None):
@@ -547,6 +534,132 @@ def _check_exact_noise(noise: NoiseConfig) -> None:
         )
 
 
+def _node_branches(steps, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int):
+    """The exact engine's one Gauss-Hermite loop.
+
+    Evolves the cooled full register through `steps` once per quadrature node
+    and yields (det_sd, det_h, weight, branches) for each.
+    """
+    dims = (3,) * N_IONS + (fock_cutoff,)
+    d = int(np.prod(dims))
+    for det_sd, det_h, weight in _gh_nodes(noise, quad_points):
+        rho0 = np.zeros((d, d), dtype=np.complex128)
+        rho0[0, 0] = 1.0
+        branches = _evolve_exact(
+            {(): rho0.reshape(dims + dims)}, steps, noise, det_sd, det_h, fock_cutoff
+        )
+        yield det_sd, det_h, weight, branches
+
+
+def _acts_on_target_only(action: trap.Pulse | ConditionalPulse) -> bool:
+    """Whether a row's effect on ion 3's reduced state needs no other subsystem.
+
+    Waits qualify: the detuning phase is a sum of per-ion terms, so the other
+    ions' phases cancel in the partial trace. Branch-splitting readouts do not.
+    """
+    if isinstance(action, ConditionalPulse):
+        action = action.pulse
+    if isinstance(action, Wait):
+        return True
+    if isinstance(action, Detect):
+        return action.ion == _TARGET and action.label not in _SPLIT_LABELS
+    return isinstance(action, (Carrier, Hide)) and action.ion == _TARGET
+
+
+def _cut(sequence: tuple[SequenceStep, ...], before: int) -> int:
+    """Number of leading rows that need the full register.
+
+    That is every row up to the last one touching ion 1, ion 2 or the motion
+    (row 27 of the standard table); it must come before step `before`.
+    """
+    cut = max(
+        (i + 1 for i, s in enumerate(sequence) if not _acts_on_target_only(s.action)),
+        default=0,
+    )
+    if cut and sequence[cut - 1].step_id >= before:
+        raise InvariantViolation(
+            f"row {sequence[cut - 1].step_id} acts beyond the target ion; "
+            f"the exact engine needs all such rows before row {before}"
+        )
+    return cut
+
+
+@dataclass(frozen=True)
+class _TargetStack:
+    """Ion 3's unnormalized 3x3 density for every (quadrature node, branch)."""
+
+    rho: np.ndarray                       # (K, 3, 3), at the cut
+    weight: np.ndarray                    # (K,) Gauss-Hermite weight of the entry's node
+    rates: np.ndarray                     # (K, 3) ion-3 detuning of S, D, H in rad/us
+    keys: tuple[dict[str, Outcome], ...]  # reported outcomes of the entry's branch
+    motional_residual: float              # population above n=0; no later row moves it
+
+
+def _target_stack(
+    prefix, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int
+) -> _TargetStack:
+    """Evolve the full register through `prefix`, then reduce every branch to ion 3."""
+    dims = (3,) * N_IONS + (fock_cutoff,)
+    d = int(np.prod(dims))
+    rho, weight, rates, keys = [], [], [], []
+    motion = np.zeros((fock_cutoff, fock_cutoff), dtype=np.complex128)
+    for det_sd, det_h, w, branches in _node_branches(prefix, noise, quad_points, fock_cutoff):
+        for key, rho_t in branches.items():
+            flat = rho_t.reshape(d, d)
+            rho.append(_ptrace(flat, dims, keep=[_TARGET]))
+            motion += w * _ptrace(flat, dims, keep=[N_IONS])
+            weight.append(w)
+            rates.append((0.0, det_sd[_TARGET], det_h[_TARGET]))
+            keys.append(dict(key))
+    return _TargetStack(
+        rho=np.array(rho),
+        weight=np.array(weight),
+        rates=np.array(rates),
+        keys=tuple(keys),
+        motional_residual=float(np.real(np.trace(motion) - motion[0, 0])),
+    )
+
+
+def _evolve_target(
+    stack: _TargetStack, rho: np.ndarray, steps, noise: NoiseConfig
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Apply ion-3 rows to every (node, branch) state at once.
+
+    Conditional rows act on the entries whose branch meets their condition.
+    Returns the evolved (K, 3, 3) stack and, when `steps` hold the final
+    readout, each entry's unnormalized reported P(bright) there (else None).
+    """
+    eps = noise.detection_error
+    rho = rho.copy()
+    bright = None
+    for step in steps:
+        action, sel = step.action, slice(None)
+        if isinstance(action, ConditionalPulse):
+            sel = np.array([k.get(action.detect_label) is action.required for k in stack.keys])
+            action = action.pulse
+        duration = noise.pulse_durations.of(action)
+        if duration != 0.0 and np.any(stack.rates):
+            ph = np.exp(-1j * duration * stack.rates[sel])
+            rho[sel] = rho[sel] * ph[:, :, None] * ph.conj()[:, None, :]
+        if isinstance(action, Detect):
+            if action.label == "final":
+                pop_s = rho[:, S, S].real
+                total = np.trace(rho, axis1=1, axis2=2).real
+                bright = (1.0 - eps) * pop_s + eps * (total - pop_s)
+            rho[:, S, 1:] = 0.0  # the readout decoheres S from {D, H}
+            rho[:, 1:, S] = 0.0
+        elif not isinstance(action, Wait):
+            op = (trap.carrier_local if isinstance(action, Carrier) else trap.hide_local)(
+                action.theta, action.phi
+            )
+            rho[sel] = op @ rho[sel] @ op.conj().T
+            if isinstance(action, Carrier) and noise.depolarizing_applies(step.step_id):
+                sup = depolarizing_superop(noise.depolarizing_per_pulse, 3)
+                part = rho[sel]
+                rho[sel] = (part.reshape(-1, 9) @ sup.T).reshape(part.shape)
+    return rho, bright
+
+
 @dataclass(frozen=True)
 class ExactRun:
     """Infinite-statistics result for one input state."""
@@ -554,7 +667,8 @@ class ExactRun:
     rho_exp: DensityMatrix                   # ion 3, {S,D} block, post-row-33
     branch_probs: dict[str, float]
     branch_states: dict[str, DensityMatrix]  # normalized per reported branch
-    final_bright: dict[str, float]           # reported P(bright | branch), row 35
+    final_bright: dict[str, float]           # reported P(bright | branch), row 35, first mode
+    p_bright: dict[Mode, float]              # reported P(bright), row 35, per requested mode
     h_residual: float
     motional_residual: float
 
@@ -563,7 +677,7 @@ def exact_run(
     input_state: InputStateSpec,
     phase_offset: float = 0.0,
     noise: NoiseConfig = NoiseConfig(),
-    mode: Mode = FidelityCheck(),
+    mode: Mode | tuple[Mode, ...] = FidelityCheck(),
     *,
     quad_points: int | None = None,
     fock_cutoff: int = 4,
@@ -573,58 +687,57 @@ def exact_run(
     reconstruction: bool = True,
     sequence: tuple[SequenceStep, ...] | None = None,
 ) -> ExactRun:
-    """Full exact evolution: branch states after row 33 + row-35 statistics."""
+    """Full exact evolution: branch states after row 33 + row-35 statistics.
+
+    The full (3, 3, 3, fock_cutoff) register is evolved, once per quadrature
+    node, only up to the last row that touches ion 1, ion 2 or the motion (row
+    27 of the standard table). Each (node, branch) is then cut down to ion 3's
+    3x3 density, which is exact because every later row acts on ion 3 alone,
+    and the remaining rows are applied to the whole stack at once.
+
+    `mode` may be a tuple of row-34 modes: rows up to 33 are shared, and only
+    rows 34-35 are replayed per mode. `final_bright` belongs to the first mode;
+    `p_bright` maps each mode to its branch-summed reported P(bright). An
+    explicit `sequence` fixes its own row 34, so it takes a single mode.
+    """
     _check_exact_noise(noise)
-    if sequence is None:
-        sequence = build_sequence(
-            input_state,
-            phase_offset,
-            mode,
-            standby_wait_us=standby_wait_us,
-            rephase_wait_us=rephase_wait_us,
-            spin_echo=spin_echo,
-            reconstruction=reconstruction,
+    modes = mode if isinstance(mode, tuple) else (mode,)
+    if sequence is not None:
+        if len(modes) != 1:
+            raise ConfigError("an explicit sequence fixes its own row-34 mode")
+        sequences = (sequence,)
+    else:
+        sequences = tuple(
+            build_sequence(
+                input_state,
+                phase_offset,
+                m,
+                standby_wait_us=standby_wait_us,
+                rephase_wait_us=rephase_wait_us,
+                spin_echo=spin_echo,
+                reconstruction=reconstruction,
+            )
+            for m in modes
         )
-    dims = (3,) * N_IONS + (fock_cutoff,)
-    d = int(np.prod(dims))
+    seq = sequences[0]
+    cut = _cut(seq, _ANALYSIS_ROW)
+    stack = _target_stack(seq[:cut], noise, quad_points, fock_cutoff)
+    shared = tuple(s for s in seq[cut:] if s.step_id < _ANALYSIS_ROW)
+    rho, _ = _evolve_target(stack, stack.rho, shared, noise)
 
-    acc: dict[tuple, np.ndarray] = {}
-    final_bright: dict[tuple, float] = {}
-    branch_w: dict[tuple, float] = {}
-    for det_sd, det_h, weight in _gh_nodes(noise, quad_points):
-        rho0 = np.zeros((d, d), dtype=np.complex128)
-        rho0[0, 0] = 1.0
-        st = _ExactState(branches={(): rho0.reshape(dims + dims)})
-        st = _evolve_exact(st, sequence, noise, det_sd, det_h, fock_cutoff, snapshot_at=33)
-        for key, rho in st.snapshots.items():
-            acc[key] = acc.get(key, 0.0) + weight * rho
-        for key, p in st.final_bright.items():
-            w = float(np.real(np.trace(st.branches[key].reshape(d, d))))
-            final_bright[key] = final_bright.get(key, 0.0) + weight * w * p
-            branch_w[key] = branch_w.get(key, 0.0) + weight * w
+    labels = [branch_label(k["pmt1"], k["pmt2"]) for k in stack.keys]
+    members = {b: np.array([lab == b for lab in labels]) for b in dict.fromkeys(labels)}
+    weighted = stack.weight[:, None, None] * rho
+    acc = {b: weighted[mask].sum(axis=0) for b, mask in members.items()}
+    branch_probs = {b: float(np.real(np.trace(r))) for b, r in acc.items()}
+    branch_states = {b: _qubit_block(r / branch_probs[b]) for b, r in acc.items()}
 
-    def as_branch(key: tuple) -> str:
-        kd = dict(key)
-        return branch_label(kd["pmt1"], kd["pmt2"])
-
-    total = np.zeros((d, d), dtype=np.complex128)
-    branch_probs: dict[str, float] = {}
-    branch_states: dict[str, DensityMatrix] = {}
-    for key, rho in acc.items():
-        flat = rho.reshape(d, d)
-        total += flat
-        w = float(np.real(np.trace(flat)))
-        branch_probs[as_branch(key)] = w
-        branch_states[as_branch(key)] = _fold_ion3(flat / w, dims)
-
+    total = sum(acc.values())
     tr_total = float(np.real(np.trace(total)))
     if abs(tr_total - 1.0) > 1e-9:
         raise InvariantViolation(f"exact evolution lost trace: {tr_total}")
-
-    rho3 = _ptrace(total, dims, keep=[2])
-    h_residual = float(np.real(rho3[2, 2]))
-    rho_motion = _ptrace(total, dims, keep=[N_IONS])
-    motional_residual = float(np.real(np.trace(rho_motion) - rho_motion[0, 0]))
+    h_residual = float(np.real(total[2, 2]))
+    motional_residual = stack.motional_residual
     if h_residual > 1e-8:
         raise InvariantViolation(
             f"residual H population {h_residual:.3e} after unhide (sequence/convention bug)"
@@ -642,20 +755,34 @@ def exact_run(
             f"residual motional excitation {motional_residual:.3e} (sequence/convention bug)"
         )
 
-    fb = {as_branch(k): v / max(branch_w[k], 1e-300) for k, v in final_bright.items()}
+    p_bright: dict[Mode, float] = {}
+    final_bright: dict[Mode, dict[str, float]] = {}
+    for m, seq_m in zip(modes, sequences):
+        tail = tuple(s for s in seq_m if s.step_id >= _ANALYSIS_ROW)
+        rho_m, bright = _evolve_target(stack, rho, tail, noise)
+        if bright is None:
+            raise InvariantViolation("sequence produced no 'final' readout on ion 3")
+        w_end = stack.weight * np.trace(rho_m, axis1=1, axis2=2).real
+        fb = {
+            b: float(np.sum(stack.weight[mask] * bright[mask]))
+            / max(float(np.sum(w_end[mask])), 1e-300)
+            for b, mask in members.items()
+        }
+        final_bright[m] = fb
+        p_bright[m] = sum(branch_probs[b] * fb[b] for b in branch_probs)
     return ExactRun(
-        rho_exp=_fold_ion3(total, dims),
+        rho_exp=_qubit_block(total),
         branch_probs=branch_probs,
         branch_states=branch_states,
-        final_bright=fb,
+        final_bright=final_bright[modes[0]],
+        p_bright=p_bright,
         h_residual=h_residual,
         motional_residual=motional_residual,
     )
 
 
-def _fold_ion3(rho_flat: np.ndarray, dims) -> DensityMatrix:
-    """Reduce to ion 3 and drop the (verified tiny) H row/column."""
-    rho3 = _ptrace(rho_flat, dims, keep=[2])
+def _qubit_block(rho3: np.ndarray) -> DensityMatrix:
+    """Drop the (verified tiny) H row/column of an ion-3 state and renormalize."""
     block = rho3[:2, :2]
     tr = float(np.real(np.trace(block)))
     if tr <= 0.0:
@@ -766,9 +893,12 @@ def calibrate_phase(
 ) -> CalibrationResult:
     """Scan the tail phase offset and refine the best grid cell.
 
-    Runs the exact engine once up to row 29 per quadrature node (the prefix is
-    phase-independent), then replays only rows 30-33 for each candidate phase.
-    A golden-section pass shrinks the best grid bracket below `tol` radians.
+    Evolves the full register once per quadrature node up to the cut (the last
+    row touching ion 1, ion 2 or the motion, row 27), reduces every (node,
+    branch) to ion 3's 3x3 state and applies the phase-independent rows up to
+    29 to that stack. Each candidate phase then replays only rows 30-33 on the
+    cached stack. A golden-section pass shrinks the best grid bracket below
+    `tol` radians.
     """
     _check_exact_noise(noise)
     if grid < 8:
@@ -776,8 +906,6 @@ def calibrate_phase(
     if reference_input is None:
         reference_input = canonical_inputs()[5]  # +x superposition: phase-sensitive
 
-    dims = (3,) * N_IONS + (fock_cutoff,)
-    d = int(np.prod(dims))
     base_seq = build_sequence(
         reference_input,
         0.0,
@@ -786,16 +914,10 @@ def calibrate_phase(
         rephase_wait_us=rephase_wait_us,
         spin_echo=spin_echo,
     )
-    prefix = tuple(s for s in base_seq if s.step_id < _TAIL_START)
-
-    cached = []
-    for det_sd, det_h, weight in _gh_nodes(noise, quad_points):
-        rho0 = np.zeros((d, d), dtype=np.complex128)
-        rho0[0, 0] = 1.0
-        st = _ExactState(branches={(): rho0.reshape(dims + dims)})
-        st = _evolve_exact(st, prefix, noise, det_sd, det_h, fock_cutoff)
-        cached.append((st.branches, det_sd, det_h, weight))
-
+    cut = _cut(base_seq, _TAIL_START)
+    stack = _target_stack(base_seq[:cut], noise, quad_points, fock_cutoff)
+    fixed = tuple(s for s in base_seq[cut:] if s.step_id < _TAIL_START)
+    rho_fixed, _ = _evolve_target(stack, stack.rho, fixed, noise)
     psi = reference_input.ket()
 
     def fidelity_at(phi: float) -> float:
@@ -809,15 +931,10 @@ def calibrate_phase(
                 rephase_wait_us=rephase_wait_us,
                 spin_echo=spin_echo,
             )
-            if _TAIL_START <= s.step_id <= 33
+            if _TAIL_START <= s.step_id < _ANALYSIS_ROW
         )
-        rho_acc = np.zeros((d, d), dtype=np.complex128)
-        for branches, det_sd, det_h, weight in cached:
-            st = _ExactState(branches=dict(branches))
-            st = _evolve_exact(st, tail, noise, det_sd, det_h, fock_cutoff)
-            for rho in st.branches.values():
-                rho_acc += weight * rho.reshape(d, d)
-        rho3 = _ptrace(rho_acc, dims, keep=[2])[:2, :2]
+        rho, _ = _evolve_target(stack, rho_fixed, tail, noise)
+        rho3 = np.tensordot(stack.weight, rho, axes=1)[:2, :2]
         tr = float(np.real(np.trace(rho3)))
         return float(np.real(psi.conj() @ rho3 @ psi)) / tr
 
@@ -882,12 +999,8 @@ def bell_preparation_fidelity(
     target[0 * 3 + 1] = 1.0 / math.sqrt(2.0)  # |S D>
 
     f = 0.0
-    for det_sd, det_h, weight in _gh_nodes(noise, quad_points):
-        rho0 = np.zeros((d, d), dtype=np.complex128)
-        rho0[0, 0] = 1.0
-        st = _ExactState(branches={(): rho0.reshape(dims + dims)})
-        st = _evolve_exact(st, prefix, noise, det_sd, det_h, fock_cutoff)
-        rho = sum(r.reshape(d, d) for r in st.branches.values())
+    for _sd, _h, weight, branches in _node_branches(prefix, noise, quad_points, fock_cutoff):
+        rho = sum(r.reshape(d, d) for r in branches.values())
         rho23 = _ptrace(rho, dims, keep=[1, 2])
         f += weight * float(np.real(target.conj() @ rho23 @ target))
     return f

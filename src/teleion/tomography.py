@@ -735,20 +735,17 @@ def teleported_counts(
         rephase_wait_us=rephase_wait_us,
     )
     if shots_per_basis == 0 or resolve_sampling(noise, sampling) == "fast":
-        bright_p = {}
-        for basis in BASES:
-            res = exact_run(
-                input_state,
-                phase_offset,
-                noise,
-                Tomography(basis.lower()),
-                quad_points=quad_points,
-                fock_cutoff=fock_cutoff,
-                **seq_kwargs,
-            )
-            bright_p[basis] = sum(
-                res.branch_probs[k] * res.final_bright[k] for k in res.branch_probs
-            )
+        modes = tuple(Tomography(basis.lower()) for basis in BASES)
+        res = exact_run(
+            input_state,
+            phase_offset,
+            noise,
+            modes,
+            quad_points=quad_points,
+            fock_cutoff=fock_cutoff,
+            **seq_kwargs,
+        )
+        bright_p = {basis: res.p_bright[m] for basis, m in zip(BASES, modes)}
         if shots_per_basis == 0:
             return CountsTable.from_bright_counts(bright_p, 1.0)
         bright = {}

@@ -135,6 +135,23 @@ def test_flag_overrides_beat_the_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_teleport_with_amplitude_noise_reports_no_exact_fidelity(tmp_path, capsys):
+    # amplitude noise has no exact representation: the run samples per shot
+    # and leaves the exact fidelity null rather than failing
+    cfg = write_config(tmp_path, shots=8, noise={"amplitude_error_sigma": 0.01})
+    assert main(["teleport", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "report.json").read_text())
+    assert report["sampling"] == "per-shot"
+    assert report["f_avg_exact"] is None
+    assert all(state["f_exact"] is None for state in report["states"])
+    assert all(0.0 <= state["f_sampled"] <= 1.0 for state in report["states"])
+    rows = (out / "fidelities.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    assert all(row.split(",")[3] == "" for row in rows)
+    capsys.readouterr()
+
+
 def test_sampled_teleport_reruns_byte_identically(tmp_path, capsys):
     cfg_a = write_config(tmp_path, "a.json", output_dir=str(tmp_path / "a"))
     cfg_b = write_config(tmp_path, "b.json", output_dir=str(tmp_path / "b"))

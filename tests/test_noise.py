@@ -9,6 +9,7 @@ from teleion.noise import (
     NoiseConfig,
     PulseDurations,
     ShotNoise,
+    _site_paulis,
     accrue_phase,
     apply_depolarizing,
     depolarize_density_tensor,
@@ -141,6 +142,26 @@ def test_depolarize_density_tensor_preserves_trace():
     rho_t = rho.reshape(3, 2, 3, 2)
     out = depolarize_density_tensor(rho_t, 0, 0.25)
     assert np.isclose(np.trace(out.reshape(6, 6)).real, 1.0, atol=1e-12)
+
+
+def test_depolarize_density_tensor_matches_the_kraus_sum():
+    # the fused site superoperator must equal (1-3p/4) rho + (p/4) sum_k s_k rho s_k^dag
+    rng = np.random.default_rng(5)
+    dims = (3, 3, 2)
+    d = int(np.prod(dims))
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho_t = (m @ m.conj().T).reshape(dims + dims)
+    p = 0.3
+    for site, site_dim in enumerate(dims):
+        expected = (1.0 - 0.75 * p) * rho_t
+        for sig in _site_paulis(site_dim):
+            branch = np.moveaxis(np.tensordot(sig, rho_t, axes=([1], [site])), 0, site)
+            branch = np.moveaxis(
+                np.tensordot(sig.conj(), branch, axes=([1], [site + 3])), 0, site + 3
+            )
+            expected = expected + 0.25 * p * branch
+        out = depolarize_density_tensor(rho_t, site, p, site_dim=site_dim)
+        assert np.abs(out - expected).max() <= 1e-13
 
 
 def test_depolarizing_probability_bounds():
