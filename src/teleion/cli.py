@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
 from importlib import resources
 from pathlib import Path
@@ -33,12 +31,12 @@ from .protocol import (
     classical_baseline,
     classical_baseline_per_state,
     exact_run,
-    run_shot,
+    sample_counts,
     sequence_text,
     teleportation_fidelity,
 )
+from .protocol import run_shot  # noqa: F401  perfbench/spans.py traces this binding
 from .qcore import DensityMatrix, state_fidelity, trace_distance
-from .trap import Outcome
 from . import tomography as tomo
 
 _TELE_TAG = 0xCA11
@@ -72,7 +70,6 @@ configuration keys (JSON file; flags override file values):
   process_inputs          reconstructed | ideal input states for process tomography (default reconstructed)
   tomography_resolution   ellipsoid mesh resolution, >= 8 (default 24)
   exact                   boolean, infinite-statistics mode (default false)
-  workers                 threads for per-shot sampling (default: available parallelism)
   noise.detuning_sigma_SD       rad/us, std dev of the quasi-static S-D detuning
   noise.detuning_bias_SD        rad/us, deterministic S-D detuning offset
   noise.dephasing_ratio_H       unitless, H-level detuning = ratio x S-D detuning (default 2.0)
@@ -110,7 +107,6 @@ class ExperimentConfig:
     process_inputs: str = "reconstructed"
     tomography_resolution: int = 24
     exact: bool = False
-    workers: int | None = None
 
     def resolved_inputs(self) -> tuple[InputStateSpec, ...]:
         if self.inputs == "six-canonical":
@@ -145,8 +141,6 @@ class ExperimentConfig:
             raise ConfigError('process_inputs must be "reconstructed" or "ideal"')
         if self.tomography_resolution < 8:
             raise ConfigError("tomography_resolution must be >= 8")
-        if self.workers is not None and (not isinstance(self.workers, int) or self.workers < 1):
-            raise ConfigError("workers must be a positive integer")
         if self.quad_points is not None and (
             not isinstance(self.quad_points, int) or self.quad_points < 1
         ):
@@ -248,8 +242,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.shots = args.shots
     if getattr(args, "out", None) is not None:
         cfg.output_dir = args.out
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     if getattr(args, "exact", False):
         cfg.exact = True
     cfg.validate()
@@ -316,33 +308,6 @@ def _require_mode(cfg: ExperimentConfig, command: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sampling helpers
-
-def _count_bright_per_shot(cfg, seq, input_index: int) -> int:
-    def chunk_count(bounds) -> int:
-        lo, hi = bounds
-        c = 0
-        for i in range(lo, hi):
-            rec = run_shot(
-                seq,
-                cfg.noise,
-                cfg.seed,
-                input_index * cfg.shots + i,
-                fock_cutoff=cfg.fock_cutoff,
-            )
-            c += rec.final_outcome is Outcome.BRIGHT
-        return c
-
-    workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
-    if workers <= 1 or cfg.shots < 64:
-        return chunk_count((0, cfg.shots))
-    edges = np.linspace(0, cfg.shots, workers + 1, dtype=int)
-    bounds = [(int(edges[k]), int(edges[k + 1])) for k in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(chunk_count, bounds))
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_teleport(cfg: ExperimentConfig) -> int:
@@ -358,41 +323,49 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     # fails there with a config error).
     with_exact = exact_only or cfg.noise.amplitude_error_sigma == 0.0
 
+    runs = [
+        exact_run(
+            spec,
+            phase,
+            cfg.noise,
+            FidelityCheck(),
+            quad_points=cfg.quad_points,
+            fock_cutoff=cfg.fock_cutoff,
+            **cfg.sequence_kwargs(),
+        )
+        if with_exact
+        else None
+        for spec in inputs
+    ]
+    p_bright = [res.p_bright[FidelityCheck()] for res in runs] if with_exact else None
+    if exact_only:
+        f_sampled = p_bright
+    else:
+        counts = sample_counts(
+            [
+                build_sequence(spec, phase, FidelityCheck(), **cfg.sequence_kwargs())
+                for spec in inputs
+            ],
+            cfg.noise,
+            cfg.shots,
+            cfg.seed,
+            p_bright=p_bright if sampling == "fast" else None,
+            tag=_TELE_TAG,
+            fock_cutoff=cfg.fock_cutoff,
+        )
+        f_sampled = [k / cfg.shots for k in counts]
+
     rows, bar_rows, report_states = [], [], []
-    for idx, spec in enumerate(inputs):
-        f_exact = p_bright = None
-        if with_exact:
-            res = exact_run(
-                spec,
-                phase,
-                cfg.noise,
-                FidelityCheck(),
-                quad_points=cfg.quad_points,
-                fock_cutoff=cfg.fock_cutoff,
-                **cfg.sequence_kwargs(),
-            )
-            f_exact = state_fidelity(res.rho_exp, spec.pure())
-            p_bright = res.p_bright[FidelityCheck()]
-        if exact_only:
-            f_sampled = p_bright
-            stderr = 0.0
-        elif sampling == "fast":
-            rng = np.random.default_rng([cfg.seed, _TELE_TAG, idx])
-            k = int(rng.binomial(cfg.shots, p_bright))
-            f_sampled = k / cfg.shots
-            stderr = math.sqrt(max(f_sampled * (1 - f_sampled), 0.0) / cfg.shots)
-        else:
-            seq = build_sequence(spec, phase, FidelityCheck(), **cfg.sequence_kwargs())
-            k = _count_bright_per_shot(cfg, seq, idx)
-            f_sampled = k / cfg.shots
-            stderr = math.sqrt(max(f_sampled * (1 - f_sampled), 0.0) / cfg.shots)
+    for spec, res, f in zip(inputs, runs, f_sampled):
+        f_exact = None if res is None else state_fidelity(res.rho_exp, spec.pure())
+        stderr = 0.0 if exact_only else math.sqrt(max(f * (1 - f), 0.0) / cfg.shots)
         exact_cell = "" if f_exact is None else _fmt(f_exact)
         rows.append(
-            [spec.label, _fmt(spec.theta_chi), _fmt(spec.phi_chi), exact_cell, _fmt(f_sampled), _fmt(stderr)]
+            [spec.label, _fmt(spec.theta_chi), _fmt(spec.phi_chi), exact_cell, _fmt(f), _fmt(stderr)]
         )
-        bar_rows.append([spec.label, _fmt(f_sampled), _fmt(stderr)])
+        bar_rows.append([spec.label, _fmt(f), _fmt(stderr)])
         report_states.append(
-            {"label": spec.label, "f_exact": f_exact, "f_sampled": f_sampled, "stderr": stderr}
+            {"label": spec.label, "f_exact": f_exact, "f_sampled": f, "stderr": stderr}
         )
 
     f_avg_exact = (
@@ -712,7 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--shots", type=int, help="shots override")
         p.add_argument("--out", metavar="DIR", help="output directory override")
-        p.add_argument("--workers", type=int, help="threads for per-shot sampling")
         p.add_argument(
             "--exact", action="store_true", help="infinite-statistics mode (no sampling)"
         )

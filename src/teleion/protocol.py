@@ -12,7 +12,8 @@ the conditional set is {I, iX, iZ, XZ} up to global phases, keyed on
 Two execution paths share the same sequence objects:
 
 * run_shot — a single pure-state trajectory with sampled noise, keyed
-  deterministically by (master_seed, shot_index);
+  deterministically by (master_seed, shot_index). sample_counts is the one
+  source of sampled counts: it sums these, or draws from exact_run's P(bright);
 * exact_run — density-matrix evolution with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
   distribution. The full register is kept only until the last row that
@@ -392,6 +393,39 @@ def run_shot(
     )
 
 
+def sample_counts(
+    sequences: list[tuple[SequenceStep, ...]],
+    noise: NoiseConfig,
+    shots: int,
+    master_seed: int,
+    *,
+    p_bright: list[float] | None = None,
+    tag: int = 0,
+    fock_cutoff: int = 4,
+) -> list[int]:
+    """Final-readout Bright counts over `shots` shots of each sequence.
+
+    Sequence j draws from stream j. Given every sequence's exact reported
+    P(bright), clamped to [0, 1] against roundoff, its count is one binomial
+    draw from default_rng([master_seed, tag, j]); otherwise it counts run_shot
+    trajectories with shot indices j * shots + i. Sampled artefacts rest on
+    these streams, so they must not move.
+    """
+    if p_bright is not None:
+        return [
+            int(np.random.default_rng([int(master_seed), tag, j]).binomial(shots, min(max(p, 0.0), 1.0)))
+            for j, p in enumerate(p_bright)
+        ]
+    return [
+        sum(
+            run_shot(seq, noise, master_seed, j * shots + i, fock_cutoff=fock_cutoff).final_outcome
+            is Outcome.BRIGHT
+            for i in range(shots)
+        )
+        for j, seq in enumerate(sequences)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Exact path: density-matrix evolution with measurement instruments.
 
@@ -526,11 +560,11 @@ def _gh_nodes(noise: NoiseConfig, quad_points: int | None):
     return nodes
 
 
-def _check_exact_noise(noise: NoiseConfig) -> None:
+def _check_exact_noise(noise: NoiseConfig, entry: str) -> None:
     if noise.amplitude_error_sigma != 0.0:
         raise ConfigError(
-            "run_exact handles channel-representable noise only; "
-            "amplitude_error_sigma must be 0 (use the sampled path instead)"
+            f"{entry} handles channel-representable noise only; "
+            "amplitude_error_sigma must be 0"
         )
 
 
@@ -700,7 +734,7 @@ def exact_run(
     `p_bright` maps each mode to its branch-summed reported P(bright). An
     explicit `sequence` fixes its own row 34, so it takes a single mode.
     """
-    _check_exact_noise(noise)
+    _check_exact_noise(noise, "exact_run")
     modes = mode if isinstance(mode, tuple) else (mode,)
     if sequence is not None:
         if len(modes) != 1:
@@ -861,10 +895,7 @@ def teleportation_fidelity(
         rephase_wait_us=rephase_wait_us,
         spin_echo=spin_echo,
     )
-    n_bright = 0
-    for i in range(mode.shots):
-        rec = run_shot(seq, noise, mode.master_seed, i, fock_cutoff=fock_cutoff)
-        n_bright += rec.final_outcome is Outcome.BRIGHT
+    (n_bright,) = sample_counts([seq], noise, mode.shots, mode.master_seed, fock_cutoff=fock_cutoff)
     f = n_bright / mode.shots
     return FidelityEstimate(f, math.sqrt(max(f * (1.0 - f), 0.0) / mode.shots))
 
@@ -900,7 +931,7 @@ def calibrate_phase(
     cached stack. A golden-section pass shrinks the best grid bracket below
     `tol` radians.
     """
-    _check_exact_noise(noise)
+    _check_exact_noise(noise, "calibrate_phase")
     if grid < 8:
         raise ConfigError("calibration grid needs at least 8 points")
     if reference_input is None:
@@ -989,7 +1020,7 @@ def bell_preparation_fidelity(
 
     Calibration helper: tune depolarizing_per_pulse against this number.
     """
-    _check_exact_noise(noise)
+    _check_exact_noise(noise, "bell_preparation_fidelity")
     seq = build_sequence(canonical_inputs()[0], 0.0, FidelityCheck())
     prefix = tuple(s for s in seq if s.step_id <= 6)
     dims = (3,) * N_IONS + (fock_cutoff,)

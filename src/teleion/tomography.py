@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .noise import NoiseConfig
-from .protocol import InputStateSpec, Tomography, build_sequence, exact_run, run_shot
+from .protocol import InputStateSpec, Tomography, build_sequence, exact_run, sample_counts
+from .protocol import run_shot  # noqa: F401  perfbench/spans.py traces this binding
 from .qcore import (
     ATOL_SPECTRAL,
     DensityMatrix,
@@ -32,7 +33,7 @@ from .qcore import (
     dag,
     density_from_bloch,
 )
-from .trap import Outcome, rotation_2x2
+from .trap import rotation_2x2
 
 BASES = ("Z", "X", "Y")
 OUTCOMES = ("Bright", "Dark")
@@ -734,8 +735,9 @@ def teleported_counts(
         standby_wait_us=standby_wait_us,
         rephase_wait_us=rephase_wait_us,
     )
+    modes = tuple(Tomography(basis.lower()) for basis in BASES)
+    p_bright = None
     if shots_per_basis == 0 or resolve_sampling(noise, sampling) == "fast":
-        modes = tuple(Tomography(basis.lower()) for basis in BASES)
         res = exact_run(
             input_state,
             phase_offset,
@@ -745,27 +747,19 @@ def teleported_counts(
             fock_cutoff=fock_cutoff,
             **seq_kwargs,
         )
-        bright_p = {basis: res.p_bright[m] for basis, m in zip(BASES, modes)}
+        p_bright = [res.p_bright[m] for m in modes]
         if shots_per_basis == 0:
-            return CountsTable.from_bright_counts(bright_p, 1.0)
-        bright = {}
-        for idx, basis in enumerate(BASES):
-            rng = np.random.default_rng([int(master_seed), _TOMO_TAG, idx])
-            p = min(max(bright_p[basis], 0.0), 1.0)  # float roundoff guard
-            bright[basis] = float(rng.binomial(shots_per_basis, p))
-        return CountsTable.from_bright_counts(bright, float(shots_per_basis))
-
-    bright = {}
-    for idx, basis in enumerate(BASES):
-        seq = build_sequence(input_state, phase_offset, Tomography(basis.lower()), **seq_kwargs)
-        count = 0
-        for i in range(shots_per_basis):
-            rec = run_shot(
-                seq, noise, master_seed, idx * shots_per_basis + i, fock_cutoff=fock_cutoff
-            )
-            count += rec.final_outcome is Outcome.BRIGHT
-        bright[basis] = float(count)
-    return CountsTable.from_bright_counts(bright, float(shots_per_basis))
+            return CountsTable.from_bright_counts(dict(zip(BASES, p_bright)), 1.0)
+    counts = sample_counts(
+        [build_sequence(input_state, phase_offset, m, **seq_kwargs) for m in modes],
+        noise,
+        shots_per_basis,
+        master_seed,
+        p_bright=p_bright,
+        tag=_TOMO_TAG,
+        fock_cutoff=fock_cutoff,
+    )
+    return CountsTable.from_bright_counts(dict(zip(BASES, counts)), float(shots_per_basis))
 
 
 # ---------------------------------------------------------------------------

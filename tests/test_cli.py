@@ -1,5 +1,6 @@
 """Command-line interface: config handling, artifacts, exit codes."""
 import json
+import re
 from dataclasses import fields as dc_fields
 from importlib import resources
 from pathlib import Path
@@ -7,12 +8,19 @@ from pathlib import Path
 import pytest
 
 from teleion.cli import (
+    _CONFIG_KEY_DOCS,
     ExperimentConfig,
     build_parser,
     config_from_dict,
     main,
 )
 from teleion.errors import ConfigError
+from teleion.noise import NoiseConfig
+from teleion.protocol import FidelityCheck, InputStateSpec, Tomography, build_sequence, run_shot
+from teleion.tomography import BASES, teleported_counts
+from teleion.trap import Outcome
+
+DOCS_CONFIG = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
 
 def write_config(tmp_path: Path, name: str = "config.json", **overrides) -> Path:
@@ -80,6 +88,24 @@ def test_help_lists_every_config_key():
         assert f.name in helptext, f"--help does not document {f.name}"
     for key in ("detuning_sigma_SD", "depolarizing_per_pulse", "carrier_pi"):
         assert key in helptext
+    # and the reverse: no documented key or flag outlives the code
+    fields = {f.name for f in dc_fields(ExperimentConfig)}
+    help_keys = {line.split()[0].split(".")[0] for line in _CONFIG_KEY_DOCS.splitlines()[1:]}
+    assert help_keys == fields
+    sections = DOCS_CONFIG.read_text(encoding="utf-8").split("\n## ")
+    top = next(s for s in sections if s.startswith("Top-level keys"))
+    table_keys = set(re.findall(r"^\| `(\w+)` \|", top, flags=re.MULTILINE))
+    assert table_keys | {"noise"} == fields
+    flags_doc = next(s for s in sections if s.startswith("Flags"))
+    subparsers = build_parser()._subparsers._group_actions[0].choices.values()
+    parser_flags = {
+        opt
+        for sub in subparsers
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert set(re.findall(r"--[\w-]+", flags_doc)) == parser_flags
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +256,62 @@ def test_packaged_preset_matches_the_shipped_example():
     )
     example = Path(__file__).resolve().parents[1].joinpath("examples/paper.json").read_bytes()
     assert packaged == example
+
+
+def test_fast_teleport_survives_p_bright_roundoff_above_one(tmp_path, capsys):
+    # noiselessly this input's exact P(bright) is 1.0000000000000002
+    probe = {"theta_chi": 3.141592653589793, "phi_chi": 3.9269908169872414}
+    cfg = write_config(tmp_path, shots=100, inputs=[probe])
+    assert main(["teleport", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["sampling"] == "fast"
+    assert report["states"][0]["f_sampled"] == 1.0
+    capsys.readouterr()
+
+
+def test_calibration_under_amplitude_noise_names_calibrate_phase(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        shots=8,
+        quad_points=1,
+        grid=8,
+        phase_offset="calibrate",
+        noise={"amplitude_error_sigma": 0.01},
+    )
+    assert main(["teleport", "--config", str(cfg)]) == 2
+    assert "calibrate_phase" in capsys.readouterr().err
+
+
+def test_sampled_counts_keep_their_per_shot_streams(tmp_path, capsys):
+    # shot i of stream j is run_shot(seq, noise, master_seed, j * shots + i):
+    # a batched trajectory engine must reproduce these counts exactly;
+    # depolarizing keeps P(bright) away from 1 so the counts tell streams apart
+    shots = 4
+    noise_cfg = {"amplitude_error_sigma": 0.01, "depolarizing_per_pulse": 0.2}
+    noise = NoiseConfig(**noise_cfg)
+    specs = [InputStateSpec(0.5, 1.0, "a"), InputStateSpec(2.0, 0.3, "b")]
+    cfg = write_config(
+        tmp_path,
+        shots=shots,
+        noise=noise_cfg,
+        inputs=[{"theta_chi": s.theta_chi, "phi_chi": s.phi_chi, "label": s.label} for s in specs],
+    )
+    assert main(["teleport", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "out" / "fidelities.csv").read_text().splitlines()[1:]
+    for idx, (spec, row) in enumerate(zip(specs, rows)):
+        seq = build_sequence(spec, 0.0, FidelityCheck())
+        bright = sum(
+            run_shot(seq, noise, 11, idx * shots + i).final_outcome is Outcome.BRIGHT
+            for i in range(shots)
+        )
+        assert row.split(",")[4] == repr(bright / shots)
+    capsys.readouterr()
+
+    table = teleported_counts(specs[0], noise, shots, master_seed=5)
+    for b, basis in enumerate(BASES):
+        seq = build_sequence(specs[0], 0.0, Tomography(basis.lower()))
+        bright = sum(
+            run_shot(seq, noise, 5, b * shots + i).final_outcome is Outcome.BRIGHT
+            for i in range(shots)
+        )
+        assert (basis, "Bright", float(bright)) in table.rows
