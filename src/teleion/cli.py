@@ -55,7 +55,7 @@ _CONFIG_KEY_DOCS = """\
 configuration keys (JSON file; flags override file values):
   seed                    integer master seed (default 1234)
   shots                   shots per input (teleport) or per basis (tomography), default 1000
-  fock_cutoff             motional Fock levels simulated (default 4)
+  fock_cutoff             motional Fock levels simulated (default 4; per-shot sampling needs >= 4)
   phase_offset            tail phase in radians, or "calibrate" (default 0.0)
   inputs                  "six-canonical" or list of {theta_chi, phi_chi[, label]}, angles in radians
   output_dir              artifact directory (default "out")

@@ -133,7 +133,10 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class ShotNoise:
-    """Frozen per-shot noise realisation (one entry per ion / sequence step)."""
+    """Frozen per-shot noise realisation (one entry per ion / sequence step).
+
+    Sampled for several shots at once, each array gains a leading shot axis.
+    """
 
     detuning_SD: np.ndarray        # rad/us, per ion
     detuning_H: np.ndarray         # rad/us, per ion
@@ -147,23 +150,28 @@ class ShotNoise:
 def sample_shot_noise(
     config: NoiseConfig,
     master_seed: int,
-    shot_index: int,
+    shot_index: int | np.ndarray,
     n_ions: int = 3,
     n_steps: int = 35,
 ) -> ShotNoise:
     """Deterministic draw keyed by (master_seed, shot_index) only.
 
     Draw order is fixed: detuning first (one scalar when correlated, n_ions
-    otherwise), then the per-step amplitude factors.
+    otherwise), then the per-step amplitude factors. A 1-D array of shot
+    indices gives each shot its own stream and stacks the results.
     """
-    rng = np.random.default_rng([int(master_seed), int(shot_index)])
-    if config.correlated_dephasing:
-        g = np.full(n_ions, rng.standard_normal())
-    else:
-        g = rng.standard_normal(n_ions)
+    index = np.asarray(shot_index)
+    g = np.zeros(index.shape + (n_ions,))
+    z = np.zeros(index.shape + (n_steps,))
+    # With both sigmas zero every draw is multiplied by 0, so none is made.
+    if config.detuning_sigma_SD != 0.0 or config.amplitude_error_sigma != 0.0:
+        for k, shot in np.ndenumerate(index):
+            rng = np.random.default_rng([int(master_seed), int(shot)])
+            g[k] = rng.standard_normal() if config.correlated_dephasing else rng.standard_normal(n_ions)
+            z[k] = rng.standard_normal(n_steps)
     det_sd = config.detuning_bias_SD + config.detuning_sigma_SD * g
     det_h = config.dephasing_ratio_H * det_sd
-    factors = 1.0 + config.amplitude_error_sigma * rng.standard_normal(n_steps)
+    factors = 1.0 + config.amplitude_error_sigma * z
     return ShotNoise(det_sd, det_h, factors)
 
 
@@ -172,51 +180,70 @@ def phase_exponent(
     fock_cutoff: int,
     detuning_SD: np.ndarray,
     detuning_H: np.ndarray,
-    duration_us: float,
+    duration_us: float | np.ndarray,
 ) -> np.ndarray:
     """Accumulated phase per basis state, shape (3,)*n_ions + (fock_cutoff,).
 
     phi = duration * sum_i [detuning_SD[i] * 1(level_i = D)
                             + detuning_H[i] * 1(level_i = H)]
+
+    Detunings with leading shot axes (..., n_ions), with `duration_us` a
+    scalar or one duration per shot, give the phases with those axes first.
     """
-    dims = (3,) * n_ions + (fock_cutoff,)
-    phi = np.zeros(dims)
+    detuning_SD, detuning_H = np.asarray(detuning_SD), np.asarray(detuning_H)
+    lead = detuning_SD.shape[:-1]
+    levels = np.stack([np.zeros_like(detuning_SD), detuning_SD, detuning_H], axis=-1)
+    per_level = np.asarray(duration_us)[..., None, None] * levels  # (..., n_ions, 3)
+    phi = np.zeros(lead + (3,) * n_ions + (fock_cutoff,))
     for i in range(n_ions):
-        per_level = duration_us * np.array([0.0, detuning_SD[i], detuning_H[i]])
         shape = [1] * (n_ions + 1)
         shape[i] = 3
-        phi = phi + per_level.reshape(shape)
+        phi = phi + per_level[..., i, :].reshape(lead + tuple(shape))
     return phi
 
 
-def accrue_phase(reg: TrapRegister, duration_us: float, shot: ShotNoise) -> TrapRegister:
-    """Free evolution under the shot's detunings for `duration_us`."""
-    if duration_us == 0.0 or (
+def accrue_phase(
+    reg: TrapRegister, duration_us: float | np.ndarray, shot: ShotNoise
+) -> TrapRegister:
+    """Free evolution under the shot's detunings for `duration_us`.
+
+    On a stack of shots `shot` holds one realisation per shot and
+    `duration_us` may give one duration per shot.
+    """
+    elapsed = reg.elapsed_us + duration_us
+    if not np.any(duration_us) or (
         not np.any(shot.detuning_SD) and not np.any(shot.detuning_H)
     ):
-        return replace(reg, elapsed_us=reg.elapsed_us + duration_us)
-    phi = phase_exponent(
-        reg.n_ions, reg.fock_cutoff, shot.detuning_SD, shot.detuning_H, duration_us
-    )
+        return replace(reg, elapsed_us=elapsed)
+    # The phase does not depend on the Fock number: compute it once per level.
+    phi = phase_exponent(reg.n_ions, 1, shot.detuning_SD, shot.detuning_H, duration_us)
     psi = reg.tensor() * np.exp(-1j * phi)
-    return replace(
-        reg, psi=psi.reshape(-1), elapsed_us=reg.elapsed_us + duration_us
-    )
+    return replace(reg, psi=psi.reshape(reg.psi.shape), elapsed_us=elapsed)
 
 
 def perturb_pulse(pulse: trap.Pulse, shot: ShotNoise, step_index: int) -> trap.Pulse:
-    """Scale a drive pulse's area by the shot's factor for its table slot."""
+    """Scale a drive pulse's area by the shot's factor for its table slot.
+
+    On a stack of shots the area becomes one value per shot.
+    """
     if isinstance(pulse, (Carrier, BlueSideband, Hide)):
-        factor = float(shot.amplitude_factors[step_index])
+        factor = shot.amplitude_factors[..., step_index]
         return replace(pulse, theta=pulse.theta * factor)
     return pulse
 
 
-def sample_pauli_index(u: float, p: float) -> int | None:
-    """Map one uniform draw to the depolarizing unraveling: None or 0..2."""
-    if u < 1.0 - 0.75 * p:
-        return None
-    return min(int((u - (1.0 - 0.75 * p)) / (0.25 * p)), 2)
+def sample_pauli_index(u: float | np.ndarray, p: float) -> int | None | np.ndarray:
+    """Map one uniform draw to the depolarizing unraveling: None or 0..2.
+
+    An array of draws gives an int array, with -1 where no Pauli is applied.
+    """
+    u = np.asarray(u)
+    k = np.full(u.shape, -1)
+    hit = u >= 1.0 - 0.75 * p
+    k[hit] = np.minimum(((u[hit] - (1.0 - 0.75 * p)) / (0.25 * p)).astype(int), 2)
+    if u.ndim:
+        return k
+    return None if k < 0 else int(k)
 
 
 @functools.lru_cache(maxsize=None)

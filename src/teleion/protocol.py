@@ -11,9 +11,11 @@ the conditional set is {I, iX, iZ, XZ} up to global phases, keyed on
 
 Two execution paths share the same sequence objects:
 
-* run_shot — a single pure-state trajectory with sampled noise, keyed
-  deterministically by (master_seed, shot_index). sample_counts is the one
-  source of sampled counts: it sums these, or draws from exact_run's P(bright);
+* run_shot — pure-state trajectories with sampled noise, each keyed
+  deterministically by (master_seed, shot_index). All shots of a sequence
+  advance together as one (shots, 3, 3, 3, fock_cutoff) state; feed-forward
+  is a mask over shots. sample_counts is the one source of sampled counts: it
+  sums one run_shot call per sequence, or draws from exact_run's P(bright);
 * exact_run — density-matrix evolution with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
   distribution. The full register is kept only until the last row that
@@ -31,7 +33,6 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .noise import (
     NoiseConfig,
-    ShotNoise,
     RUN_STREAM_TAG,
     accrue_phase,
     depolarize_density_tensor,
@@ -42,7 +43,7 @@ from .noise import (
     sample_shot_noise,
     _site_paulis,
 )
-from .qcore import DensityMatrix, PureState, _ptrace, state_fidelity
+from .qcore import ATOL_STRUCTURAL, DensityMatrix, PureState, _ptrace, state_fidelity
 from . import trap
 from .trap import (
     BlueSideband,
@@ -51,7 +52,6 @@ from .trap import (
     Hide,
     Outcome,
     S,
-    TrapRegister,
     Wait,
     apply_pulse,
     apply_site,
@@ -266,6 +266,8 @@ def _validate_sequence(steps: tuple[SequenceStep, ...]) -> None:
                 raise InvariantViolation(f"duplicate detect label {s.action.label!r}")
             seen_detects.add(s.action.label)
         elif isinstance(s.action, ConditionalPulse):
+            if isinstance(s.action.pulse, Detect):
+                raise InvariantViolation(f"step {s.step_id}: a readout cannot be conditional")
             if s.action.detect_label not in seen_detects:
                 raise InvariantViolation(
                     f"step {s.step_id} conditions on future/unknown detect "
@@ -311,86 +313,89 @@ def _resolve_budget(noise: NoiseConfig, leakage_budget: float | None) -> float:
     return 1e-3 if noise.amplitude_error_sigma > 0 else trap.LEAKAGE_BUDGET_DEFAULT
 
 
-class _FixedDraws:
-    """Generator stand-in replaying pre-drawn uniforms (keeps streams stable)."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self) -> float:
-        return self._values.pop(0)
+#: X, Y, Z on a three-level ion, indexed by sample_pauli_index's k.
+_PAULI_STACK = np.stack(_site_paulis(3))
 
 
 def run_shot(
     sequence: tuple[SequenceStep, ...],
     noise: NoiseConfig,
     master_seed: int,
-    shot_index: int,
+    shot_index: int | range | np.ndarray,
     *,
     fock_cutoff: int = 4,
     leakage_budget: float | None = None,
-) -> ShotRecord:
-    """One full trajectory through the sequence with sampled noise.
+) -> ShotRecord | list[ShotRecord]:
+    """Full trajectories through the sequence with sampled noise.
 
-    All randomness is keyed by (master_seed, shot_index); draws are indexed by
-    step id so a skipped conditional pulse never shifts another step's noise.
+    An int `shot_index` gives one ShotRecord; a range or 1-D array of indices
+    gives one record per index. All shots advance together as one
+    (shots, 3, 3, 3, fock_cutoff) state, one row at a time. Each shot's
+    randomness is keyed by (master_seed, shot_index) alone and its draws are
+    indexed by step id, so a skipped conditional pulse never shifts another
+    step's noise and a shot's outcomes do not depend on the other shots.
     """
+    index = np.atleast_1d(np.asarray(shot_index, dtype=np.int64))
     n_steps = max(s.step_id for s in sequence)
-    shot = sample_shot_noise(noise, master_seed, shot_index, N_IONS, n_steps)
-    rng = np.random.default_rng([int(master_seed), int(shot_index), RUN_STREAM_TAG])
-    depol_u = rng.random(n_steps)
-    meas_u = rng.random((n_steps, 2))
+    shot = sample_shot_noise(noise, master_seed, index, N_IONS, n_steps)
+    depol_u = np.empty((index.size, n_steps))
+    meas_u = np.empty((index.size, n_steps, 2))
+    for k, i in enumerate(index):
+        rng = np.random.default_rng([int(master_seed), int(i), RUN_STREAM_TAG])
+        depol_u[k] = rng.random(n_steps)
+        meas_u[k] = rng.random((n_steps, 2))
 
-    reg = initialize(N_IONS, fock_cutoff, leakage_budget=_resolve_budget(noise, leakage_budget))
-    outcomes: dict[str, Outcome] = {}
+    reg = initialize(
+        N_IONS, fock_cutoff, leakage_budget=_resolve_budget(noise, leakage_budget), shots=index.size
+    )
+    bright: dict[str, np.ndarray] = {}  # reported Bright per shot, by readout label
 
     for step in sequence:
-        action = step.action
+        action, col = step.action, step.step_id - 1
+        pulse = action.pulse if isinstance(action, ConditionalPulse) else action
+        fired = True  # the shots this row acts on
         if isinstance(action, ConditionalPulse):
-            if outcomes.get(action.detect_label) is not action.required:
-                continue
-            pulse = action.pulse
-        else:
-            pulse = action
-
-        reg = accrue_phase(reg, noise.pulse_durations.of(pulse), shot)
+            fired = bright[action.detect_label] == (action.required is Outcome.BRIGHT)
+        # A shot whose condition fails sees a zero-area pulse lasting no time,
+        # which is exactly the identity, and draws no Pauli flip.
+        reg = accrue_phase(reg, np.where(fired, noise.pulse_durations.of(pulse), 0.0), shot)
 
         if isinstance(pulse, Detect):
-            draws = _FixedDraws(meas_u[step.step_id - 1])
-            _true, reported, reg = fluorescence_measure(
-                reg, pulse.ion, draws, noise.detection_error
+            _true, bright[pulse.label], reg = fluorescence_measure(
+                reg, pulse.ion, meas_u[:, col], noise.detection_error
             )
-            outcomes[pulse.label] = reported
-        elif isinstance(pulse, Wait):
-            continue  # time already booked by accrue_phase
-        else:
-            reg = apply_pulse(reg, perturb_pulse(pulse, shot, step.step_id - 1))
+        elif not isinstance(pulse, Wait):  # a wait's time is booked by accrue_phase
+            theta = pulse.theta
+            if noise.amplitude_error_sigma != 0.0:  # otherwise every factor is exactly 1
+                theta = perturb_pulse(pulse, shot, col).theta
+            reg = apply_pulse(reg, replace(pulse, theta=np.where(fired, theta, 0.0)))
             if isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(
                 step.step_id
             ):
-                k = sample_pauli_index(
-                    float(depol_u[step.step_id - 1]), noise.depolarizing_per_pulse
-                )
-                if k is not None:
-                    sig = _site_paulis(3)[k]
-                    t = apply_site(reg.tensor(), sig, pulse.ion)
+                k = sample_pauli_index(depol_u[:, col], noise.depolarizing_per_pulse)
+                hit = (k >= 0) & fired
+                if np.any(hit):
+                    psi = reg.psi.copy()
+                    psi[hit] = apply_site(psi[hit], _PAULI_STACK[k[hit]], reg.dims, pulse.ion)
                     # A flip mid-gate legitimately drives population up the
                     # truncated Fock ladder; the cutoff tripwire only guards
                     # trajectories that are still on the ideal path.
-                    reg = replace(reg, psi=t.reshape(-1), leakage_budget=math.inf)
+                    reg = replace(
+                        reg, psi=psi, leakage_budget=np.where(hit, math.inf, reg.leakage_budget)
+                    )
 
     for label in ("pmt1", "pmt2", "final"):
-        if label not in outcomes:
+        if label not in bright:
             raise InvariantViolation(f"sequence produced no {label!r} readout")
-    return ShotRecord(
-        shot_index=shot_index,
-        pmt1=outcomes["pmt1"],
-        pmt2=outcomes["pmt2"],
-        final_outcome=outcomes["final"],
-        branch=branch_label(outcomes["pmt1"], outcomes["pmt2"]),
-        leakage_max=reg.leakage_max,
-        elapsed_us=reg.elapsed_us,
-    )
+    outcome = (Outcome.DARK, Outcome.BRIGHT)
+    pmt1, pmt2, final = (bright[label].tolist() for label in ("pmt1", "pmt2", "final"))
+    records = [
+        ShotRecord(i, outcome[a], outcome[b], outcome[f], branch_label(outcome[a], outcome[b]), leak, t)
+        for i, a, b, f, leak, t in zip(
+            index.tolist(), pmt1, pmt2, final, reg.leakage_max.tolist(), reg.elapsed_us.tolist()
+        )
+    ]
+    return records[0] if np.ndim(shot_index) == 0 else records
 
 
 def sample_counts(
@@ -407,9 +412,9 @@ def sample_counts(
 
     Sequence j draws from stream j. Given every sequence's exact reported
     P(bright), clamped to [0, 1] against roundoff, its count is one binomial
-    draw from default_rng([master_seed, tag, j]); otherwise it counts run_shot
-    trajectories with shot indices j * shots + i. Sampled artefacts rest on
-    these streams, so they must not move.
+    draw from default_rng([master_seed, tag, j]); otherwise it counts the
+    trajectories of one run_shot call over shot indices j * shots + i for
+    i < shots. Sampled artefacts rest on these streams, so they must not move.
     """
     if p_bright is not None:
         return [
@@ -418,9 +423,10 @@ def sample_counts(
         ]
     return [
         sum(
-            run_shot(seq, noise, master_seed, j * shots + i, fock_cutoff=fock_cutoff).final_outcome
-            is Outcome.BRIGHT
-            for i in range(shots)
+            r.final_outcome is Outcome.BRIGHT
+            for r in run_shot(
+                seq, noise, master_seed, range(j * shots, (j + 1) * shots), fock_cutoff=fock_cutoff
+            )
         )
         for j, seq in enumerate(sequences)
     ]
@@ -700,9 +706,12 @@ class ExactRun:
 
     rho_exp: DensityMatrix                   # ion 3, {S,D} block, post-row-33
     branch_probs: dict[str, float]
+    # The two per-branch conditionals below leave out every branch whose
+    # probability is at roundoff level (<= 1e-12): it has no conditional state.
     branch_states: dict[str, DensityMatrix]  # normalized per reported branch
     final_bright: dict[str, float]           # reported P(bright | branch), row 35, first mode
-    p_bright: dict[Mode, float]              # reported P(bright), row 35, per requested mode
+    p_bright: dict[Mode, float]              # reported P(bright), row 35, per requested mode,
+                                             # clamped to [0, 1] against roundoff
     h_residual: float
     motional_residual: float
 
@@ -764,7 +773,9 @@ def exact_run(
     weighted = stack.weight[:, None, None] * rho
     acc = {b: weighted[mask].sum(axis=0) for b, mask in members.items()}
     branch_probs = {b: float(np.real(np.trace(r))) for b, r in acc.items()}
-    branch_states = {b: _qubit_block(r / branch_probs[b]) for b, r in acc.items()}
+    # A branch whose probability is a roundoff-level defect has no conditional state.
+    occurring = {b: members[b] for b in acc if branch_probs[b] > ATOL_STRUCTURAL}
+    branch_states = {b: _qubit_block(acc[b] / branch_probs[b]) for b in occurring}
 
     total = sum(acc.values())
     tr_total = float(np.real(np.trace(total)))
@@ -797,13 +808,11 @@ def exact_run(
         if bright is None:
             raise InvariantViolation("sequence produced no 'final' readout on ion 3")
         w_end = stack.weight * np.trace(rho_m, axis1=1, axis2=2).real
-        fb = {
-            b: float(np.sum(stack.weight[mask] * bright[mask]))
-            / max(float(np.sum(w_end[mask])), 1e-300)
-            for b, mask in members.items()
+        final_bright[m] = {
+            b: float(np.sum(stack.weight[mask] * bright[mask])) / float(np.sum(w_end[mask]))
+            for b, mask in occurring.items()
         }
-        final_bright[m] = fb
-        p_bright[m] = sum(branch_probs[b] * fb[b] for b in branch_probs)
+        p_bright[m] = min(max(float(np.sum(stack.weight * bright)), 0.0), 1.0)
     return ExactRun(
         rho_exp=_qubit_block(total),
         branch_probs=branch_probs,

@@ -85,14 +85,18 @@ Pulse = Carrier | BlueSideband | Hide | Wait | Detect
 
 @dataclass(frozen=True)
 class TrapRegister:
-    """Pure-state register plus leakage bookkeeping (immutable)."""
+    """Pure-state register plus leakage bookkeeping (immutable).
+
+    A register may hold a stack of shots: `psi` then has shape (shots, dim),
+    and `elapsed_us`, `leakage_budget` and `leakage_max` are per-shot arrays.
+    """
 
     n_ions: int
     fock_cutoff: int
-    psi: np.ndarray                       # flat, dim 3**n_ions * fock_cutoff
-    elapsed_us: float = 0.0
-    leakage_budget: float = LEAKAGE_BUDGET_DEFAULT
-    leakage_max: float = 0.0
+    psi: np.ndarray                       # flat, dim 3**n_ions * fock_cutoff (per shot)
+    elapsed_us: float | np.ndarray = 0.0
+    leakage_budget: float | np.ndarray = LEAKAGE_BUDGET_DEFAULT
+    leakage_max: float | np.ndarray = 0.0
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -103,27 +107,36 @@ class TrapRegister:
         return 3 ** self.n_ions * self.fock_cutoff
 
     def tensor(self) -> np.ndarray:
-        return self.psi.reshape(self.dims)
+        return self.psi.reshape(self.psi.shape[:-1] + self.dims)
 
 
 def initialize(n_ions: int = 3, fock_cutoff: int = 4,
-               leakage_budget: float = LEAKAGE_BUDGET_DEFAULT) -> TrapRegister:
-    """All ions in S, motion in |n=0> (Doppler + sideband cooling + pumping)."""
+               leakage_budget: float = LEAKAGE_BUDGET_DEFAULT,
+               shots: int | None = None) -> TrapRegister:
+    """All ions in S, motion in |n=0> (Doppler + sideband cooling + pumping).
+
+    With `shots`, a stack of that many identical registers.
+    """
     if n_ions < 1 or fock_cutoff < 2:
         raise DimensionMismatch("need n_ions >= 1 and fock_cutoff >= 2")
-    psi = np.zeros(3 ** n_ions * fock_cutoff, dtype=np.complex128)
-    psi[0] = 1.0
-    return TrapRegister(n_ions, fock_cutoff, psi, leakage_budget=leakage_budget)
-
-
-def rotation_2x2(theta: float, phi: float) -> np.ndarray:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array(
-        [[c, -1j * np.exp(1j * phi) * s],
-         [-1j * np.exp(-1j * phi) * s, c]],
-        dtype=np.complex128,
+    lead = () if shots is None else (shots,)
+    psi = np.zeros(lead + (3 ** n_ions * fock_cutoff,), dtype=np.complex128)
+    psi[..., 0] = 1.0
+    return TrapRegister(
+        n_ions, fock_cutoff, psi, np.zeros(lead), np.full(lead, leakage_budget), np.zeros(lead)
     )
+
+
+def rotation_2x2(theta: float | np.ndarray, phi: float) -> np.ndarray:
+    """R(theta, phi); an array of areas gives a stack of shape theta.shape + (2, 2)."""
+    half = np.asarray(theta) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    r = np.empty(half.shape + (2, 2), dtype=np.complex128)
+    r[..., 0, 0] = c
+    r[..., 0, 1] = -1j * np.exp(1j * phi) * s
+    r[..., 1, 0] = -1j * np.exp(-1j * phi) * s
+    r[..., 1, 1] = c
+    return r
 
 
 def carrier_local(theta: float, phi: float) -> np.ndarray:
@@ -197,31 +210,37 @@ def _check_ion(n_ions: int, ion: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Fast local application (pure-state tensors); the full matrices above are the
-# reference implementation the tests compare against.
+# Fast local application on flat states with any leading (shot) axes; the full
+# matrices above are the reference implementation the tests compare against.
 
-def apply_site(psi_t: np.ndarray, op: np.ndarray, site: int) -> np.ndarray:
-    out = np.tensordot(op, psi_t, axes=([1], [site]))
-    return np.moveaxis(out, 0, site)
+def apply_site(psi: np.ndarray, op: np.ndarray, dims: tuple[int, ...], site: int) -> np.ndarray:
+    """Apply a single-site operator to axis `site` of flat states (..., prod(dims)).
 
-
-def apply_ion_motion(psi_t: np.ndarray, op: np.ndarray, ion: int) -> np.ndarray:
-    """Apply a (3*nc x 3*nc) operator to (ion level, motion) axes."""
-    nc = psi_t.shape[-1]
-    motion_axis = psi_t.ndim - 1
-    op4 = op.reshape(3, nc, 3, nc)
-    out = np.tensordot(op4, psi_t, axes=([2, 3], [ion, motion_axis]))
-    return np.moveaxis(out, [0, 1], [ion, motion_axis])
+    `op` is one (d, d) matrix for every state or a stack (..., d, d) with one
+    matrix per state.
+    """
+    before, after = int(np.prod(dims[:site])), int(np.prod(dims[site + 1:]))
+    x = psi.reshape(psi.shape[:-1] + (before, dims[site], after))
+    return (op[..., None, :, :] @ x).reshape(psi.shape)
 
 
-def top_fock_population(psi_t: np.ndarray) -> float:
-    return float(np.sum(np.abs(psi_t[..., -1]) ** 2))
+def _rotate(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A 2x2 rotation, or one per state along a's leading axes, on amplitude pairs (a, b)."""
+    r = rot.reshape(rot.shape[:-2] + (1,) * (a.ndim + 2 - rot.ndim) + (2, 2))
+    return r[..., 0, 0] * a + r[..., 0, 1] * b, r[..., 1, 0] * a + r[..., 1, 1] * b
+
+
+def top_fock_population(reg: TrapRegister) -> float | np.ndarray:
+    """Population of the top Fock level (per shot for a stack)."""
+    per_n = reg.psi.reshape(reg.psi.shape[:-1] + (3 ** reg.n_ions, reg.fock_cutoff))
+    return np.sum(np.abs(per_n[..., -1]) ** 2, axis=-1)
 
 
 def apply_pulse(reg: TrapRegister, pulse: Pulse) -> TrapRegister:
     """Unitary pulse application with leakage monitoring.
 
-    Detect is not a unitary; route it through fluorescence_measure instead.
+    On a stack of shots, `pulse.theta` may hold one area per shot. Detect is
+    not a unitary; route it through fluorescence_measure instead.
     """
     if isinstance(pulse, Detect):
         raise InvariantViolation("Detect steps are measurements, not pulses")
@@ -229,26 +248,36 @@ def apply_pulse(reg: TrapRegister, pulse: Pulse) -> TrapRegister:
         return replace(reg, elapsed_us=reg.elapsed_us + float(pulse.duration_us))
 
     _check_ion(reg.n_ions, pulse.ion)
-    t = reg.tensor()
-    if isinstance(pulse, Carrier):
-        t = apply_site(t, carrier_local(pulse.theta, pulse.phi), pulse.ion)
-    elif isinstance(pulse, Hide):
-        t = apply_site(t, hide_local(pulse.theta, pulse.phi), pulse.ion)
+    # Every drive is a set of 2x2 rotations on pairs of levels: {S, D} or
+    # {S, H} of the ion, or each |S,n>,|D,n+1> block of a sideband.
+    lead, dims, ion = reg.psi.shape[:-1], reg.dims, pulse.ion
+    before = int(np.prod(dims[:ion]))
+    if isinstance(pulse, (Carrier, Hide)):
+        upper = D if isinstance(pulse, Carrier) else H
+        x = reg.psi.reshape(lead + (before, 3, int(np.prod(dims[ion + 1:])))).copy()
+        rot = rotation_2x2(pulse.theta, pulse.phi)
+        x[..., S, :], x[..., upper, :] = _rotate(x[..., S, :], x[..., upper, :], rot)
     elif isinstance(pulse, BlueSideband):
-        t = apply_ion_motion(
-            t, sideband_local(pulse.theta, pulse.phi, reg.fock_cutoff), pulse.ion
-        )
+        nc = reg.fock_cutoff
+        x = reg.psi.reshape(lead + (before, 3, int(np.prod(dims[ion + 1:-1])), nc)).copy()
+        for n in range(nc - 1):
+            rot = rotation_2x2(np.multiply(pulse.theta, math.sqrt(n + 1)), pulse.phi)
+            x[..., S, :, n], x[..., D, :, n + 1] = _rotate(
+                x[..., S, :, n], x[..., D, :, n + 1], rot
+            )
     else:
         raise DimensionMismatch(f"unknown pulse type {type(pulse).__name__}")
 
-    leak = top_fock_population(t)
-    leak_max = max(reg.leakage_max, leak)
-    if leak > reg.leakage_budget:
+    reg = replace(reg, psi=x.reshape(reg.psi.shape))
+    leak = top_fock_population(reg)
+    over = np.flatnonzero(leak > reg.leakage_budget)
+    if over.size:
+        budget = np.broadcast_to(reg.leakage_budget, leak.shape)
         raise InvariantViolation(
-            f"top Fock level population {leak:.3e} exceeds leakage budget "
-            f"{reg.leakage_budget:.1e} (fock_cutoff too small?)"
+            f"top Fock level population {leak.flat[over[0]]:.3e} exceeds leakage budget "
+            f"{budget.flat[over[0]]:.1e} (fock_cutoff too small?)"
         )
-    return replace(reg, psi=t.reshape(-1), leakage_max=leak_max)
+    return replace(reg, leakage_max=np.maximum(reg.leakage_max, leak))
 
 
 def bright_projector_mask(n_ions: int, fock_cutoff: int, ion: int) -> np.ndarray:
@@ -264,41 +293,48 @@ def bright_projector_mask(n_ions: int, fock_cutoff: int, ion: int) -> np.ndarray
 def fluorescence_measure(
     reg: TrapRegister,
     ion: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | np.ndarray,
     detection_error: float = 0.0,
     force: Outcome | None = None,
-) -> tuple[Outcome, Outcome, TrapRegister]:
+) -> tuple[Outcome | np.ndarray, Outcome | np.ndarray, TrapRegister]:
     """Projective S-vs-{D,H} readout.
 
     Returns (true_outcome, reported_outcome, collapsed_register). The state
     collapses according to the *true* outcome; with detection error epsilon the
     reported outcome flips with probability epsilon. `force` selects a branch
     deterministically (replay mode) and raises if that branch has zero weight.
+
+    `rng` is a Generator or the uniforms themselves, shape (..., 2) with one
+    row per shot: the first decides the collapse, the second the report flip.
+    On a stack of shots each collapses on its own row, and both outcomes are
+    boolean arrays (True = Bright) instead of Outcomes.
     """
     _check_ion(reg.n_ions, ion)
-    t = reg.tensor()
-    mask = bright_projector_mask(reg.n_ions, reg.fock_cutoff, ion)
-    p_bright = float(np.sum(np.abs(t[mask]) ** 2))
-    p_bright = min(max(p_bright, 0.0), 1.0)
+    lead = reg.psi.shape[:-1]
+    u = rng.random(lead + (2,)) if isinstance(rng, np.random.Generator) else np.asarray(rng)
+    mask = bright_projector_mask(reg.n_ions, reg.fock_cutoff, ion).reshape(-1)
+    p_bright = np.sum(np.abs(reg.psi[..., mask]) ** 2, axis=-1)
+    p_bright = np.clip(p_bright, 0.0, 1.0)
 
     if force is not None:
         p_forced = p_bright if force is Outcome.BRIGHT else 1.0 - p_bright
-        if p_forced <= ATOL_STRUCTURAL:
+        if np.any(p_forced <= ATOL_STRUCTURAL):
             raise InvariantViolation(
-                f"forced branch {force.value} has probability {p_forced:.3e}"
+                f"forced branch {force.value} has probability {np.min(p_forced):.3e}"
             )
-        true = force
+        true = np.full(lead, force is Outcome.BRIGHT)
     else:
-        true = Outcome.BRIGHT if rng.random() < p_bright else Outcome.DARK
+        true = u[..., 0] < p_bright
 
-    keep = mask if true is Outcome.BRIGHT else ~mask
-    collapsed = np.where(keep, t, 0.0)
-    norm = np.linalg.norm(collapsed)
-    if norm == 0.0:
+    collapsed = np.where(true[..., None] == mask, reg.psi, 0.0)
+    norm = np.linalg.norm(collapsed, axis=-1)
+    if np.any(norm == 0.0):
         raise InvariantViolation("measurement collapsed onto a zero branch")
-    collapsed = collapsed / norm
+    collapsed = collapsed / norm[..., None]
 
-    reported = true
-    if detection_error > 0.0 and rng.random() < detection_error:
-        reported = true.flipped()
-    return true, reported, replace(reg, psi=collapsed.reshape(-1))
+    reported = true ^ ((detection_error > 0.0) & (u[..., 1] < detection_error))
+    post = replace(reg, psi=collapsed)
+    if lead:
+        return true, reported, post
+    as_outcome = {True: Outcome.BRIGHT, False: Outcome.DARK}
+    return as_outcome[bool(true)], as_outcome[bool(reported)], post

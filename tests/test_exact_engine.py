@@ -134,6 +134,24 @@ def test_exact_run_matches_the_full_register_replay(case):
         assert abs(single.p_bright[m] - res.p_bright[m]) <= TOL
 
 
+@pytest.mark.parametrize("fock_cutoff", [2, 3, 4, 6])
+@pytest.mark.parametrize(
+    "noise", [NoiseConfig(), NoiseConfig(**PAPER)], ids=["noiseless", "paper noise"]
+)
+def test_zero_probability_branches_stay_out_of_the_probabilities(noise, fock_cutoff):
+    # At cutoff 2 the truncated motion empties some branches of the noiseless
+    # protocol. Their P(bright | branch) was once a ratio of two roundoff
+    # numbers (-5.3e282 for psi6, SS) that also reached p_bright (3.4e266).
+    for spec in canonical_inputs():
+        res = exact_run(spec, 0.0, noise, MODES, quad_points=3, fock_cutoff=fock_cutoff)
+        assert all(0.0 <= p <= 1.0 for p in res.p_bright.values())
+        assert all(math.isfinite(f) for f in res.final_bright.values())
+        assert {b for b, p in res.branch_probs.items() if p > 1e-12} == set(res.final_bright)
+        assert set(res.branch_states) == set(res.final_bright)
+        pooled = sum(res.branch_probs[b] * f for b, f in res.final_bright.items())
+        assert abs(res.p_bright[MODES[0]] - pooled) <= 1e-9
+
+
 @pytest.mark.parametrize(
     "noise",
     [NoiseConfig(detection_error=0.05, **PAPER), NoiseConfig(detuning_bias_SD=0.001)],
@@ -159,7 +177,7 @@ def test_detection_error_collapses_on_the_true_outcome():
     res = exact_run(spec, noise=noise)
     seq = build_sequence(spec)
     n, z_max = 600, 4.0
-    shots = [run_shot(seq, noise, 2024, i) for i in range(n)]
+    shots = run_shot(seq, noise, 2024, range(n))
     for b in BRANCHES:
         in_branch = [r for r in shots if r.branch == b]
         p = res.branch_probs[b]

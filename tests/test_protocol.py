@@ -221,8 +221,8 @@ def test_branch_frequencies_are_uniform():
     seq = build_sequence(canonical_inputs()[0])
     counts = dict.fromkeys(BRANCHES, 0)
     n = 800
-    for i in range(n):
-        counts[run_shot(seq, NoiseConfig(), 3, i).branch] += 1
+    for rec in run_shot(seq, NoiseConfig(), 3, range(n)):
+        counts[rec.branch] += 1
     sigma = math.sqrt(n * 0.25 * 0.75)
     for b in BRANCHES:
         assert abs(counts[b] - n * 0.25) <= 5.0 * sigma

@@ -1,0 +1,261 @@
+"""The batched trajectory engine against a scalar reference and the exact engine.
+
+`scalar_run_shot` is the one-shot-at-a-time step loop that `run_shot` replaced,
+kept here as the oracle: it draws every shot's streams itself and applies each
+row with its own tensordot algebra, so a batched `run_shot` must reproduce it
+outcome for outcome. The chi-square suite then checks that the sampled joint
+(branch, final outcome) law is the exact engine's, as a Monte-Carlo
+wave-function unraveling of that channel must be.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from teleion.errors import InvariantViolation
+from teleion.noise import RUN_STREAM_TAG, NoiseConfig, _site_paulis, phase_exponent
+from teleion.protocol import (
+    BRANCHES,
+    ConditionalPulse,
+    FidelityCheck,
+    Tomography,
+    build_sequence,
+    canonical_inputs,
+    exact_run,
+    run_shot,
+    sample_counts,
+)
+from teleion.trap import (
+    LEAKAGE_BUDGET_DEFAULT,
+    BlueSideband,
+    Carrier,
+    Detect,
+    Hide,
+    Outcome,
+    Wait,
+    bright_projector_mask,
+    carrier_local,
+    hide_local,
+    sideband_local,
+)
+
+N_IONS = 3
+PAPER = dict(detuning_sigma_SD=0.0015, depolarizing_per_pulse=0.025)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference
+
+def _scalar_noise(noise, master_seed, shot_index, n_steps):
+    rng = np.random.default_rng([int(master_seed), int(shot_index)])
+    if noise.correlated_dephasing:
+        g = np.full(N_IONS, rng.standard_normal())
+    else:
+        g = rng.standard_normal(N_IONS)
+    det_sd = noise.detuning_bias_SD + noise.detuning_sigma_SD * g
+    factors = 1.0 + noise.amplitude_error_sigma * rng.standard_normal(n_steps)
+    return det_sd, noise.dephasing_ratio_H * det_sd, factors
+
+
+def _apply_site(t, op, site):
+    return np.moveaxis(np.tensordot(op, t, axes=([1], [site])), 0, site)
+
+
+def _apply_ion_motion(t, op, ion):
+    nc = t.shape[-1]
+    out = np.tensordot(op.reshape(3, nc, 3, nc), t, axes=([2, 3], [ion, t.ndim - 1]))
+    return np.moveaxis(out, [0, 1], [ion, t.ndim - 1])
+
+
+def scalar_run_shot(sequence, noise, master_seed, shot_index, *, fock_cutoff=4):
+    """One trajectory, one row at a time: (pmt1, pmt2, final, leakage_max, elapsed_us)."""
+    n_steps = max(s.step_id for s in sequence)
+    det_sd, det_h, factors = _scalar_noise(noise, master_seed, shot_index, n_steps)
+    rng = np.random.default_rng([int(master_seed), int(shot_index), RUN_STREAM_TAG])
+    depol_u = rng.random(n_steps)
+    meas_u = rng.random((n_steps, 2))
+
+    dims = (3,) * N_IONS + (fock_cutoff,)
+    t = np.zeros(dims, dtype=np.complex128)
+    t[(0,) * len(dims)] = 1.0
+    budget = 1e-3 if noise.amplitude_error_sigma > 0 else LEAKAGE_BUDGET_DEFAULT
+    leak_max, elapsed = 0.0, 0.0
+    outcomes = {}
+    for step in sequence:
+        action = step.action
+        if isinstance(action, ConditionalPulse):
+            if outcomes.get(action.detect_label) is not action.required:
+                continue
+            pulse = action.pulse
+        else:
+            pulse = action
+
+        duration = noise.pulse_durations.of(pulse)
+        if duration != 0.0 and (np.any(det_sd) or np.any(det_h)):
+            t = t * np.exp(-1j * phase_exponent(N_IONS, fock_cutoff, det_sd, det_h, duration))
+        elapsed += duration
+
+        if isinstance(pulse, Detect):
+            mask = bright_projector_mask(N_IONS, fock_cutoff, pulse.ion)
+            p_bright = min(max(float(np.sum(np.abs(t[mask]) ** 2)), 0.0), 1.0)
+            u_collapse, u_flip = meas_u[step.step_id - 1]
+            true = Outcome.BRIGHT if u_collapse < p_bright else Outcome.DARK
+            collapsed = np.where(mask if true is Outcome.BRIGHT else ~mask, t, 0.0)
+            norm = np.linalg.norm(collapsed)
+            if norm == 0.0:
+                raise InvariantViolation("measurement collapsed onto a zero branch")
+            t = collapsed / norm
+            reported = true
+            if noise.detection_error > 0.0 and u_flip < noise.detection_error:
+                reported = true.flipped()
+            outcomes[pulse.label] = reported
+        elif not isinstance(pulse, Wait):
+            theta = pulse.theta * factors[step.step_id - 1]
+            if isinstance(pulse, Carrier):
+                t = _apply_site(t, carrier_local(theta, pulse.phi), pulse.ion)
+            elif isinstance(pulse, Hide):
+                t = _apply_site(t, hide_local(theta, pulse.phi), pulse.ion)
+            else:
+                t = _apply_ion_motion(t, sideband_local(theta, pulse.phi, fock_cutoff), pulse.ion)
+            leak = float(np.sum(np.abs(t[..., -1]) ** 2))
+            leak_max = max(leak_max, leak)
+            if leak > budget:
+                raise InvariantViolation(
+                    f"top Fock level population {leak:.3e} exceeds leakage budget "
+                    f"{budget:.1e} (fock_cutoff too small?)"
+                )
+            p = noise.depolarizing_per_pulse
+            if isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(
+                step.step_id
+            ):
+                u = float(depol_u[step.step_id - 1])
+                if u >= 1.0 - 0.75 * p:
+                    k = min(int((u - (1.0 - 0.75 * p)) / (0.25 * p)), 2)
+                    t = _apply_site(t, _site_paulis(3)[k], pulse.ion)
+                    budget = math.inf
+    return outcomes["pmt1"], outcomes["pmt2"], outcomes["final"], leak_max, elapsed
+
+
+# ---------------------------------------------------------------------------
+# Batched run_shot == scalar reference, shot for shot
+
+# (noise, input index, row-34 mode, build_sequence options, fock_cutoff)
+MATRIX = {
+    "paper noise + amplitude 0.01": (NoiseConfig(amplitude_error_sigma=0.01, **PAPER), 5, Tomography("x"), {}, 4),
+    "detection error + uncorrelated dephasing": (
+        NoiseConfig(detection_error=0.05, detuning_sigma_SD=0.0015, correlated_dephasing=False),
+        2, FidelityCheck(), {}, 4,
+    ),
+    "bias + depolarizing_steps": (
+        NoiseConfig(detuning_bias_SD=0.001, depolarizing_per_pulse=0.2, depolarizing_steps=(5, 11, 17, 30)),
+        3, Tomography("y"), {}, 4,
+    ),
+    "echo off": (NoiseConfig(**PAPER), 4, FidelityCheck(), {"spin_echo": False}, 4),
+    "fock cutoff 6": (NoiseConfig(amplitude_error_sigma=0.02, **PAPER), 0, Tomography("z"), {}, 6),
+    "noiseless": (NoiseConfig(), 5, FidelityCheck(), {}, 4),
+}
+SHOTS = 64
+
+
+@pytest.mark.parametrize("case", MATRIX.values(), ids=list(MATRIX))
+def test_batched_run_shot_matches_the_scalar_reference(case):
+    noise, spec, mode, options, nc = case
+    seq = build_sequence(canonical_inputs()[spec], 0.0, mode, **options)
+    seed, first = 31, 1000
+    records = run_shot(seq, noise, seed, range(first, first + SHOTS), fock_cutoff=nc)
+    assert [r.shot_index for r in records] == list(range(first, first + SHOTS))
+    for r in records:
+        pmt1, pmt2, final, leak_max, elapsed = scalar_run_shot(seq, noise, seed, r.shot_index, fock_cutoff=nc)
+        assert (r.pmt1, r.pmt2, r.final_outcome) == (pmt1, pmt2, final), r.shot_index
+        assert r.branch == ("S" if pmt1 is Outcome.BRIGHT else "D") + ("S" if pmt2 is Outcome.BRIGHT else "D")
+        assert abs(r.leakage_max - leak_max) <= 1e-12
+        assert abs(r.elapsed_us - elapsed) <= 1e-12
+
+
+def test_an_int_index_is_the_one_shot_batch():
+    noise, spec, mode, options, nc = MATRIX["paper noise + amplitude 0.01"]
+    seq = build_sequence(canonical_inputs()[spec], 0.0, mode, **options)
+    batch = run_shot(seq, noise, 8, np.array([4, 9, 2]))
+    for i, rec in zip((4, 9, 2), batch):
+        one = run_shot(seq, noise, 8, i)
+        assert (one.shot_index, one.pmt1, one.pmt2, one.final_outcome) == (
+            rec.shot_index, rec.pmt1, rec.pmt2, rec.final_outcome
+        )
+        assert abs(one.leakage_max - rec.leakage_max) <= 1e-12
+        assert abs(one.elapsed_us - rec.elapsed_us) <= 1e-12
+    assert run_shot(seq, noise, 8, range(0)) == []
+
+
+def test_fock_cutoff_3_trips_the_leakage_monitor_like_the_reference():
+    # Row 11 puts half the population on the top Fock level at cutoff 3, so
+    # per-shot sampling of the standard table needs fock_cutoff >= 4.
+    seq = build_sequence(canonical_inputs()[0])
+    for noise in (NoiseConfig(), NoiseConfig(**PAPER)):
+        with pytest.raises(InvariantViolation) as scalar:
+            scalar_run_shot(seq, noise, 2, 0, fock_cutoff=3)
+        with pytest.raises(InvariantViolation) as batched:
+            run_shot(seq, noise, 2, range(8), fock_cutoff=3)
+        assert str(batched.value) == str(scalar.value)
+        assert len(run_shot(seq, noise, 2, range(8), fock_cutoff=4)) == 8
+
+
+# ---------------------------------------------------------------------------
+# Sampled law == exact law: multinomial chi-square over (branch, final outcome)
+
+# Fixed before the first run: 7 degrees of freedom (8 cells), bound at the
+# 1 - 1e-4 quantile of the chi-square law, so the nine fixed-seed cases
+# together pass a correct engine with probability about 0.999. Every cell
+# must expect at least 5 counts for the chi-square law to apply.
+CHI2_BOUND_7DOF = 29.878
+CHI2_SHOTS = 6000
+
+# (noise, input index, row-34 mode, build_sequence options, fock_cutoff, quad_points)
+LAW = {
+    "correlated dephasing": (NoiseConfig(detuning_sigma_SD=0.003), 5, FidelityCheck(), {}, 4, None),
+    "uncorrelated dephasing": (
+        NoiseConfig(detuning_sigma_SD=0.003, correlated_dephasing=False), 3, FidelityCheck(), {}, 4, 5,
+    ),
+    "detuning bias": (NoiseConfig(detuning_bias_SD=0.002), 2, Tomography("x"), {}, 4, None),
+    "depolarizing": (NoiseConfig(depolarizing_per_pulse=0.05), 4, FidelityCheck(), {}, 4, None),
+    "depolarizing_steps": (
+        NoiseConfig(depolarizing_per_pulse=0.3, depolarizing_steps=(6, 12, 21, 30, 34)),
+        1, Tomography("y"), {}, 4, None,
+    ),
+    "detection error 0.05": (NoiseConfig(detection_error=0.05), 2, FidelityCheck(), {}, 4, None),
+    "echo off": (NoiseConfig(**PAPER), 5, FidelityCheck(), {"spin_echo": False}, 4, None),
+    "fock cutoff 4": (NoiseConfig(detection_error=0.02, **PAPER), 0, Tomography("x"), {}, 4, None),
+    "fock cutoff 6": (NoiseConfig(detection_error=0.02, **PAPER), 3, Tomography("z"), {}, 6, None),
+}
+
+
+@pytest.mark.parametrize("case", LAW.values(), ids=list(LAW))
+def test_sampled_branch_and_outcome_law_matches_the_exact_engine(case):
+    noise, spec, mode, options, nc, quad_points = case
+    spec = canonical_inputs()[spec]
+    seq = build_sequence(spec, 0.0, mode, **options)
+    res = exact_run(spec, 0.0, noise, mode, fock_cutoff=nc, quad_points=quad_points, **options)
+    expected = np.array(
+        [
+            res.branch_probs[b] * q
+            for b in BRANCHES
+            for q in (res.final_bright[b], 1.0 - res.final_bright[b])
+        ]
+    ) * CHI2_SHOTS
+    assert expected.min() >= 5.0
+    cells = {(b, o): 0 for b in BRANCHES for o in (Outcome.BRIGHT, Outcome.DARK)}
+    for r in run_shot(seq, noise, 2027, range(CHI2_SHOTS), fock_cutoff=nc):
+        cells[(r.branch, r.final_outcome)] += 1
+    observed = np.array(list(cells.values()))
+    assert observed.sum() == CHI2_SHOTS
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2 <= CHI2_BOUND_7DOF, (chi2, observed, expected.round(1))
+
+
+def test_sample_counts_sums_one_batched_run_per_sequence():
+    noise = NoiseConfig(amplitude_error_sigma=0.01, **PAPER)
+    seqs = [build_sequence(canonical_inputs()[i]) for i in (2, 5)]
+    shots = 16
+    counts = sample_counts(seqs, noise, shots, 9)
+    for j, seq in enumerate(seqs):
+        finals = [scalar_run_shot(seq, noise, 9, j * shots + i)[2] for i in range(shots)]
+        assert counts[j] == sum(f is Outcome.BRIGHT for f in finals)
