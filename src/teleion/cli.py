@@ -523,12 +523,13 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
 
     errors: dict = {}
     if shots_per_basis > 0 and cfg.bootstrap_resamples > 0:
-        resampled = tomo.bootstrap_process(
+        resampled, boot_diags = tomo.bootstrap_process(
             in_states,
             out_counts,
             resamples=cfg.bootstrap_resamples,
             seed=_child_seed(cfg.seed, 0xB0),
             start=chi.chi,
+            return_diagnostics=True,
         )
         chi_ii = np.array([float(p.chi[0, 0].real) for p in resampled])
         fps = np.array([tomo.process_fidelity(p, tomo.chi_ideal_identity()) for p in resampled])
@@ -540,6 +541,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
         )
         errors = {
             "bootstrap_resamples": cfg.bootstrap_resamples,
+            "bootstrap_nonconverged": sum(not d.converged for d in boot_diags),
             "chi_II_std": float(np.std(chi_ii, ddof=1)),
             "f_proc_std": float(np.std(fps, ddof=1)),
             "f_avg_std": float(np.std((2.0 * fps + 1.0) / 3.0, ddof=1)),

@@ -72,6 +72,10 @@ _TARGET = N_IONS - 1
 _TAIL_START = 30
 #: The mode-dependent analysis row; every row before it is shared by all modes.
 _ANALYSIS_ROW = 34
+#: Largest population a blue sideband may find on its ion's |S, fock_cutoff-1>,
+#: whose partner |D, fock_cutoff> is cut away. The noiseless phase gate puts 0.5
+#: there at cutoff 2; paper noise puts 0.012 there at cutoff 3, 2e-4 at 4.
+TRUNCATION_BOUND = 0.05
 
 
 @dataclass(frozen=True)
@@ -473,14 +477,17 @@ def _evolve_exact(
     det_sd: np.ndarray,
     det_h: np.ndarray,
     fock_cutoff: int,
-) -> dict[tuple[tuple[str, Outcome], ...], np.ndarray]:
+) -> tuple[dict[tuple[tuple[str, Outcome], ...], np.ndarray], float]:
     """Full-register evolution of unnormalized, branch-resolved density tensors.
 
     Branches are keyed by their reported (label, outcome) pairs. A detection in
     `_SPLIT_LABELS` splits every branch on its reported outcome (the collapse
     follows the true outcome); any other detection decoheres in place.
+    Returns the branches and the largest population a blue sideband found on
+    its ion's |S, fock_cutoff-1>; past TRUNCATION_BOUND that raises.
     """
     eps = noise.detection_error
+    truncation = 0.0
     phase_cache: dict[float, np.ndarray] = {}
 
     def dephase(rho_t, duration):
@@ -527,15 +534,25 @@ def _evolve_exact(
             depol = isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(
                 step.step_id
             )
+            top = 0.0
             for key in list(branches):
                 if conditional and dict(key).get(action.detect_label) is not action.required:
                     continue
                 rho = dephase(branches[key], duration)
+                if isinstance(pulse, BlueSideband):
+                    pops = np.einsum("abcdabcd->abcd", rho).real
+                    top += float(np.take(pops, S, axis=pulse.ion)[..., fock_cutoff - 1].sum())
                 rho = _apply_unitary_density(rho, op, sites)
                 if depol:
                     rho = depolarize_density_tensor(rho, pulse.ion, noise.depolarizing_per_pulse)
                 branches[key] = rho
-    return branches
+            if top > TRUNCATION_BOUND:
+                raise InvariantViolation(
+                    f"row {step.step_id}: population {top:.3e} on ion {pulse.ion + 1}'s "
+                    f"|S, n={fock_cutoff - 1}> exceeds TRUNCATION_BOUND; raise fock_cutoff"
+                )
+            truncation = max(truncation, top)
+    return branches, truncation
 
 
 def _gh_nodes(noise: NoiseConfig, quad_points: int | None):
@@ -578,17 +595,17 @@ def _node_branches(steps, noise: NoiseConfig, quad_points: int | None, fock_cuto
     """The exact engine's one Gauss-Hermite loop.
 
     Evolves the cooled full register through `steps` once per quadrature node
-    and yields (det_sd, det_h, weight, branches) for each.
+    and yields (det_sd, det_h, weight, branches, truncation) for each.
     """
     dims = (3,) * N_IONS + (fock_cutoff,)
     d = int(np.prod(dims))
     for det_sd, det_h, weight in _gh_nodes(noise, quad_points):
         rho0 = np.zeros((d, d), dtype=np.complex128)
         rho0[0, 0] = 1.0
-        branches = _evolve_exact(
+        branches, truncation = _evolve_exact(
             {(): rho0.reshape(dims + dims)}, steps, noise, det_sd, det_h, fock_cutoff
         )
-        yield det_sd, det_h, weight, branches
+        yield det_sd, det_h, weight, branches, truncation
 
 
 def _acts_on_target_only(action: trap.Pulse | ConditionalPulse) -> bool:
@@ -633,6 +650,7 @@ class _TargetStack:
     rates: np.ndarray                     # (K, 3) ion-3 detuning of S, D, H in rad/us
     keys: tuple[dict[str, Outcome], ...]  # reported outcomes of the entry's branch
     motional_residual: float              # population above n=0; no later row moves it
+    truncation: float                     # largest truncation population over nodes
 
 
 def _target_stack(
@@ -643,7 +661,9 @@ def _target_stack(
     d = int(np.prod(dims))
     rho, weight, rates, keys = [], [], [], []
     motion = np.zeros((fock_cutoff, fock_cutoff), dtype=np.complex128)
-    for det_sd, det_h, w, branches in _node_branches(prefix, noise, quad_points, fock_cutoff):
+    truncation = 0.0
+    for det_sd, det_h, w, branches, top in _node_branches(prefix, noise, quad_points, fock_cutoff):
+        truncation = max(truncation, top)
         for key, rho_t in branches.items():
             flat = rho_t.reshape(d, d)
             rho.append(_ptrace(flat, dims, keep=[_TARGET]))
@@ -657,6 +677,7 @@ def _target_stack(
         rates=np.array(rates),
         keys=tuple(keys),
         motional_residual=float(np.real(np.trace(motion) - motion[0, 0])),
+        truncation=truncation,
     )
 
 
@@ -714,6 +735,7 @@ class ExactRun:
                                              # clamped to [0, 1] against roundoff
     h_residual: float
     motional_residual: float
+    truncation_population: float             # max blue-sideband |S, fock_cutoff-1> population
 
 
 def exact_run(
@@ -821,6 +843,7 @@ def exact_run(
         p_bright=p_bright,
         h_residual=h_residual,
         motional_residual=motional_residual,
+        truncation_population=stack.truncation,
     )
 
 
@@ -1039,7 +1062,7 @@ def bell_preparation_fidelity(
     target[0 * 3 + 1] = 1.0 / math.sqrt(2.0)  # |S D>
 
     f = 0.0
-    for _sd, _h, weight, branches in _node_branches(prefix, noise, quad_points, fock_cutoff):
+    for _sd, _h, weight, branches, _top in _node_branches(prefix, noise, quad_points, fock_cutoff):
         rho = sum(r.reshape(d, d) for r in branches.values())
         rho23 = _ptrace(rho, dims, keep=[1, 2])
         f += weight * float(np.real(target.conj() @ rho23 @ target))

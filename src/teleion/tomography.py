@@ -8,10 +8,10 @@ rotation convention V_X = R(pi/2, 3pi/2) and V_Y = R(pi/2, pi), so
     P(Bright | Z) = (1 + r_z) / 2.
 
 State reconstruction uses the diluted iterative fixed-point scheme
-rho <- normalize[(1-lambda) rho + lambda R rho R]; process reconstruction
-parameterizes chi >= 0 implicitly through congruence updates
-chi <- (1+eta G) chi (1+eta G) with a trace-preservation projection after
-every step, which is gradient ascent in the Cholesky factor.
+rho <- normalize[(1-lambda) rho + lambda R rho R]. Process reconstruction is
+one batched congruence solver, `_fit_chi`: R fits advance as one (R, 4, 4)
+stack by chi <- S chi S plus a trace-restoring congruence, each fit with its
+own step size and stop flag. `mle_process` is R = 1; the bootstrap is one call.
 """
 from __future__ import annotations
 
@@ -60,6 +60,10 @@ def measurement_operators(basis: str) -> tuple[np.ndarray, np.ndarray]:
     v = basis_prerotation(basis)
     pi_b = dag(v) @ np.outer(_KET_S, _KET_S.conj()) @ v
     return pi_b, dag(v) @ np.outer(_KET_D, _KET_D.conj()) @ v
+
+
+# (6, 2, 2) POVM elements in the canonical (basis, outcome) row order of a CountsTable.
+_POVM = np.array([pi for b in BASES for pi in measurement_operators(b)])
 
 
 @dataclass(frozen=True)
@@ -174,15 +178,6 @@ class MLEDiagnostics:
     ll_history: tuple[float, ...]
 
 
-def _state_data(counts: CountsTable):
-    projs, ns = [], []
-    for b, o, c in counts.rows:
-        pi_b, pi_d = measurement_operators(b)
-        projs.append(pi_b if o == "Bright" else pi_d)
-        ns.append(float(c))
-    return np.array(projs), np.array(ns)
-
-
 def mle_state(
     counts: CountsTable,
     *,
@@ -200,7 +195,7 @@ def mle_state(
     reached only asymptotically by the fixed point, so testing them directly
     avoids burning the iteration budget).
     """
-    projs, ns = _state_data(counts)
+    projs, ns = _POVM, np.array([c for _, _, c in counts.rows], dtype=float)
     n_total = float(ns.sum())
     if n_total <= 0:
         raise ConfigError("empty counts table")
@@ -260,16 +255,24 @@ def mle_state(
 # Process matrices (Pauli operator basis I, X, Y, Z)
 
 _BASIS_LABELS = ("I", "X", "Y", "Z")
+_P = np.array(PAULIS)
+_P_DAG = _P.conj().transpose(0, 2, 1)
+# _PAULI_PRODUCTS[n, m] = A_n^dagger A_m.
+_PAULI_PRODUCTS = np.einsum("nab,mbc->nmac", _P_DAG, _P)
+
+
+def _input_trace(chi: np.ndarray) -> np.ndarray:
+    """sum_mn chi_mn A_n^dagger A_m for chi of shape (..., 4, 4); 1 iff chi is TP."""
+    return np.einsum("...mn,nmab->...ab", chi, _PAULI_PRODUCTS)
+
+
+def _hermitize(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
 def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Channel action sum_mn chi_mn A_m rho A_n^dagger."""
-    out = np.zeros((2, 2), dtype=np.complex128)
-    for m in range(4):
-        for n in range(4):
-            if chi[m, n] != 0:
-                out += chi[m, n] * (PAULIS[m] @ rho @ dag(PAULIS[n]))
-    return out
+    return np.einsum("mn,mab,bc,ncd->ad", chi, _P, rho, _P_DAG)
 
 
 def channel_from_chi(chi) -> "callable":
@@ -283,22 +286,14 @@ def chi_from_channel(channel) -> np.ndarray:
     Oracle path: no positivity or trace enforcement is applied, so the result
     faithfully exposes whatever map was passed in.
     """
-    choi = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            e_ij = np.zeros((2, 2), dtype=np.complex128)
-            e_ij[i, j] = 1.0
-            choi += np.kron(np.asarray(channel(e_ij), dtype=np.complex128), e_ij)
-    vecs = np.array([p.reshape(-1) for p in PAULIS])  # row-major vec
+    units = np.eye(4, dtype=np.complex128).reshape(4, 2, 2)  # E_ij, row-major
+    choi = sum(np.kron(np.asarray(channel(e), dtype=np.complex128), e) for e in units)
+    vecs = _P.reshape(4, 4)  # row-major vec
     return np.einsum("ma,ab,nb->mn", vecs.conj(), choi, vecs) / 4.0
 
 
 def tp_defect(chi: np.ndarray) -> float:
-    s = np.zeros((2, 2), dtype=np.complex128)
-    for m in range(4):
-        for n in range(4):
-            s += chi[m, n] * (dag(PAULIS[n]) @ PAULIS[m])
-    return float(np.max(np.abs(s - np.eye(2))))
+    return float(np.max(np.abs(_input_trace(chi) - np.eye(2))))
 
 
 @dataclass(frozen=True)
@@ -372,81 +367,42 @@ def avg_from_process_fidelity(f_proc: float) -> float:
 # ---------------------------------------------------------------------------
 # Process reconstruction
 
-def _hermitian_basis_4() -> list[np.ndarray]:
-    basis = []
-    for a in range(4):
-        m = np.zeros((4, 4), dtype=np.complex128)
-        m[a, a] = 1.0
-        basis.append(m)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            m = np.zeros((4, 4), dtype=np.complex128)
-            m[a, b] = m[b, a] = 1.0 / math.sqrt(2.0)
-            basis.append(m)
-            m = np.zeros((4, 4), dtype=np.complex128)
-            m[a, b] = 1j / math.sqrt(2.0)
-            m[b, a] = -1j / math.sqrt(2.0)
-            basis.append(m)
-    return basis
-
-
 def _herm2_coords(m: np.ndarray) -> np.ndarray:
-    return np.array([m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag])
+    return np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag], -1)
 
 
-class _TPProjector:
+# A_i (x) A_j / 2 is a Frobenius-orthonormal basis of the 4x4 Hermitian
+# matrices. Trace preservation is four real linear conditions on chi's 16
+# real coordinates in it: _TP_MAP @ coords = coords of the identity.
+_HERM_BASIS = 0.5 * np.einsum("iab,jcd->ijacbd", _P, _P).reshape(16, 4, 4)
+_TP_MAP = _herm2_coords(_input_trace(_HERM_BASIS)).T  # 4 x 16
+_TP_PINV = np.linalg.pinv(_TP_MAP)
+# _TP_CONGRUENCE[m, k, c, a] = tr(A_k A_m E_ca) / 2, flattened to (16, 4).
+_TP_CONGRUENCE = 0.5 * np.einsum("kab,mbc->mkca", _P, _P).reshape(16, 4)
+_EYE4 = np.eye(4, dtype=np.complex128)
+
+
+def _tp_project(chi: np.ndarray) -> np.ndarray:
     """Orthogonal (Frobenius) projection onto the trace-preserving subspace."""
-
-    def __init__(self):
-        self.basis = _hermitian_basis_4()
-        cols = []
-        for h in self.basis:
-            s = np.zeros((2, 2), dtype=np.complex128)
-            for m in range(4):
-                for n in range(4):
-                    if h[m, n] != 0:
-                        s += h[m, n] * (dag(PAULIS[n]) @ PAULIS[m])
-            cols.append(_herm2_coords(s))
-        self.tmat = np.array(cols).T  # 4 x 16
-        self.pinv = np.linalg.pinv(self.tmat)
-
-    def project(self, chi: np.ndarray) -> np.ndarray:
-        defect = np.eye(2, dtype=np.complex128)
-        for m in range(4):
-            for n in range(4):
-                if chi[m, n] != 0:
-                    defect -= chi[m, n] * (dag(PAULIS[n]) @ PAULIS[m])
-        coeffs = self.pinv @ _herm2_coords(defect)
-        out = chi.copy()
-        for c, h in zip(coeffs, self.basis):
-            out = out + c * h
-        return out
-
-    def tangent_norm(self, g: np.ndarray) -> float:
-        coords = np.array([np.real(np.trace(h @ g)) for h in self.basis])
-        tangent = coords - self.pinv @ (self.tmat @ coords)
-        return float(np.linalg.norm(tangent))
+    coeffs = _TP_PINV @ _herm2_coords(np.eye(2) - _input_trace(chi))
+    return chi + np.einsum("k,kab->ab", coeffs, _HERM_BASIS)
 
 
-_TP = _TPProjector()
-
-
-def _psd_clip(chi: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (chi + chi.conj().T))
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+def _tangent_norm(g: np.ndarray) -> np.ndarray:
+    """Norm of the part of each g (..., 4, 4) that lies along the TP subspace."""
+    coords = np.einsum("kab,...ba->...k", _HERM_BASIS, g).real
+    return np.linalg.norm(coords - (coords @ _TP_MAP.T) @ _TP_PINV.T, axis=-1)
 
 
 def _physical_polish(chi: np.ndarray) -> np.ndarray:
+    """Alternate TP projection and PSD clipping until chi is both."""
     for _ in range(200):
-        chi = _TP.project(chi)
+        chi = _tp_project(chi)
         if float(np.min(np.linalg.eigvalsh(chi))) >= -1e-11:
-            return 0.5 * (chi + chi.conj().T)
-        chi = _psd_clip(chi)
+            return _hermitize(chi)
+        w, v = np.linalg.eigh(_hermitize(chi))
+        chi = (v * np.clip(w, 0.0, None)) @ v.conj().T
     raise InvariantViolation("alternating TP/PSD projections failed to settle")
-
-
-_PAULI_PRODUCTS = np.array([[PAULIS[n] @ PAULIS[m] for m in range(4)] for n in range(4)])
 
 
 def _tp_normalize(chi: np.ndarray) -> np.ndarray:
@@ -455,22 +411,117 @@ def _tp_normalize(chi: np.ndarray) -> np.ndarray:
     M expands A_m lam^{-1/2} in the Pauli basis, lam being the input-side
     trace operator of chi. Unlike an orthogonal projection this keeps chi
     PSD exactly, so likelihood ascent steps stay inside the CPTP set.
+    Acts on every matrix of a (..., 4, 4) stack.
     """
-    lam = np.einsum("mn,nmab->ab", chi, _PAULI_PRODUCTS)
-    w, v = np.linalg.eigh(0.5 * (lam + lam.conj().T))
-    l_inv_sqrt = (v / np.sqrt(np.clip(w, 1e-18, None))) @ v.conj().T
-    c = np.array(
-        [[0.5 * np.trace(PAULIS[k] @ PAULIS[m] @ l_inv_sqrt) for k in range(4)]
-         for m in range(4)]
-    )
-    out = c.T @ chi @ c.conj()
-    return 0.5 * (out + out.conj().T)
+    w, v = np.linalg.eigh(_hermitize(_input_trace(chi)))
+    l_inv_sqrt = (v / np.sqrt(np.clip(w, 1e-18, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    c = (l_inv_sqrt.reshape(*chi.shape[:-2], 4) @ _TP_CONGRUENCE.T).reshape(chi.shape)
+    return _hermitize(c.swapaxes(-1, -2) @ chi @ c.conj())
 
 
 def _input_rank(inputs: list[np.ndarray]) -> int:
-    rows = [[float(np.real(np.trace(p @ r))) for p in PAULIS] for r in inputs]
-    s = np.linalg.svd(np.array(rows), compute_uv=False)
+    s = np.linalg.svd(np.einsum("pab,iba->ip", _P, np.array(inputs)).real, compute_uv=False)
     return int(np.sum(s > 1e-8))
+
+
+def _process_model(inputs, outputs) -> tuple[np.ndarray, np.ndarray]:
+    """(H, counts): Hermitian H_j with p_j = tr(H_j chi), one per (input, basis,
+    outcome) count row, and the (inputs, 6) table counts in that row order."""
+    rhos = [x.matrix if isinstance(x, DensityMatrix) else np.asarray(x, complex) for x in inputs]
+    if len(rhos) != len(outputs):
+        raise ConfigError(f"{len(rhos)} inputs vs {len(outputs)} count tables")
+    if _input_rank(rhos) < 4:
+        raise ConfigError("need at least 4 linearly independent input states")
+    k = np.einsum("nab,jbc,mcd,ida->ijmn", _P_DAG, _POVM, _P, np.array(rhos))
+    counts = np.array([[c for _, _, c in t.rows] for t in outputs], dtype=float)
+    return k.conj().reshape(-1, 4, 4), counts
+
+
+def _probs(h_ops: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    return np.clip(np.einsum("jmn,rnm->rj", h_ops, chi).real, 1e-12, None)
+
+
+def _loglik(h_ops: np.ndarray, ns: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    return np.sum(ns * np.log(_probs(h_ops, chi)), axis=1)
+
+
+def _fit_chi(
+    h_ops: np.ndarray, ns: np.ndarray, start, *, max_iters: int, grad_tol: float = 1e-8
+) -> tuple[list[ProcessMatrix], list[MLEDiagnostics]]:
+    """Maximum-likelihood CPTP chi for each row of `ns`, all fits advanced as one batch.
+
+    `h_ops` (J, 4, 4) is the shared model and `ns` (R, J) the counts of each
+    fit. All start from `start` made physical, or from the maximally mixed
+    chi when it is None. Each step is a diluted congruence update
+    chi <- S chi S with S = (1-a) N 1 + a G, followed by the lam^(-1/2)
+    congruence that restores trace preservation without leaving the PSD
+    cone; a backtracks until the likelihood is non-decreasing. A fit stops at
+    small tangent gradient, when no uphill step exists, or when accepted
+    steps stall (rank-deficient optima sit on the boundary, where the
+    projected gradient need not vanish). Every fit keeps its own step size,
+    backtracking and stop flag; a stopped fit is frozen while the others go on.
+    """
+    n_fits = ns.shape[0]
+    n_total = ns.sum(axis=1)
+    chi0 = _EYE4 / 4.0 if start is None else _physical_polish(np.asarray(start, complex))
+    chi = np.repeat(_tp_normalize(chi0)[None], n_fits, axis=0)
+    ll = _loglik(h_ops, ns, chi)
+    history = [[x] for x in ll.tolist()]
+    alpha = np.ones(n_fits)
+    plateau = np.zeros(n_fits, dtype=int)
+    iterations = np.zeros(n_fits, dtype=int)
+    converged = np.zeros(n_fits, dtype=bool)
+    live = np.arange(n_fits)
+    for it in range(1, max_iters + 1):
+        if live.size == 0:
+            break
+        iterations[live] = it
+        grad = _hermitize(np.einsum("rj,jmn->rmn", ns[live] / _probs(h_ops, chi[live]), h_ops))
+        flat = _tangent_norm(grad) / n_total[live] <= grad_tol
+        converged[live[flat]] = True
+        fits, grad = live[~flat], grad[~flat]
+        a = alpha[fits]
+        cand = np.empty((fits.size, 4, 4), dtype=np.complex128)
+        ll_cand = np.empty(fits.size)
+        todo = np.arange(fits.size)
+        for _ in range(60):
+            f = fits[todo]
+            s_op = ((1.0 - a[todo]) * n_total[f])[:, None, None] * _EYE4
+            s_op = s_op + a[todo, None, None] * grad[todo]
+            trial = _tp_normalize(s_op @ chi[f] @ s_op)
+            ll_trial = _loglik(h_ops, ns[f], trial)
+            ok = ll_trial >= ll[f] - 1e-12
+            cand[todo[ok]], ll_cand[todo[ok]] = trial[ok], ll_trial[ok]
+            todo = todo[~ok]
+            if todo.size == 0:
+                break
+            a[todo] *= 0.5
+        # No non-decreasing physical step exists: a boundary optimum.
+        converged[fits[todo]] = True
+        step = np.ones(fits.size, dtype=bool)
+        step[todo] = False
+        moved, cand, ll_cand = fits[step], cand[step], ll_cand[step]
+        delta = np.max(np.abs(cand - chi[moved]), axis=(1, 2))
+        # Boundary (rank-deficient) optima creep sublinearly and never meet
+        # the tangent-gradient test; once the likelihood stalls at machine
+        # precision for 100 straight steps there, call it converged. Interior
+        # optima are left to the gradient criterion, which is sharper.
+        at_boundary = np.linalg.eigvalsh(cand)[:, 0] < 1e-6
+        stalled = ll_cand - ll[moved] <= 1e-12 * np.maximum(1.0, np.abs(ll[moved]))
+        plateau[moved] = np.where(at_boundary & stalled, plateau[moved] + 1, 0)
+        chi[moved], ll[moved] = cand, ll_cand
+        for i, x in zip(moved.tolist(), ll_cand.tolist()):
+            history[i].append(x)
+        alpha[moved] = np.minimum(1.0, 2.0 * a[step])
+        done = (delta <= 1e-11) | (plateau[moved] >= 100)
+        converged[moved[done]] = True
+        live = moved[~done]
+    results = [ProcessMatrix(_physical_polish(c)) for c in chi]
+    diags = [
+        MLEDiagnostics(bool(c), int(i), float(x), tuple(h))
+        for c, i, x, h in zip(converged, iterations, ll, history)
+    ]
+    return results, diags
 
 
 def mle_process(
@@ -485,96 +536,21 @@ def mle_process(
     """Maximum-likelihood CPTP process matrix from tomography counts.
 
     `inputs` are the prepared states (DensityMatrix or 2x2 arrays), `outputs`
-    the corresponding CountsTables. Each step is a diluted congruence update
-    chi <- S chi S with S = (1-a) N 1 + a G, followed by the lam^(-1/2)
-    congruence that restores trace preservation without leaving the PSD cone;
-    a backtracks until the likelihood is non-decreasing. Stops at small
-    tangent gradient or when accepted steps stall (rank-deficient optima sit
-    on the boundary, where the projected gradient need not vanish).
+    the corresponding CountsTables. One fit of `_fit_chi`, started from the
+    maximally mixed chi or from `start` made physical.
     """
-    rhos = [x.matrix if isinstance(x, DensityMatrix) else np.asarray(x, dtype=np.complex128) for x in inputs]
-    if len(rhos) != len(outputs):
-        raise ConfigError(f"{len(rhos)} inputs vs {len(outputs)} count tables")
-    if _input_rank(rhos) < 4:
-        raise ConfigError("need at least 4 linearly independent input states")
-
-    h_ops, ns = [], []
-    for rho_in, table in zip(rhos, outputs):
-        for b, o, c in table.rows:
-            pi_b, pi_d = measurement_operators(b)
-            pi = pi_b if o == "Bright" else pi_d
-            k = np.array(
-                [[np.trace(dag(PAULIS[n]) @ pi @ PAULIS[m] @ rho_in) for n in range(4)]
-                 for m in range(4)]
-            )
-            h_ops.append(k.conj())  # Hermitian; p_j = tr(H_j chi)
-            ns.append(float(c))
-    h_ops = np.array(h_ops)
-    ns = np.array(ns)
-    n_total = float(ns.sum())
-    if n_total <= 0:
+    h_ops, counts = _process_model(inputs, outputs)
+    if counts.sum() <= 0:
         raise ConfigError("empty counts tables")
-
-    def probs(chi):
-        return np.clip(np.einsum("jmn,nm->j", h_ops, chi).real, 1e-12, None)
-
-    def loglik(chi):
-        return float(np.sum(ns * np.log(probs(chi))))
-
-    chi = np.eye(4, dtype=np.complex128) / 4.0 if start is None else _physical_polish(
-        np.asarray(start, dtype=np.complex128)
+    (result,), (diag,) = _fit_chi(
+        h_ops, counts.reshape(1, -1), start, max_iters=max_iters, grad_tol=grad_tol
     )
-    chi = _tp_normalize(chi)
-    ll = loglik(chi)
-    history = [ll]
-    converged = False
-    iterations = 0
-    alpha = 1.0
-    plateau = 0
-    eye4 = np.eye(4, dtype=np.complex128)
-    for iterations in range(1, max_iters + 1):
-        ps = probs(chi)
-        grad = np.einsum("j,jmn->mn", ns / ps, h_ops)
-        grad = 0.5 * (grad + grad.conj().T)
-        if _TP.tangent_norm(grad) / n_total <= grad_tol:
-            converged = True
-            break
-        a = alpha
-        accepted = False
-        for _ in range(60):
-            s_op = (1.0 - a) * n_total * eye4 + a * grad
-            cand = _tp_normalize(s_op @ chi @ s_op)
-            ll_cand = loglik(cand)
-            if ll_cand >= ll - 1e-12:
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
-            converged = True  # no uphill physical step exists: boundary optimum
-            break
-        delta = float(np.max(np.abs(cand - chi)))
-        # Boundary (rank-deficient) optima creep sublinearly and never meet
-        # the tangent-gradient test; once the likelihood stalls at machine
-        # precision for 100 straight steps there, call it converged. Interior
-        # optima are left to the gradient criterion, which is sharper.
-        at_boundary = float(np.linalg.eigvalsh(cand)[0]) < 1e-6
-        stalled = ll_cand - ll <= 1e-12 * max(1.0, abs(ll))
-        plateau = plateau + 1 if (at_boundary and stalled) else 0
-        chi, ll = cand, ll_cand
-        history.append(ll)
-        alpha = min(1.0, 2.0 * a)
-        if delta <= 1e-11 or plateau >= 100:
-            converged = True
-            break
-    if not converged:
+    if not diag.converged:
         warnings.warn(
-            f"mle_process stopped after {iterations} iterations without convergence",
+            f"mle_process stopped after {diag.iterations} iterations without convergence",
             stacklevel=2,
         )
-    result = ProcessMatrix(_physical_polish(chi))
-    if return_diagnostics:
-        return result, MLEDiagnostics(converged, iterations, ll, tuple(history))
-    return result
+    return (result, diag) if return_diagnostics else result
 
 
 def bootstrap_process(
@@ -585,32 +561,35 @@ def bootstrap_process(
     seed: int = 0,
     start: np.ndarray | None = None,
     max_iters: int = 10_000,
-) -> list[ProcessMatrix]:
-    """Parametric bootstrap: redraw binomial counts, re-run the MLE.
+    return_diagnostics: bool = False,
+):
+    """Parametric bootstrap: redraw binomial counts, refit every resample.
 
-    Requires integer-total count tables (sampled data); exact-probability
-    tables carry no statistical uncertainty to resample.
+    All resamples are fitted together by `_fit_chi`, from `start` made
+    physical once. Requires integer-total count tables (sampled data);
+    exact-probability tables carry no statistical uncertainty to resample.
+    Warns once if any resample stops without converging; with
+    `return_diagnostics` it also returns each resample's MLEDiagnostics.
     """
-    for t in outputs:
-        counts_ok = all(float(c).is_integer() for _, _, c in t.rows)
-        if (
-            not float(t.total_shots_per_basis).is_integer()
-            or t.total_shots_per_basis < 1
-            or not counts_ok
-        ):
-            raise ConfigError("bootstrap needs sampled (integer-count) tables")
+    h_ops, counts = _process_model(inputs, outputs)
+    totals = np.array([[t.total_shots_per_basis] for t in outputs], dtype=float)
+    if np.any(counts % 1) or np.any(totals % 1) or np.any(totals < 1):
+        raise ConfigError("bootstrap needs sampled (integer-count) tables")
+    p = counts[:, ::2] / totals
     rng = np.random.default_rng([int(seed), _BOOT_TAG])
-    out = []
-    for _ in range(resamples):
-        redrawn = []
-        for t in outputs:
-            total = int(t.total_shots_per_basis)
-            bright = {
-                b: float(rng.binomial(total, t.bright_fraction(b))) for b in BASES
-            }
-            redrawn.append(CountsTable.from_bright_counts(bright, float(total)))
-        out.append(mle_process(inputs, redrawn, start=start, max_iters=max_iters))
-    return out
+    # One draw per (resample, input, basis), in that order.
+    bright = rng.binomial(
+        np.broadcast_to(totals.astype(np.int64), p.shape), p, size=(resamples, *p.shape)
+    ).astype(float)
+    ns = np.stack([bright, totals - bright], axis=-1).reshape(resamples, counts.size)
+    results, diags = _fit_chi(h_ops, ns, start, max_iters=max_iters)
+    failed = sum(not d.converged for d in diags)
+    if failed:
+        warnings.warn(
+            f"bootstrap_process: {failed} of {resamples} resamples stopped without convergence",
+            stacklevel=2,
+        )
+    return (results, diags) if return_diagnostics else results
 
 
 # ---------------------------------------------------------------------------
@@ -657,20 +636,16 @@ class AffineMap:
         return np.sort(np.linalg.eigvalsh(self.S))[::-1]
 
 
+# _TRANSFER[i, j, m, n] = tr(A_i A_m A_j A_n^dagger) / 2.
+_TRANSFER = 0.5 * np.einsum("iab,mbc,jcd,nda->ijmn", _P, _P, _P, _P_DAG)
+
+
 def pauli_transfer(chi) -> tuple[np.ndarray, np.ndarray]:
     """(M, b) with M_ij = tr(sigma_i E(sigma_j))/2 and b_i = tr(sigma_i E(I))/2."""
-    fn = channel_from_chi(chi)
-    m = np.zeros((3, 3))
-    for j in range(3):
-        out = fn(PAULIS[j + 1])
-        for i in range(3):
-            val = complex(np.trace(PAULIS[i + 1] @ out)) / 2.0
-            if abs(val.imag) > 1e-9:
-                raise InvariantViolation("transfer matrix has imaginary parts")
-            m[i, j] = val.real
-    out = fn(np.eye(2, dtype=np.complex128))
-    b = np.array([float(np.real(np.trace(PAULIS[i + 1] @ out))) / 2.0 for i in range(3)])
-    return m, b
+    r = np.einsum("ijmn,mn->ij", _TRANSFER, _as_chi(chi))
+    if np.max(np.abs(r[1:, 1:].imag)) > 1e-9:
+        raise InvariantViolation("transfer matrix has imaginary parts")
+    return r[1:, 1:].real.copy(), r[1:, 0].real.copy()
 
 
 def affine_decompose(chi) -> AffineMap:

@@ -219,6 +219,19 @@ def test_proc_tomo_exact_finds_the_identity_channel(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sampled_proc_tomo_counts_nonconverged_resamples(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, shots=500, noise={"depolarizing_per_pulse": 0.02}, bootstrap_resamples=8
+    )
+    assert main(["proc-tomo", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    errors = json.loads((out / "report.json").read_text())["errors"]
+    assert errors["bootstrap_resamples"] == 8
+    assert errors["bootstrap_nonconverged"] == 0 and type(errors["bootstrap_nonconverged"]) is int
+    assert json.loads((out / "affine.json").read_text())["bootstrap_nonconverged"] == 0
+    capsys.readouterr()
+
+
 def test_calibrate_finds_zero_phase_noiselessly(tmp_path, capsys):
     cfg = write_config(tmp_path, grid=8)
     assert main(["calibrate", "--config", str(cfg)]) == 0

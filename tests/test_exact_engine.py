@@ -11,9 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from teleion.errors import InvariantViolation
 from teleion.noise import NoiseConfig
 from teleion.protocol import (
     BRANCHES,
+    TRUNCATION_BOUND,
     FidelityCheck,
     Tomography,
     _evolve_exact,
@@ -52,14 +54,14 @@ def full_register_replay(spec, phase, noise, modes, *, quad_points, fock_cutoff=
     for det_sd, det_h, weight in _gh_nodes(noise, quad_points):
         rho0 = np.zeros((d, d), dtype=np.complex128)
         rho0[0, 0] = 1.0
-        branches = _evolve_exact(
+        branches, _ = _evolve_exact(
             {(): rho0.reshape(dims + dims)}, shared, noise, det_sd, det_h, fock_cutoff
         )
         for key, rho in branches.items():
             acc[key] = acc.get(key, 0.0) + weight * rho.reshape(d, d)
         for j, seq in enumerate(seqs):
             row34 = tuple(s for s in seq if s.step_id == 34)
-            after = _evolve_exact(branches, row34, noise, det_sd, det_h, fock_cutoff)
+            after, _ = _evolve_exact(branches, row34, noise, det_sd, det_h, fock_cutoff)
             for key, rho in after.items():
                 diag = np.real(np.diag(rho.reshape(d, d)))
                 w, s = diag.sum(), diag[bright_mask].sum()
@@ -134,14 +136,14 @@ def test_exact_run_matches_the_full_register_replay(case):
         assert abs(single.p_bright[m] - res.p_bright[m]) <= TOL
 
 
-@pytest.mark.parametrize("fock_cutoff", [2, 3, 4, 6])
+@pytest.mark.parametrize("fock_cutoff", [3, 4, 6])
 @pytest.mark.parametrize(
     "noise", [NoiseConfig(), NoiseConfig(**PAPER)], ids=["noiseless", "paper noise"]
 )
 def test_zero_probability_branches_stay_out_of_the_probabilities(noise, fock_cutoff):
-    # At cutoff 2 the truncated motion empties some branches of the noiseless
-    # protocol. Their P(bright | branch) was once a ratio of two roundoff
-    # numbers (-5.3e282 for psi6, SS) that also reached p_bright (3.4e266).
+    # Noiseless, some branches are empty. Their P(bright | branch) was once a
+    # ratio of two roundoff numbers (-5.3e282 for psi6, SS, at cutoff 2) that
+    # also reached p_bright (3.4e266).
     for spec in canonical_inputs():
         res = exact_run(spec, 0.0, noise, MODES, quad_points=3, fock_cutoff=fock_cutoff)
         assert all(0.0 <= p <= 1.0 for p in res.p_bright.values())
@@ -150,6 +152,26 @@ def test_zero_probability_branches_stay_out_of_the_probabilities(noise, fock_cut
         assert set(res.branch_states) == set(res.final_bright)
         pooled = sum(res.branch_probs[b] * f for b, f in res.final_bright.items())
         assert abs(res.p_bright[MODES[0]] - pooled) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "noise", [NoiseConfig(), NoiseConfig(**PAPER)], ids=["noiseless", "paper noise"]
+)
+def test_fock_cutoff_2_trips_the_truncation_monitor(noise):
+    # Cutoff 2 drops the |S,1> <-> |D,2> coupling of the phase gate (rows
+    # 11-14); every input with population there used to come out wrong
+    # (noiseless P(bright) 0 for psi1, 0.5 for psi3-psi6) with no error.
+    for spec in canonical_inputs():
+        if spec.label == "psi2":  # ion 1 in D: the gate never reaches |S,1>
+            res = exact_run(spec, 0.0, noise, quad_points=3, fock_cutoff=2)
+            assert res.truncation_population <= TRUNCATION_BOUND
+            continue
+        with pytest.raises(InvariantViolation, match=r"^row 1[1-4]: ") as err:
+            exact_run(spec, 0.0, noise, quad_points=3, fock_cutoff=2)
+        assert "fock_cutoff" in str(err.value)
+        if noise == NoiseConfig():  # one more level makes the teleportation exact
+            res = exact_run(spec, 0.0, noise, fock_cutoff=3)
+            assert abs(res.p_bright[FidelityCheck()] - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """State and process tomography: counts, MLE, chi algebra, affine picture."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from teleion.qcore import (
 )
 from teleion.tomography import (
     BASES,
+    _HERM_BASIS,
+    _TP_MAP,
+    _TP_PINV,
     AffineMap,
     CountsTable,
     ProcessMatrix,
@@ -51,6 +55,9 @@ from teleion.tomography import (
     simulate_state_tomography,
     teleported_counts,
     tp_defect,
+    _fit_chi,
+    _physical_polish,
+    _process_model,
 )
 
 
@@ -282,6 +289,176 @@ def test_bootstrap_is_seeded_and_rejects_exact_tables():
     assert spread > 0.0
     with pytest.raises(ConfigError):
         bootstrap_process(FOUR_INPUTS, exact_tables(chi_true, FOUR_INPUTS), resamples=2)
+
+
+# ---------------------------------------------------------------------------
+# The batched process fit against the sequential loop it replaced
+
+def sequential_tp_normalize(chi):
+    lam = sum(chi[m, n] * (PAULIS[n] @ PAULIS[m]) for m in range(4) for n in range(4))
+    w, v = np.linalg.eigh(0.5 * (lam + lam.conj().T))
+    l_inv_sqrt = (v / np.sqrt(np.clip(w, 1e-18, None))) @ v.conj().T
+    c = np.array(
+        [[0.5 * np.trace(PAULIS[k] @ PAULIS[m] @ l_inv_sqrt) for k in range(4)] for m in range(4)]
+    )
+    out = c.T @ chi @ c.conj()
+    return 0.5 * (out + out.conj().T)
+
+
+def sequential_tangent_norm(g):
+    coords = np.array([np.real(np.trace(h @ g)) for h in _HERM_BASIS])
+    return float(np.linalg.norm(coords - _TP_PINV @ (_TP_MAP @ coords)))
+
+
+def sequential_h_ops(rhos):
+    h_ops = []
+    for rho_in in rhos:
+        for b in BASES:
+            for pi in measurement_operators(b):
+                k = np.array(
+                    [[np.trace(PAULIS[n].conj().T @ pi @ PAULIS[m] @ rho_in) for n in range(4)]
+                     for m in range(4)]
+                )
+                h_ops.append(k.conj())
+    return np.array(h_ops)
+
+
+def sequential_fit(h_ops, ns, chi, max_iters=10_000, grad_tol=1e-8):
+    """One fit at a time, as mle_process ran before the fits were batched.
+
+    Returns (polished chi, converged, iterations, log-likelihood history, stop rule).
+    """
+    n_total = float(ns.sum())
+
+    def probs(chi):
+        return np.clip(np.einsum("jmn,nm->j", h_ops, chi).real, 1e-12, None)
+
+    def loglik(chi):
+        return float(np.sum(ns * np.log(probs(chi))))
+
+    ll = loglik(chi)
+    history = [ll]
+    converged, rule, iterations, alpha, plateau = False, "max_iters", 0, 1.0, 0
+    eye4 = np.eye(4, dtype=np.complex128)
+    for iterations in range(1, max_iters + 1):
+        grad = np.einsum("j,jmn->mn", ns / probs(chi), h_ops)
+        grad = 0.5 * (grad + grad.conj().T)
+        if sequential_tangent_norm(grad) / n_total <= grad_tol:
+            converged, rule = True, "gradient"
+            break
+        a = alpha
+        accepted = False
+        for _ in range(60):
+            s_op = (1.0 - a) * n_total * eye4 + a * grad
+            cand = sequential_tp_normalize(s_op @ chi @ s_op)
+            ll_cand = loglik(cand)
+            if ll_cand >= ll - 1e-12:
+                accepted = True
+                break
+            a *= 0.5
+        if not accepted:
+            converged, rule = True, "uphill"
+            break
+        delta = float(np.max(np.abs(cand - chi)))
+        at_boundary = float(np.linalg.eigvalsh(cand)[0]) < 1e-6
+        stalled = ll_cand - ll <= 1e-12 * max(1.0, abs(ll))
+        plateau = plateau + 1 if (at_boundary and stalled) else 0
+        chi, ll = cand, ll_cand
+        history.append(ll)
+        alpha = min(1.0, 2.0 * a)
+        if delta <= 1e-11 or plateau >= 100:
+            converged, rule = True, "plateau" if plateau >= 100 else "step"
+            break
+    return _physical_polish(chi), converged, iterations, history, rule
+
+
+def assert_fits_match(batched, diags, oracle):
+    for result, diag, (chi, converged, iterations, history, _) in zip(batched, diags, oracle):
+        assert np.max(np.abs(result.chi - chi)) <= 1e-6
+        assert diag.converged == converged
+        # Reordered float sums shift where a fit first meets a stop rule by a
+        # few of its steps; a fit that stops with the wrong one does not.
+        assert abs(diag.iterations - iterations) <= max(5, iterations // 10)
+        common = min(len(diag.ll_history), len(history))
+        assert np.allclose(diag.ll_history[:common], history[:common], rtol=1e-9, atol=0)
+
+
+def test_batched_process_fit_matches_the_sequential_fits():
+    inputs = [DensityMatrix.from_pure(s.ket()) for s in canonical_inputs()]
+    rhos = [r.matrix for r in inputs]
+    u = math.cos(0.2) * np.eye(2) - 1j * math.sin(0.2) * PAULIS[1]
+    unitary = chi_from_channel(lambda r: u @ r @ u.conj().T)
+    rows = []
+    # Interior optima (depolarizing) and rank-1 boundary ones (unitary).
+    for chi_true, shots, seed in [
+        (depolarizing_chi(0.2), 2000, 1),
+        (unitary, 2000, 3),
+        (unitary, 500, 4),
+        (depolarizing_chi(0.2), 0, 0),
+    ]:
+        rng = np.random.default_rng([11, seed])
+        tables = [
+            simulate_state_tomography(DensityMatrix(apply_chi(chi_true, r)), shots, rng)
+            for r in rhos
+        ]
+        rows.append([c * (shots or 1000) for t in tables for _, _, c in t.rows])
+    ns = np.array(rows)
+    h_ops, _ = _process_model(inputs, tables)
+    assert np.max(np.abs(h_ops - sequential_h_ops(rhos))) <= 1e-14
+    batched, diags = _fit_chi(h_ops, ns, None, max_iters=10_000)
+    chi0 = sequential_tp_normalize(np.eye(4, dtype=complex) / 4.0)
+    oracle = [sequential_fit(h_ops, n, chi0) for n in ns]
+    assert_fits_match(batched, diags, oracle)
+    boundary = [o for o in oracle if np.linalg.eigvalsh(o[0])[0] < 1e-6]
+    assert len({o[2] for o in boundary if o[4] == "plateau"}) >= 2
+    assert any(np.linalg.eigvalsh(o[0])[0] > 1e-2 for o in oracle)
+
+
+def test_bootstrap_matches_sequential_redraws_and_fits():
+    rng = np.random.default_rng(3)
+    tables = [
+        simulate_state_tomography(DensityMatrix(apply_chi(depolarizing_chi(0.3), r.matrix)), 800, rng)
+        for r in FOUR_INPUTS
+    ]
+    start = mle_process(FOUR_INPUTS, tables).chi
+    resamples, diags = bootstrap_process(
+        FOUR_INPUTS, tables, resamples=6, seed=7, start=start, return_diagnostics=True
+    )
+
+    h_ops = sequential_h_ops([r.matrix for r in FOUR_INPUTS])
+    chi0 = sequential_tp_normalize(_physical_polish(start))
+    redraw = np.random.default_rng([7, 0xB007])
+    oracle = []
+    for _ in range(6):
+        redrawn = [
+            CountsTable.from_bright_counts(
+                {b: float(redraw.binomial(800, t.bright_fraction(b))) for b in BASES}, 800.0
+            )
+            for t in tables
+        ]
+        ns = np.array([c for t in redrawn for _, _, c in t.rows])
+        oracle.append(sequential_fit(h_ops, ns, chi0))
+    assert_fits_match(resamples, diags, oracle)
+
+
+def test_bootstrap_counts_its_nonconverged_resamples():
+    rng = np.random.default_rng(3)
+    tables = [
+        simulate_state_tomography(DensityMatrix(apply_chi(depolarizing_chi(0.3), r.matrix)), 800, rng)
+        for r in FOUR_INPUTS
+    ]
+    with pytest.warns(UserWarning, match="5 of 5 resamples") as record:
+        _, diags = bootstrap_process(
+            FOUR_INPUTS, tables, resamples=5, seed=1, max_iters=2, return_diagnostics=True
+        )
+    assert len(record) == 1
+    assert [d.iterations for d in diags] == [2] * 5
+    assert not any(d.converged for d in diags)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, diags = bootstrap_process(FOUR_INPUTS, tables, resamples=5, seed=1, return_diagnostics=True)
+    assert all(d.converged for d in diags)
+    assert bootstrap_process(FOUR_INPUTS, tables, resamples=0) == []
 
 
 # ---------------------------------------------------------------------------
