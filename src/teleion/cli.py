@@ -55,7 +55,7 @@ _CONFIG_KEY_DOCS = """\
 configuration keys (JSON file; flags override file values):
   seed                    integer master seed (default 1234)
   shots                   shots per input (teleport) or per basis (tomography), default 1000
-  fock_cutoff             motional Fock levels simulated (default 4; per-shot sampling needs >= 4)
+  fock_cutoff             motional Fock levels simulated, >= 3 (default 4; per-shot sampling needs >= 4)
   phase_offset            tail phase in radians, or "calibrate" (default 0.0)
   inputs                  "six-canonical" or list of {theta_chi, phi_chi[, label]}, angles in radians
   output_dir              artifact directory (default "out")
@@ -125,8 +125,8 @@ class ExperimentConfig:
             raise ConfigError("seed must be an integer")
         if not isinstance(self.shots, int) or self.shots < 0:
             raise ConfigError("shots must be a nonnegative integer")
-        if not isinstance(self.fock_cutoff, int) or self.fock_cutoff < 2:
-            raise ConfigError("fock_cutoff must be an integer >= 2")
+        if not isinstance(self.fock_cutoff, int) or self.fock_cutoff < 3:
+            raise ConfigError("fock_cutoff must be an integer >= 3")
         if isinstance(self.phase_offset, str) and self.phase_offset != "calibrate":
             raise ConfigError('phase_offset must be a number or "calibrate"')
         if self.sampling not in ("auto", "fast", "per-shot"):

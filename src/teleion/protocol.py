@@ -18,12 +18,15 @@ Two execution paths share the same sequence objects:
   sums one run_shot call per sequence, or draws from exact_run's P(bright);
 * exact_run — density-matrix evolution with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
-  distribution. The full register is kept only until the last row that
-  touches ion 1, ion 2 or the motion; the rest runs on ion 3's 3x3 state.
-  This is the infinite-statistics reference.
+  distribution, on a live register: a subsystem joins at the first row
+  acting on it and leaves after the last sideband or branch readout needing
+  it (12, 36, 108, 27, 9 levels, then ion 3's 3x3 state on the standard table);
+  each ion's detuning phase waits for its next drive. This is the
+  infinite-statistics reference.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -38,12 +41,11 @@ from .noise import (
     depolarize_density_tensor,
     depolarizing_superop,
     perturb_pulse,
-    phase_exponent,
     sample_pauli_index,
     sample_shot_noise,
     _site_paulis,
 )
-from .qcore import ATOL_STRUCTURAL, DensityMatrix, PureState, _ptrace, state_fidelity
+from .qcore import ATOL_STRUCTURAL, DensityMatrix, PureState, state_fidelity
 from . import trap
 from .trap import (
     BlueSideband,
@@ -55,7 +57,6 @@ from .trap import (
     Wait,
     apply_pulse,
     apply_site,
-    bright_projector_mask,
     fluorescence_measure,
     initialize,
 )
@@ -439,120 +440,66 @@ def sample_counts(
 # ---------------------------------------------------------------------------
 # Exact path: density-matrix evolution with measurement instruments.
 
-def _apply_unitary_density(rho_t: np.ndarray, op: np.ndarray, sites) -> np.ndarray:
-    n = rho_t.ndim // 2
-    if len(sites) == 1:
-        (s,) = sites
-        out = np.moveaxis(np.tensordot(op, rho_t, axes=([1], [s])), 0, s)
-        out = np.moveaxis(np.tensordot(op.conj(), out, axes=([1], [s + n])), 0, s + n)
-        return out
-    s1, s2 = sites
-    out = np.tensordot(op, rho_t, axes=([2, 3], [s1, s2]))
-    out = np.moveaxis(out, [0, 1], [s1, s2])
-    out = np.tensordot(op.conj(), out, axes=([2, 3], [s1 + n, s2 + n]))
-    return np.moveaxis(out, [0, 1], [s1 + n, s2 + n])
-
-
-def _pulse_op_and_sites(pulse: trap.Pulse, fock_cutoff: int):
-    if isinstance(pulse, Carrier):
-        return trap.carrier_local(pulse.theta, pulse.phi), (pulse.ion,)
-    if isinstance(pulse, Hide):
-        return trap.hide_local(pulse.theta, pulse.phi), (pulse.ion,)
-    if isinstance(pulse, BlueSideband):
-        op = trap.sideband_local(pulse.theta, pulse.phi, fock_cutoff).reshape(
-            3, fock_cutoff, 3, fock_cutoff
-        )
-        return op, (pulse.ion, N_IONS)
-    raise DimensionMismatch(f"not a unitary pulse: {type(pulse).__name__}")
-
-
+#: The exact engine's subsystems: the ions, then the motional mode.
+_SUBSYSTEMS = N_IONS + 1
+_MOTION = N_IONS
 # Step labels whose detections split the exact state into reported branches.
 _SPLIT_LABELS = ("pmt1", "pmt2")
 
 
-def _evolve_exact(
-    branches: dict[tuple[tuple[str, Outcome], ...], np.ndarray],
-    steps,
-    noise: NoiseConfig,
-    det_sd: np.ndarray,
-    det_h: np.ndarray,
-    fock_cutoff: int,
-) -> tuple[dict[tuple[tuple[str, Outcome], ...], np.ndarray], float]:
-    """Full-register evolution of unnormalized, branch-resolved density tensors.
+@functools.lru_cache(maxsize=256)
+def _drive_op(pulse: trap.Pulse, fock_cutoff: int) -> np.ndarray:
+    """A drive's local unitary, on (ion, motion) for a sideband; read-only, cached."""
+    if isinstance(pulse, BlueSideband):
+        op = trap.sideband_local(pulse.theta, pulse.phi, fock_cutoff).reshape((3, fock_cutoff) * 2)
+    else:
+        local = trap.carrier_local if isinstance(pulse, Carrier) else trap.hide_local
+        op = local(pulse.theta, pulse.phi)
+    op.flags.writeable = False
+    return op
 
-    Branches are keyed by their reported (label, outcome) pairs. A detection in
-    `_SPLIT_LABELS` splits every branch on its reported outcome (the collapse
-    follows the true outcome); any other detection decoheres in place.
-    Returns the branches and the largest population a blue sideband found on
-    its ion's |S, fock_cutoff-1>; past TRUNCATION_BOUND that raises.
+
+def _row_sites(action: trap.Pulse | ConditionalPulse) -> tuple[tuple[int, ...], bool]:
+    """(subsystems a row acts on, whether the live register must hold them for it).
+
+    Only a blue sideband and a branch-splitting readout need their subsystems:
+    any other row is a local channel, skipped on a subsystem only traced out.
     """
-    eps = noise.detection_error
-    truncation = 0.0
-    phase_cache: dict[float, np.ndarray] = {}
+    pulse = action.pulse if isinstance(action, ConditionalPulse) else action
+    if isinstance(pulse, Wait):
+        return (), False
+    if isinstance(pulse, BlueSideband):
+        return (pulse.ion, _MOTION), True
+    return (pulse.ion,), isinstance(pulse, Detect) and pulse.label in _SPLIT_LABELS
 
-    def dephase(rho_t, duration):
-        if duration == 0.0 or (not np.any(det_sd) and not np.any(det_h)):
-            return rho_t
-        ph = phase_cache.get(duration)
-        if ph is None:
-            ph = np.exp(-1j * phase_exponent(N_IONS, fock_cutoff, det_sd, det_h, duration))
-            phase_cache[duration] = ph
-        nf = ph.reshape(-1)
-        flat = rho_t.reshape(nf.size, nf.size)
-        return (flat * nf[:, None] * nf.conj()[None, :]).reshape(rho_t.shape)
 
-    branches = dict(branches)
-    for step in steps:
-        action = step.action
-        if isinstance(action, Detect):
-            duration = noise.pulse_durations.of(action)
-            mask = bright_projector_mask(N_IONS, fock_cutoff, action.ion).reshape(-1)
-            bright_d = np.where(mask, 1.0, 0.0)
-            dark_d = 1.0 - bright_d
-            new_branches: dict = {}
-            for key, rho in branches.items():
-                rho = dephase(rho, duration)
-                flat = rho.reshape(bright_d.size, bright_d.size)
-                rho_s = (flat * bright_d[:, None] * bright_d[None, :]).reshape(rho.shape)
-                rho_d = (flat * dark_d[:, None] * dark_d[None, :]).reshape(rho.shape)
-                if action.label in _SPLIT_LABELS:
-                    rep_bright = (1.0 - eps) * rho_s + eps * rho_d
-                    rep_dark = eps * rho_s + (1.0 - eps) * rho_d
-                    new_branches[key + ((action.label, Outcome.BRIGHT),)] = rep_bright
-                    new_branches[key + ((action.label, Outcome.DARK),)] = rep_dark
-                else:
-                    new_branches[key] = rho_s + rho_d
-            branches = new_branches
-        elif isinstance(action, Wait):
-            for key in list(branches):
-                branches[key] = dephase(branches[key], action.duration_us)
-        else:
-            conditional = isinstance(action, ConditionalPulse)
-            pulse = action.pulse if conditional else action
-            duration = noise.pulse_durations.of(pulse)
-            op, sites = _pulse_op_and_sites(pulse, fock_cutoff)
-            depol = isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(
-                step.step_id
-            )
-            top = 0.0
-            for key in list(branches):
-                if conditional and dict(key).get(action.detect_label) is not action.required:
-                    continue
-                rho = dephase(branches[key], duration)
-                if isinstance(pulse, BlueSideband):
-                    pops = np.einsum("abcdabcd->abcd", rho).real
-                    top += float(np.take(pops, S, axis=pulse.ion)[..., fock_cutoff - 1].sum())
-                rho = _apply_unitary_density(rho, op, sites)
-                if depol:
-                    rho = depolarize_density_tensor(rho, pulse.ion, noise.depolarizing_per_pulse)
-                branches[key] = rho
-            if top > TRUNCATION_BOUND:
-                raise InvariantViolation(
-                    f"row {step.step_id}: population {top:.3e} on ion {pulse.ion + 1}'s "
-                    f"|S, n={fock_cutoff - 1}> exceeds TRUNCATION_BOUND; raise fock_cutoff"
-                )
-            truncation = max(truncation, top)
-    return branches, truncation
+def _lifetimes(steps, keep: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+    """(first, last) row index in `steps` of each subsystem on the live register.
+
+    A subsystem joins at the first row acting on it and is traced out right
+    after the last row that needs it; one in `keep` stays to the end,
+    len(steps). A subsystem that no row needs never joins.
+    """
+    rows = [_row_sites(s.action) for s in steps]
+    life = {}
+    for site in range(_SUBSYSTEMS):
+        acting = [i for i, (acts, _) in enumerate(rows) if site in acts]
+        needed = [i for i in acting if rows[i][1]] + [len(steps)] * (site in keep)
+        if needed:
+            life[site] = (acting[0] if acting else len(steps), needed[-1])
+    return life
+
+
+def _along(v: np.ndarray, axis: int) -> np.ndarray:
+    """A per-level vector shaped to broadcast along one axis of a register tensor."""
+    return v.reshape((-1,) + (1,) * (2 * _SUBSYSTEMS - 1 - axis))
+
+
+def _join(rho: np.ndarray, site: int, dim: int) -> np.ndarray:
+    """Grow a subsystem's axis pair from size 1 to `dim`, in level 0 (|S> or |n=0>)."""
+    out = np.zeros([dim if a % _SUBSYSTEMS == site else n for a, n in enumerate(rho.shape)], rho.dtype)
+    out[tuple(slice(0, 1) if a % _SUBSYSTEMS == site else slice(None) for a in range(rho.ndim))] = rho
+    return out
 
 
 def _gh_nodes(noise: NoiseConfig, quad_points: int | None):
@@ -591,48 +538,111 @@ def _check_exact_noise(noise: NoiseConfig, entry: str) -> None:
         )
 
 
-def _node_branches(steps, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int):
-    """The exact engine's one Gauss-Hermite loop.
+def _node_branches(
+    steps, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int, keep: tuple[int, ...]
+):
+    """The exact engine's one Gauss-Hermite loop, on a live register.
 
-    Evolves the cooled full register through `steps` once per quadrature node
-    and yields (det_sd, det_h, weight, branches, truncation) for each.
+    Each branch, keyed by its reported (label, outcome) pairs, holds an
+    unnormalized density tensor with one (ket, bra) axis pair per subsystem,
+    of size 1 outside the subsystem's `_lifetimes`, and each ion's pending
+    free-evolution time, folded into its next drive. pmt1 and pmt2 split every
+    branch on the reported outcome (the collapse follows the true outcome);
+    other readouts decohere in place. Yields (det_sd, det_h, weight, branches,
+    truncation, motion_excess) per node: the branches as (d, d) matrices over
+    `keep`, pending phases applied; the largest population a blue sideband
+    found on its ion's |S, fock_cutoff-1>, which raises past TRUNCATION_BOUND;
+    and the motion's population above n = 0.
     """
+    life, eps = _lifetimes(steps, keep), noise.detection_error
     dims = (3,) * N_IONS + (fock_cutoff,)
-    d = int(np.prod(dims))
     for det_sd, det_h, weight in _gh_nodes(noise, quad_points):
-        rho0 = np.zeros((d, d), dtype=np.complex128)
-        rho0[0, 0] = 1.0
-        branches, truncation = _evolve_exact(
-            {(): rho0.reshape(dims + dims)}, steps, noise, det_sd, det_h, fock_cutoff
-        )
-        yield det_sd, det_h, weight, branches, truncation
-
-
-def _acts_on_target_only(action: trap.Pulse | ConditionalPulse) -> bool:
-    """Whether a row's effect on ion 3's reduced state needs no other subsystem.
-
-    Waits qualify: the detuning phase is a sum of per-ion terms, so the other
-    ions' phases cancel in the partial trace. Branch-splitting readouts do not.
-    """
-    if isinstance(action, ConditionalPulse):
-        action = action.pulse
-    if isinstance(action, Wait):
-        return True
-    if isinstance(action, Detect):
-        return action.ion == _TARGET and action.label not in _SPLIT_LABELS
-    return isinstance(action, (Carrier, Hide)) and action.ion == _TARGET
+        rates = np.stack([np.zeros(N_IONS), det_sd, det_h], axis=1)  # rad/us by (ion, level)
+        branches = {(): (np.ones((1,) * 2 * _SUBSYSTEMS, dtype=np.complex128), np.zeros(N_IONS))}
+        truncation = motion_excess = 0.0
+        for i, step in enumerate(steps):
+            action = step.action
+            conditional = isinstance(action, ConditionalPulse)
+            pulse = action.pulse if conditional else action
+            acting = [
+                key for key in branches
+                if not conditional or dict(key).get(action.detect_label) is action.required
+            ]
+            for key in acting:
+                branches[key][1][:] += noise.pulse_durations.of(pulse)
+            acts = _row_sites(action)[0]
+            if not acts or any(i > life.get(s, (0, -1))[1] for s in acts):
+                continue  # a wait, or a local row on a subsystem that is only traced out
+            for site in (s for s in acts if life[s][0] == i):
+                branches = {key: (_join(rho, site, dims[site]), t) for key, (rho, t) in branches.items()}
+            k, k_bra = pulse.ion, pulse.ion + _SUBSYSTEMS
+            if isinstance(pulse, Detect):
+                b = np.array([1.0, 0.0, 0.0])
+                on_s, off_s = (_along(v, k) * _along(v, k_bra) for v in (b, 1.0 - b))
+                report = {(): (1.0, 1.0)} if pulse.label not in _SPLIT_LABELS else {
+                    ((pulse.label, Outcome.BRIGHT),): (1.0 - eps, eps),
+                    ((pulse.label, Outcome.DARK),): (eps, 1.0 - eps),
+                }
+                branches = {
+                    key + r: (w_s * rho * on_s + w_d * rho * off_s, t.copy())
+                    for key, (rho, t) in branches.items()
+                    for r, (w_s, w_d) in report.items()
+                }
+            else:
+                op, top = _drive_op(pulse, fock_cutoff), 0.0
+                depol = noise.depolarizing_applies(step.step_id) and not isinstance(pulse, Hide)
+                for key in acting:
+                    rho, pending = branches[key]
+                    # The ion's pending phase acts first: fold it into the drive.
+                    ph = np.exp(-1j * pending[k] * rates[k])
+                    u = op * ph.reshape((3,) + (1,) * (op.ndim // 2 - 1))
+                    pending[k] = 0.0
+                    if isinstance(pulse, BlueSideband):
+                        pops = np.einsum("abcdabcd->abcd", rho).real
+                        top += float(np.take(pops, S, axis=k)[..., fock_cutoff - 1].sum())
+                        for axes, v in (([k, _MOTION], u), ([k_bra, _MOTION + _SUBSYSTEMS], u.conj())):
+                            rho = np.moveaxis(np.tensordot(v, rho, axes=([2, 3], axes)), [0, 1], axes)
+                        if depol:
+                            rho = depolarize_density_tensor(rho, k, noise.depolarizing_per_pulse)
+                    else:  # one fused (site, site') superoperator: drive, then depolarizing
+                        sup = np.einsum("ab,cd->acbd", u, u.conj()).reshape(9, 9)
+                        if depol:
+                            sup = depolarizing_superop(noise.depolarizing_per_pulse, 3) @ sup
+                        out = np.tensordot(sup.reshape(3, 3, 3, 3), rho, axes=([2, 3], [k, k_bra]))
+                        rho = np.moveaxis(out, [0, 1], [k, k_bra])
+                    branches[key] = (rho, pending)
+                if top > TRUNCATION_BOUND:
+                    raise InvariantViolation(
+                        f"row {step.step_id}: population {top:.3e} on ion {k + 1}'s "
+                        f"|S, n={fock_cutoff - 1}> exceeds TRUNCATION_BOUND; raise fock_cutoff"
+                    )
+                truncation = max(truncation, top)
+            for site in (s for s in acts if life[s][1] == i):
+                for key, (rho, t) in branches.items():
+                    if site == _MOTION:
+                        pops = np.einsum("abcdabcd->abcd", rho).real
+                        motion_excess += float(pops.sum() - pops[..., 0].sum())
+                    rho = np.trace(rho, axis1=site, axis2=site + _SUBSYSTEMS)
+                    branches[key] = (np.expand_dims(rho, (site, site + _SUBSYSTEMS)), t)
+        reduced = {}
+        for key, (rho, pending) in branches.items():
+            for site in keep:
+                rho = rho if rho.shape[site] > 1 else _join(rho, site, dims[site])
+                ph = np.exp(-1j * pending[site] * rates[site])
+                rho = rho * _along(ph, site) * _along(ph.conj(), site + _SUBSYSTEMS)
+            d = math.prod(rho.shape[:_SUBSYSTEMS])
+            reduced[key] = rho.reshape(d, d)
+        yield det_sd, det_h, weight, reduced, truncation, motion_excess
 
 
 def _cut(sequence: tuple[SequenceStep, ...], before: int) -> int:
-    """Number of leading rows that need the full register.
+    """Number of leading rows up to the last one acting beyond ion 3 (row 27).
 
-    That is every row up to the last one touching ion 1, ion 2 or the motion
-    (row 27 of the standard table); it must come before step `before`.
+    That row must come before step `before`. Waits act on ion 3 alone: the
+    other ions' detuning phases cancel in the partial trace.
     """
-    cut = max(
-        (i + 1 for i, s in enumerate(sequence) if not _acts_on_target_only(s.action)),
-        default=0,
-    )
+    target_only = (((), False), ((_TARGET,), False))
+    cut = max((i + 1 for i, s in enumerate(sequence) if _row_sites(s.action) not in target_only), default=0)
     if cut and sequence[cut - 1].step_id >= before:
         raise InvariantViolation(
             f"row {sequence[cut - 1].step_id} acts beyond the target ion; "
@@ -656,18 +666,16 @@ class _TargetStack:
 def _target_stack(
     prefix, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int
 ) -> _TargetStack:
-    """Evolve the full register through `prefix`, then reduce every branch to ion 3."""
-    dims = (3,) * N_IONS + (fock_cutoff,)
-    d = int(np.prod(dims))
+    """Evolve the live register through `prefix`, keeping ion 3 to the end."""
     rho, weight, rates, keys = [], [], [], []
-    motion = np.zeros((fock_cutoff, fock_cutoff), dtype=np.complex128)
-    truncation = 0.0
-    for det_sd, det_h, w, branches, top in _node_branches(prefix, noise, quad_points, fock_cutoff):
+    motion = truncation = 0.0
+    for det_sd, det_h, w, branches, top, excess in _node_branches(
+        prefix, noise, quad_points, fock_cutoff, (_TARGET,)
+    ):
         truncation = max(truncation, top)
-        for key, rho_t in branches.items():
-            flat = rho_t.reshape(d, d)
-            rho.append(_ptrace(flat, dims, keep=[_TARGET]))
-            motion += w * _ptrace(flat, dims, keep=[N_IONS])
+        motion += w * excess
+        for key, rho3 in branches.items():
+            rho.append(rho3)
             weight.append(w)
             rates.append((0.0, det_sd[_TARGET], det_h[_TARGET]))
             keys.append(dict(key))
@@ -676,7 +684,7 @@ def _target_stack(
         weight=np.array(weight),
         rates=np.array(rates),
         keys=tuple(keys),
-        motional_residual=float(np.real(np.trace(motion) - motion[0, 0])),
+        motional_residual=float(motion),
         truncation=truncation,
     )
 
@@ -754,11 +762,10 @@ def exact_run(
 ) -> ExactRun:
     """Full exact evolution: branch states after row 33 + row-35 statistics.
 
-    The full (3, 3, 3, fock_cutoff) register is evolved, once per quadrature
-    node, only up to the last row that touches ion 1, ion 2 or the motion (row
-    27 of the standard table). Each (node, branch) is then cut down to ion 3's
-    3x3 density, which is exact because every later row acts on ion 3 alone,
-    and the remaining rows are applied to the whole stack at once.
+    Per quadrature node, rows up to the last one acting beyond ion 3 (row 27
+    of the standard table) run on the live register (`_node_branches`), which
+    ends as ion 3's 3x3 density per branch; the later rows act on ion 3 alone
+    and are applied to the whole (node, branch) stack at once.
 
     `mode` may be a tuple of row-34 modes: rows up to 33 are shared, and only
     rows 34-35 are replayed per mode. `final_bright` belongs to the first mode;
@@ -956,9 +963,8 @@ def calibrate_phase(
 ) -> CalibrationResult:
     """Scan the tail phase offset and refine the best grid cell.
 
-    Evolves the full register once per quadrature node up to the cut (the last
-    row touching ion 1, ion 2 or the motion, row 27), reduces every (node,
-    branch) to ion 3's 3x3 state and applies the phase-independent rows up to
+    Runs the live register once per quadrature node up to row 27, ending on
+    ion 3's 3x3 state per branch, and applies the phase-independent rows up to
     29 to that stack. Each candidate phase then replays only rows 30-33 on the
     cached stack. A golden-section pass shrinks the best grid bracket below
     `tol` radians.
@@ -1050,20 +1056,13 @@ def bell_preparation_fidelity(
 ) -> float:
     """Overlap of the ion2-ion3 state after row 6 with (|DS>+|SD>)/sqrt(2).
 
-    Calibration helper: tune depolarizing_per_pulse against this number.
+    Calibration helper: tune depolarizing_per_pulse against this number. The
+    live register keeps ions 2 and 3 and traces the motion out after row 6.
     """
     _check_exact_noise(noise, "bell_preparation_fidelity")
     seq = build_sequence(canonical_inputs()[0], 0.0, FidelityCheck())
     prefix = tuple(s for s in seq if s.step_id <= 6)
-    dims = (3,) * N_IONS + (fock_cutoff,)
-    d = int(np.prod(dims))
-    target = np.zeros(9, dtype=np.complex128)
-    target[1 * 3 + 0] = 1.0 / math.sqrt(2.0)  # |D S>
-    target[0 * 3 + 1] = 1.0 / math.sqrt(2.0)  # |S D>
-
-    f = 0.0
-    for _sd, _h, weight, branches, _top in _node_branches(prefix, noise, quad_points, fock_cutoff):
-        rho = sum(r.reshape(d, d) for r in branches.values())
-        rho23 = _ptrace(rho, dims, keep=[1, 2])
-        f += weight * float(np.real(target.conj() @ rho23 @ target))
-    return f
+    target = np.zeros(9)
+    target[[1 * 3 + 0, 0 * 3 + 1]] = 1.0 / math.sqrt(2.0)  # |D S> + |S D>
+    nodes = _node_branches(prefix, noise, quad_points, fock_cutoff, (1, _TARGET))
+    return sum(w * float(np.real(target @ sum(rho.values()) @ target)) for _, _, w, rho, _, _ in nodes)

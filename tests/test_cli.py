@@ -129,6 +129,14 @@ def test_mode_key_must_match_the_subcommand(tmp_path, capsys):
     assert "does not match subcommand" in capsys.readouterr().err
 
 
+def test_fock_cutoff_2_exits_2_and_names_the_key(tmp_path, capsys):
+    # At cutoff 2 every exact run of an input with population on ion 1's S
+    # level stops at row 11 on the truncation monitor, so the config refuses it.
+    cfg = write_config(tmp_path, fock_cutoff=2)
+    assert main(["teleport", "--config", str(cfg), "--exact"]) == 2
+    assert "fock_cutoff must be an integer >= 3" in capsys.readouterr().err
+
+
 def test_bad_input_label_for_export_exits_2(tmp_path, capsys):
     assert main(["export-sequence", "--input", "psi9"]) == 2
     capsys.readouterr()

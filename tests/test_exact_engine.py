@@ -1,25 +1,33 @@
-"""The exact engine's ion-3 cut against a full-register replay of all 35 rows.
+"""The exact engine's live register against a full-register replay of all 35 rows.
 
-exact_run and calibrate_phase evolve the whole (3, 3, 3, fock_cutoff)
-register only up to the last row that touches ion 1, ion 2 or the motion,
-and finish every branch on ion 3's 3x3 state. The reference here keeps the
-full register through row 34 and reads row 35 by hand, so any error in the
-cut, the stacked tail or the shared-prefix bookkeeping shows up as a gap.
+exact_run, calibrate_phase and bell_preparation_fidelity evolve a live
+register: each subsystem joins at the first row that acts on it and is
+traced out after the last row that needs it, ion 3 (or ions 2 and 3) is kept
+to the end, and each ion's detuning phase waits until its next drive. The
+reference here is a plain row loop: every row on the whole (3, 3, 3,
+fock_cutoff) register with a full dephasing pass per row, through row 34,
+with row 35 read by hand. Any error in the lifetimes, the deferred phases,
+the ion-3 cut, the stacked tail or the shared-prefix bookkeeping shows up as
+a gap.
 """
 import math
 
 import numpy as np
 import pytest
 
+from teleion import trap
 from teleion.errors import InvariantViolation
-from teleion.noise import NoiseConfig
+from teleion.noise import NoiseConfig, depolarize_density_tensor, phase_exponent
 from teleion.protocol import (
     BRANCHES,
     TRUNCATION_BOUND,
+    ConditionalPulse,
     FidelityCheck,
+    SequenceStep,
     Tomography,
-    _evolve_exact,
     _gh_nodes,
+    _lifetimes,
+    bell_preparation_fidelity,
     branch_label,
     build_sequence,
     calibrate_phase,
@@ -28,11 +36,108 @@ from teleion.protocol import (
     run_shot,
 )
 from teleion.qcore import _ptrace
-from teleion.trap import Outcome, bright_projector_mask
+from teleion.trap import (
+    BlueSideband,
+    Carrier,
+    Detect,
+    Hide,
+    Outcome,
+    S,
+    Wait,
+    bright_projector_mask,
+)
 
 TOL = 1e-12
 MODES = (FidelityCheck(), Tomography("z"), Tomography("x"), Tomography("y"))
 PAPER = dict(detuning_sigma_SD=0.0015, depolarizing_per_pulse=0.025)
+
+
+def _apply_unitary_density(rho_t, op, sites):
+    n = rho_t.ndim // 2
+    if len(sites) == 1:
+        (s,) = sites
+        out = np.moveaxis(np.tensordot(op, rho_t, axes=([1], [s])), 0, s)
+        return np.moveaxis(np.tensordot(op.conj(), out, axes=([1], [s + n])), 0, s + n)
+    s1, s2 = sites
+    out = np.moveaxis(np.tensordot(op, rho_t, axes=([2, 3], [s1, s2])), [0, 1], [s1, s2])
+    out = np.tensordot(op.conj(), out, axes=([2, 3], [s1 + n, s2 + n]))
+    return np.moveaxis(out, [0, 1], [s1 + n, s2 + n])
+
+
+def _pulse_op_and_sites(pulse, fock_cutoff):
+    if isinstance(pulse, Carrier):
+        return trap.carrier_local(pulse.theta, pulse.phi), (pulse.ion,)
+    if isinstance(pulse, Hide):
+        return trap.hide_local(pulse.theta, pulse.phi), (pulse.ion,)
+    op = trap.sideband_local(pulse.theta, pulse.phi, fock_cutoff)
+    return op.reshape(3, fock_cutoff, 3, fock_cutoff), (pulse.ion, 3)
+
+
+def full_register_rows(branches, steps, noise, det_sd, det_h, fock_cutoff):
+    """The reference row loop on unnormalized, branch-resolved full-register tensors.
+
+    Every row dephases every branch it acts on for its duration, then acts.
+    pmt1 and pmt2 split each branch on the reported outcome (the collapse
+    follows the true outcome); other readouts decohere in place. Returns the
+    branches and the largest population a blue sideband found on its ion's
+    |S, fock_cutoff-1>.
+    """
+    eps = noise.detection_error
+    truncation = 0.0
+
+    def dephase(rho_t, duration):
+        if duration == 0.0 or (not np.any(det_sd) and not np.any(det_h)):
+            return rho_t
+        nf = np.exp(-1j * phase_exponent(3, fock_cutoff, det_sd, det_h, duration)).reshape(-1)
+        flat = rho_t.reshape(nf.size, nf.size)
+        return (flat * nf[:, None] * nf.conj()[None, :]).reshape(rho_t.shape)
+
+    branches = dict(branches)
+    for step in steps:
+        action = step.action
+        if isinstance(action, Detect):
+            duration = noise.pulse_durations.of(action)
+            bright_d = np.where(bright_projector_mask(3, fock_cutoff, action.ion).reshape(-1), 1.0, 0.0)
+            dark_d = 1.0 - bright_d
+            new_branches = {}
+            for key, rho in branches.items():
+                rho = dephase(rho, duration)
+                flat = rho.reshape(bright_d.size, bright_d.size)
+                rho_s = (flat * bright_d[:, None] * bright_d[None, :]).reshape(rho.shape)
+                rho_d = (flat * dark_d[:, None] * dark_d[None, :]).reshape(rho.shape)
+                if action.label in ("pmt1", "pmt2"):
+                    new_branches[key + ((action.label, Outcome.BRIGHT),)] = (1 - eps) * rho_s + eps * rho_d
+                    new_branches[key + ((action.label, Outcome.DARK),)] = eps * rho_s + (1 - eps) * rho_d
+                else:
+                    new_branches[key] = rho_s + rho_d
+            branches = new_branches
+        elif isinstance(action, Wait):
+            for key in list(branches):
+                branches[key] = dephase(branches[key], action.duration_us)
+        else:
+            conditional = isinstance(action, ConditionalPulse)
+            pulse = action.pulse if conditional else action
+            duration = noise.pulse_durations.of(pulse)
+            op, sites = _pulse_op_and_sites(pulse, fock_cutoff)
+            depol = isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(
+                step.step_id
+            )
+            top = 0.0
+            for key in list(branches):
+                if conditional and dict(key).get(action.detect_label) is not action.required:
+                    continue
+                rho = dephase(branches[key], duration)
+                if isinstance(pulse, BlueSideband):
+                    pops = np.einsum("abcdabcd->abcd", rho).real
+                    top += float(np.take(pops, S, axis=pulse.ion)[..., fock_cutoff - 1].sum())
+                rho = _apply_unitary_density(rho, op, sites)
+                if depol:
+                    rho = depolarize_density_tensor(rho, pulse.ion, noise.depolarizing_per_pulse)
+                branches[key] = rho
+            if top > TRUNCATION_BOUND:
+                raise InvariantViolation(f"row {step.step_id}: truncation population {top:.3e}")
+            truncation = max(truncation, top)
+    return branches, truncation
 
 
 def _qubit_block(rho3):
@@ -40,28 +145,32 @@ def _qubit_block(rho3):
     return 0.5 * (block + block.conj().T)
 
 
-def full_register_replay(spec, phase, noise, modes, *, quad_points, fock_cutoff=4, **seq_kw):
-    """Every row on the full register, per node: rows 1-33 shared, row 34 per mode."""
-    seqs = [build_sequence(spec, phase, m, **seq_kw) for m in modes]
+def _cooled(fock_cutoff):
+    dims = (3, 3, 3, fock_cutoff)
+    rho0 = np.zeros((math.prod(dims),) * 2, dtype=np.complex128)
+    rho0[0, 0] = 1.0
+    return {(): rho0.reshape(dims + dims)}
+
+
+def full_register_replay(seqs, noise, *, quad_points, fock_cutoff=4):
+    """Every row on the full register, per node: rows 1-33 shared, row 34 per sequence."""
     shared = tuple(s for s in seqs[0] if s.step_id < 34)
     dims = (3, 3, 3, fock_cutoff)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     bright_mask = bright_projector_mask(3, fock_cutoff, 2).reshape(-1)
     eps = noise.detection_error
     acc: dict = {}
-    bright = [{} for _ in modes]
-    weight_end = [{} for _ in modes]
+    bright = [{} for _ in seqs]
+    weight_end = [{} for _ in seqs]
+    truncation = 0.0
     for det_sd, det_h, weight in _gh_nodes(noise, quad_points):
-        rho0 = np.zeros((d, d), dtype=np.complex128)
-        rho0[0, 0] = 1.0
-        branches, _ = _evolve_exact(
-            {(): rho0.reshape(dims + dims)}, shared, noise, det_sd, det_h, fock_cutoff
-        )
+        branches, top = full_register_rows(_cooled(fock_cutoff), shared, noise, det_sd, det_h, fock_cutoff)
+        truncation = max(truncation, top)
         for key, rho in branches.items():
             acc[key] = acc.get(key, 0.0) + weight * rho.reshape(d, d)
         for j, seq in enumerate(seqs):
             row34 = tuple(s for s in seq if s.step_id == 34)
-            after, _ = _evolve_exact(branches, row34, noise, det_sd, det_h, fock_cutoff)
+            after, _ = full_register_rows(branches, row34, noise, det_sd, det_h, fock_cutoff)
             for key, rho in after.items():
                 diag = np.real(np.diag(rho.reshape(d, d)))
                 w, s = diag.sum(), diag[bright_mask].sum()
@@ -85,7 +194,19 @@ def full_register_replay(spec, phase, noise, modes, *, quad_points, fock_cutoff=
         p_bright=[sum(probs[b] * f[b] for b in probs) for f in final],
         h_residual=float(np.real(rho3[2, 2])),
         motional_residual=float(np.real(np.trace(motion) - motion[0, 0])),
+        truncation_population=truncation,
     )
+
+
+def _assert_matches(res, ref, branches=BRANCHES):
+    assert np.abs(res.rho_exp.matrix - ref["rho_exp"]).max() <= TOL
+    assert list(res.branch_probs) == list(branches)
+    for b in branches:
+        assert abs(res.branch_probs[b] - ref["branch_probs"][b]) <= TOL
+        assert np.abs(res.branch_states[b].matrix - ref["branch_states"][b]).max() <= TOL
+        assert abs(res.final_bright[b] - ref["final_bright"][0][b]) <= TOL
+    for name in ("h_residual", "motional_residual", "truncation_population"):
+        assert abs(getattr(res, name) - ref[name]) <= TOL, name
 
 
 CASES = {
@@ -114,19 +235,16 @@ def test_exact_run_matches_the_full_register_replay(case):
     kwargs = {"quad_points": 3, **kwargs}
     spec = canonical_inputs()[sorted(CASES).index(case) % 6]
     phase = 0.3
-    ref = full_register_replay(spec, phase, noise, MODES, **kwargs)
+    seq_kw = {k: kwargs[k] for k in ("spin_echo", "reconstruction") if k in kwargs}
+    seqs = [build_sequence(spec, phase, m, **seq_kw) for m in MODES]
+    ref = full_register_replay(
+        seqs, noise, quad_points=kwargs["quad_points"], fock_cutoff=kwargs.get("fock_cutoff", 4)
+    )
     res = exact_run(spec, phase, noise, MODES, **kwargs)
 
-    assert np.abs(res.rho_exp.matrix - ref["rho_exp"]).max() <= TOL
-    assert list(res.branch_probs) == list(BRANCHES)
-    for b in BRANCHES:
-        assert abs(res.branch_probs[b] - ref["branch_probs"][b]) <= TOL
-        assert np.abs(res.branch_states[b].matrix - ref["branch_states"][b]).max() <= TOL
-        assert abs(res.final_bright[b] - ref["final_bright"][0][b]) <= TOL
+    _assert_matches(res, ref)
     for m, p in zip(MODES, ref["p_bright"]):
         assert abs(res.p_bright[m] - p) <= TOL
-    assert abs(res.h_residual - ref["h_residual"]) <= TOL
-    assert abs(res.motional_residual - ref["motional_residual"]) <= TOL
 
     # One mode at a time gives the same numbers as the shared-prefix call.
     for j, m in enumerate(MODES[1:], start=1):
@@ -185,8 +303,60 @@ def test_calibration_grid_matches_the_full_register_replay(noise):
     spec = canonical_inputs()[5]
     psi = spec.ket()
     for phi, f in zip(res.grid_phis, res.grid_fidelities):
-        rho = full_register_replay(spec, phi, noise, (FidelityCheck(),), quad_points=quad_points)
+        rho = full_register_replay([build_sequence(spec, phi)], noise, quad_points=quad_points)
         assert abs(f - float(np.real(psi.conj() @ rho["rho_exp"] @ psi))) <= TOL
+
+
+@pytest.mark.parametrize(
+    "noise, quad_points",
+    [
+        (NoiseConfig(**PAPER), None),
+        (NoiseConfig(detuning_sigma_SD=0.0015, detuning_bias_SD=0.001, correlated_dephasing=False), 3),
+    ],
+    ids=["paper noise", "uncorrelated dephasing"],
+)
+def test_bell_preparation_fidelity_matches_the_full_register_replay(noise, quad_points):
+    rows = build_sequence(canonical_inputs()[0])[:6]
+    target = np.zeros(9)
+    target[[1 * 3 + 0, 0 * 3 + 1]] = 1.0 / math.sqrt(2.0)  # |D S> + |S D>, ions 2 and 3
+    ref = 0.0
+    for det_sd, det_h, weight in _gh_nodes(noise, quad_points):
+        branches, _ = full_register_rows(_cooled(4), rows, noise, det_sd, det_h, 4)
+        (rho,) = branches.values()
+        rho23 = _ptrace(rho.reshape(108, 108), (3, 3, 3, 4), keep=[1, 2])
+        ref += weight * float(np.real(target @ rho23 @ target))
+    assert abs(bell_preparation_fidelity(noise, quad_points=quad_points) - ref) <= TOL
+    assert ref < 0.999  # the noise shows
+
+
+def test_lifetimes_come_from_the_sequence():
+    # The standard table: ion 3 and the motion join at row 4, ion 2 at row 5 and
+    # ion 1 at row 9; the motion leaves after row 19 (its last sideband), ion 1
+    # after row 23 (pmt1) and ion 2 after row 26 (pmt2); ion 3 stays to the cut.
+    standard = build_sequence(canonical_inputs()[0])[:27]
+    assert _lifetimes(standard, (2,)) == {0: (8, 22), 1: (4, 25), 2: (3, 27), 3: (3, 18)}
+
+    # Without the echo block, a readout of the parked ion 3 (which keeps its
+    # D-H coherence, and so its phase) comes before two hide pulses that drive
+    # it again; a sideband on ion 1 after pmt1 keeps ion 1 and the motion.
+    spec, noise = canonical_inputs()[5], NoiseConfig(detuning_bias_SD=0.001, detection_error=0.05, **PAPER)
+    rows = list(build_sequence(spec, 0.3, spin_echo=False))
+    swaps = {
+        16: Detect(2, "aux"),
+        17: Hide(2, math.pi, math.pi),
+        18: Hide(2, math.pi, 0.0),
+        24: BlueSideband(0, 0.5 * math.pi, 0.0),
+    }
+    for step_id, pulse in swaps.items():
+        rows[step_id - 1] = SequenceStep(step_id, pulse, "lifetime probe")
+    seq = tuple(rows)
+    assert _lifetimes(seq[:27], (2,)) == {0: (8, 23), 1: (4, 25), 2: (3, 27), 3: (3, 23)}
+
+    ref = full_register_replay([seq], noise, quad_points=3)
+    res = exact_run(spec, 0.3, noise, sequence=seq, quad_points=3)
+    _assert_matches(res, ref)
+    assert abs(res.p_bright[FidelityCheck()] - ref["p_bright"][0]) <= TOL
+    assert res.motional_residual > 0.1  # the late sideband moved motion the oracle sees too
 
 
 def test_detection_error_collapses_on_the_true_outcome():
