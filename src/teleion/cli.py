@@ -406,13 +406,14 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _labeled_counts(cfg, spec, idx, phase) -> tomo.CountsTable:
+def _labeled_counts(cfg, inputs, phase) -> list[tomo.CountsTable]:
+    """Every input's count table, input i sampling on its own child seed."""
     shots_per_basis = 0 if cfg.exact else cfg.shots
     return tomo.teleported_counts(
-        spec,
+        inputs,
         cfg.noise,
         shots_per_basis,
-        master_seed=_child_seed(cfg.seed, idx),
+        master_seed=[_child_seed(cfg.seed, idx) for idx in range(len(inputs))],
         phase_offset=phase,
         sampling=cfg.sampling,
         quad_points=cfg.quad_points,
@@ -437,13 +438,8 @@ def cmd_state_tomo(cfg: ExperimentConfig) -> int:
     phase = _resolve_phase(cfg)
 
     bar_rows, report_states = [], []
-    for idx, spec in enumerate(inputs):
-        counts = _labeled_counts(cfg, spec, idx, phase)
-        _emit_csv(
-            out / f"counts_{spec.label}.csv",
-            "basis,outcome,count",
-            [[b, o, str(int(c)) if float(c).is_integer() else _fmt(c)] for b, o, c in counts.rows],
-        )
+    for spec, counts in zip(inputs, _labeled_counts(cfg, inputs, phase)):
+        (out / f"counts_{spec.label}.csv").write_text(tomo.counts_to_csv(counts), encoding="utf-8")
         rho = _mle_state_strict(counts, spec.label)
         _emit_json(out / f"rho_{spec.label}.json", tomo.rho_to_json(rho))
         for r, rname in enumerate("SD"):
@@ -484,8 +480,8 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
     phase = _resolve_phase(cfg)
     shots_per_basis = 0 if cfg.exact else cfg.shots
 
-    in_states, out_counts, out_states = [], [], []
-    for idx, spec in enumerate(inputs):
+    in_states, out_states, out_counts = [], [], _labeled_counts(cfg, inputs, phase)
+    for idx, (spec, counts) in enumerate(zip(inputs, out_counts)):
         ideal = DensityMatrix.from_pure(spec.pure())
         if cfg.process_inputs == "ideal":
             rho_in = ideal
@@ -496,13 +492,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
         in_states.append(rho_in)
         _emit_json(out / f"rho_in_{spec.label}.json", tomo.rho_to_json(rho_in))
 
-        counts = _labeled_counts(cfg, spec, idx, phase)
-        out_counts.append(counts)
-        _emit_csv(
-            out / f"counts_out_{spec.label}.csv",
-            "basis,outcome,count",
-            [[b, o, str(int(c)) if float(c).is_integer() else _fmt(c)] for b, o, c in counts.rows],
-        )
+        (out / f"counts_out_{spec.label}.csv").write_text(tomo.counts_to_csv(counts), encoding="utf-8")
         rho_out = _mle_state_strict(counts, f"output {spec.label}")
         out_states.append(rho_out)
         _emit_json(out / f"rho_out_{spec.label}.json", tomo.rho_to_json(rho_out))

@@ -149,7 +149,7 @@ class ShotNoise:
 
 def sample_shot_noise(
     config: NoiseConfig,
-    master_seed: int,
+    master_seed: int | np.ndarray,
     shot_index: int | np.ndarray,
     n_ions: int = 3,
     n_steps: int = 35,
@@ -158,15 +158,17 @@ def sample_shot_noise(
 
     Draw order is fixed: detuning first (one scalar when correlated, n_ions
     otherwise), then the per-step amplitude factors. A 1-D array of shot
-    indices gives each shot its own stream and stacks the results.
+    indices gives each shot its own stream and stacks the results;
+    `master_seed` is one seed or one per shot.
     """
     index = np.asarray(shot_index)
+    seeds = np.broadcast_to(np.asarray(master_seed, dtype=object), index.shape)
     g = np.zeros(index.shape + (n_ions,))
     z = np.zeros(index.shape + (n_steps,))
     # With both sigmas zero every draw is multiplied by 0, so none is made.
     if config.detuning_sigma_SD != 0.0 or config.amplitude_error_sigma != 0.0:
         for k, shot in np.ndenumerate(index):
-            rng = np.random.default_rng([int(master_seed), int(shot)])
+            rng = np.random.default_rng([int(seeds[k]), int(shot)])
             g[k] = rng.standard_normal() if config.correlated_dephasing else rng.standard_normal(n_ions)
             z[k] = rng.standard_normal(n_steps)
     det_sd = config.detuning_bias_SD + config.detuning_sigma_SD * g
@@ -202,23 +204,21 @@ def phase_exponent(
     return phi
 
 
-def accrue_phase(
-    reg: TrapRegister, duration_us: float | np.ndarray, shot: ShotNoise
-) -> TrapRegister:
-    """Free evolution under the shot's detunings for `duration_us`.
+def release_phase(
+    reg: TrapRegister, released_us: np.ndarray, shot: ShotNoise, ion: int
+) -> tuple[TrapRegister, np.ndarray]:
+    """Apply one ion's free-evolution phase since its last release.
 
-    On a stack of shots `shot` holds one realisation per shot and
-    `duration_us` may give one duration per shot.
+    The detuning phase is a product of diagonal per-ion factors, each commuting
+    with all but a drive on its ion, so it can wait for that drive. Over the
+    time t since the clock read `released_us[..., ion]` the ion's S, D, H gain
+    exp(-i t (0, detuning_SD, detuning_H)); the returned release times read now.
     """
-    elapsed = reg.elapsed_us + duration_us
-    if not np.any(duration_us) or (
-        not np.any(shot.detuning_SD) and not np.any(shot.detuning_H)
-    ):
-        return replace(reg, elapsed_us=elapsed)
-    # The phase does not depend on the Fock number: compute it once per level.
-    phi = phase_exponent(reg.n_ions, 1, shot.detuning_SD, shot.detuning_H, duration_us)
-    psi = reg.tensor() * np.exp(-1j * phi)
-    return replace(reg, psi=psi.reshape(reg.psi.shape), elapsed_us=elapsed)
+    t, released_us = reg.elapsed_us - released_us[..., ion], released_us.copy()
+    released_us[..., ion] = reg.elapsed_us
+    phi = phase_exponent(1, 1, shot.detuning_SD[..., [ion]], shot.detuning_H[..., [ion]], t)
+    x = reg.psi.reshape(reg.psi.shape[:-1] + (3 ** ion, 3, -1)) * np.exp(-1j * phi)[..., None, :, :]
+    return replace(reg, psi=x.reshape(reg.psi.shape)), released_us
 
 
 def perturb_pulse(pulse: trap.Pulse, shot: ShotNoise, step_index: int) -> trap.Pulse:

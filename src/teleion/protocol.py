@@ -12,10 +12,11 @@ the conditional set is {I, iX, iZ, XZ} up to global phases, keyed on
 Two execution paths share the same sequence objects:
 
 * run_shot — pure-state trajectories with sampled noise, each keyed
-  deterministically by (master_seed, shot_index). All shots of a sequence
+  deterministically by (master_seed, shot_index). Shots of several sequences
   advance together as one (shots, 3, 3, 3, fock_cutoff) state; feed-forward
-  is a mask over shots. sample_counts is the one source of sampled counts: it
-  sums one run_shot call per sequence, or draws from exact_run's P(bright);
+  and rows where the sequences differ are masks over shots. sample_counts is
+  the one source of sampled counts: it runs all sequences' shots in passes
+  of SHOT_PASS, or draws from exact_run's P(bright);
 * exact_run — density-matrix evolution with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
   distribution, on a live register: a subsystem joins at the first row
@@ -37,10 +38,10 @@ from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .noise import (
     NoiseConfig,
     RUN_STREAM_TAG,
-    accrue_phase,
     depolarize_density_tensor,
     depolarizing_superop,
     perturb_pulse,
+    release_phase,
     sample_pauli_index,
     sample_shot_noise,
     _site_paulis,
@@ -63,7 +64,6 @@ from .trap import (
 
 PI = math.pi
 N_IONS = 3
-N_STEPS = 35
 #: The target ion. From the cut on (after row 27 of the standard table) the
 #: exact engine keeps only its 3x3 state per quadrature node and branch.
 _TARGET = N_IONS - 1
@@ -261,6 +261,17 @@ def build_sequence(
     return steps
 
 
+def _shift_phases(steps: tuple[SequenceStep, ...], offset: float) -> tuple[SequenceStep, ...]:
+    """`steps` with `offset` added to every pulse phase, conditional pulses included:
+    applied to build_sequence's phase-0 tail, the tail built with that phase_offset."""
+    def shift(action):
+        if isinstance(action, ConditionalPulse):
+            return replace(action, pulse=shift(action.pulse))
+        return replace(action, phi=action.phi + offset) if hasattr(action, "phi") else action
+
+    return tuple(replace(s, action=shift(s.action)) for s in steps)
+
+
 def _validate_sequence(steps: tuple[SequenceStep, ...]) -> None:
     if [s.step_id for s in steps] != sorted({s.step_id for s in steps}):
         raise InvariantViolation("step ids must be strictly increasing")
@@ -320,14 +331,52 @@ def _resolve_budget(noise: NoiseConfig, leakage_budget: float | None) -> float:
 
 #: X, Y, Z on a three-level ion, indexed by sample_pauli_index's k.
 _PAULI_STACK = np.stack(_site_paulis(3))
+#: Shots per run_shot call in sample_counts: bounds the stacked state whatever
+#: the shot total, while spreading each row's fixed cost over many shots.
+SHOT_PASS = 256
+
+
+def _stacked_rows(tables: list[tuple[SequenceStep, ...]], table: np.ndarray, noise: NoiseConfig):
+    """Rows of tables run together: (step id, first action, drive, on, theta, phi, duration).
+
+    The tables must share step ids, readouts, conditions and each row's kind
+    of drive, but one may wait where others drive; `on` marks those that drive.
+    The last four are one value for all tables, or per shot where they differ.
+    """
+    for steps in itertools.zip_longest(*tables):
+        if None in steps:
+            raise InvariantViolation(f"row {next(filter(None, steps)).step_id}: sequences differ in length")
+        pulses = [s.action.pulse if isinstance(s.action, ConditionalPulse) else s.action for s in steps]
+        shared = {
+            (s.step_id, getattr(s.action, "detect_label", None), getattr(s.action, "required", None),
+             p if isinstance(p, Detect) else None)
+            for s, p in zip(steps, pulses)
+        }
+        kinds = {(type(p), p.ion) for p in pulses if not isinstance(p, Wait)}
+        if len(shared) > 1 or len(kinds) > 1:
+            raise InvariantViolation(
+                f"row {steps[0].step_id}: sequences in one run must share step ids, readouts, "
+                "conditions and the kind of drive"
+            )
+        drive = next((p for p in pulses if not isinstance(p, Wait)), pulses[0])
+        yield steps[0].step_id, steps[0].action, drive, *(
+            v[0] if len(set(v)) == 1 else np.array(v)[table]
+            for v in (
+                [not isinstance(p, (Wait, Detect)) for p in pulses],
+                [getattr(p, "theta", 0.0) for p in pulses],
+                [getattr(p, "phi", 0.0) for p in pulses],
+                [noise.pulse_durations.of(p) for p in pulses],
+            )
+        )
 
 
 def run_shot(
-    sequence: tuple[SequenceStep, ...],
+    sequence: tuple[SequenceStep, ...] | list[tuple[SequenceStep, ...]],
     noise: NoiseConfig,
-    master_seed: int,
+    master_seed: int | np.ndarray,
     shot_index: int | range | np.ndarray,
     *,
+    sequence_index: np.ndarray | None = None,
     fock_cutoff: int = 4,
     leakage_budget: float | None = None,
 ) -> ShotRecord | list[ShotRecord]:
@@ -339,46 +388,56 @@ def run_shot(
     randomness is keyed by (master_seed, shot_index) alone and its draws are
     indexed by step id, so a skipped conditional pulse never shifts another
     step's noise and a shot's outcomes do not depend on the other shots.
+
+    With a list of tables as `sequence`, `sequence_index` gives each shot's
+    table and `master_seed` may give each shot's seed (see _stacked_rows).
+    Each ion's detuning phase waits for its next drive (release_phase); what
+    is left after the last readout changes no outcome and is dropped.
     """
     index = np.atleast_1d(np.asarray(shot_index, dtype=np.int64))
-    n_steps = max(s.step_id for s in sequence)
-    shot = sample_shot_noise(noise, master_seed, index, N_IONS, n_steps)
+    tables = [sequence] if sequence_index is None else list(sequence)
+    table = np.zeros(index.size, np.intp) if sequence_index is None else np.asarray(sequence_index, np.intp)
+    seeds = np.broadcast_to(np.asarray(master_seed, dtype=object), index.shape)
+    n_steps = max(s.step_id for t in tables for s in t)
+    shot = sample_shot_noise(noise, seeds, index, N_IONS, n_steps)
+    dephased = np.any(shot.detuning_SD) or np.any(shot.detuning_H)
     depol_u = np.empty((index.size, n_steps))
     meas_u = np.empty((index.size, n_steps, 2))
     for k, i in enumerate(index):
-        rng = np.random.default_rng([int(master_seed), int(i), RUN_STREAM_TAG])
+        rng = np.random.default_rng([int(seeds[k]), int(i), RUN_STREAM_TAG])
         depol_u[k] = rng.random(n_steps)
         meas_u[k] = rng.random((n_steps, 2))
 
     reg = initialize(
         N_IONS, fock_cutoff, leakage_budget=_resolve_budget(noise, leakage_budget), shots=index.size
     )
+    released = np.zeros((index.size, N_IONS))  # clock time up to which each ion's phase is applied
     bright: dict[str, np.ndarray] = {}  # reported Bright per shot, by readout label
 
-    for step in sequence:
-        action, col = step.action, step.step_id - 1
-        pulse = action.pulse if isinstance(action, ConditionalPulse) else action
-        fired = True  # the shots this row acts on
+    for step_id, action, pulse, on, theta, phi, duration in _stacked_rows(tables, table, noise):
+        col, fired = step_id - 1, True  # the shots this row acts on
         if isinstance(action, ConditionalPulse):
             fired = bright[action.detect_label] == (action.required is Outcome.BRIGHT)
         # A shot whose condition fails sees a zero-area pulse lasting no time,
-        # which is exactly the identity, and draws no Pauli flip.
-        reg = accrue_phase(reg, np.where(fired, noise.pulse_durations.of(pulse), 0.0), shot)
+        # which is exactly the identity, and draws no Pauli flip; so does a
+        # shot whose table waits where others drive, after its own wait.
+        on = on & fired
+        reg = replace(reg, elapsed_us=reg.elapsed_us + np.where(fired, duration, 0.0))
 
-        if isinstance(pulse, Detect):
+        if isinstance(pulse, Detect):  # the unreleased phases commute with the projectors
             _true, bright[pulse.label], reg = fluorescence_measure(
                 reg, pulse.ion, meas_u[:, col], noise.detection_error
             )
-        elif not isinstance(pulse, Wait):  # a wait's time is booked by accrue_phase
-            theta = pulse.theta
+        elif np.any(on):
+            if dephased:
+                reg, released = release_phase(reg, released, shot, pulse.ion)
+            pulse = replace(pulse, theta=theta, phi=phi)
             if noise.amplitude_error_sigma != 0.0:  # otherwise every factor is exactly 1
-                theta = perturb_pulse(pulse, shot, col).theta
-            reg = apply_pulse(reg, replace(pulse, theta=np.where(fired, theta, 0.0)))
-            if isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(
-                step.step_id
-            ):
+                pulse = perturb_pulse(pulse, shot, col)
+            reg = apply_pulse(reg, replace(pulse, theta=np.where(on, pulse.theta, 0.0)))
+            if isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(step_id):
                 k = sample_pauli_index(depol_u[:, col], noise.depolarizing_per_pulse)
-                hit = (k >= 0) & fired
+                hit = (k >= 0) & on
                 if np.any(hit):
                     psi = reg.psi.copy()
                     psi[hit] = apply_site(psi[hit], _PAULI_STACK[k[hit]], reg.dims, pulse.ion)
@@ -407,7 +466,7 @@ def sample_counts(
     sequences: list[tuple[SequenceStep, ...]],
     noise: NoiseConfig,
     shots: int,
-    master_seed: int,
+    master_seed: int | list[int],
     *,
     p_bright: list[float] | None = None,
     tag: int = 0,
@@ -415,26 +474,31 @@ def sample_counts(
 ) -> list[int]:
     """Final-readout Bright counts over `shots` shots of each sequence.
 
-    Sequence j draws from stream j. Given every sequence's exact reported
-    P(bright), clamped to [0, 1] against roundoff, its count is one binomial
-    draw from default_rng([master_seed, tag, j]); otherwise it counts the
-    trajectories of one run_shot call over shot indices j * shots + i for
-    i < shots. Sampled artefacts rest on these streams, so they must not move.
+    `master_seed` is one seed, or one per group of equally many consecutive
+    sequences; sequence j of a group draws from stream j of the group's seed.
+    Given every sequence's exact reported P(bright), clamped to [0, 1] against
+    roundoff, its count is one binomial draw from default_rng([seed, tag, j]);
+    otherwise it counts trajectories with shot indices j * shots + i for
+    i < shots, those of all sequences advancing together, SHOT_PASS shots per
+    run_shot call. Sampled artefacts rest on these streams, so they must not move.
     """
+    seeds = [master_seed] if np.ndim(master_seed) == 0 else list(master_seed)
+    if len(sequences) % len(seeds):
+        raise ConfigError(f"{len(sequences)} sequences do not split into {len(seeds)} seed groups")
+    per = len(sequences) // len(seeds) or 1
     if p_bright is not None:
-        return [
-            int(np.random.default_rng([int(master_seed), tag, j]).binomial(shots, min(max(p, 0.0), 1.0)))
-            for j, p in enumerate(p_bright)
-        ]
-    return [
-        sum(
-            r.final_outcome is Outcome.BRIGHT
-            for r in run_shot(
-                seq, noise, master_seed, range(j * shots, (j + 1) * shots), fock_cutoff=fock_cutoff
-            )
+        rngs = (np.random.default_rng([int(seeds[k // per]), tag, k % per]) for k in range(len(p_bright)))
+        return [int(rng.binomial(shots, min(max(p, 0.0), 1.0))) for rng, p in zip(rngs, p_bright)]
+    table = np.repeat(np.arange(len(sequences)), shots)
+    index = table % per * shots + np.tile(np.arange(shots), len(sequences))
+    seed = np.array(seeds, dtype=object)[table // per]
+    counts = np.zeros(len(sequences), dtype=np.int64)
+    for part in (slice(lo, lo + SHOT_PASS) for lo in range(0, table.size, SHOT_PASS)):
+        records = run_shot(
+            sequences, noise, seed[part], index[part], sequence_index=table[part], fock_cutoff=fock_cutoff
         )
-        for j, seq in enumerate(sequences)
-    ]
+        np.add.at(counts, table[part], [r.final_outcome is Outcome.BRIGHT for r in records])
+    return counts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -965,9 +1029,9 @@ def calibrate_phase(
 
     Runs the live register once per quadrature node up to row 27, ending on
     ion 3's 3x3 state per branch, and applies the phase-independent rows up to
-    29 to that stack. Each candidate phase then replays only rows 30-33 on the
-    cached stack. A golden-section pass shrinks the best grid bracket below
-    `tol` radians.
+    29 to that stack. Each candidate phase then replays only rows 30-33, the
+    phase = 0 rows with every pulse phase shifted, on the cached stack. A
+    golden-section pass shrinks the best grid bracket below `tol` radians.
     """
     _check_exact_noise(noise, "calibrate_phase")
     if grid < 8:
@@ -987,22 +1051,11 @@ def calibrate_phase(
     stack = _target_stack(base_seq[:cut], noise, quad_points, fock_cutoff)
     fixed = tuple(s for s in base_seq[cut:] if s.step_id < _TAIL_START)
     rho_fixed, _ = _evolve_target(stack, stack.rho, fixed, noise)
+    tail = tuple(s for s in base_seq if _TAIL_START <= s.step_id < _ANALYSIS_ROW)
     psi = reference_input.ket()
 
     def fidelity_at(phi: float) -> float:
-        tail = tuple(
-            s
-            for s in build_sequence(
-                reference_input,
-                phi,
-                FidelityCheck(),
-                standby_wait_us=standby_wait_us,
-                rephase_wait_us=rephase_wait_us,
-                spin_echo=spin_echo,
-            )
-            if _TAIL_START <= s.step_id < _ANALYSIS_ROW
-        )
-        rho, _ = _evolve_target(stack, rho_fixed, tail, noise)
+        rho, _ = _evolve_target(stack, rho_fixed, _shift_phases(tail, phi), noise)
         rho3 = np.tensordot(stack.weight, rho, axes=1)[:2, :2]
         tr = float(np.real(np.trace(rho3)))
         return float(np.real(psi.conj() @ rho3 @ psi)) / tr

@@ -688,11 +688,11 @@ def resolve_sampling(noise: NoiseConfig, sampling: str) -> str:
 
 
 def teleported_counts(
-    input_state: InputStateSpec,
+    input_state: InputStateSpec | list[InputStateSpec],
     noise: NoiseConfig = NoiseConfig(),
     shots_per_basis: int = 0,
     *,
-    master_seed: int = 1234,
+    master_seed: int | list[int] = 1234,
     phase_offset: float = 0.0,
     sampling: str = "auto",
     quad_points: int | None = None,
@@ -700,11 +700,15 @@ def teleported_counts(
     spin_echo: bool = True,
     standby_wait_us: float = 1.0,
     rephase_wait_us: float = 300.0,
-) -> CountsTable:
+) -> CountsTable | list[CountsTable]:
     """Run the full sequence in tomography mode for the three bases.
 
+    A list of inputs, with one master seed each, gives one table per input;
+    their trajectories all advance together in one sample_counts call.
     shots_per_basis = 0 emits exact reported-outcome probabilities.
     """
+    single = isinstance(input_state, InputStateSpec)
+    inputs = [input_state] if single else list(input_state)
     seq_kwargs = dict(
         spin_echo=spin_echo,
         standby_wait_us=standby_wait_us,
@@ -713,20 +717,11 @@ def teleported_counts(
     modes = tuple(Tomography(basis.lower()) for basis in BASES)
     p_bright = None
     if shots_per_basis == 0 or resolve_sampling(noise, sampling) == "fast":
-        res = exact_run(
-            input_state,
-            phase_offset,
-            noise,
-            modes,
-            quad_points=quad_points,
-            fock_cutoff=fock_cutoff,
-            **seq_kwargs,
-        )
-        p_bright = [res.p_bright[m] for m in modes]
-        if shots_per_basis == 0:
-            return CountsTable.from_bright_counts(dict(zip(BASES, p_bright)), 1.0)
-    counts = sample_counts(
-        [build_sequence(input_state, phase_offset, m, **seq_kwargs) for m in modes],
+        exact = dict(quad_points=quad_points, fock_cutoff=fock_cutoff, **seq_kwargs)
+        runs = [exact_run(spec, phase_offset, noise, modes, **exact) for spec in inputs]
+        p_bright = [res.p_bright[m] for res in runs for m in modes]
+    counts = p_bright if shots_per_basis == 0 else sample_counts(
+        [build_sequence(spec, phase_offset, m, **seq_kwargs) for spec in inputs for m in modes],
         noise,
         shots_per_basis,
         master_seed,
@@ -734,7 +729,11 @@ def teleported_counts(
         tag=_TOMO_TAG,
         fock_cutoff=fock_cutoff,
     )
-    return CountsTable.from_bright_counts(dict(zip(BASES, counts)), float(shots_per_basis))
+    tables = [
+        CountsTable.from_bright_counts(dict(zip(BASES, counts[i:])), float(shots_per_basis or 1))
+        for i in range(0, len(counts), len(BASES))
+    ]
+    return tables[0] if single else tables
 
 
 # ---------------------------------------------------------------------------

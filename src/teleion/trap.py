@@ -127,13 +127,14 @@ def initialize(n_ions: int = 3, fock_cutoff: int = 4,
     )
 
 
-def rotation_2x2(theta: float | np.ndarray, phi: float) -> np.ndarray:
-    """R(theta, phi); an array of areas gives a stack of shape theta.shape + (2, 2)."""
+def rotation_2x2(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
+    """R(theta, phi); arrays of areas or phases give a stack of their broadcast shape + (2, 2)."""
     half = np.asarray(theta) / 2.0
     c, s = np.cos(half), np.sin(half)
-    r = np.empty(half.shape + (2, 2), dtype=np.complex128)
+    upper = -1j * np.exp(1j * phi) * s
+    r = np.empty(np.shape(upper) + (2, 2), dtype=np.complex128)
     r[..., 0, 0] = c
-    r[..., 0, 1] = -1j * np.exp(1j * phi) * s
+    r[..., 0, 1] = upper
     r[..., 1, 0] = -1j * np.exp(-1j * phi) * s
     r[..., 1, 1] = c
     return r
@@ -190,20 +191,6 @@ def carrier_unitary(n_ions: int, fock_cutoff: int, ion: int,
     return _embed(carrier_local(theta, phi), [ion], dims)
 
 
-def hide_unitary(n_ions: int, fock_cutoff: int, ion: int,
-                 theta: float, phi: float) -> np.ndarray:
-    _check_ion(n_ions, ion)
-    dims = (3,) * n_ions + (fock_cutoff,)
-    return _embed(hide_local(theta, phi), [ion], dims)
-
-
-def sideband_unitary(n_ions: int, fock_cutoff: int, ion: int,
-                     theta: float, phi: float) -> np.ndarray:
-    _check_ion(n_ions, ion)
-    dims = (3,) * n_ions + (fock_cutoff,)
-    return _embed(sideband_local(theta, phi, fock_cutoff), [ion, n_ions], dims)
-
-
 def _check_ion(n_ions: int, ion: int) -> None:
     if not 0 <= ion < n_ions:
         raise DimensionMismatch(f"ion index {ion} out of range for {n_ions} ions")
@@ -239,8 +226,8 @@ def top_fock_population(reg: TrapRegister) -> float | np.ndarray:
 def apply_pulse(reg: TrapRegister, pulse: Pulse) -> TrapRegister:
     """Unitary pulse application with leakage monitoring.
 
-    On a stack of shots, `pulse.theta` may hold one area per shot. Detect is
-    not a unitary; route it through fluorescence_measure instead.
+    On a stack of shots, `pulse.theta` and `pulse.phi` may hold one value per
+    shot. Detect is not a unitary; route it through fluorescence_measure instead.
     """
     if isinstance(pulse, Detect):
         raise InvariantViolation("Detect steps are measurements, not pulses")

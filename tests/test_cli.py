@@ -9,6 +9,7 @@ import pytest
 
 from teleion.cli import (
     _CONFIG_KEY_DOCS,
+    _child_seed,
     ExperimentConfig,
     build_parser,
     config_from_dict,
@@ -336,3 +337,37 @@ def test_sampled_counts_keep_their_per_shot_streams(tmp_path, capsys):
             for i in range(shots)
         )
         assert (basis, "Bright", float(bright)) in table.rows
+
+
+def test_per_shot_state_tomo_keeps_each_inputs_streams(tmp_path, capsys):
+    # every input's trajectories advance in one stacked run, yet input idx
+    # still samples shot i of basis b as run_shot(seq, noise, child seed, b * shots + i)
+    shots = 5
+    noise_cfg = {"amplitude_error_sigma": 0.01, "depolarizing_per_pulse": 0.2}
+    noise = NoiseConfig(**noise_cfg)
+    specs = [InputStateSpec(0.5, 1.0, "a"), InputStateSpec(2.0, 0.3, "b"), InputStateSpec(1.2, 4.0, "c")]
+    cfg = write_config(
+        tmp_path,
+        shots=shots,
+        noise=noise_cfg,
+        inputs=[{"theta_chi": s.theta_chi, "phi_chi": s.phi_chi, "label": s.label} for s in specs],
+    )
+    dirs = [tmp_path / f"run-{k}" for k in "ab"]
+    for d in dirs:
+        assert main(["state-tomo", "--config", str(cfg), "--out", str(d)]) == 0
+    for idx, spec in enumerate(specs):
+        seed = _child_seed(11, idx)
+        lines = ["basis,outcome,count"]
+        for b, basis in enumerate(BASES):
+            seq = build_sequence(spec, 0.0, Tomography(basis.lower()))
+            bright = sum(
+                run_shot(seq, noise, seed, b * shots + i).final_outcome is Outcome.BRIGHT
+                for i in range(shots)
+            )
+            lines += [f"{basis},Bright,{bright}", f"{basis},Dark,{shots - bright}"]
+        assert (dirs[0] / f"counts_{spec.label}.csv").read_text().splitlines() == lines
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[1].iterdir())
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    capsys.readouterr()

@@ -8,10 +8,12 @@ outcome for outcome. The chi-square suite then checks that the sampled joint
 wave-function unraveling of that channel must be.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from teleion import protocol
 from teleion.errors import InvariantViolation
 from teleion.noise import RUN_STREAM_TAG, NoiseConfig, _site_paulis, phase_exponent
 from teleion.protocol import (
@@ -199,6 +201,16 @@ def test_fock_cutoff_3_trips_the_leakage_monitor_like_the_reference():
         assert len(run_shot(seq, noise, 2, range(8), fock_cutoff=4)) == 8
 
 
+def test_rows_book_their_duration_without_a_phase_to_apply():
+    # The clock advances by every row's duration, zero included, even when no
+    # detuning phase is owed; the phases themselves wait for release_phase.
+    for noise, wait in ((NoiseConfig(), 0.0), (NoiseConfig(), 5.0), (NoiseConfig(detuning_bias_SD=0.1), 5.0)):
+        seq = build_sequence(canonical_inputs()[0], standby_wait_us=wait, reconstruction=False)
+        expected = sum(noise.pulse_durations.of(s.action) for s in seq)
+        assert run_shot(seq, noise, 1, 0).elapsed_us == expected
+        assert scalar_run_shot(seq, noise, 1, 0)[4] == expected
+
+
 # ---------------------------------------------------------------------------
 # Sampled law == exact law: multinomial chi-square over (branch, final outcome)
 
@@ -251,11 +263,36 @@ def test_sampled_branch_and_outcome_law_matches_the_exact_engine(case):
     assert chi2 <= CHI2_BOUND_7DOF, (chi2, observed, expected.round(1))
 
 
-def test_sample_counts_sums_one_batched_run_per_sequence():
+@pytest.mark.parametrize("shot_pass", [7, 256])
+def test_sample_counts_of_mixed_sequences_match_the_scalar_reference(shot_pass, monkeypatch):
+    # Two seed groups of all six inputs x three bases advance together; rows 9
+    # and 34 differ between sequences (row 34 is a wait in the Z basis). With
+    # 7-shot passes a pass crosses sequence and seed-group boundaries.
+    monkeypatch.setattr(protocol, "SHOT_PASS", shot_pass)
     noise = NoiseConfig(amplitude_error_sigma=0.01, **PAPER)
-    seqs = [build_sequence(canonical_inputs()[i]) for i in (2, 5)]
-    shots = 16
-    counts = sample_counts(seqs, noise, shots, 9)
-    for j, seq in enumerate(seqs):
-        finals = [scalar_run_shot(seq, noise, 9, j * shots + i)[2] for i in range(shots)]
-        assert counts[j] == sum(f is Outcome.BRIGHT for f in finals)
+    group = [build_sequence(spec, 0.0, Tomography(b)) for spec in canonical_inputs() for b in "zxy"]
+    shots, seeds = 3, [9, 2**63 + 5]
+    counts = sample_counts(group + group, noise, shots, seeds)
+    for k, seq in enumerate(group + group):
+        seed, j = seeds[k // len(group)], k % len(group)
+        finals = [scalar_run_shot(seq, noise, seed, j * shots + i)[2] for i in range(shots)]
+        assert counts[k] == sum(f is Outcome.BRIGHT for f in finals), k
+
+
+def _with_row(seq, step_id, action):
+    return tuple(replace(s, action=action) if s.step_id == step_id else s for s in seq)
+
+
+def test_stacked_sequences_must_share_readouts_and_conditions():
+    noise = NoiseConfig(amplitude_error_sigma=0.01, **PAPER)
+    seq = build_sequence(canonical_inputs()[2])
+    for other, row in (
+        (_with_row(seq, 26, Detect(0, "pmt2")), 26),           # another ion read out
+        (_with_row(seq, 23, Wait(0.0)), 23),                   # a readout missing
+        (build_sequence(canonical_inputs()[2], spin_echo=False), 31),  # conditions inverted
+        (seq[:-1], 35),                                        # a shorter table
+    ):
+        with pytest.raises(InvariantViolation, match=f"row {row}: "):
+            run_shot([seq, other], noise, 1, range(4), sequence_index=[0, 1, 0, 1])
+        with pytest.raises(InvariantViolation, match=f"row {row}: "):
+            sample_counts([seq, other], noise, 2, 1)
