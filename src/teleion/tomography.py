@@ -7,11 +7,11 @@ rotation convention V_X = R(pi/2, 3pi/2) and V_Y = R(pi/2, pi), so
     P(Bright | X) = (1 - r_x) / 2,   P(Bright | Y) = (1 - r_y) / 2,
     P(Bright | Z) = (1 + r_z) / 2.
 
-State reconstruction uses the diluted iterative fixed-point scheme
-rho <- normalize[(1-lambda) rho + lambda R rho R]. Process reconstruction is
-one batched congruence solver, `_fit_chi`: R fits advance as one (R, 4, 4)
-stack by chi <- S chi S plus a trace-restoring congruence, each fit with its
-own step size and stop flag. `mle_process` is R = 1; the bootstrap is one call.
+State reconstruction is closed-form (`mle_state`): the linear inversion inside
+the Bloch ball, otherwise one Lagrange-multiplier root on the sphere. Process
+reconstruction is one batched congruence solver, `_fit_chi`: R fits advance as
+one (R, 4, 4) stack by chi <- S chi S plus a trace-restoring congruence, each
+fit with its own step size and stop flag. `mle_process` is R = 1; the bootstrap is one call.
 """
 from __future__ import annotations
 
@@ -178,77 +178,62 @@ class MLEDiagnostics:
     ll_history: tuple[float, ...]
 
 
-def mle_state(
-    counts: CountsTable,
-    *,
-    dilution: float = 0.5,
-    max_iters: int = 10_000,
-    tol: float = 1e-10,
-    return_diagnostics: bool = False,
-):
-    """Diluted R-rho-R maximum-likelihood state reconstruction.
+def _sphere_optimum(u: np.ndarray) -> tuple[np.ndarray, int]:
+    """Likelihood optimum on the unit sphere for a linear inversion u outside it.
 
-    The dilution parameter is halved whenever a step would lower the
-    log-likelihood, which keeps accepted iterates monotone. Besides the
-    step-size tolerance, iteration stops once the optimality conditions hold:
-    R rho = rho on the support and R <= 1 off it (rank-deficient optima are
-    reached only asymptotically by the fixed point, so testing them directly
-    avoids burning the iteration budget).
+    With multiplier kappa >= 0 each component is the middle root, in [-1, 1],
+    of kappa t^3 - (1 + kappa) t + u_b = 0. |t(kappa)| falls from |u| at 0 to
+    at most 1 at `hi`, where every |t_b| <= 1/sqrt(3); a Newton step on
+    kappa, slope dt/dkappa = t (1 - t^2) / (3 kappa t^2 - 1 - kappa), is taken
+    inside that bracket and a bisection otherwise. Returns (t, steps).
     """
-    projs, ns = _POVM, np.array([c for _, _, c in counts.rows], dtype=float)
-    n_total = float(ns.sum())
-    if n_total <= 0:
-        raise ConfigError("empty counts table")
-    freqs = ns / n_total
-
-    def loglik(rho):
-        ps = np.einsum("jab,ba->j", projs, rho).real
-        return float(np.sum(ns * np.log(np.clip(ps, 1e-300, None))))
-
-    rho = np.eye(2, dtype=np.complex128) / 2.0
-    lam = dilution
-    ll = loglik(rho)
-    history = [ll]
-    converged = False
-    iterations = 0
-    plateau = 0
-    for iterations in range(1, max_iters + 1):
-        ps = np.clip(np.einsum("jab,ba->j", projs, rho).real, 1e-12, None)
-        r_op = np.einsum("j,jab->ab", freqs / ps, projs)
-        fixed_point_gap = float(np.max(np.abs(r_op @ rho - rho)))
-        if fixed_point_gap <= 1e-7:
-            w, v = np.linalg.eigh(rho)
-            kernel = v[:, w <= 1e-8]
-            off = kernel.conj().T @ r_op @ kernel
-            if off.size == 0 or float(np.max(np.linalg.eigvalsh(off).real)) <= 1.0 + 1e-7:
-                converged = True
-                break
-        cand = (1.0 - lam) * rho + lam * (r_op @ rho @ r_op)
-        cand = cand / np.real(np.trace(cand))
-        cand = 0.5 * (cand + cand.conj().T)
-        ll_cand = loglik(cand)
-        if ll_cand < ll - 1e-12:
-            if lam <= 1e-6:
-                break  # stuck at numerical precision
-            lam = 0.5 * lam
-            continue
-        delta = float(np.max(np.abs(cand - rho)))
-        plateau = plateau + 1 if ll_cand - ll <= 1e-12 * max(1.0, abs(ll)) else 0
-        rho, ll = cand, ll_cand
-        history.append(ll)
-        if delta <= tol or plateau >= 100:
-            converged = True
+    lo, hi = 0.0, 1.5 * math.sqrt(3.0) * (float(np.max(np.abs(u))) - 1.0 / math.sqrt(3.0))
+    kappa, t = 0.0, u
+    for steps in range(100):
+        excess = float(t @ t) - 1.0
+        # Where some u_b is +-1 the root is ill-conditioned and the excess
+        # stalls near 1e-11; the bracket then closes by bisection.
+        if abs(excess) <= 4e-16 or hi - lo <= 1e-15 * hi:
             break
-    if not converged:
-        warnings.warn(
-            f"mle_state stopped after {iterations} iterations without meeting "
-            f"the {tol} step tolerance",
-            stacklevel=2,
-        )
-    result = DensityMatrix(rho)
-    if return_diagnostics:
-        return result, MLEDiagnostics(converged, iterations, ll, tuple(history))
-    return result
+        lo, hi = (kappa, hi) if excess > 0.0 else (lo, kappa)
+        slope = float(2.0 * t @ (t * (1.0 - t * t) / (3.0 * kappa * t * t - 1.0 - kappa)))
+        kappa = kappa - excess / slope if slope < 0.0 else hi
+        if not lo < kappa < hi:
+            kappa = 0.5 * (lo + hi)
+        # Trigonometric middle root, in sin/arcsin form so that small kappa
+        # (t near u) loses no precision to cancellation.
+        c = np.sqrt((1.0 + kappa) / (3.0 * kappa))
+        t = 2.0 * c * np.sin(np.arcsin(np.clip(u / (2.0 * kappa * c**3), -1.0, 1.0)) / 3.0)
+    return t / math.sqrt(float(t @ t)), steps
+
+
+def mle_state(counts: CountsTable, *, return_diagnostics: bool = False):
+    """Maximum-likelihood qubit state, in closed form.
+
+    The log-likelihood separates by Bloch component. With P(Bright | b) =
+    (1 + t_b)/2, t_b = s_b r_b and s = (+1, -1, -1) over BASES, it is
+    a sum_b [(1 + u_b) log(1 + t_b) + (1 - u_b) log(1 - t_b)] / 2 up to a
+    constant, where a is the per-basis total and u_b = s_b (n_b+ - n_b-) / a.
+    Its maximum over the ball is the linear inversion t = u when |u| <= 1.
+    Otherwise it lies on the sphere (`_sphere_optimum`); a u outside only by
+    roundoff, |u|^2 <= 1 + 1e-12, is normalised instead. The diagnostics
+    report `converged=True` and the multiplier steps taken.
+    """
+    ns = np.array([c for _, _, c in counts.rows], dtype=float)
+    if ns.sum() <= 0:
+        raise ConfigError("empty counts table")
+    u = np.array([1.0, -1.0, -1.0]) * (ns[0::2] - ns[1::2]) / (ns[0::2] + ns[1::2])
+    excess, steps = float(u @ u) - 1.0, 0
+    if excess > 1e-12:
+        u, steps = _sphere_optimum(u)
+    elif excess > 0.0:
+        u = u / math.sqrt(float(u @ u))
+    result = density_from_bloch(u[[1, 2, 0]])  # BASES order (z, x, y) -> (x, y, z)
+    if not return_diagnostics:
+        return result
+    ps = np.einsum("jab,ba->j", _POVM, result.matrix).real
+    ll = float(np.sum(ns * np.log(np.clip(ps, 1e-300, None))))
+    return result, MLEDiagnostics(True, steps, ll, (ll,))
 
 
 # ---------------------------------------------------------------------------

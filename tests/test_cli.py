@@ -138,6 +138,25 @@ def test_fock_cutoff_2_exits_2_and_names_the_key(tmp_path, capsys):
     assert "fock_cutoff must be an integer >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"exact": "false"}, "exact"),
+        ({"spin_echo": "no"}, "spin_echo"),
+        ({"noise": {"correlated_dephasing": "false"}}, "noise.correlated_dephasing"),
+        ({"seed": True}, "seed"),
+        ({"grid": "abc"}, "grid"),
+        ({"tomography_resolution": "x"}, "tomography_resolution"),
+        ({"noise": {"detuning_sigma_SD": "0.1"}}, "noise.detuning_sigma_SD"),
+        ({"bootstrap_resamples": 2.5}, "bootstrap_resamples"),
+    ],
+)
+def test_a_value_of_the_wrong_json_type_exits_2_and_names_the_key(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["baseline", "--config", str(cfg)]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_bad_input_label_for_export_exits_2(tmp_path, capsys):
     assert main(["export-sequence", "--input", "psi9"]) == 2
     capsys.readouterr()

@@ -16,12 +16,14 @@ from teleion.qcore import (
     bloch_vector,
     density_from_bloch,
     random_cptp_qubit_channel,
+    random_pure_state,
     state_fidelity,
     trace_distance,
 )
 from teleion.tomography import (
     BASES,
     _HERM_BASIS,
+    _POVM,
     _TP_MAP,
     _TP_PINV,
     AffineMap,
@@ -162,6 +164,159 @@ def test_mle_state_from_finite_counts_is_close_and_physical():
     assert trace_distance(est, rho) <= 0.05
     # DensityMatrix construction already enforces Hermitian/PSD/unit trace
     assert np.isclose(np.trace(est.matrix).real, 1.0, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form state MLE against the optimality conditions and the
+# diluted R-rho-R iteration it replaced
+
+def reference_mle_state(counts, dilution=0.5, max_iters=10_000, tol=1e-10):
+    """Diluted R-rho-R fixed point, as mle_state ran before its closed form.
+
+    The dilution is halved whenever a step would lower the log-likelihood;
+    the loop stops on a small step, a 100-step plateau, or once R rho = rho
+    on the support and R <= 1 off it. Returns (rho, log-likelihood).
+    """
+    ns = np.array([c for _, _, c in counts.rows], dtype=float)
+    freqs = ns / ns.sum()
+
+    def loglik(rho):
+        ps = np.einsum("jab,ba->j", _POVM, rho).real
+        return float(np.sum(ns * np.log(np.clip(ps, 1e-300, None))))
+
+    rho = np.eye(2, dtype=np.complex128) / 2.0
+    lam, ll, plateau = dilution, loglik(rho), 0
+    for _ in range(max_iters):
+        ps = np.clip(np.einsum("jab,ba->j", _POVM, rho).real, 1e-12, None)
+        r_op = np.einsum("j,jab->ab", freqs / ps, _POVM)
+        if float(np.max(np.abs(r_op @ rho - rho))) <= 1e-7:
+            w, v = np.linalg.eigh(rho)
+            kernel = v[:, w <= 1e-8]
+            off = kernel.conj().T @ r_op @ kernel
+            if off.size == 0 or float(np.max(np.linalg.eigvalsh(off).real)) <= 1.0 + 1e-7:
+                break
+        cand = (1.0 - lam) * rho + lam * (r_op @ rho @ r_op)
+        cand = cand / np.real(np.trace(cand))
+        cand = 0.5 * (cand + cand.conj().T)
+        ll_cand = loglik(cand)
+        if ll_cand < ll - 1e-12:
+            if lam <= 1e-6:
+                break
+            lam = 0.5 * lam
+            continue
+        delta = float(np.max(np.abs(cand - rho)))
+        plateau = plateau + 1 if ll_cand - ll <= 1e-12 * max(1.0, abs(ll)) else 0
+        rho, ll = cand, ll_cand
+        if delta <= tol or plateau >= 100:
+            break
+    return DensityMatrix(rho), ll
+
+
+def table_from_counts(counts, total):
+    keys = [(b, o) for b in BASES for o in ("Bright", "Dark")]
+    return CountsTable(tuple((b, o, float(c)) for (b, o), c in zip(keys, counts)), float(total))
+
+
+def criterion_5_tables(trials=range(100)):
+    """The tables of test_criterion_5_mle_statistical_recovery, same seeds."""
+    tables = []
+    for trial in trials:
+        rng = np.random.default_rng([2026, trial])
+        if trial % 2 == 0:
+            rho = DensityMatrix.from_pure(random_pure_state(rng).amplitudes)
+        else:
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            m = g @ g.conj().T
+            rho = DensityMatrix(m / np.trace(m).real)
+        tables.append(simulate_state_tomography(rho, 100_000, rng))
+    return tables
+
+
+def state_tables(n_random=300, c5_trials=range(100)):
+    """Named sets of tables for the state-MLE checks."""
+    existing = [simulate_state_tomography(DensityMatrix.from_pure(s.ket())) for s in canonical_inputs()]
+    existing.append(simulate_state_tomography(density_from_bloch((0.3, -0.4, 0.2))))
+    rng = np.random.default_rng(5)
+    existing.append(simulate_state_tomography(density_from_bloch((0.6, 0.1, -0.3)), 10_000, rng))
+    existing.append(teleported_counts(canonical_inputs()[4]))
+    # The CLI's reconstructed process inputs: ideal states at 1e4 shots; the
+    # eigenstates give bases with a zero count.
+    cli_inputs = [
+        simulate_state_tomography(
+            DensityMatrix.from_pure(spec.pure()), 10_000, np.random.default_rng([seed, 0x1297, idx])
+        )
+        for seed in (1, 2)
+        for idx, spec in enumerate(canonical_inputs())
+    ]
+    rng = np.random.default_rng(77)
+    random_tables = []
+    for k in range(n_random):
+        if k % 2:
+            rho = DensityMatrix.from_pure(random_pure_state(rng).amplitudes)
+        else:
+            v = rng.normal(size=3)
+            rho = density_from_bloch(v / np.linalg.norm(v) * rng.uniform() ** (1 / 3))
+        random_tables.append(simulate_state_tomography(rho, int(rng.integers(10, 2001)), rng))
+    edge = [table_from_counts([5, 0, 5, 0, 5, 0], 5), table_from_counts([1, 0, 0, 1, 1, 0], 1)]
+    return {
+        "existing": existing,
+        "criterion 5": criterion_5_tables(c5_trials),
+        "cli inputs": cli_inputs,
+        "random": random_tables,
+        "zero counts": edge,
+    }
+
+
+def linear_inversion(table):
+    """(m, a) per basis in BASES order: m_b = s_b (n_b+ - n_b-), a_b = n_b+ + n_b-."""
+    ns = np.array([c for _, _, c in table.rows], dtype=float).reshape(3, 2)
+    return np.array([1.0, -1.0, -1.0]) * (ns[:, 0] - ns[:, 1]), ns.sum(axis=1)
+
+
+def test_mle_state_meets_the_optimality_conditions():
+    outside = 0
+    for name, tables in state_tables().items():
+        for table in tables:
+            m, a = linear_inversion(table)
+            r = bloch_vector(mle_state(table))[[2, 0, 1]]  # (x, y, z) -> BASES order
+            if np.sum((m / a) ** 2) <= 1.0:
+                assert np.max(np.abs(r - m / a)) <= 1e-12, name
+                continue
+            outside += 1
+            # On the sphere the gradient of the log-likelihood in r is 2 mu r, mu >= 0.
+            assert abs(r @ r - 1.0) <= 1e-12, name
+            grad = (m - a * r) / (1.0 - r * r)
+            mu2 = grad @ r
+            assert mu2 >= 0.0, name
+            assert np.linalg.norm(grad - mu2 * r) <= 1e-9 * np.linalg.norm(grad), name
+    assert outside >= 100
+
+
+def test_mle_state_is_at_least_as_likely_as_the_iterative_oracle():
+    # The oracle runs about 50 ms per criterion-5 table; every fifth of them
+    # and a third of the random tables keep this test under three seconds.
+    tables = state_tables(n_random=100, c5_trials=range(0, 100, 5))
+    for name, group in tables.items():
+        for table in group:
+            est, diag = mle_state(table, return_diagnostics=True)
+            oracle, oracle_ll = reference_mle_state(table)
+            assert diag.converged and diag.log_likelihood >= oracle_ll - 1e-9 * abs(oracle_ll), name
+            if name == "existing":
+                assert trace_distance(est, oracle) <= 1e-6
+
+
+def test_mle_state_normalises_pure_tables_outside_the_ball_by_roundoff():
+    rng = np.random.default_rng(2024)
+    outside = 0
+    for _ in range(2000):
+        psi = random_pure_state(rng)
+        table = simulate_state_tomography(DensityMatrix.from_pure(psi.amplitudes))
+        m, a = linear_inversion(table)
+        outside += np.sum((m / a) ** 2) > 1.0
+        est, diag = mle_state(table, return_diagnostics=True)
+        assert 1.0 - state_fidelity(est, psi) <= 1e-12
+        assert diag.iterations == 0
+    assert outside >= 500
 
 
 # ---------------------------------------------------------------------------
