@@ -66,7 +66,7 @@ configuration keys (JSON file; flags override file values):
   standby_wait_us         microseconds, standby wait before hiding the target (default 1.0)
   rephase_wait_us         microseconds, rephasing wait before reconstruction (default 300.0)
   grid                    calibration sweep points, >= 8 (default 32)
-  bootstrap_resamples     parametric bootstrap size for error bars (default 200)
+  bootstrap_resamples     parametric bootstrap size for error bars, 0 or >= 2 (default 200)
   process_inputs          reconstructed | ideal input states for process tomography (default reconstructed)
   tomography_resolution   ellipsoid mesh resolution, >= 8 (default 24)
   exact                   boolean, infinite-statistics mode (default false)
@@ -127,7 +127,9 @@ class ExperimentConfig:
             raise ConfigError("shots must be a nonnegative integer")
         if not isinstance(self.fock_cutoff, int) or self.fock_cutoff < 3:
             raise ConfigError("fock_cutoff must be an integer >= 3")
-        if isinstance(self.phase_offset, str) and self.phase_offset != "calibrate":
+        if self.phase_offset != "calibrate" and (
+            isinstance(self.phase_offset, bool) or not isinstance(self.phase_offset, (int, float))
+        ):
             raise ConfigError('phase_offset must be a number or "calibrate"')
         if self.sampling not in ("auto", "fast", "per-shot"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
@@ -135,8 +137,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.grid < 8:
             raise ConfigError("grid must be >= 8")
-        if self.bootstrap_resamples < 0:
-            raise ConfigError("bootstrap_resamples must be >= 0")
+        if self.bootstrap_resamples < 0 or self.bootstrap_resamples == 1:
+            raise ConfigError("bootstrap_resamples must be 0 or >= 2 (a spread needs two resamples)")
         if self.process_inputs not in ("reconstructed", "ideal"):
             raise ConfigError('process_inputs must be "reconstructed" or "ideal"')
         if self.tomography_resolution < 8:
@@ -159,11 +161,12 @@ def _parse_inputs(raw) -> tuple[InputStateSpec, ...] | str:
         unknown = set(item) - {"theta_chi", "phi_chi", "label"}
         if unknown:
             raise ConfigError(f"inputs[{i}]: unknown keys {sorted(unknown)}")
-        try:
-            theta = float(item["theta_chi"])
-            phi = float(item["phi_chi"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"inputs[{i}] needs numeric theta_chi and phi_chi") from exc
+        for key in ("theta_chi", "phi_chi"):
+            if key not in item:
+                raise ConfigError(f"inputs[{i}] needs numeric theta_chi and phi_chi")
+            if isinstance(item[key], bool) or not isinstance(item[key], (int, float)):
+                raise ConfigError(f"inputs[{i}].{key} must be a number, got {json.dumps(item[key])}")
+        theta, phi = float(item["theta_chi"]), float(item["phi_chi"])
         label = item.get("label", f"input{i + 1}")
         if not isinstance(label, str) or not label or not all(
             c.isalnum() or c in "_-" for c in label
@@ -209,8 +212,11 @@ def _noise_from_dict(raw: dict) -> NoiseConfig:
             raise ConfigError(f"unknown pulse_durations keys: {sorted(pd_unknown)}")
         _check_types(pd_raw, PulseDurations, "noise.pulse_durations.")
         kwargs["pulse_durations"] = PulseDurations(**{k: float(v) for k, v in pd_raw.items()})
-    if "depolarizing_steps" in kwargs and kwargs["depolarizing_steps"] is not None:
-        kwargs["depolarizing_steps"] = tuple(int(s) for s in kwargs["depolarizing_steps"])
+    steps = kwargs.get("depolarizing_steps")
+    if steps is not None:
+        if not isinstance(steps, list) or any(isinstance(s, bool) or not isinstance(s, int) for s in steps):
+            raise ConfigError(f"noise.depolarizing_steps must be a list of integers, got {json.dumps(steps)}")
+        kwargs["depolarizing_steps"] = tuple(steps)
     return NoiseConfig(**kwargs)
 
 
@@ -299,7 +305,11 @@ def _emit_json(path: Path, obj_or_text) -> None:
         if isinstance(obj_or_text, str)
         else json.dumps(obj_or_text, indent=2, sort_keys=True) + "\n"
     )
-    json.loads(text)  # schema gate: must parse back
+
+    def refuse(constant: str):
+        raise InvariantViolation(f"{path.name}: non-finite number {constant}")
+
+    json.loads(text, parse_constant=refuse)  # schema gate: strict JSON, no NaN or Infinity
     path.write_text(text, encoding="utf-8")
 
 

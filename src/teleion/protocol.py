@@ -19,11 +19,13 @@ Two execution paths share the same sequence objects:
   of SHOT_PASS, or draws from exact_run's P(bright);
 * exact_run — density-matrix evolution with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
-  distribution, on a live register: a subsystem joins at the first row
-  acting on it and leaves after the last sideband or branch readout needing
-  it (12, 36, 108, 27, 9 levels, then ion 3's 3x3 state on the standard table);
-  each ion's detuning phase waits for its next drive. This is the
-  infinite-statistics reference.
+  distribution. Every (quadrature node, reported branch) entry advances on
+  one stacked live register in one row loop, NODE_PASS nodes at a time: a
+  subsystem joins at the first row acting on it and leaves after the last
+  sideband or readout needing it (12, 36, 108, 27, 9 levels, then ion 3's
+  3x3 state on the standard table), every readout splits the entries on the
+  reported outcome, and each ion's detuning phase waits for its next drive.
+  This is the infinite-statistics reference.
 """
 from __future__ import annotations
 
@@ -64,12 +66,11 @@ from .trap import (
 
 PI = math.pi
 N_IONS = 3
-#: The target ion. From the cut on (after row 27 of the standard table) the
-#: exact engine keeps only its 3x3 state per quadrature node and branch.
+#: The target ion, the one subsystem the exact engine keeps to the last row.
 _TARGET = N_IONS - 1
 #: First step of the reconstruction/analysis tail, the rows that carry the
-#: calibration phase offset. It lies after the cut, so calibration replays
-#: rows from here to 33 on the cached ion-3 stack only.
+#: calibration phase offset: calibration replays rows from here to 33 per
+#: candidate phase on the stack advanced through the rows before it.
 _TAIL_START = 30
 #: The mode-dependent analysis row; every row before it is shared by all modes.
 _ANALYSIS_ROW = 34
@@ -507,8 +508,10 @@ def sample_counts(
 #: The exact engine's subsystems: the ions, then the motional mode.
 _SUBSYSTEMS = N_IONS + 1
 _MOTION = N_IONS
-# Step labels whose detections split the exact state into reported branches.
-_SPLIT_LABELS = ("pmt1", "pmt2")
+#: Quadrature nodes per pass of the exact engine: bounds the stacked register
+#: (27 nodes at 108 levels hold about 5 MB) whatever the node count, 9^3 = 729
+#: by default for uncorrelated dephasing.
+NODE_PASS = 27
 
 
 @functools.lru_cache(maxsize=256)
@@ -526,15 +529,16 @@ def _drive_op(pulse: trap.Pulse, fock_cutoff: int) -> np.ndarray:
 def _row_sites(action: trap.Pulse | ConditionalPulse) -> tuple[tuple[int, ...], bool]:
     """(subsystems a row acts on, whether the live register must hold them for it).
 
-    Only a blue sideband and a branch-splitting readout need their subsystems:
-    any other row is a local channel, skipped on a subsystem only traced out.
+    Only a blue sideband and a readout, which splits the entries, need their
+    subsystems: any other row is a local channel, skipped on a subsystem only
+    traced out.
     """
     pulse = action.pulse if isinstance(action, ConditionalPulse) else action
     if isinstance(pulse, Wait):
         return (), False
     if isinstance(pulse, BlueSideband):
         return (pulse.ion, _MOTION), True
-    return (pulse.ion,), isinstance(pulse, Detect) and pulse.label in _SPLIT_LABELS
+    return (pulse.ion,), isinstance(pulse, Detect)
 
 
 def _lifetimes(steps, keep: tuple[int, ...]) -> dict[int, tuple[int, int]]:
@@ -555,42 +559,45 @@ def _lifetimes(steps, keep: tuple[int, ...]) -> dict[int, tuple[int, int]]:
 
 
 def _along(v: np.ndarray, axis: int) -> np.ndarray:
-    """A per-level vector shaped to broadcast along one axis of a register tensor."""
-    return v.reshape((-1,) + (1,) * (2 * _SUBSYSTEMS - 1 - axis))
+    """Per-level values, (n,) or (entries, n), shaped to broadcast along one axis of the stack."""
+    v = np.atleast_2d(v)
+    return v.reshape(v.shape[:1] + (1,) * (axis - 1) + v.shape[1:] + (1,) * (2 * _SUBSYSTEMS - axis))
 
 
 def _join(rho: np.ndarray, site: int, dim: int) -> np.ndarray:
     """Grow a subsystem's axis pair from size 1 to `dim`, in level 0 (|S> or |n=0>)."""
-    out = np.zeros([dim if a % _SUBSYSTEMS == site else n for a, n in enumerate(rho.shape)], rho.dtype)
-    out[tuple(slice(0, 1) if a % _SUBSYSTEMS == site else slice(None) for a in range(rho.ndim))] = rho
+    axes = (1 + site, 1 + site + _SUBSYSTEMS)
+    out = np.zeros([dim if a in axes else n for a, n in enumerate(rho.shape)], rho.dtype)
+    out[tuple(slice(0, 1) if a in axes else slice(None) for a in range(rho.ndim))] = rho
     return out
+
+
+def _apply(ops: np.ndarray, rho: np.ndarray, axes: list[int], work: np.ndarray) -> np.ndarray:
+    """Each entry's (d, d) operator, or one shared by all, on the flattened `axes` of its tensor.
+
+    The operand is gathered into `work`, a buffer the caller keeps from row to
+    row: at a few nodes, a fresh one per row cost more in page faults than the product."""
+    order = [0, *axes, *(a for a in range(1, rho.ndim) if a not in axes)]
+    moved = rho.transpose(order)
+    gathered = work[:rho.size].reshape(moved.shape)
+    np.copyto(gathered, moved)
+    out = ops @ gathered.reshape(len(moved), ops.shape[-1], -1)
+    return out.reshape(moved.shape).transpose(np.argsort(order))
 
 
 def _gh_nodes(noise: NoiseConfig, quad_points: int | None):
     """(detuning_SD per ion, detuning_H per ion, weight) quadrature nodes."""
-    sigma, bias, ratio = (
-        noise.detuning_sigma_SD,
-        noise.detuning_bias_SD,
-        noise.dephasing_ratio_H,
-    )
+    sigma, bias, ratio = noise.detuning_sigma_SD, noise.detuning_bias_SD, noise.dephasing_ratio_H
     if sigma == 0.0:
         d = np.full(N_IONS, bias)
         return [(d, ratio * d, 1.0)]
-    if noise.correlated_dephasing:
-        points = quad_points if quad_points is not None else 21
-        x, w = np.polynomial.hermite.hermgauss(points)
-        nodes = []
-        for xi, wi in zip(x, w):
-            d = np.full(N_IONS, bias + math.sqrt(2.0) * sigma * xi)
-            nodes.append((d, ratio * d, wi / math.sqrt(math.pi)))
-        return nodes
-    points = quad_points if quad_points is not None else 9
+    draws = 1 if noise.correlated_dephasing else N_IONS  # one detuning for all ions, or one each
+    points = quad_points if quad_points is not None else (21 if draws == 1 else 9)
     x, w = np.polynomial.hermite.hermgauss(points)
     nodes = []
-    for combo in itertools.product(range(points), repeat=N_IONS):
-        d = bias + math.sqrt(2.0) * sigma * x[np.array(combo)]
-        weight = float(np.prod(w[np.array(combo)])) / math.pi ** (N_IONS / 2.0)
-        nodes.append((d, ratio * d, weight))
+    for combo in itertools.product(range(points), repeat=draws):
+        d = np.resize(bias + math.sqrt(2.0) * sigma * x[list(combo)], N_IONS)
+        nodes.append((d, ratio * d, float(np.prod(w[list(combo)])) / math.pi ** (draws / 2.0)))
     return nodes
 
 
@@ -602,195 +609,138 @@ def _check_exact_noise(noise: NoiseConfig, entry: str) -> None:
         )
 
 
-def _node_branches(
-    steps, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int, keep: tuple[int, ...]
-):
-    """The exact engine's one Gauss-Hermite loop, on a live register.
+@dataclass(frozen=True)
+class _Stack:
+    """Every (quadrature node, reported branch) entry of the exact engine.
 
-    Each branch, keyed by its reported (label, outcome) pairs, holds an
-    unnormalized density tensor with one (ket, bra) axis pair per subsystem,
-    of size 1 outside the subsystem's `_lifetimes`, and each ion's pending
-    free-evolution time, folded into its next drive. pmt1 and pmt2 split every
-    branch on the reported outcome (the collapse follows the true outcome);
-    other readouts decohere in place. Yields (det_sd, det_h, weight, branches,
-    truncation, motion_excess) per node: the branches as (d, d) matrices over
-    `keep`, pending phases applied; the largest population a blue sideband
-    found on its ion's |S, fock_cutoff-1>, which raises past TRUNCATION_BOUND;
-    and the motion's population above n = 0.
+    `rho` holds each entry's unnormalized density tensor: a leading entry
+    axis, then one ket and one bra axis per subsystem, of size 1 outside the
+    subsystem's `_lifetimes`. Each ion's free-evolution time waits in
+    `pending` until its next drive.
     """
-    life, eps = _lifetimes(steps, keep), noise.detection_error
-    dims = (3,) * N_IONS + (fock_cutoff,)
-    for det_sd, det_h, weight in _gh_nodes(noise, quad_points):
-        rates = np.stack([np.zeros(N_IONS), det_sd, det_h], axis=1)  # rad/us by (ion, level)
-        branches = {(): (np.ones((1,) * 2 * _SUBSYSTEMS, dtype=np.complex128), np.zeros(N_IONS))}
-        truncation = motion_excess = 0.0
-        for i, step in enumerate(steps):
-            action = step.action
-            conditional = isinstance(action, ConditionalPulse)
-            pulse = action.pulse if conditional else action
-            acting = [
-                key for key in branches
-                if not conditional or dict(key).get(action.detect_label) is action.required
-            ]
-            for key in acting:
-                branches[key][1][:] += noise.pulse_durations.of(pulse)
-            acts = _row_sites(action)[0]
-            if not acts or any(i > life.get(s, (0, -1))[1] for s in acts):
-                continue  # a wait, or a local row on a subsystem that is only traced out
-            for site in (s for s in acts if life[s][0] == i):
-                branches = {key: (_join(rho, site, dims[site]), t) for key, (rho, t) in branches.items()}
-            k, k_bra = pulse.ion, pulse.ion + _SUBSYSTEMS
-            if isinstance(pulse, Detect):
-                b = np.array([1.0, 0.0, 0.0])
-                on_s, off_s = (_along(v, k) * _along(v, k_bra) for v in (b, 1.0 - b))
-                report = {(): (1.0, 1.0)} if pulse.label not in _SPLIT_LABELS else {
-                    ((pulse.label, Outcome.BRIGHT),): (1.0 - eps, eps),
-                    ((pulse.label, Outcome.DARK),): (eps, 1.0 - eps),
-                }
-                branches = {
-                    key + r: (w_s * rho * on_s + w_d * rho * off_s, t.copy())
-                    for key, (rho, t) in branches.items()
-                    for r, (w_s, w_d) in report.items()
-                }
-            else:
-                op, top = _drive_op(pulse, fock_cutoff), 0.0
-                depol = noise.depolarizing_applies(step.step_id) and not isinstance(pulse, Hide)
-                for key in acting:
-                    rho, pending = branches[key]
-                    # The ion's pending phase acts first: fold it into the drive.
-                    ph = np.exp(-1j * pending[k] * rates[k])
-                    u = op * ph.reshape((3,) + (1,) * (op.ndim // 2 - 1))
-                    pending[k] = 0.0
-                    if isinstance(pulse, BlueSideband):
-                        pops = np.einsum("abcdabcd->abcd", rho).real
-                        top += float(np.take(pops, S, axis=k)[..., fock_cutoff - 1].sum())
-                        for axes, v in (([k, _MOTION], u), ([k_bra, _MOTION + _SUBSYSTEMS], u.conj())):
-                            rho = np.moveaxis(np.tensordot(v, rho, axes=([2, 3], axes)), [0, 1], axes)
-                        if depol:
-                            rho = depolarize_density_tensor(rho, k, noise.depolarizing_per_pulse)
-                    else:  # one fused (site, site') superoperator: drive, then depolarizing
-                        sup = np.einsum("ab,cd->acbd", u, u.conj()).reshape(9, 9)
-                        if depol:
-                            sup = depolarizing_superop(noise.depolarizing_per_pulse, 3) @ sup
-                        out = np.tensordot(sup.reshape(3, 3, 3, 3), rho, axes=([2, 3], [k, k_bra]))
-                        rho = np.moveaxis(out, [0, 1], [k, k_bra])
-                    branches[key] = (rho, pending)
+
+    rho: np.ndarray                       # (E,) + ket axes + bra axes
+    node: np.ndarray                      # (E,) index of the entry's quadrature node
+    weight: np.ndarray                    # (E,) Gauss-Hermite weight of that node
+    rates: np.ndarray                     # (E, ion, level) detuning of S, D, H in rad/us
+    pending: np.ndarray                   # (E, ion) time not yet applied as a phase, in us
+    keys: tuple[dict[str, Outcome], ...]  # reported outcomes of the entry's branch
+    truncation: float = 0.0               # largest per-node blue-sideband |S, fock_cutoff-1> population
+    motion: float = 0.0                   # weighted population above n = 0 when the motion left
+
+
+def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cutoff: int) -> _Stack:
+    """The exact engine's one row loop: `steps` on every entry of `stack` at once.
+
+    `steps` are rows first, first + 1, ... of the table `life` came from. A
+    conditional row acts on the entries whose branch meets its condition.
+    Every readout splits each entry on the reported outcome (the collapse
+    follows the true outcome). A drive folds each entry's pending phase into
+    its own operator; a blue sideband raises past TRUNCATION_BOUND when a
+    node's entries hold more than that on its ion's |S, fock_cutoff-1>.
+    """
+    rho, pending, keys = stack.rho.copy(), stack.pending.copy(), stack.keys
+    node, weight, rates = stack.node, stack.weight, stack.rates
+    truncation, motion = stack.truncation, stack.motion
+    eps, dims = noise.detection_error, (3,) * N_IONS + (fock_cutoff,)
+    work = np.empty(0, rho.dtype)
+    for i, step in enumerate(steps, start=first):
+        action, sel = step.action, slice(None)
+        if isinstance(action, ConditionalPulse):
+            sel = np.array([key.get(action.detect_label) is action.required for key in keys], bool)
+        pulse = action.pulse if isinstance(action, ConditionalPulse) else action
+        pending[sel] += noise.pulse_durations.of(pulse)
+        acts = _row_sites(action)[0]
+        if not acts or any(i > life.get(s, (0, -1))[1] for s in acts):
+            continue  # a wait, or a local row on a subsystem that is only traced out
+        for site in (s for s in acts if life[s][0] == i):
+            rho = _join(rho, site, dims[site])
+        k, k_bra = 1 + pulse.ion, 1 + pulse.ion + _SUBSYSTEMS
+        if isinstance(pulse, Detect):
+            on_s, off_s = (_along(v, k) * _along(v, k_bra) for v in (np.eye(3)[S], 1.0 - np.eye(3)[S]))
+            reports = np.stack([(1.0 - eps) * on_s + eps * off_s, eps * on_s + (1.0 - eps) * off_s], axis=1)
+            rho = (rho[:, None] * reports).reshape((-1,) + rho.shape[1:])  # Bright, then Dark
+            node, weight, rates, pending = (np.repeat(a, 2, axis=0) for a in (node, weight, rates, pending))
+            keys = tuple({**key, pulse.label: o} for key in keys for o in (Outcome.BRIGHT, Outcome.DARK))
+        else:
+            op, part = _drive_op(pulse, fock_cutoff), rho[sel]
+            work = work if work.size >= part.size else np.empty(part.size, rho.dtype)
+            depol = noise.depolarizing_applies(step.step_id) and not isinstance(pulse, Hide)
+            # The ion's pending phase acts first: fold it into each entry's drive
+            # as a scale on the columns of its ion level.
+            ph = np.exp(-1j * pending[sel, pulse.ion][:, None] * rates[sel, pulse.ion])
+            pending[sel, pulse.ion] = 0.0
+            if isinstance(pulse, BlueSideband):
+                pops = np.take(np.einsum("eabcdabcd->eabcd", part).real, S, axis=k)[..., fock_cutoff - 1]
+                top = np.bincount(node[sel], pops.reshape(len(pops), -1).sum(axis=1)).max(initial=0.0)
                 if top > TRUNCATION_BOUND:
                     raise InvariantViolation(
-                        f"row {step.step_id}: population {top:.3e} on ion {k + 1}'s "
+                        f"row {step.step_id}: population {top:.3e} on ion {pulse.ion + 1}'s "
                         f"|S, n={fock_cutoff - 1}> exceeds TRUNCATION_BOUND; raise fock_cutoff"
                     )
                 truncation = max(truncation, top)
-            for site in (s for s in acts if life[s][1] == i):
-                for key, (rho, t) in branches.items():
-                    if site == _MOTION:
-                        pops = np.einsum("abcdabcd->abcd", rho).real
-                        motion_excess += float(pops.sum() - pops[..., 0].sum())
-                    rho = np.trace(rho, axis1=site, axis2=site + _SUBSYSTEMS)
-                    branches[key] = (np.expand_dims(rho, (site, site + _SUBSYSTEMS)), t)
-        reduced = {}
-        for key, (rho, pending) in branches.items():
-            for site in keep:
-                rho = rho if rho.shape[site] > 1 else _join(rho, site, dims[site])
-                ph = np.exp(-1j * pending[site] * rates[site])
-                rho = rho * _along(ph, site) * _along(ph.conj(), site + _SUBSYSTEMS)
-            d = math.prod(rho.shape[:_SUBSYSTEMS])
-            reduced[key] = rho.reshape(d, d)
-        yield det_sd, det_h, weight, reduced, truncation, motion_excess
+                u = (op * ph[:, None, None, :, None]).reshape(len(ph), 3 * fock_cutoff, 3 * fock_cutoff)
+                part = _apply(u, part, [k, 1 + _MOTION], work)
+                part = _apply(u.conj(), part, [k_bra, 1 + _MOTION + _SUBSYSTEMS], work)
+                if depol:  # it pairs axis k with k + ndim // 2, the bra axis past the entry axis
+                    part = depolarize_density_tensor(part, k, noise.depolarizing_per_pulse)
+            else:  # one fused (site, site') superoperator: drive, then depolarizing
+                sup = np.einsum("ab,cd->acbd", op, op.conj()).reshape(9, 9)
+                if depol:
+                    sup = depolarizing_superop(noise.depolarizing_per_pulse, 3) @ sup
+                cols = (ph[:, :, None] * ph.conj()[:, None, :]).reshape(-1, 1, 9)
+                part = _apply(sup * cols, part, [k, k_bra], work)
+            if isinstance(sel, slice):
+                rho = part
+            else:
+                rho[sel] = part
+        for site in (s for s in acts if life[s][1] == i):
+            if site == _MOTION:
+                pops = np.einsum("eabcdabcd->eabcd", rho).real[..., 1:]
+                motion += float(weight @ pops.reshape(len(pops), -1).sum(axis=1))
+            axes = (1 + site, 1 + site + _SUBSYSTEMS)
+            rho = np.expand_dims(np.trace(rho, axis1=axes[0], axis2=axes[1]), axes)
+    return _Stack(rho, node, weight, rates, pending, keys, truncation, motion)
 
 
-def _cut(sequence: tuple[SequenceStep, ...], before: int) -> int:
-    """Number of leading rows up to the last one acting beyond ion 3 (row 27).
-
-    That row must come before step `before`. Waits act on ion 3 alone: the
-    other ions' detuning phases cancel in the partial trace.
-    """
-    target_only = (((), False), ((_TARGET,), False))
-    cut = max((i + 1 for i, s in enumerate(sequence) if _row_sites(s.action) not in target_only), default=0)
-    if cut and sequence[cut - 1].step_id >= before:
-        raise InvariantViolation(
-            f"row {sequence[cut - 1].step_id} acts beyond the target ion; "
-            f"the exact engine needs all such rows before row {before}"
+def _evolve(steps, life, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int) -> _Stack:
+    """`_advance` from the cooled register through the leading rows `steps`,
+    NODE_PASS quadrature nodes at a time; the passes' entries end in node order."""
+    nodes, parts = _gh_nodes(noise, quad_points), []
+    for lo in range(0, len(nodes), NODE_PASS):
+        det_sd, det_h, weight = (np.array(v) for v in zip(*nodes[lo:lo + NODE_PASS]))
+        n = len(weight)
+        start = _Stack(
+            rho=np.ones((n,) + (1,) * 2 * _SUBSYSTEMS, dtype=np.complex128),
+            node=np.arange(lo, lo + n),
+            weight=weight,
+            rates=np.stack([np.zeros_like(det_sd), det_sd, det_h], axis=2),
+            pending=np.zeros((n, N_IONS)),
+            keys=({},) * n,
         )
-    return cut
-
-
-@dataclass(frozen=True)
-class _TargetStack:
-    """Ion 3's unnormalized 3x3 density for every (quadrature node, branch)."""
-
-    rho: np.ndarray                       # (K, 3, 3), at the cut
-    weight: np.ndarray                    # (K,) Gauss-Hermite weight of the entry's node
-    rates: np.ndarray                     # (K, 3) ion-3 detuning of S, D, H in rad/us
-    keys: tuple[dict[str, Outcome], ...]  # reported outcomes of the entry's branch
-    motional_residual: float              # population above n=0; no later row moves it
-    truncation: float                     # largest truncation population over nodes
-
-
-def _target_stack(
-    prefix, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int
-) -> _TargetStack:
-    """Evolve the live register through `prefix`, keeping ion 3 to the end."""
-    rho, weight, rates, keys = [], [], [], []
-    motion = truncation = 0.0
-    for det_sd, det_h, w, branches, top, excess in _node_branches(
-        prefix, noise, quad_points, fock_cutoff, (_TARGET,)
-    ):
-        truncation = max(truncation, top)
-        motion += w * excess
-        for key, rho3 in branches.items():
-            rho.append(rho3)
-            weight.append(w)
-            rates.append((0.0, det_sd[_TARGET], det_h[_TARGET]))
-            keys.append(dict(key))
-    return _TargetStack(
-        rho=np.array(rho),
-        weight=np.array(weight),
-        rates=np.array(rates),
-        keys=tuple(keys),
-        motional_residual=float(motion),
-        truncation=truncation,
+        parts.append(_advance(start, steps, life, 0, noise, fock_cutoff))
+    return _Stack(
+        *(np.concatenate([getattr(p, f) for p in parts]) for f in ("rho", "node", "weight", "rates", "pending")),
+        keys=tuple(itertools.chain.from_iterable(p.keys for p in parts)),
+        truncation=max(p.truncation for p in parts),
+        motion=sum(p.motion for p in parts),
     )
 
 
-def _evolve_target(
-    stack: _TargetStack, rho: np.ndarray, steps, noise: NoiseConfig
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Apply ion-3 rows to every (node, branch) state at once.
-
-    Conditional rows act on the entries whose branch meets their condition.
-    Returns the evolved (K, 3, 3) stack and, when `steps` hold the final
-    readout, each entry's unnormalized reported P(bright) there (else None).
-    """
-    eps = noise.detection_error
-    rho = rho.copy()
-    bright = None
-    for step in steps:
-        action, sel = step.action, slice(None)
-        if isinstance(action, ConditionalPulse):
-            sel = np.array([k.get(action.detect_label) is action.required for k in stack.keys])
-            action = action.pulse
-        duration = noise.pulse_durations.of(action)
-        if duration != 0.0 and np.any(stack.rates):
-            ph = np.exp(-1j * duration * stack.rates[sel])
-            rho[sel] = rho[sel] * ph[:, :, None] * ph.conj()[:, None, :]
-        if isinstance(action, Detect):
-            if action.label == "final":
-                pop_s = rho[:, S, S].real
-                total = np.trace(rho, axis1=1, axis2=2).real
-                bright = (1.0 - eps) * pop_s + eps * (total - pop_s)
-            rho[:, S, 1:] = 0.0  # the readout decoheres S from {D, H}
-            rho[:, 1:, S] = 0.0
-        elif not isinstance(action, Wait):
-            op = (trap.carrier_local if isinstance(action, Carrier) else trap.hide_local)(
-                action.theta, action.phi
-            )
-            rho[sel] = op @ rho[sel] @ op.conj().T
-            if isinstance(action, Carrier) and noise.depolarizing_applies(step.step_id):
-                sup = depolarizing_superop(noise.depolarizing_per_pulse, 3)
-                part = rho[sel]
-                rho[sel] = (part.reshape(-1, 9) @ sup.T).reshape(part.shape)
-    return rho, bright
+def _reduced(stack: _Stack, keep: tuple[int, ...]) -> np.ndarray:
+    """Each entry's (d, d) density over the ions in `keep`, pending phases applied;
+    every other subsystem is traced out."""
+    rho = stack.rho
+    for site in range(_SUBSYSTEMS):
+        a, a_bra = 1 + site, 1 + site + _SUBSYSTEMS
+        if site in keep:
+            rho = rho if rho.shape[a] > 1 else _join(rho, site, 3)
+            ph = np.exp(-1j * stack.pending[:, site, None] * stack.rates[:, site])
+            rho = rho * _along(ph, a) * _along(ph.conj(), a_bra)
+        elif rho.shape[a] > 1:
+            rho = np.expand_dims(np.trace(rho, axis1=a, axis2=a_bra), (a, a_bra))
+    d = math.prod(rho.shape[1:1 + _SUBSYSTEMS])
+    return rho.reshape(len(rho), d, d)
 
 
 @dataclass(frozen=True)
@@ -826,10 +776,10 @@ def exact_run(
 ) -> ExactRun:
     """Full exact evolution: branch states after row 33 + row-35 statistics.
 
-    Per quadrature node, rows up to the last one acting beyond ion 3 (row 27
-    of the standard table) run on the live register (`_node_branches`), which
-    ends as ion 3's 3x3 density per branch; the later rows act on ion 3 alone
-    and are applied to the whole (node, branch) stack at once.
+    Every (quadrature node, branch) entry advances through rows up to 33 on
+    one stacked live register (`_advance`, NODE_PASS nodes at a time). Each
+    mode then advances rows 34-35, whose readout splits the entries like pmt1
+    and pmt2: P(bright) is the weight of the `final` = Bright entries.
 
     `mode` may be a tuple of row-34 modes: rows up to 33 are shared, and only
     rows 34-35 are replayed per mode. `final_bright` belongs to the first mode;
@@ -856,18 +806,16 @@ def exact_run(
             for m in modes
         )
     seq = sequences[0]
-    cut = _cut(seq, _ANALYSIS_ROW)
-    stack = _target_stack(seq[:cut], noise, quad_points, fock_cutoff)
-    shared = tuple(s for s in seq[cut:] if s.step_id < _ANALYSIS_ROW)
-    rho, _ = _evolve_target(stack, stack.rho, shared, noise)
+    life = _lifetimes(seq, (_TARGET,))
+    shared = sum(s.step_id < _ANALYSIS_ROW for s in seq)
+    stack = _evolve(seq[:shared], life, noise, quad_points, fock_cutoff)
 
-    labels = [branch_label(k["pmt1"], k["pmt2"]) for k in stack.keys]
-    members = {b: np.array([lab == b for lab in labels]) for b in dict.fromkeys(labels)}
-    weighted = stack.weight[:, None, None] * rho
-    acc = {b: weighted[mask].sum(axis=0) for b, mask in members.items()}
+    labels = np.array([branch_label(k["pmt1"], k["pmt2"]) for k in stack.keys])
+    weighted = stack.weight[:, None, None] * _reduced(stack, (_TARGET,))
+    acc = {b: weighted[labels == b].sum(axis=0) for b in BRANCHES if b in labels}
     branch_probs = {b: float(np.real(np.trace(r))) for b, r in acc.items()}
     # A branch whose probability is a roundoff-level defect has no conditional state.
-    occurring = {b: members[b] for b in acc if branch_probs[b] > ATOL_STRUCTURAL}
+    occurring = [b for b in acc if branch_probs[b] > ATOL_STRUCTURAL]
     branch_states = {b: _qubit_block(acc[b] / branch_probs[b]) for b in occurring}
 
     total = sum(acc.values())
@@ -875,7 +823,6 @@ def exact_run(
     if abs(tr_total - 1.0) > 1e-9:
         raise InvariantViolation(f"exact evolution lost trace: {tr_total}")
     h_residual = float(np.real(total[2, 2]))
-    motional_residual = stack.motional_residual
     if h_residual > 1e-8:
         raise InvariantViolation(
             f"residual H population {h_residual:.3e} after unhide (sequence/convention bug)"
@@ -888,24 +835,24 @@ def exact_run(
         or noise.detuning_sigma_SD != 0.0
         or noise.detuning_bias_SD != 0.0
     )
-    if not can_strand and motional_residual > 1e-8:
+    if not can_strand and stack.motion > 1e-8:
         raise InvariantViolation(
-            f"residual motional excitation {motional_residual:.3e} (sequence/convention bug)"
+            f"residual motional excitation {stack.motion:.3e} (sequence/convention bug)"
         )
 
     p_bright: dict[Mode, float] = {}
     final_bright: dict[Mode, dict[str, float]] = {}
     for m, seq_m in zip(modes, sequences):
-        tail = tuple(s for s in seq_m if s.step_id >= _ANALYSIS_ROW)
-        rho_m, bright = _evolve_target(stack, rho, tail, noise)
-        if bright is None:
+        end = _advance(stack, seq_m[shared:], life, shared, noise, fock_cutoff)
+        if "final" not in end.keys[0]:
             raise InvariantViolation("sequence produced no 'final' readout on ion 3")
-        w_end = stack.weight * np.trace(rho_m, axis1=1, axis2=2).real
+        p = end.weight * _reduced(end, ()).real[:, 0, 0]
+        bright = np.array([k["final"] is Outcome.BRIGHT for k in end.keys])
+        label = np.array([branch_label(k["pmt1"], k["pmt2"]) for k in end.keys])
         final_bright[m] = {
-            b: float(np.sum(stack.weight[mask] * bright[mask])) / float(np.sum(w_end[mask]))
-            for b, mask in occurring.items()
+            b: float(np.sum(p[bright & (label == b)])) / float(np.sum(p[label == b])) for b in occurring
         }
-        p_bright[m] = min(max(float(np.sum(stack.weight * bright)), 0.0), 1.0)
+        p_bright[m] = min(max(float(np.sum(p[bright])), 0.0), 1.0)
     return ExactRun(
         rho_exp=_qubit_block(total),
         branch_probs=branch_probs,
@@ -913,7 +860,7 @@ def exact_run(
         final_bright=final_bright[modes[0]],
         p_bright=p_bright,
         h_residual=h_residual,
-        motional_residual=motional_residual,
+        motional_residual=stack.motion,
         truncation_population=stack.truncation,
     )
 
@@ -1027,11 +974,11 @@ def calibrate_phase(
 ) -> CalibrationResult:
     """Scan the tail phase offset and refine the best grid cell.
 
-    Runs the live register once per quadrature node up to row 27, ending on
-    ion 3's 3x3 state per branch, and applies the phase-independent rows up to
-    29 to that stack. Each candidate phase then replays only rows 30-33, the
-    phase = 0 rows with every pulse phase shifted, on the cached stack. A
-    golden-section pass shrinks the best grid bracket below `tol` radians.
+    Advances the stacked live register once, NODE_PASS quadrature nodes at a
+    time, through the phase-independent rows up to 29. Each candidate phase
+    then advances only rows 30-33, the phase = 0 rows with every pulse phase
+    shifted, on that stack. A golden-section pass shrinks the best grid
+    bracket below `tol` radians.
     """
     _check_exact_noise(noise, "calibrate_phase")
     if grid < 8:
@@ -1047,16 +994,15 @@ def calibrate_phase(
         rephase_wait_us=rephase_wait_us,
         spin_echo=spin_echo,
     )
-    cut = _cut(base_seq, _TAIL_START)
-    stack = _target_stack(base_seq[:cut], noise, quad_points, fock_cutoff)
-    fixed = tuple(s for s in base_seq[cut:] if s.step_id < _TAIL_START)
-    rho_fixed, _ = _evolve_target(stack, stack.rho, fixed, noise)
-    tail = tuple(s for s in base_seq if _TAIL_START <= s.step_id < _ANALYSIS_ROW)
+    life = _lifetimes(base_seq, (_TARGET,))
+    fixed = sum(s.step_id < _TAIL_START for s in base_seq)
+    stack = _evolve(base_seq[:fixed], life, noise, quad_points, fock_cutoff)
+    tail = tuple(s for s in base_seq[fixed:] if s.step_id < _ANALYSIS_ROW)
     psi = reference_input.ket()
 
     def fidelity_at(phi: float) -> float:
-        rho, _ = _evolve_target(stack, rho_fixed, _shift_phases(tail, phi), noise)
-        rho3 = np.tensordot(stack.weight, rho, axes=1)[:2, :2]
+        end = _advance(stack, _shift_phases(tail, phi), life, fixed, noise, fock_cutoff)
+        rho3 = np.einsum("e,eab->ab", end.weight, _reduced(end, (_TARGET,)))[:2, :2]
         tr = float(np.real(np.trace(rho3)))
         return float(np.real(psi.conj() @ rho3 @ psi)) / tr
 
@@ -1110,12 +1056,15 @@ def bell_preparation_fidelity(
     """Overlap of the ion2-ion3 state after row 6 with (|DS>+|SD>)/sqrt(2).
 
     Calibration helper: tune depolarizing_per_pulse against this number. The
-    live register keeps ions 2 and 3 and traces the motion out after row 6.
+    stacked live register keeps ions 2 and 3 and traces the motion out after
+    row 6.
     """
     _check_exact_noise(noise, "bell_preparation_fidelity")
     seq = build_sequence(canonical_inputs()[0], 0.0, FidelityCheck())
     prefix = tuple(s for s in seq if s.step_id <= 6)
     target = np.zeros(9)
     target[[1 * 3 + 0, 0 * 3 + 1]] = 1.0 / math.sqrt(2.0)  # |D S> + |S D>
-    nodes = _node_branches(prefix, noise, quad_points, fock_cutoff, (1, _TARGET))
-    return sum(w * float(np.real(target @ sum(rho.values()) @ target)) for _, _, w, rho, _, _ in nodes)
+    keep = (1, _TARGET)
+    stack = _evolve(prefix, _lifetimes(prefix, keep), noise, quad_points, fock_cutoff)
+    rho = np.tensordot(stack.weight, _reduced(stack, keep), axes=1)
+    return float(np.real(target @ rho @ target))

@@ -10,12 +10,13 @@ import pytest
 from teleion.cli import (
     _CONFIG_KEY_DOCS,
     _child_seed,
+    _emit_json,
     ExperimentConfig,
     build_parser,
     config_from_dict,
     main,
 )
-from teleion.errors import ConfigError
+from teleion.errors import ConfigError, InvariantViolation
 from teleion.noise import NoiseConfig
 from teleion.protocol import FidelityCheck, InputStateSpec, Tomography, build_sequence, run_shot
 from teleion.tomography import BASES, teleported_counts
@@ -149,12 +150,35 @@ def test_fock_cutoff_2_exits_2_and_names_the_key(tmp_path, capsys):
         ({"tomography_resolution": "x"}, "tomography_resolution"),
         ({"noise": {"detuning_sigma_SD": "0.1"}}, "noise.detuning_sigma_SD"),
         ({"bootstrap_resamples": 2.5}, "bootstrap_resamples"),
+        ({"phase_offset": True}, "phase_offset"),
+        ({"noise": {"depolarizing_steps": "12"}}, "noise.depolarizing_steps"),
+        ({"noise": {"depolarizing_steps": [True, "3"]}}, "noise.depolarizing_steps"),
+        ({"noise": {"depolarizing_steps": 5}}, "noise.depolarizing_steps"),
+        ({"inputs": [{"theta_chi": True, "phi_chi": 0.0}]}, "inputs[0].theta_chi"),
+        ({"inputs": [{"theta_chi": 0.0, "phi_chi": "0.5"}]}, "inputs[0].phi_chi"),
     ],
 )
 def test_a_value_of_the_wrong_json_type_exits_2_and_names_the_key(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert main(["baseline", "--config", str(cfg)]) == 2
     assert f"{key} must be" in capsys.readouterr().err
+
+
+def test_a_single_bootstrap_resample_exits_2(tmp_path, capsys):
+    # One resample has no spread: its ddof=1 standard deviations were NaN in
+    # report.json and affine.json.
+    cfg = write_config(tmp_path, bootstrap_resamples=1)
+    assert main(["proc-tomo", "--config", str(cfg)]) == 2
+    assert "bootstrap_resamples must be 0 or >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_emit_json_refuses_non_finite_numbers(tmp_path, value):
+    for payload in ({"b_std": [0.5, value]}, json.dumps({"b_std": value}) + "\n"):
+        with pytest.raises(InvariantViolation, match="^report.json: non-finite number"):
+            _emit_json(tmp_path / "report.json", payload)
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_bad_input_label_for_export_exits_2(tmp_path, capsys):

@@ -1,21 +1,22 @@
 """The exact engine's live register against a full-register replay of all 35 rows.
 
-exact_run, calibrate_phase and bell_preparation_fidelity evolve a live
-register: each subsystem joins at the first row that acts on it and is
-traced out after the last row that needs it, ion 3 (or ions 2 and 3) is kept
-to the end, and each ion's detuning phase waits until its next drive. The
+exact_run, calibrate_phase and bell_preparation_fidelity advance every
+(quadrature node, branch) entry on one stacked live register, NODE_PASS
+nodes at a time: each subsystem joins at the first row that acts on it and
+is traced out after the last row that needs it, ion 3 (or ions 2 and 3) is
+kept to the end, and each ion's detuning phase waits until its next drive. The
 reference here is a plain row loop: every row on the whole (3, 3, 3,
 fock_cutoff) register with a full dephasing pass per row, through row 34,
 with row 35 read by hand. Any error in the lifetimes, the deferred phases,
-the ion-3 cut, the stacked tail or the shared-prefix bookkeeping shows up as
-a gap.
+the stacked (node, branch) entries, the node passes or the shared-prefix
+bookkeeping shows up as a gap.
 """
 import math
 
 import numpy as np
 import pytest
 
-from teleion import trap
+from teleion import protocol, trap
 from teleion.errors import InvariantViolation
 from teleion.noise import NoiseConfig, depolarize_density_tensor, phase_exponent
 from teleion.protocol import (
@@ -327,6 +328,18 @@ def test_bell_preparation_fidelity_matches_the_full_register_replay(noise, quad_
         ref += weight * float(np.real(target @ rho23 @ target))
     assert abs(bell_preparation_fidelity(noise, quad_points=quad_points) - ref) <= TOL
     assert ref < 0.999  # the noise shows
+
+
+@pytest.mark.parametrize("node_pass", [1, 3])
+def test_node_passes_split_mid_stack_and_still_match_the_full_register_replay(monkeypatch, node_pass):
+    # Fewer nodes per pass than the cases have (8 uncorrelated, 3 or 2
+    # correlated) end some passes mid-stack and leave a partial last pass.
+    monkeypatch.setattr(protocol, "NODE_PASS", node_pass)
+    for case in ("uncorrelated dephasing", "detection error"):
+        test_exact_run_matches_the_full_register_replay(case)
+    for noise in (NoiseConfig(detection_error=0.05, **PAPER), NoiseConfig(detuning_bias_SD=0.001)):
+        test_calibration_grid_matches_the_full_register_replay(noise)
+    test_fock_cutoff_2_trips_the_truncation_monitor(NoiseConfig(**PAPER))
 
 
 def test_lifetimes_come_from_the_sequence():
