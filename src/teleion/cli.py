@@ -521,7 +521,8 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
     chi, diag = tomo.mle_process(in_states, out_counts, return_diagnostics=True)
     if not diag.converged:
         raise NonConvergence(
-            f"process reconstruction stopped after {diag.iterations} iterations"
+            f"process reconstruction stopped after {diag.iterations} Newton steps "
+            f"without meeting its certified gap bound"
         )
 
     f_proc = tomo.process_fidelity(chi, tomo.chi_ideal_identity())
@@ -553,6 +554,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
         errors = {
             "bootstrap_resamples": cfg.bootstrap_resamples,
             "bootstrap_nonconverged": sum(not d.converged for d in boot_diags),
+            "bootstrap_max_gap": max(d.gap for d in boot_diags),
             "chi_II_std": float(np.std(chi_ii, ddof=1)),
             "f_proc_std": float(np.std(fps, ddof=1)),
             "f_avg_std": float(np.std((2.0 * fps + 1.0) / 3.0, ddof=1)),
@@ -596,6 +598,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
             "b": [float(x) for x in amap.b],
             "errors": errors,
             "mle_iterations": diag.iterations,
+            "mle_gap": diag.gap,
         },
     )
     print(f"chi_II = {chi.chi[0, 0].real:.4f}; F_proc = {f_proc:.4f}")

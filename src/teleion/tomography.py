@@ -9,9 +9,12 @@ rotation convention V_X = R(pi/2, 3pi/2) and V_Y = R(pi/2, pi), so
 
 State reconstruction is closed-form (`mle_state`): the linear inversion inside
 the Bloch ball, otherwise one Lagrange-multiplier root on the sphere. Process
-reconstruction is one batched congruence solver, `_fit_chi`: R fits advance as
-one (R, 4, 4) stack by chi <- S chi S plus a trace-restoring congruence, each
-fit with its own step size and stop flag. `mle_process` is R = 1; the bootstrap is one call.
+reconstruction is one batched log-det-barrier Newton solve, `_fit_chi`: each
+probability is linear in chi, so in the 12 real coordinates of the
+trace-preserving subspace the log-likelihood is concave and positivity is a
+4 x 4 matrix inequality. R fits advance as one (R, 12) stack, each with its own
+barrier weight, step and stop flag, and each stops on a certified gap to the
+optimum. `mle_process` is R = 1; the bootstrap is one call.
 """
 from __future__ import annotations
 
@@ -176,6 +179,9 @@ class MLEDiagnostics:
     iterations: int
     log_likelihood: float
     ll_history: tuple[float, ...]
+    # Bound on how far log_likelihood lies below the optimum, certified when
+    # converged; 0.0 for the closed-form state fit.
+    gap: float
 
 
 def _sphere_optimum(u: np.ndarray) -> tuple[np.ndarray, int]:
@@ -186,13 +192,18 @@ def _sphere_optimum(u: np.ndarray) -> tuple[np.ndarray, int]:
     at most 1 at `hi`, where every |t_b| <= 1/sqrt(3); a Newton step on
     kappa, slope dt/dkappa = t (1 - t^2) / (3 kappa t^2 - 1 - kappa), is taken
     inside that bracket and a bisection otherwise. Returns (t, steps).
+
+    A basis with a zero count has u_b = +-1, where t = u_b is a root and the
+    cubic factors as (t - u_b)(kappa t^2 + u_b kappa t - 1). Its middle root
+    there is u_b min(1, 2 / (kappa + sqrt(kappa^2 + 4 kappa))), taken in that
+    deflated form: the trigonometric one loses about five digits at the double
+    root near kappa = 1/2, where such optima lie.
     """
     lo, hi = 0.0, 1.5 * math.sqrt(3.0) * (float(np.max(np.abs(u))) - 1.0 / math.sqrt(3.0))
     kappa, t = 0.0, u
+    edge = np.abs(u) == 1.0
     for steps in range(100):
         excess = float(t @ t) - 1.0
-        # Where some u_b is +-1 the root is ill-conditioned and the excess
-        # stalls near 1e-11; the bracket then closes by bisection.
         if abs(excess) <= 4e-16 or hi - lo <= 1e-15 * hi:
             break
         lo, hi = (kappa, hi) if excess > 0.0 else (lo, kappa)
@@ -204,6 +215,7 @@ def _sphere_optimum(u: np.ndarray) -> tuple[np.ndarray, int]:
         # (t near u) loses no precision to cancellation.
         c = np.sqrt((1.0 + kappa) / (3.0 * kappa))
         t = 2.0 * c * np.sin(np.arcsin(np.clip(u / (2.0 * kappa * c**3), -1.0, 1.0)) / 3.0)
+        t = np.where(edge, u * min(1.0, 2.0 / (kappa + math.sqrt(kappa * (kappa + 4.0)))), t)
     return t / math.sqrt(float(t @ t)), steps
 
 
@@ -233,7 +245,7 @@ def mle_state(counts: CountsTable, *, return_diagnostics: bool = False):
         return result
     ps = np.einsum("jab,ba->j", _POVM, result.matrix).real
     ll = float(np.sum(ns * np.log(np.clip(ps, 1e-300, None))))
-    return result, MLEDiagnostics(True, steps, ll, (ll,))
+    return result, MLEDiagnostics(True, steps, ll, (ll,), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +261,6 @@ _PAULI_PRODUCTS = np.einsum("nab,mbc->nmac", _P_DAG, _P)
 def _input_trace(chi: np.ndarray) -> np.ndarray:
     """sum_mn chi_mn A_n^dagger A_m for chi of shape (..., 4, 4); 1 iff chi is TP."""
     return np.einsum("...mn,nmab->...ab", chi, _PAULI_PRODUCTS)
-
-
-def _hermitize(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
 def apply_chi(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -358,50 +366,20 @@ def _herm2_coords(m: np.ndarray) -> np.ndarray:
 
 # A_i (x) A_j / 2 is a Frobenius-orthonormal basis of the 4x4 Hermitian
 # matrices. Trace preservation is four real linear conditions on chi's 16
-# real coordinates in it: _TP_MAP @ coords = coords of the identity.
+# real coordinates in it: _TP_MAP @ coords = coords of the identity. Every TP
+# chi is _CHI_MIXED + sum_i z_i _TP_DIRS[i] for one z in R^12, where _TP_DIRS
+# is an orthonormal basis of _TP_MAP's null space (orthogonal to the identity).
 _HERM_BASIS = 0.5 * np.einsum("iab,jcd->ijacbd", _P, _P).reshape(16, 4, 4)
 _TP_MAP = _herm2_coords(_input_trace(_HERM_BASIS)).T  # 4 x 16
-_TP_PINV = np.linalg.pinv(_TP_MAP)
-# _TP_CONGRUENCE[m, k, c, a] = tr(A_k A_m E_ca) / 2, flattened to (16, 4).
-_TP_CONGRUENCE = 0.5 * np.einsum("kab,mbc->mkca", _P, _P).reshape(16, 4)
-_EYE4 = np.eye(4, dtype=np.complex128)
+_CHI_MIXED = np.eye(4, dtype=np.complex128) / 4.0
+_TP_DIRS = np.einsum("ki,kab->iab", np.linalg.svd(_TP_MAP)[2][4:].T, _HERM_BASIS)
 
-
-def _tp_project(chi: np.ndarray) -> np.ndarray:
-    """Orthogonal (Frobenius) projection onto the trace-preserving subspace."""
-    coeffs = _TP_PINV @ _herm2_coords(np.eye(2) - _input_trace(chi))
-    return chi + np.einsum("k,kab->ab", coeffs, _HERM_BASIS)
-
-
-def _tangent_norm(g: np.ndarray) -> np.ndarray:
-    """Norm of the part of each g (..., 4, 4) that lies along the TP subspace."""
-    coords = np.einsum("kab,...ba->...k", _HERM_BASIS, g).real
-    return np.linalg.norm(coords - (coords @ _TP_MAP.T) @ _TP_PINV.T, axis=-1)
-
-
-def _physical_polish(chi: np.ndarray) -> np.ndarray:
-    """Alternate TP projection and PSD clipping until chi is both."""
-    for _ in range(200):
-        chi = _tp_project(chi)
-        if float(np.min(np.linalg.eigvalsh(chi))) >= -1e-11:
-            return _hermitize(chi)
-        w, v = np.linalg.eigh(_hermitize(chi))
-        chi = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    raise InvariantViolation("alternating TP/PSD projections failed to settle")
-
-
-def _tp_normalize(chi: np.ndarray) -> np.ndarray:
-    """Restore trace preservation by the congruence chi -> M chi M†.
-
-    M expands A_m lam^{-1/2} in the Pauli basis, lam being the input-side
-    trace operator of chi. Unlike an orthogonal projection this keeps chi
-    PSD exactly, so likelihood ascent steps stay inside the CPTP set.
-    Acts on every matrix of a (..., 4, 4) stack.
-    """
-    w, v = np.linalg.eigh(_hermitize(_input_trace(chi)))
-    l_inv_sqrt = (v / np.sqrt(np.clip(w, 1e-18, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    c = (l_inv_sqrt.reshape(*chi.shape[:-2], 4) @ _TP_CONGRUENCE.T).reshape(chi.shape)
-    return _hermitize(c.swapaxes(-1, -2) @ chi @ c.conj())
+# The process fit's barrier weight mu starts at _MU_START * N (N the fit's
+# total count) and is cut by _MU_CUT whenever the squared Newton decrement
+# is <= _CENTRED * mu; the fit stops once its gap is <= _GAP_TOL * N. A warm
+# start is mixed toward _CHI_MIXED until its least eigenvalue is _START_FLOOR.
+_MU_START, _MU_CUT, _CENTRED, _GAP_TOL = 1e-3, 100.0, 0.25, 1e-12
+_START_FLOOR = 1e-3
 
 
 def _input_rank(inputs: list[np.ndarray]) -> int:
@@ -422,89 +400,104 @@ def _process_model(inputs, outputs) -> tuple[np.ndarray, np.ndarray]:
     return k.conj().reshape(-1, 4, 4), counts
 
 
-def _probs(h_ops: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    return np.clip(np.einsum("jmn,rnm->rj", h_ops, chi).real, 1e-12, None)
+def _chi_of(z: np.ndarray) -> np.ndarray:
+    return _CHI_MIXED + np.einsum("...i,iab->...ab", z, _TP_DIRS)
 
 
-def _loglik(h_ops: np.ndarray, ns: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    return np.sum(ns * np.log(_probs(h_ops, chi)), axis=1)
+def _interior_start(start) -> np.ndarray:
+    """TP coordinates of `start`, mixed toward the maximally mixed chi until
+    its smallest eigenvalue is at least _START_FLOOR; zero for None."""
+    if start is None:
+        return np.zeros(len(_TP_DIRS))
+    # Orthogonal projection onto the TP subspace, as _TP_DIRS is orthonormal.
+    z = np.einsum("iab,ba->i", _TP_DIRS, np.asarray(start, dtype=np.complex128)).real
+    w_min = float(np.linalg.eigvalsh(_chi_of(z))[0])
+    if w_min < _START_FLOOR:
+        z = z * (0.25 - _START_FLOOR) / (0.25 - w_min)
+    return z
 
 
 def _fit_chi(
-    h_ops: np.ndarray, ns: np.ndarray, start, *, max_iters: int, grad_tol: float = 1e-8
+    h_ops: np.ndarray, ns: np.ndarray, start, *, max_iters: int
 ) -> tuple[list[ProcessMatrix], list[MLEDiagnostics]]:
     """Maximum-likelihood CPTP chi for each row of `ns`, all fits advanced as one batch.
 
     `h_ops` (J, 4, 4) is the shared model and `ns` (R, J) the counts of each
-    fit. All start from `start` made physical, or from the maximally mixed
-    chi when it is None. Each step is a diluted congruence update
-    chi <- S chi S with S = (1-a) N 1 + a G, followed by the lam^(-1/2)
-    congruence that restores trace preservation without leaving the PSD
-    cone; a backtracks until the likelihood is non-decreasing. A fit stops at
-    small tangent gradient, when no uphill step exists, or when accepted
-    steps stall (rank-deficient optima sit on the boundary, where the
-    projected gradient need not vanish). Every fit keeps its own step size,
-    backtracking and stop flag; a stopped fit is frozen while the others go on.
+    fit. chi = _CHI_MIXED + sum_i z_i _TP_DIRS[i] is TP by construction and
+    the probabilities p = p0 + G z are affine in z. Each fit maximises
+    l(z) + mu log det chi(z) by damped Newton steps, a 12 x 12 solve each:
+    a step starts at 1 or at 0.99 of the way to the PSD boundary and halves
+    until Armijo ascent holds. A centred point is within 4 mu of the optimum;
+    with Newton decrement lam, lam^2 <= 0.68^2 mu, the self-concordant bound
+    adds lam^2 (Boyd & Vandenberghe, Convex Optimization, 9.6.3 and ch. 11).
+    A fit stops once that gap, 4 mu + lam^2, is <= _GAP_TOL * N. All fits
+    start from `_interior_start(start)`; each keeps its own mu, step and stop
+    flag. `iterations` counts Newton steps, `gap` is the final bound.
     """
-    n_fits = ns.shape[0]
-    n_total = ns.sum(axis=1)
-    chi0 = _EYE4 / 4.0 if start is None else _physical_polish(np.asarray(start, complex))
-    chi = np.repeat(_tp_normalize(chi0)[None], n_fits, axis=0)
-    ll = _loglik(h_ops, ns, chi)
-    history = [[x] for x in ll.tolist()]
-    alpha = np.ones(n_fits)
-    plateau = np.zeros(n_fits, dtype=int)
-    iterations = np.zeros(n_fits, dtype=int)
-    converged = np.zeros(n_fits, dtype=bool)
-    live = np.arange(n_fits)
-    for it in range(1, max_iters + 1):
-        if live.size == 0:
+    tol, mu = _GAP_TOL * ns.sum(axis=1), _MU_START * ns.sum(axis=1)
+    g_ops = np.einsum("jab,iba->ji", h_ops, _TP_DIRS).real
+    p0 = np.einsum("jab,ba->j", h_ops, _CHI_MIXED).real
+    z = np.repeat(_interior_start(start)[None], ns.shape[0], axis=0)
+    w, v = np.linalg.eigh(_chi_of(z))
+    gap, steps = np.zeros(ns.shape[0]), np.zeros(ns.shape[0], dtype=int)
+    converged = np.zeros(ns.shape[0], dtype=bool)
+    history = [[] for _ in ns]
+    live = np.arange(ns.shape[0])
+    for it in range(max_iters + 1):
+        nl, p = ns[live], p0 + z[live] @ g_ops.T
+        ll = np.sum(nl * np.log(p), axis=1)
+        for i, x in zip(live.tolist(), ll.tolist()):
+            history[i].append(x)
+        # m_i = chi^(-1/2) C_i chi^(-1/2): log det chi has gradient tr(m_i)
+        # and negative Hessian tr(m_i m_j).
+        root = (v[live] / np.sqrt(w[live])[:, None, :]) @ v[live].conj().swapaxes(-1, -2)
+        m = root[:, None] @ _TP_DIRS @ root[:, None]
+        flat = m.reshape(live.size, len(_TP_DIRS), 16)
+        grad_b = np.trace(m, axis1=-2, axis2=-1).real
+        hess_b = (flat @ flat.conj().swapaxes(-1, -2)).real
+        grad_l = (nl / p) @ g_ops
+        hess_l = ((nl / p**2)[:, None, :] * g_ops.T) @ g_ops
+        mu_l, tol_l = mu[live], tol[live]
+        while True:
+            grad = grad_l + mu_l[:, None] * grad_b
+            dz = np.linalg.solve(hess_l + mu_l[:, None, None] * hess_b, grad[..., None])[..., 0]
+            lam2 = np.einsum("ri,ri->r", grad, dz)
+            # A centred fit whose gap is still too wide goes on at a smaller mu.
+            cut = (lam2 <= _CENTRED * mu_l) & (4.0 * mu_l + lam2 > tol_l)
+            if not cut.any():
+                break
+            mu_l = np.where(cut, mu_l / _MU_CUT, mu_l)
+        mu[live], gap[live] = mu_l, 4.0 * mu_l + lam2
+        done = (lam2 <= 0.68**2 * mu_l) & (gap[live] <= tol_l)
+        converged[live[done]] = True
+        live, z_l, dz, m, lam2, ll = (x[~done] for x in (live, z[live], dz, m, lam2, ll))
+        if it == max_iters or live.size == 0:
             break
-        iterations[live] = it
-        grad = _hermitize(np.einsum("rj,jmn->rmn", ns[live] / _probs(h_ops, chi[live]), h_ops))
-        flat = _tangent_norm(grad) / n_total[live] <= grad_tol
-        converged[live[flat]] = True
-        fits, grad = live[~flat], grad[~flat]
-        a = alpha[fits]
-        cand = np.empty((fits.size, 4, 4), dtype=np.complex128)
-        ll_cand = np.empty(fits.size)
-        todo = np.arange(fits.size)
+        steps[live] += 1
+        f0 = ll + mu[live] * np.sum(np.log(w[live]), axis=1)
+        # chi + t D = chi^(1/2) (1 + t dz . m) chi^(1/2) stays PD while 1 + t e_min > 0.
+        e_min = np.linalg.eigvalsh(np.einsum("ri,riab->rab", dz, m))[:, 0]
+        t = np.where(e_min < -0.99, -0.99 / e_min, 1.0)
+        todo = np.arange(live.size)
         for _ in range(60):
-            f = fits[todo]
-            s_op = ((1.0 - a[todo]) * n_total[f])[:, None, None] * _EYE4
-            s_op = s_op + a[todo, None, None] * grad[todo]
-            trial = _tp_normalize(s_op @ chi[f] @ s_op)
-            ll_trial = _loglik(h_ops, ns[f], trial)
-            ok = ll_trial >= ll[f] - 1e-12
-            cand[todo[ok]], ll_cand[todo[ok]] = trial[ok], ll_trial[ok]
+            f = live[todo]
+            z_t = z_l[todo] + t[todo, None] * dz[todo]
+            w_t, v_t = np.linalg.eigh(_chi_of(z_t))
+            # Outside the PSD cone a log is NaN or -inf and the test fails.
+            with np.errstate(invalid="ignore", divide="ignore"):
+                f_t = np.sum(ns[f] * np.log(p0 + z_t @ g_ops.T), axis=1)
+                f_t += mu[f] * np.sum(np.log(w_t), axis=1)
+            ok = f_t >= f0[todo] + 0.25 * t[todo] * lam2[todo]
+            z[f[ok]], w[f[ok]], v[f[ok]] = z_t[ok], w_t[ok], v_t[ok]
             todo = todo[~ok]
             if todo.size == 0:
                 break
-            a[todo] *= 0.5
-        # No non-decreasing physical step exists: a boundary optimum.
-        converged[fits[todo]] = True
-        step = np.ones(fits.size, dtype=bool)
-        step[todo] = False
-        moved, cand, ll_cand = fits[step], cand[step], ll_cand[step]
-        delta = np.max(np.abs(cand - chi[moved]), axis=(1, 2))
-        # Boundary (rank-deficient) optima creep sublinearly and never meet
-        # the tangent-gradient test; once the likelihood stalls at machine
-        # precision for 100 straight steps there, call it converged. Interior
-        # optima are left to the gradient criterion, which is sharper.
-        at_boundary = np.linalg.eigvalsh(cand)[:, 0] < 1e-6
-        stalled = ll_cand - ll[moved] <= 1e-12 * np.maximum(1.0, np.abs(ll[moved]))
-        plateau[moved] = np.where(at_boundary & stalled, plateau[moved] + 1, 0)
-        chi[moved], ll[moved] = cand, ll_cand
-        for i, x in zip(moved.tolist(), ll_cand.tolist()):
-            history[i].append(x)
-        alpha[moved] = np.minimum(1.0, 2.0 * a[step])
-        done = (delta <= 1e-11) | (plateau[moved] >= 100)
-        converged[moved[done]] = True
-        live = moved[~done]
-    results = [ProcessMatrix(_physical_polish(c)) for c in chi]
+            t[todo] *= 0.5
+        live = np.delete(live, todo)  # no ascent step left: stop, unconverged
+    results = [ProcessMatrix(c) for c in _chi_of(z)]
     diags = [
-        MLEDiagnostics(bool(c), int(i), float(x), tuple(h))
-        for c, i, x, h in zip(converged, iterations, ll, history)
+        MLEDiagnostics(bool(c), int(s), h[-1], tuple(h), float(g))
+        for c, s, h, g in zip(converged, steps, history, gap)
     ]
     return results, diags
 
@@ -514,25 +507,23 @@ def mle_process(
     outputs,
     *,
     max_iters: int = 10_000,
-    grad_tol: float = 1e-8,
     start: np.ndarray | None = None,
     return_diagnostics: bool = False,
 ):
     """Maximum-likelihood CPTP process matrix from tomography counts.
 
     `inputs` are the prepared states (DensityMatrix or 2x2 arrays), `outputs`
-    the corresponding CountsTables. One fit of `_fit_chi`, started from the
-    maximally mixed chi or from `start` made physical.
+    the corresponding CountsTables. One fit of `_fit_chi`, the log-det-barrier
+    Newton solve, started from the maximally mixed chi or from `start`; it
+    warns if `max_iters` Newton steps end before the certified gap is met.
     """
     h_ops, counts = _process_model(inputs, outputs)
     if counts.sum() <= 0:
         raise ConfigError("empty counts tables")
-    (result,), (diag,) = _fit_chi(
-        h_ops, counts.reshape(1, -1), start, max_iters=max_iters, grad_tol=grad_tol
-    )
+    (result,), (diag,) = _fit_chi(h_ops, counts.reshape(1, -1), start, max_iters=max_iters)
     if not diag.converged:
         warnings.warn(
-            f"mle_process stopped after {diag.iterations} iterations without convergence",
+            f"mle_process stopped after {diag.iterations} Newton steps without convergence",
             stacklevel=2,
         )
     return (result, diag) if return_diagnostics else result
@@ -550,10 +541,10 @@ def bootstrap_process(
 ):
     """Parametric bootstrap: redraw binomial counts, refit every resample.
 
-    All resamples are fitted together by `_fit_chi`, from `start` made
-    physical once. Requires integer-total count tables (sampled data);
-    exact-probability tables carry no statistical uncertainty to resample.
-    Warns once if any resample stops without converging; with
+    All resamples are fitted together by `_fit_chi`, each its own barrier
+    Newton solve from `start`. Requires integer-total count tables (sampled
+    data); exact-probability tables carry no statistical uncertainty to
+    resample. Warns once if any resample stops without a certified gap; with
     `return_diagnostics` it also returns each resample's MLEDiagnostics.
     """
     h_ops, counts = _process_model(inputs, outputs)

@@ -284,6 +284,17 @@ def test_sampled_proc_tomo_counts_nonconverged_resamples(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_proc_tomo_reports_certified_gaps(tmp_path, capsys):
+    cfg = write_config(tmp_path, shots=300, bootstrap_resamples=4)
+    assert main(["proc-tomo", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    total = 6 * 3 * 300  # six inputs, three bases
+    assert type(report["mle_gap"]) is float and 0.0 <= report["mle_gap"] <= 1e-12 * total
+    gap = report["errors"]["bootstrap_max_gap"]
+    assert type(gap) is float and 0.0 <= gap <= 1e-12 * total
+    capsys.readouterr()
+
+
 def test_calibrate_finds_zero_phase_noiselessly(tmp_path, capsys):
     cfg = write_config(tmp_path, grid=8)
     assert main(["calibrate", "--config", str(cfg)]) == 0
