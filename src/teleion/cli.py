@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, InvariantViolation, NonConvergence
 from .noise import NoiseConfig, PulseDurations
 from .protocol import (
-    Exact,
     FidelityCheck,
     InputStateSpec,
     Tomography,
@@ -33,7 +32,6 @@ from .protocol import (
     exact_run,
     sample_counts,
     sequence_text,
-    teleportation_fidelity,
 )
 from .protocol import run_shot  # noqa: F401  perfbench/spans.py traces this binding
 from .qcore import DensityMatrix, state_fidelity, trace_distance
@@ -65,7 +63,7 @@ configuration keys (JSON file; flags override file values):
   spin_echo               boolean, echo pulse on the target ion (default true)
   standby_wait_us         microseconds, standby wait before hiding the target (default 1.0)
   rephase_wait_us         microseconds, rephasing wait before reconstruction (default 300.0)
-  grid                    calibration sweep points, >= 8 (default 32)
+  grid                    rows of the calibration's phase_sweep.csv, >= 8 (default 32)
   bootstrap_resamples     parametric bootstrap size for error bars, 0 or >= 2 (default 200)
   process_inputs          reconstructed | ideal input states for process tomography (default reconstructed)
   tomography_resolution   ellipsoid mesh resolution, >= 8 (default 24)
@@ -119,6 +117,9 @@ class ExperimentConfig:
             standby_wait_us=self.standby_wait_us,
             rephase_wait_us=self.rephase_wait_us,
         )
+
+    def exact_kwargs(self) -> dict:
+        return dict(quad_points=self.quad_points, fock_cutoff=self.fock_cutoff, **self.sequence_kwargs())
 
     def validate(self) -> None:
         if not isinstance(self.seed, int):
@@ -319,17 +320,12 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return p
 
 
-def _resolve_phase(cfg: ExperimentConfig) -> float:
+def _resolve_phase(cfg: ExperimentConfig) -> tuple[float, dict]:
+    """(tail phase, report keys of its calibration: none for a fixed phase)."""
     if cfg.phase_offset == "calibrate":
-        res = calibrate_phase(
-            cfg.noise,
-            grid=cfg.grid,
-            quad_points=cfg.quad_points,
-            fock_cutoff=cfg.fock_cutoff,
-            **cfg.sequence_kwargs(),
-        )
-        return res.phi_star
-    return float(cfg.phase_offset)
+        res = calibrate_phase(cfg.noise, grid=cfg.grid, **cfg.exact_kwargs())
+        return res.phi_star, {"calibration_residual": res.residual}
+    return float(cfg.phase_offset), {}
 
 
 def _require_mode(cfg: ExperimentConfig, command: str) -> None:
@@ -344,7 +340,7 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     _require_mode(cfg, "teleport")
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
-    phase = _resolve_phase(cfg)
+    phase, calibration = _resolve_phase(cfg)
     sampling = tomo.resolve_sampling(cfg.noise, cfg.sampling)
 
     exact_only = cfg.exact or cfg.shots == 0
@@ -354,15 +350,7 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     with_exact = exact_only or cfg.noise.amplitude_error_sigma == 0.0
 
     runs = [
-        exact_run(
-            spec,
-            phase,
-            cfg.noise,
-            FidelityCheck(),
-            quad_points=cfg.quad_points,
-            fock_cutoff=cfg.fock_cutoff,
-            **cfg.sequence_kwargs(),
-        )
+        exact_run(spec, phase, cfg.noise, FidelityCheck(), **cfg.exact_kwargs())
         if with_exact
         else None
         for spec in inputs
@@ -416,6 +404,7 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
             "seed": cfg.seed,
             "shots": cfg.shots,
             "phase_offset": phase,
+            **calibration,
             "sampling": "exact" if exact_only else sampling,
             "states": report_states,
             "f_avg_exact": f_avg_exact,
@@ -446,9 +435,7 @@ def _labeled_counts(cfg, inputs, phase) -> list[tomo.CountsTable]:
         master_seed=[_child_seed(cfg.seed, idx) for idx in range(len(inputs))],
         phase_offset=phase,
         sampling=cfg.sampling,
-        quad_points=cfg.quad_points,
-        fock_cutoff=cfg.fock_cutoff,
-        **cfg.sequence_kwargs(),
+        **cfg.exact_kwargs(),
     )
 
 
@@ -456,7 +443,7 @@ def cmd_state_tomo(cfg: ExperimentConfig) -> int:
     _require_mode(cfg, "state-tomo")
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
-    phase = _resolve_phase(cfg)
+    phase, _ = _resolve_phase(cfg)
 
     bar_rows, report_states = [], []
     for spec, counts in zip(inputs, _labeled_counts(cfg, inputs, phase)):
@@ -498,7 +485,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
     _require_mode(cfg, "proc-tomo")
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
-    phase = _resolve_phase(cfg)
+    phase, _ = _resolve_phase(cfg)
     shots_per_basis = 0 if cfg.exact else cfg.shots
 
     in_states, out_states, out_counts = [], [], _labeled_counts(cfg, inputs, phase)
@@ -614,21 +601,10 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
 def cmd_calibrate(cfg: ExperimentConfig) -> int:
     _require_mode(cfg, "calibrate")
     out = _outdir(cfg)
-    res = calibrate_phase(
-        cfg.noise,
-        grid=cfg.grid,
-        quad_points=cfg.quad_points,
-        fock_cutoff=cfg.fock_cutoff,
-        **cfg.sequence_kwargs(),
-    )
-    f_star = teleportation_fidelity(
-        canonical_inputs()[5],
-        cfg.noise,
-        Exact(cfg.quad_points),
-        phase_offset=res.phi_star,
-        fock_cutoff=cfg.fock_cutoff,
-        **cfg.sequence_kwargs(),
-    ).value
+    res = calibrate_phase(cfg.noise, grid=cfg.grid, **cfg.exact_kwargs())
+    reference = canonical_inputs()[5]
+    at_star = exact_run(reference, res.phi_star, cfg.noise, **cfg.exact_kwargs())
+    f_star = state_fidelity(at_star.rho_exp, reference.pure())
     _emit_csv(
         out / "phase_sweep.csv",
         "phi,fidelity",
@@ -642,6 +618,7 @@ def cmd_calibrate(cfg: ExperimentConfig) -> int:
             "grid": cfg.grid,
             "phi_star": res.phi_star,
             "fidelity_at_phi_star": f_star,
+            "calibration_residual": res.residual,
         },
     )
     print(f"phi* = {res.phi_star:.6f} rad; exact fidelity there = {f_star:.6f}")
@@ -709,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("teleport", "teleportation fidelity per input state (exact + sampled)"),
         ("state-tomo", "tomography of the teleported output states"),
         ("proc-tomo", "full process tomography of the teleportation channel"),
-        ("calibrate", "sweep the tail phase offset and report the optimum"),
+        ("calibrate", "fit the tail phase offset's fidelity curve and report its optimum"),
         ("baseline", "classical measure-and-resend fidelity reference"),
     ):
         common(sub.add_parser(name, help=helptext))

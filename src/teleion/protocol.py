@@ -40,7 +40,7 @@ from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .noise import (
     NoiseConfig,
     RUN_STREAM_TAG,
-    depolarize_density_tensor,
+    depolarize_density_tensor,  # noqa: F401  perfbench/run.py --self-check needs this binding (ROADMAP B2)
     depolarizing_superop,
     perturb_pulse,
     release_phase,
@@ -70,7 +70,7 @@ N_IONS = 3
 _TARGET = N_IONS - 1
 #: First step of the reconstruction/analysis tail, the rows that carry the
 #: calibration phase offset: calibration replays rows from here to 33 per
-#: candidate phase on the stack advanced through the rows before it.
+#: fit phase on the stack advanced through the rows before it.
 _TAIL_START = 30
 #: The mode-dependent analysis row; every row before it is shared by all modes.
 _ANALYSIS_ROW = 34
@@ -572,16 +572,17 @@ def _join(rho: np.ndarray, site: int, dim: int) -> np.ndarray:
     return out
 
 
-def _apply(ops: np.ndarray, rho: np.ndarray, axes: list[int], work: np.ndarray) -> np.ndarray:
+def _apply(ops: np.ndarray, rho: np.ndarray, axes: list[int], work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Each entry's (d, d) operator, or one shared by all, on the flattened `axes` of its tensor.
 
-    The operand is gathered into `work`, a buffer the caller keeps from row to
-    row: at a few nodes, a fresh one per row cost more in page faults than the product."""
+    The operand is gathered into work[0] and the product written into work[1],
+    buffers the caller keeps from row to row: at a few nodes, fresh arrays per
+    row cost more in page faults than the product. The result views work[1]."""
     order = [0, *axes, *(a for a in range(1, rho.ndim) if a not in axes)]
     moved = rho.transpose(order)
-    gathered = work[:rho.size].reshape(moved.shape)
-    np.copyto(gathered, moved)
-    out = ops @ gathered.reshape(len(moved), ops.shape[-1], -1)
+    gathered, out = (w[:rho.size].reshape(len(moved), ops.shape[-1], -1) for w in work)
+    np.copyto(gathered.reshape(moved.shape), moved)
+    np.matmul(ops, gathered, out=out)
     return out.reshape(moved.shape).transpose(np.argsort(order))
 
 
@@ -643,11 +644,12 @@ def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cu
     node, weight, rates = stack.node, stack.weight, stack.rates
     truncation, motion = stack.truncation, stack.motion
     eps, dims = noise.detection_error, (3,) * N_IONS + (fock_cutoff,)
-    work = np.empty(0, rho.dtype)
+    work = (np.empty(0, rho.dtype),) * 2
     for i, step in enumerate(steps, start=first):
         action, sel = step.action, slice(None)
         if isinstance(action, ConditionalPulse):
             sel = np.array([key.get(action.detect_label) is action.required for key in keys], bool)
+            rho = rho.copy()  # rho[sel] is written below: rho must not be _apply's output buffer
         pulse = action.pulse if isinstance(action, ConditionalPulse) else action
         pending[sel] += noise.pulse_durations.of(pulse)
         acts = _row_sites(action)[0]
@@ -664,7 +666,8 @@ def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cu
             keys = tuple({**key, pulse.label: o} for key in keys for o in (Outcome.BRIGHT, Outcome.DARK))
         else:
             op, part = _drive_op(pulse, fock_cutoff), rho[sel]
-            work = work if work.size >= part.size else np.empty(part.size, rho.dtype)
+            if work[0].size < part.size:  # as two arrays: one of twice the size kept more memory resident
+                work = (np.empty(part.size, rho.dtype), np.empty(part.size, rho.dtype))
             depol = noise.depolarizing_applies(step.step_id) and not isinstance(pulse, Hide)
             # The ion's pending phase acts first: fold it into each entry's drive
             # as a scale on the columns of its ion level.
@@ -682,8 +685,8 @@ def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cu
                 u = (op * ph[:, None, None, :, None]).reshape(len(ph), 3 * fock_cutoff, 3 * fock_cutoff)
                 part = _apply(u, part, [k, 1 + _MOTION], work)
                 part = _apply(u.conj(), part, [k_bra, 1 + _MOTION + _SUBSYSTEMS], work)
-                if depol:  # it pairs axis k with k + ndim // 2, the bra axis past the entry axis
-                    part = depolarize_density_tensor(part, k, noise.depolarizing_per_pulse)
+                if depol:
+                    part = _apply(depolarizing_superop(noise.depolarizing_per_pulse, 3), part, [k, k_bra], work)
             else:  # one fused (site, site') superoperator: drive, then depolarizing
                 sup = np.einsum("ab,cd->acbd", op, op.conj()).reshape(9, 9)
                 if depol:
@@ -958,6 +961,41 @@ class CalibrationResult:
     phi_star: float
     grid_phis: np.ndarray
     grid_fidelities: np.ndarray
+    residual: float  # the tripwire replay's miss of the fitted polynomial
+
+
+def _trig_basis(phis) -> np.ndarray:
+    """Rows (1, cos d, sin d, cos 2d, sin 2d), one per phase d."""
+    d = np.atleast_1d(np.asarray(phis, dtype=float))[:, None]
+    return np.hstack([np.ones_like(d), np.cos(d), np.sin(d), np.cos(2.0 * d), np.sin(2.0 * d)])
+
+
+#: calibrate_phase's tail phases: five nodes 2 pi j / 5, whose values fix the
+#: five coefficients (the 5-point DFT _DFT5), then one tripwire off the nodes.
+_FIT_PHASES = np.append(np.arange(5) * (0.4 * PI), 1.0)
+_DFT5 = _trig_basis(_FIT_PHASES[:5]).T * np.array([[0.2], [0.4], [0.4], [0.4], [0.4]])
+#: Largest tripwire miss; also the coefficient size below which F is flat.
+_FIT_TOL = 1e-12
+
+
+def _phase_fit(samples) -> tuple[float, np.ndarray, float]:
+    """(phi*, (a0, a1, b1, a2, b2), tripwire miss) of F(d) = a0 + sum_m a_m cos md + b_m sin md
+    from F at _FIT_PHASES. phi* is the best angle among the roots of e^{2id} F'(d),
+    a quartic in e^{id}, after one Newton step on F'; 0 for a flat F.
+    """
+    samples = np.asarray(samples, dtype=float)
+    coef = _DFT5 @ samples[:5]
+    residual = float(np.abs(_trig_basis(_FIT_PHASES) @ coef - samples).max())
+    if not residual <= _FIT_TOL:
+        raise InvariantViolation(f"calibration: a tail replay misses the degree-2 fit by {residual:.3e}")
+    _, a1, b1, a2, b2 = coef
+    if np.abs(coef[1:]).max() <= _FIT_TOL:
+        return 0.0, coef, residual
+    # z^2 F' = sum_m (m / 2) ((b_m + i a_m) z^(2+m) + (b_m - i a_m) z^(2-m)), z = e^{id}
+    angles = np.angle(np.roots([b2 + 1j * a2, 0.5 * (b1 + 1j * a1), 0.0, 0.5 * (b1 - 1j * a1), b2 - 1j * a2]))
+    phi = angles[np.argmax(_trig_basis(angles) @ coef)]
+    ((slope, curve),) = _trig_basis(phi) @ [[0, 0], [b1, -a1], [-a1, -b1], [2 * b2, -4 * a2], [-2 * a2, -4 * b2]]
+    return float(phi - slope / curve if curve < 0.0 else phi) % (2.0 * PI), coef, residual
 
 
 def calibrate_phase(
@@ -970,15 +1008,17 @@ def calibrate_phase(
     spin_echo: bool = True,
     standby_wait_us: float = 1.0,
     rephase_wait_us: float = 300.0,
-    tol: float = 1e-3,
 ) -> CalibrationResult:
-    """Scan the tail phase offset and refine the best grid cell.
+    """The tail phase offset that maximises the reference input's exact fidelity F.
 
     Advances the stacked live register once, NODE_PASS quadrature nodes at a
-    time, through the phase-independent rows up to 29. Each candidate phase
+    time, through the phase-independent rows up to 29; each of _FIT_PHASES
     then advances only rows 30-33, the phase = 0 rows with every pulse phase
-    shifted, on that stack. A golden-section pass shrinks the best grid
-    bracket below `tol` radians.
+    shifted, on that stack. The shift conjugates the tail by a z rotation of
+    ion 3, so F is a degree-2 trigonometric polynomial of the offset: five
+    replays fix it, a sixth checks it (`residual`), and `_phase_fit` gives
+    its maximum in closed form. `grid_fidelities` are its values at `grid`
+    evenly spaced phases.
     """
     _check_exact_noise(noise, "calibrate_phase")
     if grid < 8:
@@ -1006,28 +1046,9 @@ def calibrate_phase(
         tr = float(np.real(np.trace(rho3)))
         return float(np.real(psi.conj() @ rho3 @ psi)) / tr
 
+    phi_star, coef, residual = _phase_fit([fidelity_at(p) for p in _FIT_PHASES])
     phis = np.linspace(0.0, 2.0 * PI, grid, endpoint=False)
-    fids = np.array([fidelity_at(p) for p in phis])
-    best = int(np.argmax(fids))
-    spacing = 2.0 * PI / grid
-    lo, hi = phis[best] - spacing, phis[best] + spacing
-
-    # Golden-section pass on the bracket around the best grid point.
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, dd = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = fidelity_at(c), fidelity_at(dd)
-    while b - a > tol:
-        if fc > fd:
-            b, dd, fd = dd, c, fc
-            c = b - invphi * (b - a)
-            fc = fidelity_at(c)
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + invphi * (b - a)
-            fd = fidelity_at(dd)
-    phi_star = float((a + b) / 2.0) % (2.0 * PI)
-    return CalibrationResult(phi_star, phis, fids)
+    return CalibrationResult(phi_star, phis, _trig_basis(phis) @ coef, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,22 @@ def test_calibrate_finds_zero_phase_noiselessly(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_calibrated_reports_carry_the_tripwire_residual(tmp_path, capsys):
+    noise = {"detuning_sigma_SD": 0.0015, "depolarizing_per_pulse": 0.025}
+    cfg = write_config(tmp_path, quad_points=2, grid=8, noise=noise)
+    assert main(["calibrate", "--config", str(cfg)]) == 0
+    residual = json.loads((tmp_path / "out" / "report.json").read_text())["calibration_residual"]
+    assert type(residual) is float and 0.0 <= residual <= 1e-12
+    cfg = write_config(tmp_path, quad_points=2, grid=8, noise=noise, phase_offset="calibrate", exact=True)
+    assert main(["teleport", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["calibration_residual"] == residual
+    cfg = write_config(tmp_path, quad_points=2, noise=noise, exact=True)
+    assert main(["teleport", "--config", str(cfg)]) == 0
+    assert "calibration_residual" not in json.loads((tmp_path / "out" / "report.json").read_text())
+    capsys.readouterr()
+
+
 def test_baseline_reports_two_thirds(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["baseline", "--config", str(cfg)]) == 0

@@ -300,12 +300,49 @@ def test_fock_cutoff_2_trips_the_truncation_monitor(noise):
 )
 def test_calibration_grid_matches_the_full_register_replay(noise):
     grid, quad_points = 8, 2
-    res = calibrate_phase(noise, grid=grid, quad_points=quad_points, tol=0.5)
+    res = calibrate_phase(noise, grid=grid, quad_points=quad_points)
     spec = canonical_inputs()[5]
     psi = spec.ket()
     for phi, f in zip(res.grid_phis, res.grid_fidelities):
         rho = full_register_replay([build_sequence(spec, phi)], noise, quad_points=quad_points)
         assert abs(f - float(np.real(psi.conj() @ rho["rho_exp"] @ psi))) <= TOL
+
+
+CALIBRATION_NOISE = {
+    "paper noise": NoiseConfig(**PAPER),
+    "detuning bias + depolarizing": NoiseConfig(detuning_bias_SD=0.003, depolarizing_per_pulse=0.05),
+    "uncorrelated dephasing + detection error": NoiseConfig(
+        detuning_sigma_SD=0.003, correlated_dephasing=False, detection_error=0.05
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CALIBRATION_NOISE)
+def test_calibration_polynomial_matches_the_full_register_replay(monkeypatch, case):
+    # calibrate_phase replays only five fit phases and a tripwire; its curve
+    # must still be the replayed fidelity on and off its grid, and its phi*
+    # the curve's maximum.
+    noise, quad_points = CALIBRATION_NOISE[case], 2
+    advanced = []
+    advance = protocol._advance
+    monkeypatch.setattr(protocol, "_advance", lambda *args: advanced.append(1) or advance(*args))
+    res = calibrate_phase(noise, grid=8, quad_points=quad_points)
+    passes = math.ceil(len(_gh_nodes(noise, quad_points)) / protocol.NODE_PASS)
+    assert len(advanced) == passes + 6
+    assert 0.0 <= res.residual <= TOL
+
+    # The grid holds a degree-2 polynomial: its least-squares fit interpolates.
+    basis = protocol._trig_basis
+    coef = np.linalg.lstsq(basis(res.grid_phis), res.grid_fidelities, rcond=None)[0]
+    assert np.abs(basis(res.grid_phis) @ coef - res.grid_fidelities).max() <= 1e-15
+    off_grid = np.array([0.3, 2.0, 5.5])
+    spec = canonical_inputs()[5]
+    psi = spec.ket()
+    for phi, f in zip([*res.grid_phis, *off_grid], [*res.grid_fidelities, *basis(off_grid) @ coef]):
+        rho = full_register_replay([build_sequence(spec, phi)], noise, quad_points=quad_points)
+        assert abs(f - float(np.real(psi.conj() @ rho["rho_exp"] @ psi))) <= TOL
+    scan = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+    assert (basis(res.phi_star) @ coef)[0] >= (basis(scan) @ coef).max() - 1e-12
 
 
 @pytest.mark.parametrize(

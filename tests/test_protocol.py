@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from teleion.errors import ConfigError
+from teleion.errors import ConfigError, InvariantViolation
 from teleion.noise import NoiseConfig
 from teleion.protocol import (
     BRANCHES,
@@ -18,7 +18,10 @@ from teleion.protocol import (
     InputStateSpec,
     Sampled,
     Tomography,
+    _FIT_PHASES,
+    _phase_fit,
     _shift_phases,
+    _trig_basis,
     bell_preparation_fidelity,
     branch_label,
     build_sequence,
@@ -243,12 +246,65 @@ def test_branch_frequencies_are_uniform():
 # Calibration and baselines
 
 def test_calibrate_phase_finds_zero_offset_noiselessly():
-    res = calibrate_phase(grid=16, tol=5e-3)
+    res = calibrate_phase(grid=16)
     dist = min(res.phi_star, 2.0 * PI - res.phi_star)
     assert dist <= 5e-3
     assert res.grid_fidelities.max() >= 1.0 - 1e-9
     with pytest.raises(ConfigError):
         calibrate_phase(grid=4)
+
+
+def _fit_samples(coef):
+    return _trig_basis(_FIT_PHASES) @ np.asarray(coef, dtype=float)
+
+
+def _peaked(phi0, a1, a2, base=0.6):
+    """a0 + a1 cos(d - phi0) + a2 cos 2(d - phi0) as (a0, a1, b1, a2, b2)."""
+    return [base, a1 * math.cos(phi0), a1 * math.sin(phi0), a2 * math.cos(2 * phi0), a2 * math.sin(2 * phi0)]
+
+
+@pytest.mark.parametrize("phi0", [1.234, 4.0, 0.0, 3e-5, -7e-5, 2.0 * PI - 1e-4])
+@pytest.mark.parametrize(
+    "a1, a2",
+    [(0.2, 0.1), (0.3, 0.0), (0.0, 0.2), (0.1, 0.4)],
+    ids=["one peak", "degree 1", "pure degree 2", "a weaker second peak"],
+)
+def test_phase_fit_recovers_a_known_maximiser(phi0, a1, a2):
+    # "pure degree 2" peaks at phi0 and phi0 + pi alike; the other cases peak
+    # at phi0 only ("a weaker second peak" has a local maximum near phi0 + pi).
+    coef = _peaked(phi0, a1, a2)
+    phi, fit, residual = _phase_fit(_fit_samples(coef))
+    assert np.allclose(fit, coef, rtol=0.0, atol=1e-14)
+    assert 0.0 <= residual <= 1e-14
+    assert 0.0 <= phi < 2.0 * PI
+    period = PI if a1 == 0.0 else 2.0 * PI
+    miss = (phi - phi0) % period
+    assert min(miss, period - miss) <= 1e-12
+    scan = np.linspace(0.0, 2.0 * PI, 2048, endpoint=False)
+    assert (_trig_basis(phi) @ fit)[0] >= (_trig_basis(scan) @ fit).max() - 1e-14
+
+
+@pytest.mark.parametrize("harmonic", [3, 4])
+def test_phase_fit_raises_on_a_higher_harmonic(harmonic):
+    for part in (np.cos, np.sin):
+        samples = _fit_samples(_peaked(0.3, 0.2, 0.1)) + 1e-3 * part(harmonic * _FIT_PHASES)
+        with pytest.raises(InvariantViolation, match="degree-2 fit"):
+            _phase_fit(samples)
+    # The tripwire itself: a sample that misses a clean polynomial by 2e-12.
+    samples = _fit_samples(_peaked(0.3, 0.2, 0.1))
+    samples[5] += 2e-12
+    with pytest.raises(InvariantViolation):
+        _phase_fit(samples)
+
+
+@pytest.mark.parametrize("level", [0.0, 0.7, 1.0])
+def test_phase_fit_of_a_flat_curve_is_zero(level):
+    # At level 0 every coefficient is exactly 0, where np.roots has no polynomial.
+    with np.errstate(all="raise"):
+        phi, fit, residual = _phase_fit(np.full(6, level))
+    assert phi == 0.0
+    assert np.allclose(fit, [level, 0, 0, 0, 0], rtol=0.0, atol=1e-14)
+    assert residual <= 1e-14
 
 
 def test_classical_baseline_is_two_thirds():
