@@ -30,7 +30,6 @@ from .protocol import (
     classical_baseline,
     classical_baseline_per_state,
     exact_run,
-    sample_counts,
     sequence_text,
 )
 from .protocol import run_shot  # noqa: F401  perfbench/spans.py traces this binding
@@ -67,7 +66,7 @@ configuration keys (JSON file; flags override file values):
   bootstrap_resamples     parametric bootstrap size for error bars, 0 or >= 2 (default 200)
   process_inputs          reconstructed | ideal input states for process tomography (default reconstructed)
   tomography_resolution   ellipsoid mesh resolution, >= 8 (default 24)
-  exact                   boolean, infinite-statistics mode (default false)
+  exact                   boolean, infinite-statistics mode: the same as shots 0 (default false)
   noise.detuning_sigma_SD       rad/us, std dev of the quasi-static S-D detuning
   noise.detuning_bias_SD        rad/us, deterministic S-D detuning offset
   noise.dephasing_ratio_H       unitless, H-level detuning = ratio x S-D detuning (default 2.0)
@@ -132,8 +131,7 @@ class ExperimentConfig:
             isinstance(self.phase_offset, bool) or not isinstance(self.phase_offset, (int, float))
         ):
             raise ConfigError('phase_offset must be a number or "calibrate"')
-        if self.sampling not in ("auto", "fast", "per-shot"):
-            raise ConfigError(f"unknown sampling mode {self.sampling!r}")
+        tomo.resolve_sampling(self.noise, self.sampling)
         if self.mode is not None and self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.grid < 8:
@@ -269,8 +267,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.shots = args.shots
     if getattr(args, "out", None) is not None:
         cfg.output_dir = args.out
-    if getattr(args, "exact", False):
-        cfg.exact = True
+    if cfg.exact or getattr(args, "exact", False):
+        cfg.shots = 0
     cfg.validate()
     return cfg
 
@@ -341,42 +339,20 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
     phase, calibration = _resolve_phase(cfg)
-    sampling = tomo.resolve_sampling(cfg.noise, cfg.sampling)
-
-    exact_only = cfg.exact or cfg.shots == 0
-    # Amplitude noise has no exact representation: the exact fidelity is then
-    # left empty, and only an exact-only run still reaches the engine (and
-    # fails there with a config error).
-    with_exact = exact_only or cfg.noise.amplitude_error_sigma == 0.0
-
-    runs = [
-        exact_run(spec, phase, cfg.noise, FidelityCheck(), **cfg.exact_kwargs())
-        if with_exact
-        else None
-        for spec in inputs
-    ]
-    p_bright = [res.p_bright[FidelityCheck()] for res in runs] if with_exact else None
-    if exact_only:
-        f_sampled = p_bright
-    else:
-        counts = sample_counts(
-            [
-                build_sequence(spec, phase, FidelityCheck(), **cfg.sequence_kwargs())
-                for spec in inputs
-            ],
-            cfg.noise,
-            cfg.shots,
-            cfg.seed,
-            p_bright=p_bright if sampling == "fast" else None,
-            tag=_TELE_TAG,
-            fock_cutoff=cfg.fock_cutoff,
-        )
-        f_sampled = [k / cfg.shots for k in counts]
+    runs, counts = tomo.bright_counts(
+        inputs, (FidelityCheck(),), cfg.noise, cfg.shots, cfg.seed,
+        phase_offset=phase, sampling=cfg.sampling, tag=_TELE_TAG, **cfg.exact_kwargs(),
+    )
+    # Counts from trajectories leave the exact fidelities to runs of their own;
+    # amplitude noise, which has no exact representation, leaves them empty.
+    if runs is None and cfg.noise.amplitude_error_sigma == 0.0:
+        runs = [exact_run(spec, phase, cfg.noise, FidelityCheck(), **cfg.exact_kwargs()) for spec in inputs]
 
     rows, bar_rows, report_states = [], [], []
-    for spec, res, f in zip(inputs, runs, f_sampled):
+    for spec, res, k in zip(inputs, runs or [None] * len(inputs), counts):
         f_exact = None if res is None else state_fidelity(res.rho_exp, spec.pure())
-        stderr = 0.0 if exact_only else math.sqrt(max(f * (1 - f), 0.0) / cfg.shots)
+        f = k / (cfg.shots or 1)
+        stderr = math.sqrt(max(f * (1 - f), 0.0) / cfg.shots) if cfg.shots else 0.0
         exact_cell = "" if f_exact is None else _fmt(f_exact)
         rows.append(
             [spec.label, _fmt(spec.theta_chi), _fmt(spec.phi_chi), exact_cell, _fmt(f), _fmt(stderr)]
@@ -386,9 +362,7 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
             {"label": spec.label, "f_exact": f_exact, "f_sampled": f, "stderr": stderr}
         )
 
-    f_avg_exact = (
-        float(np.mean([s["f_exact"] for s in report_states])) if with_exact else None
-    )
+    f_avg_exact = float(np.mean([s["f_exact"] for s in report_states])) if runs else None
     f_avg_sampled = float(np.mean([s["f_sampled"] for s in report_states]))
     avg_stderr = float(
         math.sqrt(sum(s["stderr"] ** 2 for s in report_states)) / len(report_states)
@@ -405,7 +379,7 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
             "shots": cfg.shots,
             "phase_offset": phase,
             **calibration,
-            "sampling": "exact" if exact_only else sampling,
+            "sampling": "exact" if cfg.shots == 0 else tomo.resolve_sampling(cfg.noise, cfg.sampling),
             "states": report_states,
             "f_avg_exact": f_avg_exact,
             "f_avg_sampled": f_avg_sampled,
@@ -427,11 +401,10 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
 
 def _labeled_counts(cfg, inputs, phase) -> list[tomo.CountsTable]:
     """Every input's count table, input i sampling on its own child seed."""
-    shots_per_basis = 0 if cfg.exact else cfg.shots
     return tomo.teleported_counts(
         inputs,
         cfg.noise,
-        shots_per_basis,
+        cfg.shots,
         master_seed=[_child_seed(cfg.seed, idx) for idx in range(len(inputs))],
         phase_offset=phase,
         sampling=cfg.sampling,
@@ -471,7 +444,7 @@ def cmd_state_tomo(cfg: ExperimentConfig) -> int:
         {
             "command": "state-tomo",
             "seed": cfg.seed,
-            "shots_per_basis": 0 if cfg.exact else cfg.shots,
+            "shots_per_basis": cfg.shots,
             "phase_offset": phase,
             "states": report_states,
             "f_avg_from_states": f_avg,
@@ -486,7 +459,6 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
     phase, _ = _resolve_phase(cfg)
-    shots_per_basis = 0 if cfg.exact else cfg.shots
 
     in_states, out_states, out_counts = [], [], _labeled_counts(cfg, inputs, phase)
     for idx, (spec, counts) in enumerate(zip(inputs, out_counts)):
@@ -495,7 +467,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
             rho_in = ideal
         else:
             rng = np.random.default_rng([cfg.seed, _INPUT_TAG, idx])
-            in_table = tomo.simulate_state_tomography(ideal, shots_per_basis, rng)
+            in_table = tomo.simulate_state_tomography(ideal, cfg.shots, rng)
             rho_in = tomo.mle_state(in_table)
         in_states.append(rho_in)
         _emit_json(out / f"rho_in_{spec.label}.json", tomo.rho_to_json(rho_in))
@@ -521,7 +493,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
     mesh = tomo.ellipsoid_mesh(amap, cfg.tomography_resolution)
 
     errors: dict = {}
-    if shots_per_basis > 0 and cfg.bootstrap_resamples > 0:
+    if cfg.shots > 0 and cfg.bootstrap_resamples > 0:
         resampled, boot_diags = tomo.bootstrap_process(
             in_states,
             out_counts,
@@ -570,7 +542,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
         {
             "command": "proc-tomo",
             "seed": cfg.seed,
-            "shots_per_basis": shots_per_basis,
+            "shots_per_basis": cfg.shots,
             "phase_offset": phase,
             "process_inputs": cfg.process_inputs,
             "chi_II": float(chi.chi[0, 0].real),
@@ -602,9 +574,6 @@ def cmd_calibrate(cfg: ExperimentConfig) -> int:
     _require_mode(cfg, "calibrate")
     out = _outdir(cfg)
     res = calibrate_phase(cfg.noise, grid=cfg.grid, **cfg.exact_kwargs())
-    reference = canonical_inputs()[5]
-    at_star = exact_run(reference, res.phi_star, cfg.noise, **cfg.exact_kwargs())
-    f_star = state_fidelity(at_star.rho_exp, reference.pure())
     _emit_csv(
         out / "phase_sweep.csv",
         "phi,fidelity",
@@ -617,11 +586,11 @@ def cmd_calibrate(cfg: ExperimentConfig) -> int:
             "seed": cfg.seed,
             "grid": cfg.grid,
             "phi_star": res.phi_star,
-            "fidelity_at_phi_star": f_star,
+            "fidelity_at_phi_star": res.fidelity,
             "calibration_residual": res.residual,
         },
     )
-    print(f"phi* = {res.phi_star:.6f} rad; exact fidelity there = {f_star:.6f}")
+    print(f"phi* = {res.phi_star:.6f} rad; exact fidelity there = {res.fidelity:.6f}")
     return 0
 
 

@@ -142,10 +142,6 @@ class ShotNoise:
     detuning_H: np.ndarray         # rad/us, per ion
     amplitude_factors: np.ndarray  # unitless, indexed by step_id - 1
 
-    @classmethod
-    def quiet(cls, n_ions: int = 3, n_steps: int = 35) -> "ShotNoise":
-        return cls(np.zeros(n_ions), np.zeros(n_ions), np.ones(n_steps))
-
 
 def sample_shot_noise(
     config: NoiseConfig,

@@ -48,7 +48,7 @@ from .noise import (
     sample_shot_noise,
     _site_paulis,
 )
-from .qcore import ATOL_STRUCTURAL, DensityMatrix, PureState, state_fidelity
+from .qcore import ATOL_STRUCTURAL, DensityMatrix, PureState
 from . import trap
 from .trap import (
     BlueSideband,
@@ -879,86 +879,13 @@ def _qubit_block(rho3: np.ndarray) -> DensityMatrix:
     return DensityMatrix(block)
 
 
-def run_exact(
-    input_state: InputStateSpec,
-    phase_offset: float = 0.0,
-    noise: NoiseConfig = NoiseConfig(),
-    **kwargs,
-) -> DensityMatrix:
-    """Ion 3's reduced output state after the conditional reconstruction."""
-    return exact_run(input_state, phase_offset, noise, FidelityCheck(), **kwargs).rho_exp
-
-
-# ---------------------------------------------------------------------------
-# Fidelity estimators
-
-@dataclass(frozen=True)
-class Exact:
-    quad_points: int | None = None
-
-
-@dataclass(frozen=True)
-class Sampled:
-    shots: int
-    master_seed: int = 1234
-
-
-@dataclass(frozen=True)
-class FidelityEstimate:
-    value: float
-    stderr: float
-
-
-def teleportation_fidelity(
-    input_state: InputStateSpec,
-    noise: NoiseConfig = NoiseConfig(),
-    mode: Exact | Sampled = Exact(),
-    *,
-    phase_offset: float = 0.0,
-    fock_cutoff: int = 4,
-    spin_echo: bool = True,
-    standby_wait_us: float = 1.0,
-    rephase_wait_us: float = 300.0,
-) -> FidelityEstimate:
-    """Teleportation fidelity for one input state.
-
-    Exact mode: overlap of run_exact's output with the ideal input state
-    (stderr 0). Sampled mode: Bright frequency at the final readout over
-    `shots` trajectories with binomial standard error — this additionally sees
-    the inverse-preparation pulse's noise and the final detection error.
-    """
-    if isinstance(mode, Exact):
-        rho = run_exact(
-            input_state,
-            phase_offset,
-            noise,
-            quad_points=mode.quad_points,
-            fock_cutoff=fock_cutoff,
-            spin_echo=spin_echo,
-            standby_wait_us=standby_wait_us,
-            rephase_wait_us=rephase_wait_us,
-        )
-        return FidelityEstimate(state_fidelity(rho, input_state.pure()), 0.0)
-
-    seq = build_sequence(
-        input_state,
-        phase_offset,
-        FidelityCheck(),
-        standby_wait_us=standby_wait_us,
-        rephase_wait_us=rephase_wait_us,
-        spin_echo=spin_echo,
-    )
-    (n_bright,) = sample_counts([seq], noise, mode.shots, mode.master_seed, fock_cutoff=fock_cutoff)
-    f = n_bright / mode.shots
-    return FidelityEstimate(f, math.sqrt(max(f * (1.0 - f), 0.0) / mode.shots))
-
-
 # ---------------------------------------------------------------------------
 # Phase calibration
 
 @dataclass(frozen=True)
 class CalibrationResult:
     phi_star: float
+    fidelity: float  # the fitted polynomial at phi_star: the reference input's exact fidelity there
     grid_phis: np.ndarray
     grid_fidelities: np.ndarray
     residual: float  # the tripwire replay's miss of the fitted polynomial
@@ -1017,8 +944,8 @@ def calibrate_phase(
     shifted, on that stack. The shift conjugates the tail by a z rotation of
     ion 3, so F is a degree-2 trigonometric polynomial of the offset: five
     replays fix it, a sixth checks it (`residual`), and `_phase_fit` gives
-    its maximum in closed form. `grid_fidelities` are its values at `grid`
-    evenly spaced phases.
+    its maximum in closed form, and `fidelity` its value there.
+    `grid_fidelities` are its values at `grid` evenly spaced phases.
     """
     _check_exact_noise(noise, "calibrate_phase")
     if grid < 8:
@@ -1048,7 +975,8 @@ def calibrate_phase(
 
     phi_star, coef, residual = _phase_fit([fidelity_at(p) for p in _FIT_PHASES])
     phis = np.linspace(0.0, 2.0 * PI, grid, endpoint=False)
-    return CalibrationResult(phi_star, phis, _trig_basis(phis) @ coef, residual)
+    fidelity = float((_trig_basis(phi_star) @ coef)[0])
+    return CalibrationResult(phi_star, fidelity, phis, _trig_basis(phis) @ coef, residual)
 
 
 # ---------------------------------------------------------------------------

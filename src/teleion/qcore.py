@@ -9,7 +9,6 @@ conventions fixed here:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

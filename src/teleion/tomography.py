@@ -15,6 +15,10 @@ trace-preserving subspace the log-likelihood is concave and positivity is a
 4 x 4 matrix inequality. R fits advance as one (R, 12) stack, each with its own
 barrier weight, step and stop flag, and each stops on a certified gap to the
 optimum. `mle_process` is R = 1; the bootstrap is one call.
+
+`bright_counts` is the one route from input states to final-readout Bright
+counts, for the tomography tables (`teleported_counts`) and the CLI's
+teleportation fidelities alike.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .noise import NoiseConfig
-from .protocol import InputStateSpec, Tomography, build_sequence, exact_run, sample_counts
+from .protocol import ExactRun, InputStateSpec, Mode, Tomography, build_sequence, exact_run, sample_counts
 from .protocol import run_shot  # noqa: F401  perfbench/spans.py traces this binding
 from .qcore import (
     ATOL_SPECTRAL,
@@ -659,8 +663,49 @@ def resolve_sampling(noise: NoiseConfig, sampling: str) -> str:
     if sampling == "auto":
         return "per-shot" if noise.amplitude_error_sigma > 0 else "fast"
     if sampling == "fast" and noise.amplitude_error_sigma > 0:
-        raise ConfigError("fast sampling cannot represent per-shot amplitude noise")
+        raise ConfigError('sampling must be "auto" or "per-shot": fast cannot represent amplitude noise')
     return sampling
+
+
+def bright_counts(
+    inputs: list[InputStateSpec],
+    modes: tuple[Mode, ...],
+    noise: NoiseConfig,
+    shots: int,
+    master_seed: int | list[int],
+    *,
+    phase_offset: float = 0.0,
+    sampling: str = "auto",
+    tag: int = 0,
+    quad_points: int | None = None,
+    fock_cutoff: int = 4,
+    spin_echo: bool = True,
+    standby_wait_us: float = 1.0,
+    rephase_wait_us: float = 300.0,
+) -> tuple[list[ExactRun] | None, list[int] | list[float]]:
+    """(exact runs, final-readout Bright counts) of every (input, mode) sequence, input-major.
+
+    `shots` = 0 gives each sequence's exact reported P(bright); otherwise
+    sample_counts draws binomially from it ("fast") or counts trajectories
+    ("per-shot"). The exact runs, one per input, are made only when the counts
+    come from them; otherwise `runs` is None.
+    """
+    seq_kwargs = dict(spin_echo=spin_echo, standby_wait_us=standby_wait_us, rephase_wait_us=rephase_wait_us)
+    runs = p_bright = None
+    if shots == 0 or resolve_sampling(noise, sampling) == "fast":
+        exact = dict(quad_points=quad_points, fock_cutoff=fock_cutoff, **seq_kwargs)
+        runs = [exact_run(spec, phase_offset, noise, modes, **exact) for spec in inputs]
+        p_bright = [res.p_bright[m] for res in runs for m in modes]
+    counts = p_bright if shots == 0 else sample_counts(
+        [build_sequence(spec, phase_offset, m, **seq_kwargs) for spec in inputs for m in modes],
+        noise,
+        shots,
+        master_seed,
+        p_bright=p_bright,
+        tag=tag,
+        fock_cutoff=fock_cutoff,
+    )
+    return runs, counts
 
 
 def teleported_counts(
@@ -677,33 +722,19 @@ def teleported_counts(
     standby_wait_us: float = 1.0,
     rephase_wait_us: float = 300.0,
 ) -> CountsTable | list[CountsTable]:
-    """Run the full sequence in tomography mode for the three bases.
+    """The three bases' count tables of the teleported qubit, from bright_counts.
 
     A list of inputs, with one master seed each, gives one table per input;
     their trajectories all advance together in one sample_counts call.
-    shots_per_basis = 0 emits exact reported-outcome probabilities.
+    shots_per_basis = 0 gives exact reported-outcome probabilities, each basis
+    with a total of 1.0.
     """
     single = isinstance(input_state, InputStateSpec)
-    inputs = [input_state] if single else list(input_state)
-    seq_kwargs = dict(
-        spin_echo=spin_echo,
-        standby_wait_us=standby_wait_us,
-        rephase_wait_us=rephase_wait_us,
-    )
-    modes = tuple(Tomography(basis.lower()) for basis in BASES)
-    p_bright = None
-    if shots_per_basis == 0 or resolve_sampling(noise, sampling) == "fast":
-        exact = dict(quad_points=quad_points, fock_cutoff=fock_cutoff, **seq_kwargs)
-        runs = [exact_run(spec, phase_offset, noise, modes, **exact) for spec in inputs]
-        p_bright = [res.p_bright[m] for res in runs for m in modes]
-    counts = p_bright if shots_per_basis == 0 else sample_counts(
-        [build_sequence(spec, phase_offset, m, **seq_kwargs) for spec in inputs for m in modes],
-        noise,
-        shots_per_basis,
-        master_seed,
-        p_bright=p_bright,
-        tag=_TOMO_TAG,
-        fock_cutoff=fock_cutoff,
+    _, counts = bright_counts(
+        [input_state] if single else list(input_state), tuple(Tomography(b.lower()) for b in BASES),
+        noise, shots_per_basis, master_seed, phase_offset=phase_offset, sampling=sampling, tag=_TOMO_TAG,
+        quad_points=quad_points, fock_cutoff=fock_cutoff, spin_echo=spin_echo,
+        standby_wait_us=standby_wait_us, rephase_wait_us=rephase_wait_us,
     )
     tables = [
         CountsTable.from_bright_counts(dict(zip(BASES, counts[i:])), float(shots_per_basis or 1))

@@ -22,7 +22,6 @@ from teleion.protocol import (
     classical_baseline,
     exact_run,
     run_shot,
-    teleportation_fidelity,
 )
 from teleion.qcore import (
     DensityMatrix,
@@ -240,12 +239,12 @@ def test_criterion_7_paper_bracketing(capsys, tmp_path):
 def test_criterion_8_spin_echo(capsys):
     noise = NoiseConfig(detuning_sigma_SD=0.0015)
     f_echo = float(
-        np.mean([teleportation_fidelity(s, noise).value for s in canonical_inputs()])
+        np.mean([state_fidelity(exact_run(s, 0.0, noise).rho_exp, s.pure()) for s in canonical_inputs()])
     )
     f_bare = float(
         np.mean(
             [
-                teleportation_fidelity(s, noise, spin_echo=False).value
+                state_fidelity(exact_run(s, 0.0, noise, spin_echo=False).rho_exp, s.pure())
                 for s in canonical_inputs()
             ]
         )

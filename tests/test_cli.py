@@ -156,6 +156,8 @@ def test_fock_cutoff_2_exits_2_and_names_the_key(tmp_path, capsys):
         ({"noise": {"depolarizing_steps": 5}}, "noise.depolarizing_steps"),
         ({"inputs": [{"theta_chi": True, "phi_chi": 0.0}]}, "inputs[0].theta_chi"),
         ({"inputs": [{"theta_chi": 0.0, "phi_chi": "0.5"}]}, "inputs[0].phi_chi"),
+        # a valid type, but a sampling mode the noise rules out, refused as the config loads
+        ({"sampling": "fast", "noise": {"amplitude_error_sigma": 0.01}}, "sampling"),
     ],
 )
 def test_a_value_of_the_wrong_json_type_exits_2_and_names_the_key(tmp_path, capsys, overrides, key):
@@ -203,6 +205,23 @@ def test_teleport_exact_writes_all_artifacts(tmp_path, capsys):
     header = (out / "fidelities.csv").read_text().splitlines()[0]
     assert header == "input_label,theta_chi,phi_chi,f_exact,f_sampled,stderr"
     assert "F_avg (exact)" in capsys.readouterr().out
+
+
+def test_exact_is_zero_shots(tmp_path, capsys):
+    # --exact, the exact key and shots 0 are one mode: the same artefacts, shots 0 in the report
+    runs = {
+        "flag": (write_config(tmp_path, "flag.json", output_dir=str(tmp_path / "flag")), ["--exact"]),
+        "key": (write_config(tmp_path, "key.json", output_dir=str(tmp_path / "key"), exact=True), []),
+        "shots": (write_config(tmp_path, "shots.json", output_dir=str(tmp_path / "shots"), shots=0), []),
+    }
+    for cfg, flags in runs.values():
+        assert main(["teleport", "--config", str(cfg), *flags]) == 0
+    assert json.loads((tmp_path / "flag" / "report.json").read_text())["shots"] == 0
+    for name in ("fidelities.csv", "fidelity_bars.csv", "report.json"):
+        expected = (tmp_path / "shots" / name).read_bytes()
+        assert (tmp_path / "flag" / name).read_bytes() == expected, name
+        assert (tmp_path / "key" / name).read_bytes() == expected, name
+    capsys.readouterr()
 
 
 def test_flag_overrides_beat_the_config_file(tmp_path, capsys):

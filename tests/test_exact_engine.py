@@ -36,7 +36,7 @@ from teleion.protocol import (
     exact_run,
     run_shot,
 )
-from teleion.qcore import _ptrace
+from teleion.qcore import _ptrace, state_fidelity
 from teleion.trap import (
     BlueSideband,
     Carrier,
@@ -343,6 +343,9 @@ def test_calibration_polynomial_matches_the_full_register_replay(monkeypatch, ca
         assert abs(f - float(np.real(psi.conj() @ rho["rho_exp"] @ psi))) <= TOL
     scan = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
     assert (basis(res.phi_star) @ coef)[0] >= (basis(scan) @ coef).max() - 1e-12
+    # The reported fidelity is the polynomial's: the exact run at phi* agrees.
+    at_star = exact_run(spec, res.phi_star, noise, quad_points=quad_points)
+    assert abs(res.fidelity - state_fidelity(at_star.rho_exp, spec.pure())) <= TOL
 
 
 @pytest.mark.parametrize(

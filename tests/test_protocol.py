@@ -13,10 +13,8 @@ from teleion.noise import NoiseConfig
 from teleion.protocol import (
     BRANCHES,
     ConditionalPulse,
-    Exact,
     FidelityCheck,
     InputStateSpec,
-    Sampled,
     Tomography,
     _FIT_PHASES,
     _phase_fit,
@@ -30,10 +28,9 @@ from teleion.protocol import (
     classical_baseline,
     classical_baseline_per_state,
     exact_run,
-    run_exact,
     run_shot,
+    sample_counts,
     sequence_text,
-    teleportation_fidelity,
 )
 from teleion.qcore import state_fidelity
 from teleion.trap import Carrier, Detect, Hide, Outcome, Wait, apply_pulse, initialize
@@ -194,12 +191,6 @@ def test_unechoed_protocol_is_also_exact_noiselessly():
             assert state_fidelity(res.branch_states[b], spec.pure()) >= 1.0 - 1e-9
 
 
-def test_run_exact_returns_the_reduced_qubit():
-    rho = run_exact(canonical_inputs()[4])
-    assert rho.matrix.shape == (2, 2)
-    assert state_fidelity(rho, canonical_inputs()[4].pure()) >= 1.0 - 1e-9
-
-
 # ---------------------------------------------------------------------------
 # Sampled path
 
@@ -225,10 +216,12 @@ def test_noiseless_shots_always_read_bright():
 def test_sampled_estimate_matches_exact_within_binomial_error():
     noise = NoiseConfig(depolarizing_per_pulse=0.02)
     spec = canonical_inputs()[5]
-    exact = teleportation_fidelity(spec, noise, Exact()).value
-    est = teleportation_fidelity(spec, noise, Sampled(shots=400, master_seed=11))
-    assert abs(est.value - exact) <= 5.0 * max(est.stderr, 1e-3)
-    assert est.stderr > 0.0
+    exact = state_fidelity(exact_run(spec, 0.0, noise).rho_exp, spec.pure())
+    (n_bright,) = sample_counts([build_sequence(spec)], noise, 400, 11)
+    value = n_bright / 400
+    stderr = math.sqrt(max(value * (1.0 - value), 0.0) / 400)
+    assert abs(value - exact) <= 5.0 * max(stderr, 1e-3)
+    assert stderr > 0.0
 
 
 def test_branch_frequencies_are_uniform():
@@ -323,8 +316,8 @@ def test_spin_echo_refocuses_detuning_noise():
     # reconstruction; without the echo that phase never refocuses
     noise = NoiseConfig(detuning_sigma_SD=0.002)
     spec = canonical_inputs()[0]
-    f_echo = teleportation_fidelity(spec, noise).value
-    f_bare = teleportation_fidelity(spec, noise, spin_echo=False).value
+    f_echo = state_fidelity(exact_run(spec, 0.0, noise).rho_exp, spec.pure())
+    f_bare = state_fidelity(exact_run(spec, 0.0, noise, spin_echo=False).rho_exp, spec.pure())
     assert f_bare < 0.6
     assert f_echo > 0.75
     assert f_echo > f_bare

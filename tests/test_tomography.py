@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from teleion.errors import ConfigError, DimensionMismatch, InvariantViolation
 from teleion.noise import NoiseConfig
-from teleion.protocol import canonical_inputs
+from teleion import tomography
+from teleion.protocol import FidelityCheck, Tomography, build_sequence, canonical_inputs, exact_run, sample_counts
 from teleion.qcore import (
     PAULIS,
     DensityMatrix,
@@ -36,6 +37,7 @@ from teleion.tomography import (
     avg_from_process_fidelity,
     basis_prerotation,
     bootstrap_process,
+    bright_counts,
     bright_probabilities,
     channel_from_chi,
     chi_from_channel,
@@ -752,6 +754,32 @@ def test_resolve_sampling_rules():
         resolve_sampling(amp, "fast")
     with pytest.raises(ConfigError):
         resolve_sampling(quiet, "weird")
+
+
+@pytest.mark.parametrize("sampling, exact_runs", [("per-shot", 0), ("fast", 2)])
+def test_bright_counts_runs_the_exact_engine_only_for_counts_drawn_from_it(monkeypatch, sampling, exact_runs):
+    # Trajectory counts never pay for exact runs: at paper noise with
+    # uncorrelated dephasing those cost several times the trajectories.
+    calls = []
+    monkeypatch.setattr(tomography, "exact_run", lambda *a, **k: calls.append(1) or exact_run(*a, **k))
+    noise = NoiseConfig(depolarizing_per_pulse=0.05)
+    specs = [canonical_inputs()[0], canonical_inputs()[4]]
+    runs, counts = bright_counts(specs, (FidelityCheck(),), noise, 6, 3, sampling=sampling, tag=7)
+    assert len(calls) == exact_runs and (runs is None) == (exact_runs == 0)
+    p_bright = None if runs is None else [res.p_bright[FidelityCheck()] for res in runs]
+    seqs = [build_sequence(spec) for spec in specs]
+    assert counts == sample_counts(seqs, noise, 6, 3, p_bright=p_bright, tag=7)
+
+
+def test_bright_counts_at_zero_shots_are_each_runs_p_bright_input_major():
+    noise = NoiseConfig(depolarizing_per_pulse=0.05)
+    specs = [canonical_inputs()[0], canonical_inputs()[4], canonical_inputs()[2]]
+    modes = (Tomography("z"), Tomography("x"), Tomography("y"))
+    runs, counts = bright_counts(specs, modes, noise, 0, 3)
+    assert counts == [res.p_bright[m] for res in runs for m in modes]
+    alone = [exact_run(spec, 0.0, noise, m).p_bright[m] for spec in specs for m in modes]
+    assert counts == pytest.approx(alone, abs=1e-15)
+    assert len(set(np.round(counts, 6))) > 3  # the order is visible
 
 
 def test_noiseless_teleported_counts_match_the_input_state():
