@@ -235,6 +235,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "inputs" in kwargs:
         kwargs["inputs"] = _parse_inputs(kwargs["inputs"])
     cfg = ExperimentConfig(**kwargs)
+    if cfg.exact:
+        cfg.shots = 0
     cfg.validate()
     return cfg
 

@@ -21,9 +21,10 @@ Two execution paths share the same sequence objects:
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
   distribution. Every (quadrature node, reported branch) entry advances on
   one stacked live register in one row loop, NODE_PASS nodes at a time: a
-  subsystem joins at the first row acting on it and leaves after the last
-  sideband or readout needing it (12, 36, 108, 27, 9 levels, then ion 3's
-  3x3 state on the standard table), every readout splits the entries on the
+  subsystem holds only the levels its drives have reached (any other level
+  is exactly zero) and leaves after the last sideband or readout needing it
+  (at most 48 levels, after rows 10-18 of the standard table, then 12, 18,
+  9 and ion 3's 3x3 state), every readout splits the entries on the
   reported outcome, and each ion's detuning phase waits for its next drive.
   This is the infinite-statistics reference.
 """
@@ -509,21 +510,44 @@ def sample_counts(
 _SUBSYSTEMS = N_IONS + 1
 _MOTION = N_IONS
 #: Quadrature nodes per pass of the exact engine: bounds the stacked register
-#: (27 nodes at 108 levels hold about 5 MB) whatever the node count, 9^3 = 729
-#: by default for uncorrelated dephasing.
+#: (27 nodes at the standard table's 48 levels hold about 1 MB) whatever the
+#: node count, 9^3 = 729 by default for uncorrelated dephasing.
 NODE_PASS = 27
 
 
+def _reached(hit: np.ndarray, axis: int, levels: tuple[int, ...]) -> tuple[int, ...]:
+    """`levels` plus every index along `axis` at which `hit` holds a True."""
+    hits = hit.any(axis=tuple(a for a in range(hit.ndim) if a != axis))
+    return tuple(sorted({*levels, *map(int, np.flatnonzero(hits))}))
+
+
 @functools.lru_cache(maxsize=256)
-def _drive_op(pulse: trap.Pulse, fock_cutoff: int) -> np.ndarray:
-    """A drive's local unitary, on (ion, motion) for a sideband; read-only, cached."""
+def _drive_plan(pulse: trap.Pulse, fock_cutoff: int, kept: tuple[tuple[int, ...], ...], depol: float):
+    """(levels, op, dep) of a drive on subsystems that hold the levels `kept`.
+
+    `levels` are `kept` plus every level the drive's local unitary (on (ion,
+    motion) for a sideband) reaches from them by its nonzero pattern, then,
+    for depol > 0, every ion level the depolarizing channel's pattern
+    reaches: any other level stays exactly zero. `op` is the unitary on
+    `levels`, and `dep` the ion's (d*d, d*d) depolarizing superoperator on
+    them, None for depol = 0. Read-only; cached.
+    """
     if isinstance(pulse, BlueSideband):
         op = trap.sideband_local(pulse.theta, pulse.phi, fock_cutoff).reshape((3, fock_cutoff) * 2)
     else:
-        local = trap.carrier_local if isinstance(pulse, Carrier) else trap.hide_local
-        op = local(pulse.theta, pulse.phi)
+        op = (trap.carrier_local if isinstance(pulse, Carrier) else trap.hide_local)(pulse.theta, pulse.phi)
+    hit = op[(...,) + np.ix_(*kept)] != 0
+    levels = [_reached(hit, j, lv) for j, lv in enumerate(kept)]
+    dep = None
+    if depol:  # a Hermiticity-preserving map: its ket pattern is its bra pattern
+        sup = depolarizing_superop(depol, 3).reshape(3, 3, 3, 3)
+        levels[0] = _reached(sup[(...,) + np.ix_(levels[0], levels[0])] != 0, 0, levels[0])
+        d = len(levels[0])
+        dep = sup[np.ix_(*levels[:1] * 4)].reshape(d * d, d * d)
+        dep.flags.writeable = False
+    op = op[np.ix_(*levels * 2)]
     op.flags.writeable = False
-    return op
+    return tuple(levels), op, dep
 
 
 def _row_sites(action: trap.Pulse | ConditionalPulse) -> tuple[tuple[int, ...], bool]:
@@ -541,20 +565,19 @@ def _row_sites(action: trap.Pulse | ConditionalPulse) -> tuple[tuple[int, ...], 
     return (pulse.ion,), isinstance(pulse, Detect)
 
 
-def _lifetimes(steps, keep: tuple[int, ...]) -> dict[int, tuple[int, int]]:
-    """(first, last) row index in `steps` of each subsystem on the live register.
+def _lifetimes(steps, keep: tuple[int, ...]) -> dict[int, int]:
+    """The row index in `steps` after which each subsystem leaves the live register.
 
-    A subsystem joins at the first row acting on it and is traced out right
-    after the last row that needs it; one in `keep` stays to the end,
-    len(steps). A subsystem that no row needs never joins.
+    A subsystem is traced out right after the last row that needs it; one in
+    `keep` stays to the end, len(steps). A subsystem that no row needs is
+    never driven and has no entry.
     """
     rows = [_row_sites(s.action) for s in steps]
     life = {}
     for site in range(_SUBSYSTEMS):
-        acting = [i for i, (acts, _) in enumerate(rows) if site in acts]
-        needed = [i for i in acting if rows[i][1]] + [len(steps)] * (site in keep)
+        needed = [i for i, (acts, held) in enumerate(rows) if held and site in acts] + [len(steps)] * (site in keep)
         if needed:
-            life[site] = (acting[0] if acting else len(steps), needed[-1])
+            life[site] = needed[-1]
     return life
 
 
@@ -564,11 +587,14 @@ def _along(v: np.ndarray, axis: int) -> np.ndarray:
     return v.reshape(v.shape[:1] + (1,) * (axis - 1) + v.shape[1:] + (1,) * (2 * _SUBSYSTEMS - axis))
 
 
-def _join(rho: np.ndarray, site: int, dim: int) -> np.ndarray:
-    """Grow a subsystem's axis pair from size 1 to `dim`, in level 0 (|S> or |n=0>)."""
+def _grow(rho: np.ndarray, site: int, old: tuple[int, ...], new: tuple[int, ...]) -> np.ndarray:
+    """Zero-fill a subsystem's axis pair from the levels `old` out to `new`, a superset."""
+    if old == new:
+        return rho
     axes = (1 + site, 1 + site + _SUBSYSTEMS)
-    out = np.zeros([dim if a in axes else n for a, n in enumerate(rho.shape)], rho.dtype)
-    out[tuple(slice(0, 1) if a in axes else slice(None) for a in range(rho.ndim))] = rho
+    out = np.zeros([len(new) if a in axes else n for a, n in enumerate(rho.shape)], rho.dtype)
+    at = [new.index(level) for level in old]
+    np.moveaxis(out, axes, (0, 1))[np.ix_(at, at)] = np.moveaxis(rho, axes, (0, 1))
     return out
 
 
@@ -615,9 +641,11 @@ class _Stack:
     """Every (quadrature node, reported branch) entry of the exact engine.
 
     `rho` holds each entry's unnormalized density tensor: a leading entry
-    axis, then one ket and one bra axis per subsystem, of size 1 outside the
-    subsystem's `_lifetimes`. Each ion's free-evolution time waits in
-    `pending` until its next drive.
+    axis, then one ket and one bra axis per subsystem. Both hold the
+    subsystem's `levels`, the only ones a drive has reached so far: every
+    other level is exactly zero. A subsystem holds (0,), |S> or |n=0>, until
+    its first drive, and (0,), its trace, after its `_lifetimes`. Each ion's
+    free-evolution time waits in `pending` until its next drive.
     """
 
     rho: np.ndarray                       # (E,) + ket axes + bra axes
@@ -626,6 +654,7 @@ class _Stack:
     rates: np.ndarray                     # (E, ion, level) detuning of S, D, H in rad/us
     pending: np.ndarray                   # (E, ion) time not yet applied as a phase, in us
     keys: tuple[dict[str, Outcome], ...]  # reported outcomes of the entry's branch
+    levels: tuple[tuple[int, ...], ...]   # per subsystem, the levels its ket and bra axes hold
     truncation: float = 0.0               # largest per-node blue-sideband |S, fock_cutoff-1> population
     motion: float = 0.0                   # weighted population above n = 0 when the motion left
 
@@ -639,11 +668,13 @@ def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cu
     follows the true outcome). A drive folds each entry's pending phase into
     its own operator; a blue sideband raises past TRUNCATION_BOUND when a
     node's entries hold more than that on its ion's |S, fock_cutoff-1>.
+    Before a drive, its subsystems grow to the levels `_drive_plan` says it
+    reaches, and the drive acts on those levels only.
     """
     rho, pending, keys = stack.rho.copy(), stack.pending.copy(), stack.keys
     node, weight, rates = stack.node, stack.weight, stack.rates
-    truncation, motion = stack.truncation, stack.motion
-    eps, dims = noise.detection_error, (3,) * N_IONS + (fock_cutoff,)
+    truncation, motion, levels = stack.truncation, stack.motion, list(stack.levels)
+    eps = noise.detection_error
     work = (np.empty(0, rho.dtype),) * 2
     for i, step in enumerate(steps, start=first):
         action, sel = step.action, slice(None)
@@ -653,57 +684,68 @@ def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cu
         pulse = action.pulse if isinstance(action, ConditionalPulse) else action
         pending[sel] += noise.pulse_durations.of(pulse)
         acts = _row_sites(action)[0]
-        if not acts or any(i > life.get(s, (0, -1))[1] for s in acts):
+        if not acts or any(i > life.get(s, -1) for s in acts):
             continue  # a wait, or a local row on a subsystem that is only traced out
-        for site in (s for s in acts if life[s][0] == i):
-            rho = _join(rho, site, dims[site])
         k, k_bra = 1 + pulse.ion, 1 + pulse.ion + _SUBSYSTEMS
         if isinstance(pulse, Detect):
-            on_s, off_s = (_along(v, k) * _along(v, k_bra) for v in (np.eye(3)[S], 1.0 - np.eye(3)[S]))
+            is_s = np.array(levels[pulse.ion]) == S
+            on_s, off_s = (_along(v, k) * _along(v, k_bra) for v in (is_s * 1.0, 1.0 - is_s))
             reports = np.stack([(1.0 - eps) * on_s + eps * off_s, eps * on_s + (1.0 - eps) * off_s], axis=1)
             rho = (rho[:, None] * reports).reshape((-1,) + rho.shape[1:])  # Bright, then Dark
             node, weight, rates, pending = (np.repeat(a, 2, axis=0) for a in (node, weight, rates, pending))
             keys = tuple({**key, pulse.label: o} for key in keys for o in (Outcome.BRIGHT, Outcome.DARK))
         else:
-            op, part = _drive_op(pulse, fock_cutoff), rho[sel]
+            depol = noise.depolarizing_applies(step.step_id) and not isinstance(pulse, Hide)
+            grown, op, dep = _drive_plan(
+                pulse, fock_cutoff, tuple(levels[s] for s in acts), noise.depolarizing_per_pulse if depol else 0.0
+            )
+            for site, lv in zip(acts, grown):
+                rho, levels[site] = _grow(rho, site, levels[site], lv), lv
+            part = rho[sel]
             if work[0].size < part.size:  # as two arrays: one of twice the size kept more memory resident
                 work = (np.empty(part.size, rho.dtype), np.empty(part.size, rho.dtype))
-            depol = noise.depolarizing_applies(step.step_id) and not isinstance(pulse, Hide)
             # The ion's pending phase acts first: fold it into each entry's drive
             # as a scale on the columns of its ion level.
-            ph = np.exp(-1j * pending[sel, pulse.ion][:, None] * rates[sel, pulse.ion])
+            ph = np.exp(-1j * pending[sel, pulse.ion][:, None] * rates[sel, pulse.ion][:, grown[0]])
             pending[sel, pulse.ion] = 0.0
             if isinstance(pulse, BlueSideband):
-                pops = np.take(np.einsum("eabcdabcd->eabcd", part).real, S, axis=k)[..., fock_cutoff - 1]
-                top = np.bincount(node[sel], pops.reshape(len(pops), -1).sum(axis=1)).max(initial=0.0)
+                ion_lv, motion_lv = grown
+                top = 0.0  # a level the register does not hold is exactly empty
+                if S in ion_lv and fock_cutoff - 1 in motion_lv:
+                    pops = np.einsum("eabcdabcd->eabcd", part).real
+                    pops = np.take(pops, ion_lv.index(S), axis=k)[..., motion_lv.index(fock_cutoff - 1)]
+                    top = np.bincount(node[sel], pops.reshape(len(pops), -1).sum(axis=1)).max(initial=0.0)
                 if top > TRUNCATION_BOUND:
                     raise InvariantViolation(
                         f"row {step.step_id}: population {top:.3e} on ion {pulse.ion + 1}'s "
                         f"|S, n={fock_cutoff - 1}> exceeds TRUNCATION_BOUND; raise fock_cutoff"
                     )
                 truncation = max(truncation, top)
-                u = (op * ph[:, None, None, :, None]).reshape(len(ph), 3 * fock_cutoff, 3 * fock_cutoff)
+                d = op.shape[0] * op.shape[1]
+                u = (op * ph[:, None, None, :, None]).reshape(len(ph), d, d)
                 part = _apply(u, part, [k, 1 + _MOTION], work)
                 part = _apply(u.conj(), part, [k_bra, 1 + _MOTION + _SUBSYSTEMS], work)
-                if depol:
-                    part = _apply(depolarizing_superop(noise.depolarizing_per_pulse, 3), part, [k, k_bra], work)
+                if dep is not None:
+                    part = _apply(dep, part, [k, k_bra], work)
             else:  # one fused (site, site') superoperator: drive, then depolarizing
-                sup = np.einsum("ab,cd->acbd", op, op.conj()).reshape(9, 9)
-                if depol:
-                    sup = depolarizing_superop(noise.depolarizing_per_pulse, 3) @ sup
-                cols = (ph[:, :, None] * ph.conj()[:, None, :]).reshape(-1, 1, 9)
+                d = len(op)
+                sup = np.einsum("ab,cd->acbd", op, op.conj()).reshape(d * d, d * d)
+                if dep is not None:
+                    sup = dep @ sup
+                cols = (ph[:, :, None] * ph.conj()[:, None, :]).reshape(-1, 1, d * d)
                 part = _apply(sup * cols, part, [k, k_bra], work)
             if isinstance(sel, slice):
                 rho = part
             else:
                 rho[sel] = part
-        for site in (s for s in acts if life[s][1] == i):
+        for site in (s for s in acts if life[s] == i):
             if site == _MOTION:
-                pops = np.einsum("eabcdabcd->eabcd", rho).real[..., 1:]
+                pops = np.einsum("eabcdabcd->eabcd", rho).real[..., np.array(levels[site]) != 0]
                 motion += float(weight @ pops.reshape(len(pops), -1).sum(axis=1))
             axes = (1 + site, 1 + site + _SUBSYSTEMS)
             rho = np.expand_dims(np.trace(rho, axis1=axes[0], axis2=axes[1]), axes)
-    return _Stack(rho, node, weight, rates, pending, keys, truncation, motion)
+            levels[site] = (0,)
+    return _Stack(rho, node, weight, rates, pending, keys, tuple(levels), truncation, motion)
 
 
 def _evolve(steps, life, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int) -> _Stack:
@@ -720,11 +762,13 @@ def _evolve(steps, life, noise: NoiseConfig, quad_points: int | None, fock_cutof
             rates=np.stack([np.zeros_like(det_sd), det_sd, det_h], axis=2),
             pending=np.zeros((n, N_IONS)),
             keys=({},) * n,
+            levels=((0,),) * _SUBSYSTEMS,
         )
         parts.append(_advance(start, steps, life, 0, noise, fock_cutoff))
     return _Stack(
         *(np.concatenate([getattr(p, f) for p in parts]) for f in ("rho", "node", "weight", "rates", "pending")),
         keys=tuple(itertools.chain.from_iterable(p.keys for p in parts)),
+        levels=parts[0].levels,
         truncation=max(p.truncation for p in parts),
         motion=sum(p.motion for p in parts),
     )
@@ -737,7 +781,7 @@ def _reduced(stack: _Stack, keep: tuple[int, ...]) -> np.ndarray:
     for site in range(_SUBSYSTEMS):
         a, a_bra = 1 + site, 1 + site + _SUBSYSTEMS
         if site in keep:
-            rho = rho if rho.shape[a] > 1 else _join(rho, site, 3)
+            rho = _grow(rho, site, stack.levels[site], (0, 1, 2))
             ph = np.exp(-1j * stack.pending[:, site, None] * stack.rates[:, site])
             rho = rho * _along(ph, a) * _along(ph.conj(), a_bra)
         elif rho.shape[a] > 1:

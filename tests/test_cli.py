@@ -13,6 +13,7 @@ from teleion.cli import (
     _emit_json,
     ExperimentConfig,
     build_parser,
+    cmd_teleport,
     config_from_dict,
     main,
 )
@@ -221,6 +222,20 @@ def test_exact_is_zero_shots(tmp_path, capsys):
         expected = (tmp_path / "shots" / name).read_bytes()
         assert (tmp_path / "flag" / name).read_bytes() == expected, name
         assert (tmp_path / "key" / name).read_bytes() == expected, name
+    capsys.readouterr()
+
+
+def test_exact_key_is_zero_shots_for_library_callers(tmp_path, capsys):
+    # A config built with config_from_dict reaches a cmd_* function without
+    # load_config: its exact key must already mean shots 0 there, and still
+    # beat a --shots override when the config is loaded from a file.
+    cfg = config_from_dict({"exact": True, "shots": 500, "output_dir": str(tmp_path / "lib")})
+    assert cfg.shots == 0
+    assert cmd_teleport(cfg) == 0
+    assert json.loads((tmp_path / "lib" / "report.json").read_text())["sampling"] == "exact"
+    path = write_config(tmp_path, exact=True)
+    assert main(["teleport", "--config", str(path), "--shots", "50"]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["shots"] == 0
     capsys.readouterr()
 
 

@@ -2,14 +2,14 @@
 
 exact_run, calibrate_phase and bell_preparation_fidelity advance every
 (quadrature node, branch) entry on one stacked live register, NODE_PASS
-nodes at a time: each subsystem joins at the first row that acts on it and
-is traced out after the last row that needs it, ion 3 (or ions 2 and 3) is
-kept to the end, and each ion's detuning phase waits until its next drive. The
-reference here is a plain row loop: every row on the whole (3, 3, 3,
-fock_cutoff) register with a full dephasing pass per row, through row 34,
-with row 35 read by hand. Any error in the lifetimes, the deferred phases,
-the stacked (node, branch) entries, the node passes or the shared-prefix
-bookkeeping shows up as a gap.
+nodes at a time: each subsystem holds only the levels its drives have
+reached and is traced out after the last row that needs it, ion 3 (or ions 2
+and 3) is kept to the end, and each ion's detuning phase waits until its next
+drive. The reference here is a plain row loop: every row on the whole (3, 3,
+3, fock_cutoff) register with a full dephasing pass per row, through row 34,
+with row 35 read by hand. Any error in the lifetimes, the kept levels, the
+deferred phases, the stacked (node, branch) entries, the node passes or the
+shared-prefix bookkeeping shows up as a gap.
 """
 import math
 
@@ -40,7 +40,9 @@ from teleion.qcore import _ptrace, state_fidelity
 from teleion.trap import (
     BlueSideband,
     Carrier,
+    D,
     Detect,
+    H,
     Hide,
     Outcome,
     S,
@@ -227,6 +229,9 @@ CASES = {
     "no reconstruction": (NoiseConfig(**PAPER), {"reconstruction": False}),
     "fock cutoff 3": (NoiseConfig(**PAPER), {"fock_cutoff": 3}),
     "fock cutoff 6": (NoiseConfig(**PAPER), {"fock_cutoff": 6}),
+    # H dephases at half the S-D rate: the per-level phases of a drive are
+    # indexed by the levels the register holds, H last.
+    "weak H dephasing": (NoiseConfig(dephasing_ratio_H=0.5, **PAPER), {}),
 }
 
 
@@ -383,11 +388,11 @@ def test_node_passes_split_mid_stack_and_still_match_the_full_register_replay(mo
 
 
 def test_lifetimes_come_from_the_sequence():
-    # The standard table: ion 3 and the motion join at row 4, ion 2 at row 5 and
-    # ion 1 at row 9; the motion leaves after row 19 (its last sideband), ion 1
-    # after row 23 (pmt1) and ion 2 after row 26 (pmt2); ion 3 stays to the cut.
+    # The standard table: the motion leaves after row 19 (its last sideband),
+    # ion 1 after row 23 (pmt1) and ion 2 after row 26 (pmt2); ion 3 stays to
+    # the cut.
     standard = build_sequence(canonical_inputs()[0])[:27]
-    assert _lifetimes(standard, (2,)) == {0: (8, 22), 1: (4, 25), 2: (3, 27), 3: (3, 18)}
+    assert _lifetimes(standard, (2,)) == {0: 22, 1: 25, 2: 27, 3: 18}
 
     # Without the echo block, a readout of the parked ion 3 (which keeps its
     # D-H coherence, and so its phase) comes before two hide pulses that drive
@@ -403,13 +408,42 @@ def test_lifetimes_come_from_the_sequence():
     for step_id, pulse in swaps.items():
         rows[step_id - 1] = SequenceStep(step_id, pulse, "lifetime probe")
     seq = tuple(rows)
-    assert _lifetimes(seq[:27], (2,)) == {0: (8, 23), 1: (4, 25), 2: (3, 27), 3: (3, 23)}
+    assert _lifetimes(seq[:27], (2,)) == {0: 23, 1: 25, 2: 27, 3: 23}
 
     ref = full_register_replay([seq], noise, quad_points=3)
     res = exact_run(spec, 0.3, noise, sequence=seq, quad_points=3)
     _assert_matches(res, ref)
     assert abs(res.p_bright[FidelityCheck()] - ref["p_bright"][0]) <= TOL
     assert res.motional_residual > 0.1  # the late sideband moved motion the oracle sees too
+
+
+def test_the_register_holds_only_the_levels_its_drives_reached():
+    # The oracle passes whether or not exactly-empty levels are dropped; this
+    # pins the pruning. On the standard table ion 2 first reaches H at row 22
+    # and ion 1 leaves at row 23, before its hide, so the register holds
+    # 2 * 2 * 3 * 4 = 48 of the 108 levels after rows 10-18.
+    noise = NoiseConfig(**PAPER)
+    seq = build_sequence(canonical_inputs()[5])
+    life = _lifetimes(seq, (2,))
+
+    def after(row):
+        stack = protocol._evolve(tuple(s for s in seq if s.step_id <= row), life, noise, 3, 4)
+        assert stack.rho.shape[1:] == tuple(len(lv) for lv in stack.levels) * 2
+        return stack.levels
+
+    assert after(18) == ((S, D), (S, D), (S, D, H), (0, 1, 2, 3))
+    # A subsystem holds S until its first drive; a drive that reaches a
+    # dropped level grows it: a carrier on {S} gives {S, D} (row 5), and a
+    # hide on {S, D} gives {S, D, H} (row 22).
+    assert after(4)[1] == (S,) and after(5)[1] == (S, D)
+    assert after(21)[1] == (S, D) and after(22)[1] == (S, D, H)
+    # The depolarizing channel's pattern counts too: an idle carrier moves no
+    # population, but the channel after it reaches D.
+    plan = protocol._drive_plan
+    assert plan(Carrier(0, 0.0, 0.0), 4, ((S,),), 0.0)[0] == ((S,),)
+    assert plan(Carrier(0, 0.0, 0.0), 4, ((S,),), 0.025)[0] == ((S, D),)
+    levels, op, dep = plan(BlueSideband(0, math.pi, 0.0), 4, ((S,), (0,)), 0.0)
+    assert levels == ((S, D), (0, 1)) and op.shape == (2, 2, 2, 2) and dep is None
 
 
 def test_detection_error_collapses_on_the_true_outcome():
