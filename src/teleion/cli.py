@@ -52,7 +52,7 @@ _CONFIG_KEY_DOCS = """\
 configuration keys (JSON file; flags override file values):
   seed                    integer master seed (default 1234)
   shots                   shots per input (teleport) or per basis (tomography), default 1000
-  fock_cutoff             motional Fock levels simulated, >= 3 (default 4; per-shot sampling needs >= 4)
+  fock_cutoff             motional Fock levels simulated, >= 3 (default 4)
   phase_offset            tail phase in radians, or "calibrate" (default 0.0)
   inputs                  "six-canonical" or list of {theta_chi, phi_chi[, label]}, angles in radians
   output_dir              artifact directory (default "out")
@@ -260,19 +260,12 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         source = str(path)
         raw = _parse_json(path.read_text(encoding="utf-8"), source)
-    cfg = config_from_dict(raw)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "shots", None) is not None:
-        if args.shots < 0:
-            raise ConfigError("--shots must be >= 0")
-        cfg.shots = args.shots
-    if getattr(args, "out", None) is not None:
-        cfg.output_dir = args.out
-    if cfg.exact or getattr(args, "exact", False):
-        cfg.shots = 0
-    cfg.validate()
-    return cfg
+    # Flags beat the file; config_from_dict then lets exact beat shots.
+    flags = {"seed": getattr(args, "seed", None), "shots": getattr(args, "shots", None),
+             "output_dir": getattr(args, "out", None), "exact": getattr(args, "exact", False) or None}
+    if isinstance(raw, dict):
+        raw = {**raw, **{key: value for key, value in flags.items() if value is not None}}
+    return config_from_dict(raw)
 
 
 def _parse_json(text: str, source: str) -> dict:

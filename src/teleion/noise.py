@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
-from .qcore import DensityMatrix
 from . import trap
 from .trap import BlueSideband, Carrier, Detect, Hide, TrapRegister, Wait
 
@@ -141,6 +140,8 @@ class ShotNoise:
     detuning_SD: np.ndarray        # rad/us, per ion
     detuning_H: np.ndarray         # rad/us, per ion
     amplitude_factors: np.ndarray  # unitless, indexed by step_id - 1
+    depol_u: np.ndarray | None = None  # uniform per step: which Pauli, if any, a drive draws
+    meas_u: np.ndarray | None = None   # two uniforms per step: a readout's collapse, then its report
 
 
 def sample_shot_noise(
@@ -152,25 +153,34 @@ def sample_shot_noise(
 ) -> ShotNoise:
     """Deterministic draw keyed by (master_seed, shot_index) only.
 
-    Draw order is fixed: detuning first (one scalar when correlated, n_ions
-    otherwise), then the per-step amplitude factors. A 1-D array of shot
-    indices gives each shot its own stream and stacks the results;
-    `master_seed` is one seed or one per shot.
+    Two streams per shot. The noise stream [seed, shot] draws the detuning
+    first (one scalar when correlated, n_ions otherwise), then the per-step
+    amplitude factors. The run stream [seed, shot, RUN_STREAM_TAG] draws the
+    per-step depolarizing uniforms, then the per-step readout pairs. A 1-D
+    array of shot indices gives each shot its own streams and stacks the
+    results; `master_seed` is one seed or one per shot.
     """
     index = np.asarray(shot_index)
     seeds = np.broadcast_to(np.asarray(master_seed, dtype=object), index.shape)
     g = np.zeros(index.shape + (n_ions,))
     z = np.zeros(index.shape + (n_steps,))
-    # With both sigmas zero every draw is multiplied by 0, so none is made.
-    if config.detuning_sigma_SD != 0.0 or config.amplitude_error_sigma != 0.0:
-        for k, shot in np.ndenumerate(index):
-            rng = np.random.default_rng([int(seeds[k]), int(shot)])
+    depol_u = np.empty(index.shape + (n_steps,))
+    meas_u = np.empty(index.shape + (n_steps, 2))
+    # With both sigmas zero every noise-stream draw is multiplied by 0, so none is made.
+    draw_noise = config.detuning_sigma_SD != 0.0 or config.amplitude_error_sigma != 0.0
+    for k, shot in np.ndenumerate(index):
+        key = [int(seeds[k]), int(shot)]
+        if draw_noise:
+            rng = np.random.default_rng(key)
             g[k] = rng.standard_normal() if config.correlated_dephasing else rng.standard_normal(n_ions)
             z[k] = rng.standard_normal(n_steps)
+        rng = np.random.default_rng(key + [RUN_STREAM_TAG])
+        depol_u[k] = rng.random(n_steps)
+        meas_u[k] = rng.random((n_steps, 2))
     det_sd = config.detuning_bias_SD + config.detuning_sigma_SD * g
     det_h = config.dephasing_ratio_H * det_sd
     factors = 1.0 + config.amplitude_error_sigma * z
-    return ShotNoise(det_sd, det_h, factors)
+    return ShotNoise(det_sd, det_h, factors, depol_u, meas_u)
 
 
 def phase_exponent(
@@ -266,31 +276,3 @@ def depolarize_density_tensor(rho_t: np.ndarray, site: int, p: float,
     sup = depolarizing_superop(p, d).reshape(d, d, d, d)
     out = np.tensordot(sup, rho_t, axes=([2, 3], [site, site + n_axes]))
     return np.moveaxis(out, [0, 1], [site, site + n_axes])
-
-
-def apply_depolarizing(
-    rho: DensityMatrix, ion: int, p: float, subsystem_dims: tuple[int, ...] | None = None
-) -> DensityMatrix:
-    """Depolarizing with probability p on one subsystem's qubit subspace.
-
-    With subsystem_dims omitted the state is treated as qubits (dim must be a
-    power of two). Three-level subsystems depolarize on {S, D} with identity
-    on H.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("depolarizing probability must be in [0, 1]")
-    if subsystem_dims is None:
-        n = int(round(math.log2(rho.dim)))
-        if 2 ** n != rho.dim:
-            raise DimensionMismatch(
-                "cannot infer subsystem layout; pass subsystem_dims explicitly"
-            )
-        subsystem_dims = (2,) * n
-    if int(np.prod(subsystem_dims)) != rho.dim:
-        raise DimensionMismatch("subsystem_dims do not multiply to the state dim")
-    if not 0 <= ion < len(subsystem_dims):
-        raise DimensionMismatch(f"subsystem index {ion} out of range")
-    dims = tuple(subsystem_dims)
-    rho_t = rho.matrix.reshape(dims + dims)
-    out = depolarize_density_tensor(rho_t, ion, p, site_dim=dims[ion])
-    return DensityMatrix(out.reshape(rho.dim, rho.dim))

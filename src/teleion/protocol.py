@@ -40,7 +40,6 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .noise import (
     NoiseConfig,
-    RUN_STREAM_TAG,
     depolarize_density_tensor,  # noqa: F401  perfbench/run.py --self-check needs this binding (ROADMAP B2)
     depolarizing_superop,
     perturb_pulse,
@@ -76,9 +75,21 @@ _TAIL_START = 30
 #: The mode-dependent analysis row; every row before it is shared by all modes.
 _ANALYSIS_ROW = 34
 #: Largest population a blue sideband may find on its ion's |S, fock_cutoff-1>,
-#: whose partner |D, fock_cutoff> is cut away. The noiseless phase gate puts 0.5
-#: there at cutoff 2; paper noise puts 0.012 there at cutoff 3, 2e-4 at 4.
+#: whose partner |D, fock_cutoff> is cut away: the one truncation rule of both
+#: engines. The noiseless phase gate puts 0.5 there at cutoff 2; paper noise
+#: puts 0.012 there at cutoff 3, 2e-4 at 4.
 TRUNCATION_BOUND = 0.05
+
+
+def _check_truncation(step_id: int, ion: int, fock_cutoff: int, populations: np.ndarray) -> None:
+    """Raise when a blue sideband on `ion` at row `step_id` finds any of
+    `populations` (one per node or shot) on its |S, fock_cutoff-1> above TRUNCATION_BOUND."""
+    top = np.max(populations, initial=0.0)
+    if top > TRUNCATION_BOUND:
+        raise InvariantViolation(
+            f"row {step_id}: population {top:.3e} on ion {ion + 1}'s "
+            f"|S, n={fock_cutoff - 1}> exceeds TRUNCATION_BOUND; raise fock_cutoff"
+        )
 
 
 @dataclass(frozen=True)
@@ -150,7 +161,7 @@ class ShotRecord:
     pmt2: Outcome
     final_outcome: Outcome
     branch: str           # "SS" | "SD" | "DS" | "DD" (pmt1 first, Bright=S)
-    leakage_max: float
+    truncation: float     # largest |S, fock_cutoff-1> population a blue sideband found
     elapsed_us: float
 
 
@@ -322,15 +333,6 @@ def sequence_text(steps: tuple[SequenceStep, ...]) -> str:
 # ---------------------------------------------------------------------------
 # Sampled path
 
-def _resolve_budget(noise: NoiseConfig, leakage_budget: float | None) -> float:
-    if leakage_budget is not None:
-        return leakage_budget
-    # Amplitude errors physically populate intermediate Fock states; the tight
-    # noiseless budget would reject valid noisy runs, so loosen it while still
-    # guarding against a genuinely too-small cutoff.
-    return 1e-3 if noise.amplitude_error_sigma > 0 else trap.LEAKAGE_BUDGET_DEFAULT
-
-
 #: X, Y, Z on a three-level ion, indexed by sample_pauli_index's k.
 _PAULI_STACK = np.stack(_site_paulis(3))
 #: Shots per run_shot call in sample_counts: bounds the stacked state whatever
@@ -380,7 +382,6 @@ def run_shot(
     *,
     sequence_index: np.ndarray | None = None,
     fock_cutoff: int = 4,
-    leakage_budget: float | None = None,
 ) -> ShotRecord | list[ShotRecord]:
     """Full trajectories through the sequence with sampled noise.
 
@@ -394,7 +395,9 @@ def run_shot(
     With a list of tables as `sequence`, `sequence_index` gives each shot's
     table and `master_seed` may give each shot's seed (see _stacked_rows).
     Each ion's detuning phase waits for its next drive (release_phase); what
-    is left after the last readout changes no outcome and is dropped.
+    is left after the last readout changes no outcome and is dropped. Before
+    each blue sideband, a shot that no Pauli flip has hit raises past
+    TRUNCATION_BOUND on its ion's |S, fock_cutoff-1>, as exact_run's nodes do.
     """
     index = np.atleast_1d(np.asarray(shot_index, dtype=np.int64))
     tables = [sequence] if sequence_index is None else list(sequence)
@@ -403,16 +406,12 @@ def run_shot(
     n_steps = max(s.step_id for t in tables for s in t)
     shot = sample_shot_noise(noise, seeds, index, N_IONS, n_steps)
     dephased = np.any(shot.detuning_SD) or np.any(shot.detuning_H)
-    depol_u = np.empty((index.size, n_steps))
-    meas_u = np.empty((index.size, n_steps, 2))
-    for k, i in enumerate(index):
-        rng = np.random.default_rng([int(seeds[k]), int(i), RUN_STREAM_TAG])
-        depol_u[k] = rng.random(n_steps)
-        meas_u[k] = rng.random((n_steps, 2))
 
-    reg = initialize(
-        N_IONS, fock_cutoff, leakage_budget=_resolve_budget(noise, leakage_budget), shots=index.size
-    )
+    reg = initialize(N_IONS, fock_cutoff, shots=index.size)
+    # A flip mid-gate legitimately drives population up the truncated Fock
+    # ladder, so the truncation rule only guards shots still on the ideal path.
+    flipped = np.zeros(index.size, bool)
+    truncation = np.zeros(index.size)
     released = np.zeros((index.size, N_IONS))  # clock time up to which each ion's phase is applied
     bright: dict[str, np.ndarray] = {}  # reported Bright per shot, by readout label
 
@@ -428,9 +427,14 @@ def run_shot(
 
         if isinstance(pulse, Detect):  # the unreleased phases commute with the projectors
             _true, bright[pulse.label], reg = fluorescence_measure(
-                reg, pulse.ion, meas_u[:, col], noise.detection_error
+                reg, pulse.ion, shot.meas_u[:, col], noise.detection_error
             )
         elif np.any(on):
+            if isinstance(pulse, BlueSideband):
+                top = np.abs(np.take(reg.tensor(), S, axis=1 + pulse.ion)[..., -1]) ** 2  # (shots, other two ions)
+                top = np.where(on, top.sum(axis=(1, 2)), 0.0)
+                _check_truncation(step_id, pulse.ion, fock_cutoff, top[~flipped])
+                truncation = np.maximum(truncation, top)
             if dephased:
                 reg, released = release_phase(reg, released, shot, pulse.ion)
             pulse = replace(pulse, theta=theta, phi=phi)
@@ -438,17 +442,13 @@ def run_shot(
                 pulse = perturb_pulse(pulse, shot, col)
             reg = apply_pulse(reg, replace(pulse, theta=np.where(on, pulse.theta, 0.0)))
             if isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(step_id):
-                k = sample_pauli_index(depol_u[:, col], noise.depolarizing_per_pulse)
+                k = sample_pauli_index(shot.depol_u[:, col], noise.depolarizing_per_pulse)
                 hit = (k >= 0) & on
                 if np.any(hit):
                     psi = reg.psi.copy()
                     psi[hit] = apply_site(psi[hit], _PAULI_STACK[k[hit]], reg.dims, pulse.ion)
-                    # A flip mid-gate legitimately drives population up the
-                    # truncated Fock ladder; the cutoff tripwire only guards
-                    # trajectories that are still on the ideal path.
-                    reg = replace(
-                        reg, psi=psi, leakage_budget=np.where(hit, math.inf, reg.leakage_budget)
-                    )
+                    reg = replace(reg, psi=psi)
+                    flipped |= hit
 
     for label in ("pmt1", "pmt2", "final"):
         if label not in bright:
@@ -456,9 +456,9 @@ def run_shot(
     outcome = (Outcome.DARK, Outcome.BRIGHT)
     pmt1, pmt2, final = (bright[label].tolist() for label in ("pmt1", "pmt2", "final"))
     records = [
-        ShotRecord(i, outcome[a], outcome[b], outcome[f], branch_label(outcome[a], outcome[b]), leak, t)
-        for i, a, b, f, leak, t in zip(
-            index.tolist(), pmt1, pmt2, final, reg.leakage_max.tolist(), reg.elapsed_us.tolist()
+        ShotRecord(i, outcome[a], outcome[b], outcome[f], branch_label(outcome[a], outcome[b]), top, t)
+        for i, a, b, f, top, t in zip(
+            index.tolist(), pmt1, pmt2, final, truncation.tolist(), reg.elapsed_us.tolist()
         )
     ]
     return records[0] if np.ndim(shot_index) == 0 else records
@@ -715,11 +715,7 @@ def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cu
                     pops = np.einsum("eabcdabcd->eabcd", part).real
                     pops = np.take(pops, ion_lv.index(S), axis=k)[..., motion_lv.index(fock_cutoff - 1)]
                     top = np.bincount(node[sel], pops.reshape(len(pops), -1).sum(axis=1)).max(initial=0.0)
-                if top > TRUNCATION_BOUND:
-                    raise InvariantViolation(
-                        f"row {step.step_id}: population {top:.3e} on ion {pulse.ion + 1}'s "
-                        f"|S, n={fock_cutoff - 1}> exceeds TRUNCATION_BOUND; raise fock_cutoff"
-                    )
+                _check_truncation(step.step_id, pulse.ion, fock_cutoff, top)
                 truncation = max(truncation, top)
                 d = op.shape[0] * op.shape[1]
                 u = (op * ph[:, None, None, :, None]).reshape(len(ph), d, d)

@@ -11,8 +11,8 @@ Pulse zoo:
 * Hide(ion, theta, phi)         — same 2x2 rotation on {S, H}.
 * BlueSideband(ion, theta, phi) — couples |S,n> <-> |D,n+1> with area
   theta*sqrt(n+1); |D,0> and all H levels are fixed points; the uncoupled
-  top state |S, fock_cutoff-1> is held at identity and watched by the
-  leakage monitor.
+  top state |S, fock_cutoff-1> is held at identity, and both engines refuse
+  a sideband that finds more than protocol.TRUNCATION_BOUND there.
 * Wait(duration_us)             — identity plus elapsed-time bookkeeping.
 * Detect(ion, label)            — handled by fluorescence_measure / the
   protocol runner, never by apply_pulse.
@@ -37,7 +37,6 @@ from .errors import DimensionMismatch, InvariantViolation
 from .qcore import ATOL_STRUCTURAL
 
 S, D, H = 0, 1, 2
-LEAKAGE_BUDGET_DEFAULT = 1e-9
 
 
 class Outcome(str, enum.Enum):
@@ -85,18 +84,16 @@ Pulse = Carrier | BlueSideband | Hide | Wait | Detect
 
 @dataclass(frozen=True)
 class TrapRegister:
-    """Pure-state register plus leakage bookkeeping (immutable).
+    """Pure-state register plus its clock (immutable).
 
     A register may hold a stack of shots: `psi` then has shape (shots, dim),
-    and `elapsed_us`, `leakage_budget` and `leakage_max` are per-shot arrays.
+    and `elapsed_us` is a per-shot array.
     """
 
     n_ions: int
     fock_cutoff: int
     psi: np.ndarray                       # flat, dim 3**n_ions * fock_cutoff (per shot)
     elapsed_us: float | np.ndarray = 0.0
-    leakage_budget: float | np.ndarray = LEAKAGE_BUDGET_DEFAULT
-    leakage_max: float | np.ndarray = 0.0
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -110,9 +107,7 @@ class TrapRegister:
         return self.psi.reshape(self.psi.shape[:-1] + self.dims)
 
 
-def initialize(n_ions: int = 3, fock_cutoff: int = 4,
-               leakage_budget: float = LEAKAGE_BUDGET_DEFAULT,
-               shots: int | None = None) -> TrapRegister:
+def initialize(n_ions: int = 3, fock_cutoff: int = 4, shots: int | None = None) -> TrapRegister:
     """All ions in S, motion in |n=0> (Doppler + sideband cooling + pumping).
 
     With `shots`, a stack of that many identical registers.
@@ -122,9 +117,7 @@ def initialize(n_ions: int = 3, fock_cutoff: int = 4,
     lead = () if shots is None else (shots,)
     psi = np.zeros(lead + (3 ** n_ions * fock_cutoff,), dtype=np.complex128)
     psi[..., 0] = 1.0
-    return TrapRegister(
-        n_ions, fock_cutoff, psi, np.zeros(lead), np.full(lead, leakage_budget), np.zeros(lead)
-    )
+    return TrapRegister(n_ions, fock_cutoff, psi, np.zeros(lead))
 
 
 def rotation_2x2(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
@@ -169,36 +162,14 @@ def sideband_local(theta: float, phi: float, fock_cutoff: int) -> np.ndarray:
     return u
 
 
-def _embed(local: np.ndarray, sites: list[int], dims: tuple[int, ...]) -> np.ndarray:
-    """Full-space matrix acting as `local` on `sites` (in order), identity elsewhere."""
-    n = len(dims)
-    others = [i for i in range(n) if i not in sites]
-    d_other = int(np.prod([dims[i] for i in others])) if others else 1
-    big = np.kron(local, np.eye(d_other))
-    # big is ordered (sites..., others...) on rows and columns; permute back.
-    order = list(sites) + others
-    shaped = big.reshape([dims[i] for i in order] * 2)
-    inv = np.argsort(order)
-    perm = list(inv) + [n + i for i in inv]
-    d = int(np.prod(dims))
-    return shaped.transpose(perm).reshape(d, d)
-
-
-def carrier_unitary(n_ions: int, fock_cutoff: int, ion: int,
-                    theta: float, phi: float) -> np.ndarray:
-    _check_ion(n_ions, ion)
-    dims = (3,) * n_ions + (fock_cutoff,)
-    return _embed(carrier_local(theta, phi), [ion], dims)
-
-
 def _check_ion(n_ions: int, ion: int) -> None:
     if not 0 <= ion < n_ions:
         raise DimensionMismatch(f"ion index {ion} out of range for {n_ions} ions")
 
 
 # ---------------------------------------------------------------------------
-# Fast local application on flat states with any leading (shot) axes; the full
-# matrices above are the reference implementation the tests compare against.
+# The trajectory engine's drives: local application on flat states with any
+# leading (shot) axes. The exact engine applies the local matrices above.
 
 def apply_site(psi: np.ndarray, op: np.ndarray, dims: tuple[int, ...], site: int) -> np.ndarray:
     """Apply a single-site operator to axis `site` of flat states (..., prod(dims)).
@@ -217,14 +188,8 @@ def _rotate(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, 
     return r[..., 0, 0] * a + r[..., 0, 1] * b, r[..., 1, 0] * a + r[..., 1, 1] * b
 
 
-def top_fock_population(reg: TrapRegister) -> float | np.ndarray:
-    """Population of the top Fock level (per shot for a stack)."""
-    per_n = reg.psi.reshape(reg.psi.shape[:-1] + (3 ** reg.n_ions, reg.fock_cutoff))
-    return np.sum(np.abs(per_n[..., -1]) ** 2, axis=-1)
-
-
 def apply_pulse(reg: TrapRegister, pulse: Pulse) -> TrapRegister:
-    """Unitary pulse application with leakage monitoring.
+    """Unitary pulse application.
 
     On a stack of shots, `pulse.theta` and `pulse.phi` may hold one value per
     shot. Detect is not a unitary; route it through fluorescence_measure instead.
@@ -255,16 +220,7 @@ def apply_pulse(reg: TrapRegister, pulse: Pulse) -> TrapRegister:
     else:
         raise DimensionMismatch(f"unknown pulse type {type(pulse).__name__}")
 
-    reg = replace(reg, psi=x.reshape(reg.psi.shape))
-    leak = top_fock_population(reg)
-    over = np.flatnonzero(leak > reg.leakage_budget)
-    if over.size:
-        budget = np.broadcast_to(reg.leakage_budget, leak.shape)
-        raise InvariantViolation(
-            f"top Fock level population {leak.flat[over[0]]:.3e} exceeds leakage budget "
-            f"{budget.flat[over[0]]:.1e} (fock_cutoff too small?)"
-        )
-    return replace(reg, leakage_max=np.maximum(reg.leakage_max, leak))
+    return replace(reg, psi=x.reshape(reg.psi.shape))
 
 
 def bright_projector_mask(n_ions: int, fock_cutoff: int, ion: int) -> np.ndarray:

@@ -140,6 +140,18 @@ def test_fock_cutoff_2_exits_2_and_names_the_key(tmp_path, capsys):
     assert "fock_cutoff must be an integer >= 3" in capsys.readouterr().err
 
 
+def test_fock_cutoff_3_runs_per_shot(tmp_path, capsys):
+    # The floor holds for both engines: row 11 fills ion 1's |D, n=2>, the top
+    # level at cutoff 3, which the truncation rule rightly leaves alone.
+    # Amplitude noise has no exact representation, so every count is per shot.
+    noise = {"detuning_sigma_SD": 0.0015, "depolarizing_per_pulse": 0.025, "amplitude_error_sigma": 0.01}
+    cfg = write_config(tmp_path, shots=16, fock_cutoff=3, noise=noise)
+    assert main(["state-tomo", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["states"]) == 6
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [

@@ -1,14 +1,24 @@
-"""Every name a teleion module imports is used there.
+"""Every name a teleion module imports is used there, and every name it defines is used.
 
 An import kept only for an outside reader of the binding says so with
 `# noqa: F401` on its line; the package's re-exports are its `__all__`.
+A top-level function, class or constant is named somewhere in the package
+besides its own definition, or is in `__all__`.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "teleion"
+
+
+def _all_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -24,10 +34,7 @@ def unused_imports(path: Path) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = getattr(alias, "lineno", node.lineno)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
+    exported = _all_names(tree)
     return [
         f"{path.name}:{line} {name}"
         for name, line in sorted(imported.items(), key=lambda item: item[1])
@@ -48,3 +55,61 @@ def test_the_check_sees_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(probe) == ["probe.py:1 math"]
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """Names read in `node`: plain names, attributes and imported names."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _definitions(tree: ast.Module):
+    """(name, line, defining statement) for each top-level function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id != "__all__":
+                        yield name.id, node.lineno, node
+
+
+def dead_definitions(package: Path) -> list[str]:
+    """`file:line name` for each top-level definition in `package`/*.py that no
+    other statement of the package names and no `__all__` exports."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    named, exported = Counter(), set()
+    for tree in trees.values():
+        named += _mentions(tree)
+        exported |= _all_names(tree)
+    return [
+        f"{path.name}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line, node in _definitions(tree)
+        if name not in exported and named[name] <= _mentions(node)[name]
+    ]
+
+
+def test_every_defined_name_is_used():
+    assert dead_definitions(SRC) == []
+
+
+def test_the_check_sees_an_unused_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .b import used\n__all__ = ['exported']\n"
+        "LIMIT = 3\ndef exported(): return used(LIMIT)\ndef orphan(): return orphan()\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "import math\nclass Unread: pass\ndef used(x): return math.sqrt(x)\n", encoding="utf-8"
+    )
+    assert dead_definitions(tmp_path) == ["a.py:5 orphan", "b.py:2 Unread"]

@@ -11,7 +11,6 @@ from teleion.noise import (
     PulseDurations,
     ShotNoise,
     _site_paulis,
-    apply_depolarizing,
     depolarize_density_tensor,
     perturb_pulse,
     phase_exponent,
@@ -120,7 +119,7 @@ def test_depolarizing_channel_contracts_bloch_vector():
 
     psi = np.array([1.0, 1.0]) / np.sqrt(2)
     rho = DensityMatrix.from_pure(psi)
-    out = apply_depolarizing(rho, 0, 0.3)
+    out = DensityMatrix(depolarize_density_tensor(rho.matrix, 0, 0.3, site_dim=2))
     assert np.allclose(bloch_vector(out), 0.7 * bloch_vector(rho), atol=1e-12)
 
 
@@ -128,8 +127,8 @@ def test_depolarizing_leaves_hidden_level_alone():
     # population parked in H must not mix with the qubit subspace
     rho = np.zeros((3, 3), dtype=complex)
     rho[2, 2] = 1.0
-    out = apply_depolarizing(DensityMatrix(rho), 0, 0.5, subsystem_dims=(3,))
-    assert np.allclose(out.matrix, rho, atol=1e-14)
+    out = depolarize_density_tensor(rho, 0, 0.5)
+    assert np.allclose(out, rho, atol=1e-14)
 
 
 def test_depolarize_density_tensor_preserves_trace():
@@ -160,11 +159,3 @@ def test_depolarize_density_tensor_matches_the_kraus_sum():
             expected = expected + 0.25 * p * branch
         out = depolarize_density_tensor(rho_t, site, p, site_dim=site_dim)
         assert np.abs(out - expected).max() <= 1e-13
-
-
-def test_depolarizing_probability_bounds():
-    rho = DensityMatrix(np.eye(2) / 2)
-    with pytest.raises(ConfigError):
-        apply_depolarizing(rho, 0, -0.1)
-    with pytest.raises(ConfigError):
-        apply_depolarizing(rho, 0, 1.1)

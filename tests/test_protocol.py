@@ -210,7 +210,7 @@ def test_noiseless_shots_always_read_bright():
         rec = run_shot(seq, NoiseConfig(), 7, i)
         assert rec.final_outcome is Outcome.BRIGHT
         assert rec.branch == branch_label(rec.pmt1, rec.pmt2)
-        assert rec.leakage_max <= 1e-9
+        assert rec.truncation == 0.0
 
 
 def test_sampled_estimate_matches_exact_within_binomial_error():

@@ -7,7 +7,6 @@ outcome for outcome. The chi-square suite then checks that the sampled joint
 (branch, final outcome) law is the exact engine's, as a Monte-Carlo
 wave-function unraveling of that channel must be.
 """
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +17,7 @@ from teleion.errors import InvariantViolation
 from teleion.noise import RUN_STREAM_TAG, NoiseConfig, _site_paulis, phase_exponent
 from teleion.protocol import (
     BRANCHES,
+    TRUNCATION_BOUND,
     ConditionalPulse,
     FidelityCheck,
     Tomography,
@@ -28,7 +28,7 @@ from teleion.protocol import (
     sample_counts,
 )
 from teleion.trap import (
-    LEAKAGE_BUDGET_DEFAULT,
+    S,
     BlueSideband,
     Carrier,
     Detect,
@@ -70,7 +70,11 @@ def _apply_ion_motion(t, op, ion):
 
 
 def scalar_run_shot(sequence, noise, master_seed, shot_index, *, fock_cutoff=4):
-    """One trajectory, one row at a time: (pmt1, pmt2, final, leakage_max, elapsed_us)."""
+    """One trajectory, one row at a time: (pmt1, pmt2, final, truncation, elapsed_us).
+
+    Before each blue sideband it reads the ion's |S, fock_cutoff-1> population;
+    until a Pauli flip hits the shot, more than TRUNCATION_BOUND there raises.
+    """
     n_steps = max(s.step_id for s in sequence)
     det_sd, det_h, factors = _scalar_noise(noise, master_seed, shot_index, n_steps)
     rng = np.random.default_rng([int(master_seed), int(shot_index), RUN_STREAM_TAG])
@@ -80,8 +84,7 @@ def scalar_run_shot(sequence, noise, master_seed, shot_index, *, fock_cutoff=4):
     dims = (3,) * N_IONS + (fock_cutoff,)
     t = np.zeros(dims, dtype=np.complex128)
     t[(0,) * len(dims)] = 1.0
-    budget = 1e-3 if noise.amplitude_error_sigma > 0 else LEAKAGE_BUDGET_DEFAULT
-    leak_max, elapsed = 0.0, 0.0
+    flipped, truncation, elapsed = False, 0.0, 0.0
     outcomes = {}
     for step in sequence:
         action = step.action
@@ -113,19 +116,20 @@ def scalar_run_shot(sequence, noise, master_seed, shot_index, *, fock_cutoff=4):
             outcomes[pulse.label] = reported
         elif not isinstance(pulse, Wait):
             theta = pulse.theta * factors[step.step_id - 1]
+            if isinstance(pulse, BlueSideband):
+                top = float(np.sum(np.abs(np.take(t, S, axis=pulse.ion)[..., -1]) ** 2))
+                truncation = max(truncation, top)
+                if not flipped and top > TRUNCATION_BOUND:
+                    raise InvariantViolation(
+                        f"row {step.step_id}: population {top:.3e} on ion {pulse.ion + 1}'s "
+                        f"|S, n={fock_cutoff - 1}> exceeds TRUNCATION_BOUND; raise fock_cutoff"
+                    )
             if isinstance(pulse, Carrier):
                 t = _apply_site(t, carrier_local(theta, pulse.phi), pulse.ion)
             elif isinstance(pulse, Hide):
                 t = _apply_site(t, hide_local(theta, pulse.phi), pulse.ion)
             else:
                 t = _apply_ion_motion(t, sideband_local(theta, pulse.phi, fock_cutoff), pulse.ion)
-            leak = float(np.sum(np.abs(t[..., -1]) ** 2))
-            leak_max = max(leak_max, leak)
-            if leak > budget:
-                raise InvariantViolation(
-                    f"top Fock level population {leak:.3e} exceeds leakage budget "
-                    f"{budget:.1e} (fock_cutoff too small?)"
-                )
             p = noise.depolarizing_per_pulse
             if isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(
                 step.step_id
@@ -134,8 +138,8 @@ def scalar_run_shot(sequence, noise, master_seed, shot_index, *, fock_cutoff=4):
                 if u >= 1.0 - 0.75 * p:
                     k = min(int((u - (1.0 - 0.75 * p)) / (0.25 * p)), 2)
                     t = _apply_site(t, _site_paulis(3)[k], pulse.ion)
-                    budget = math.inf
-    return outcomes["pmt1"], outcomes["pmt2"], outcomes["final"], leak_max, elapsed
+                    flipped = True
+    return outcomes["pmt1"], outcomes["pmt2"], outcomes["final"], truncation, elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +158,9 @@ MATRIX = {
     ),
     "echo off": (NoiseConfig(**PAPER), 4, FidelityCheck(), {"spin_echo": False}, 4),
     "fock cutoff 6": (NoiseConfig(amplitude_error_sigma=0.02, **PAPER), 0, Tomography("z"), {}, 6),
+    "fock cutoff 3": (
+        NoiseConfig(amplitude_error_sigma=0.01, detection_error=0.02, **PAPER), 2, FidelityCheck(), {}, 3,
+    ),
     "noiseless": (NoiseConfig(), 5, FidelityCheck(), {}, 4),
 }
 SHOTS = 64
@@ -167,10 +174,10 @@ def test_batched_run_shot_matches_the_scalar_reference(case):
     records = run_shot(seq, noise, seed, range(first, first + SHOTS), fock_cutoff=nc)
     assert [r.shot_index for r in records] == list(range(first, first + SHOTS))
     for r in records:
-        pmt1, pmt2, final, leak_max, elapsed = scalar_run_shot(seq, noise, seed, r.shot_index, fock_cutoff=nc)
+        pmt1, pmt2, final, truncation, elapsed = scalar_run_shot(seq, noise, seed, r.shot_index, fock_cutoff=nc)
         assert (r.pmt1, r.pmt2, r.final_outcome) == (pmt1, pmt2, final), r.shot_index
         assert r.branch == ("S" if pmt1 is Outcome.BRIGHT else "D") + ("S" if pmt2 is Outcome.BRIGHT else "D")
-        assert abs(r.leakage_max - leak_max) <= 1e-12
+        assert abs(r.truncation - truncation) <= 1e-12
         assert abs(r.elapsed_us - elapsed) <= 1e-12
 
 
@@ -183,22 +190,34 @@ def test_an_int_index_is_the_one_shot_batch():
         assert (one.shot_index, one.pmt1, one.pmt2, one.final_outcome) == (
             rec.shot_index, rec.pmt1, rec.pmt2, rec.final_outcome
         )
-        assert abs(one.leakage_max - rec.leakage_max) <= 1e-12
+        assert abs(one.truncation - rec.truncation) <= 1e-12
         assert abs(one.elapsed_us - rec.elapsed_us) <= 1e-12
     assert run_shot(seq, noise, 8, range(0)) == []
 
 
-def test_fock_cutoff_3_trips_the_leakage_monitor_like_the_reference():
-    # Row 11 puts half the population on the top Fock level at cutoff 3, so
-    # per-shot sampling of the standard table needs fock_cutoff >= 4.
-    seq = build_sequence(canonical_inputs()[0])
+@pytest.mark.parametrize("spec", canonical_inputs(), ids=lambda spec: spec.label)
+def test_fock_cutoff_2_trips_the_truncation_bound_like_the_reference(spec):
+    # At cutoff 2 the phase gate finds half the population on ion 1's |S, n=1>
+    # (none for psi2, whose ion 1 sits in D), and the exact engine raises too.
+    seq = build_sequence(spec)
     for noise in (NoiseConfig(), NoiseConfig(**PAPER)):
-        with pytest.raises(InvariantViolation) as scalar:
-            scalar_run_shot(seq, noise, 2, 0, fock_cutoff=3)
+        if spec.label == "psi2":
+            assert len(run_shot(seq, noise, 2, range(8), fock_cutoff=2)) == 8
+            assert scalar_run_shot(seq, noise, 2, 0, fock_cutoff=2)
+            exact_run(spec, 0.0, noise, fock_cutoff=2)
+            continue
+        with pytest.raises(InvariantViolation, match=r"^row 1[1-4]: .* exceeds TRUNCATION_BOUND") as scalar:
+            scalar_run_shot(seq, noise, 2, 0, fock_cutoff=2)
         with pytest.raises(InvariantViolation) as batched:
-            run_shot(seq, noise, 2, range(8), fock_cutoff=3)
+            run_shot(seq, noise, 2, range(8), fock_cutoff=2)
         assert str(batched.value) == str(scalar.value)
-        assert len(run_shot(seq, noise, 2, range(8), fock_cutoff=4)) == 8
+        with pytest.raises(InvariantViolation) as counted:
+            sample_counts([seq], noise, 8, 2, fock_cutoff=2)
+        assert str(counted.value) == str(batched.value)
+        with pytest.raises(InvariantViolation, match=r"^row 1[1-4]: .* exceeds TRUNCATION_BOUND") as exact:
+            exact_run(spec, 0.0, noise, fock_cutoff=2)
+        if noise.is_noiseless:  # one node, one pure state: the very same population
+            assert str(exact.value) == str(batched.value)
 
 
 def test_rows_book_their_duration_without_a_phase_to_apply():
@@ -215,7 +234,7 @@ def test_rows_book_their_duration_without_a_phase_to_apply():
 # Sampled law == exact law: multinomial chi-square over (branch, final outcome)
 
 # Fixed before the first run: 7 degrees of freedom (8 cells), bound at the
-# 1 - 1e-4 quantile of the chi-square law, so the nine fixed-seed cases
+# 1 - 1e-4 quantile of the chi-square law, so the ten fixed-seed cases
 # together pass a correct engine with probability about 0.999. Every cell
 # must expect at least 5 counts for the chi-square law to apply.
 CHI2_BOUND_7DOF = 29.878
@@ -237,6 +256,7 @@ LAW = {
     "echo off": (NoiseConfig(**PAPER), 5, FidelityCheck(), {"spin_echo": False}, 4, None),
     "fock cutoff 4": (NoiseConfig(detection_error=0.02, **PAPER), 0, Tomography("x"), {}, 4, None),
     "fock cutoff 6": (NoiseConfig(detection_error=0.02, **PAPER), 3, Tomography("z"), {}, 6, None),
+    "fock cutoff 3": (NoiseConfig(detection_error=0.02, **PAPER), 5, FidelityCheck(), {}, 3, None),
 }
 
 
