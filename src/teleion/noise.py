@@ -31,10 +31,13 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
 from . import trap
-from .trap import BlueSideband, Carrier, Detect, Hide, TrapRegister, Wait
+from .trap import BlueSideband, Carrier, Detect, Hide, Wait
 
 #: Draw-stream tag separating the run stream from the shot-noise stream.
 RUN_STREAM_TAG = 0x7E1E
+#: Shots per draw block: shot i of a seed takes row i % SHOT_BLOCK of its
+#: block i // SHOT_BLOCK's streams. A stream-layout constant, not a setting.
+SHOT_BLOCK = 64
 
 # Embedded single-site Pauli operators: index 0..2 -> X, Y, Z acting on the
 # {S, D} subspace of a 3-level ion (identity on H) or on a plain qubit.
@@ -134,7 +137,8 @@ class NoiseConfig:
 class ShotNoise:
     """Frozen per-shot noise realisation (one entry per ion / sequence step).
 
-    Sampled for several shots at once, each array gains a leading shot axis.
+    Sampled for several shots at once, each array gains a leading shot axis;
+    sample_shot_noise gives the layout of the draws.
     """
 
     detuning_SD: np.ndarray        # rad/us, per ion
@@ -153,78 +157,41 @@ def sample_shot_noise(
 ) -> ShotNoise:
     """Deterministic draw keyed by (master_seed, shot_index) only.
 
-    Two streams per shot. The noise stream [seed, shot] draws the detuning
-    first (one scalar when correlated, n_ions otherwise), then the per-step
-    amplitude factors. The run stream [seed, shot, RUN_STREAM_TAG] draws the
-    per-step depolarizing uniforms, then the per-step readout pairs. A 1-D
-    array of shot indices gives each shot its own streams and stacks the
-    results; `master_seed` is one seed or one per shot.
+    Shots are drawn in blocks of SHOT_BLOCK: shot i of a seed takes row
+    i % SHOT_BLOCK of two streams keyed by its block b = i // SHOT_BLOCK.
+    The noise stream [seed, b] draws one (SHOT_BLOCK, n_g + n_steps) standard
+    normal block: per row the detuning first (n_g = 1 draw when correlated,
+    n_ions otherwise), then the per-step amplitude factors; it is skipped when
+    both sigmas are 0. The run stream [seed, b, RUN_STREAM_TAG] draws the
+    (SHOT_BLOCK, n_steps) depolarizing uniforms, then the (SHOT_BLOCK,
+    n_steps, 2) readout pairs. Whole blocks are drawn whatever rows are asked
+    for, so a shot's draws depend on no other shot. A 1-D array of shot
+    indices stacks the shots' draws; `master_seed` is one seed or one per shot.
     """
-    index = np.asarray(shot_index)
-    seeds = np.broadcast_to(np.asarray(master_seed, dtype=object), index.shape)
-    g = np.zeros(index.shape + (n_ions,))
-    z = np.zeros(index.shape + (n_steps,))
-    depol_u = np.empty(index.shape + (n_steps,))
-    meas_u = np.empty(index.shape + (n_steps, 2))
+    lead = np.shape(shot_index)
+    index = np.asarray(shot_index).reshape(-1)
+    seeds = np.broadcast_to(np.asarray(master_seed, dtype=object), lead).reshape(-1)
+    n_g = 1 if config.correlated_dephasing else n_ions
+    g = np.zeros((index.size, n_g))
+    z = np.zeros((index.size, n_steps))
+    depol_u = np.empty((index.size, n_steps))
+    meas_u = np.empty((index.size, n_steps, 2))
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for k, (seed, shot) in enumerate(zip(seeds.tolist(), index.tolist())):
+        blocks.setdefault((int(seed), shot // SHOT_BLOCK), []).append(k)
     # With both sigmas zero every noise-stream draw is multiplied by 0, so none is made.
     draw_noise = config.detuning_sigma_SD != 0.0 or config.amplitude_error_sigma != 0.0
-    for k, shot in np.ndenumerate(index):
-        key = [int(seeds[k]), int(shot)]
+    for key, where in blocks.items():
+        rows = index[where] % SHOT_BLOCK
         if draw_noise:
-            rng = np.random.default_rng(key)
-            g[k] = rng.standard_normal() if config.correlated_dephasing else rng.standard_normal(n_ions)
-            z[k] = rng.standard_normal(n_steps)
-        rng = np.random.default_rng(key + [RUN_STREAM_TAG])
-        depol_u[k] = rng.random(n_steps)
-        meas_u[k] = rng.random((n_steps, 2))
-    det_sd = config.detuning_bias_SD + config.detuning_sigma_SD * g
-    det_h = config.dephasing_ratio_H * det_sd
-    factors = 1.0 + config.amplitude_error_sigma * z
-    return ShotNoise(det_sd, det_h, factors, depol_u, meas_u)
-
-
-def phase_exponent(
-    n_ions: int,
-    fock_cutoff: int,
-    detuning_SD: np.ndarray,
-    detuning_H: np.ndarray,
-    duration_us: float | np.ndarray,
-) -> np.ndarray:
-    """Accumulated phase per basis state, shape (3,)*n_ions + (fock_cutoff,).
-
-    phi = duration * sum_i [detuning_SD[i] * 1(level_i = D)
-                            + detuning_H[i] * 1(level_i = H)]
-
-    Detunings with leading shot axes (..., n_ions), with `duration_us` a
-    scalar or one duration per shot, give the phases with those axes first.
-    """
-    detuning_SD, detuning_H = np.asarray(detuning_SD), np.asarray(detuning_H)
-    lead = detuning_SD.shape[:-1]
-    levels = np.stack([np.zeros_like(detuning_SD), detuning_SD, detuning_H], axis=-1)
-    per_level = np.asarray(duration_us)[..., None, None] * levels  # (..., n_ions, 3)
-    phi = np.zeros(lead + (3,) * n_ions + (fock_cutoff,))
-    for i in range(n_ions):
-        shape = [1] * (n_ions + 1)
-        shape[i] = 3
-        phi = phi + per_level[..., i, :].reshape(lead + tuple(shape))
-    return phi
-
-
-def release_phase(
-    reg: TrapRegister, released_us: np.ndarray, shot: ShotNoise, ion: int
-) -> tuple[TrapRegister, np.ndarray]:
-    """Apply one ion's free-evolution phase since its last release.
-
-    The detuning phase is a product of diagonal per-ion factors, each commuting
-    with all but a drive on its ion, so it can wait for that drive. Over the
-    time t since the clock read `released_us[..., ion]` the ion's S, D, H gain
-    exp(-i t (0, detuning_SD, detuning_H)); the returned release times read now.
-    """
-    t, released_us = reg.elapsed_us - released_us[..., ion], released_us.copy()
-    released_us[..., ion] = reg.elapsed_us
-    phi = phase_exponent(1, 1, shot.detuning_SD[..., [ion]], shot.detuning_H[..., [ion]], t)
-    x = reg.psi.reshape(reg.psi.shape[:-1] + (3 ** ion, 3, -1)) * np.exp(-1j * phi)[..., None, :, :]
-    return replace(reg, psi=x.reshape(reg.psi.shape)), released_us
+            normal = np.random.default_rng(key).standard_normal((SHOT_BLOCK, n_g + n_steps))[rows]
+            g[where], z[where] = normal[:, :n_g], normal[:, n_g:]
+        rng = np.random.default_rng(key + (RUN_STREAM_TAG,))
+        depol_u[where] = rng.random((SHOT_BLOCK, n_steps))[rows]
+        meas_u[where] = rng.random((SHOT_BLOCK, n_steps, 2))[rows]
+    det_sd = config.detuning_bias_SD + config.detuning_sigma_SD * g * np.ones(n_ions)
+    drawn = (det_sd, config.dephasing_ratio_H * det_sd, 1.0 + config.amplitude_error_sigma * z, depol_u, meas_u)
+    return ShotNoise(*(a.reshape(lead + a.shape[1:]) for a in drawn))
 
 
 def perturb_pulse(pulse: trap.Pulse, shot: ShotNoise, step_index: int) -> trap.Pulse:

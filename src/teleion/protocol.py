@@ -12,11 +12,12 @@ the conditional set is {I, iX, iZ, XZ} up to global phases, keyed on
 Two execution paths share the same sequence objects:
 
 * run_shot — pure-state trajectories with sampled noise, each keyed
-  deterministically by (master_seed, shot_index). Shots of several sequences
-  advance together as one (shots, 3, 3, 3, fock_cutoff) state; feed-forward
-  and rows where the sequences differ are masks over shots. sample_counts is
-  the one source of sampled counts: it runs all sequences' shots in passes
-  of SHOT_PASS, or draws from exact_run's P(bright);
+  deterministically by (master_seed, shot_index) in noise.SHOT_BLOCK blocks.
+  Shots of several sequences advance together as one (shots, 3, 3, 3,
+  fock_cutoff) state; feed-forward and rows where the sequences differ are
+  masks over shots. sample_counts is the one source of sampled counts: it
+  runs all sequences' shots in passes of SHOT_PASS, or draws from
+  exact_run's P(bright);
 * exact_run — density-matrix evolution with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
   distribution. Every (quadrature node, reported branch) entry advances on
@@ -43,7 +44,6 @@ from .noise import (
     depolarize_density_tensor,  # noqa: F401  perfbench/run.py --self-check needs this binding (ROADMAP B2)
     depolarizing_superop,
     perturb_pulse,
-    release_phase,
     sample_pauli_index,
     sample_shot_noise,
     _site_paulis,
@@ -340,13 +340,14 @@ _PAULI_STACK = np.stack(_site_paulis(3))
 SHOT_PASS = 256
 
 
-def _stacked_rows(tables: list[tuple[SequenceStep, ...]], table: np.ndarray, noise: NoiseConfig):
+def _row_plan(tables: list[tuple[SequenceStep, ...]], noise: NoiseConfig) -> list[tuple]:
     """Rows of tables run together: (step id, first action, drive, on, theta, phi, duration).
 
     The tables must share step ids, readouts, conditions and each row's kind
     of drive, but one may wait where others drive; `on` marks those that drive.
-    The last four are one value for all tables, or per shot where they differ.
+    The last four are one value for all tables, or an array with one per table.
     """
+    plan = []
     for steps in itertools.zip_longest(*tables):
         if None in steps:
             raise InvariantViolation(f"row {next(filter(None, steps)).step_id}: sequences differ in length")
@@ -363,15 +364,16 @@ def _stacked_rows(tables: list[tuple[SequenceStep, ...]], table: np.ndarray, noi
                 "conditions and the kind of drive"
             )
         drive = next((p for p in pulses if not isinstance(p, Wait)), pulses[0])
-        yield steps[0].step_id, steps[0].action, drive, *(
-            v[0] if len(set(v)) == 1 else np.array(v)[table]
+        plan.append((steps[0].step_id, steps[0].action, drive, *(
+            v[0] if len(set(v)) == 1 else np.array(v)
             for v in (
                 [not isinstance(p, (Wait, Detect)) for p in pulses],
                 [getattr(p, "theta", 0.0) for p in pulses],
                 [getattr(p, "phi", 0.0) for p in pulses],
                 [noise.pulse_durations.of(p) for p in pulses],
             )
-        )
+        )))
+    return plan
 
 
 def run_shot(
@@ -382,30 +384,36 @@ def run_shot(
     *,
     sequence_index: np.ndarray | None = None,
     fock_cutoff: int = 4,
+    plan: list[tuple] | None = None,
 ) -> ShotRecord | list[ShotRecord]:
     """Full trajectories through the sequence with sampled noise.
 
     An int `shot_index` gives one ShotRecord; a range or 1-D array of indices
     gives one record per index. All shots advance together as one
     (shots, 3, 3, 3, fock_cutoff) state, one row at a time. Each shot's
-    randomness is keyed by (master_seed, shot_index) alone and its draws are
-    indexed by step id, so a skipped conditional pulse never shifts another
-    step's noise and a shot's outcomes do not depend on the other shots.
+    randomness is keyed by (master_seed, shot_index) alone, in the block
+    layout of sample_shot_noise, and its draws are indexed by step id, so a
+    skipped conditional pulse never shifts another step's noise and a shot's
+    outcomes do not depend on the other shots.
 
     With a list of tables as `sequence`, `sequence_index` gives each shot's
-    table and `master_seed` may give each shot's seed (see _stacked_rows).
-    Each ion's detuning phase waits for its next drive (release_phase); what
-    is left after the last readout changes no outcome and is dropped. Before
-    each blue sideband, a shot that no Pauli flip has hit raises past
-    TRUNCATION_BOUND on its ion's |S, fock_cutoff-1>, as exact_run's nodes do.
+    table and `master_seed` may give each shot's seed; `plan`, the tables'
+    _row_plan under `noise`, spares a caller with many batches rebuilding it.
+    Each ion's detuning phase waits for its next drive, which applies it
+    (apply_pulse's `phase`); what is left after the last readout changes no
+    outcome and is dropped. Before each blue sideband, a shot that no Pauli
+    flip has hit raises past TRUNCATION_BOUND on its ion's |S, fock_cutoff-1>,
+    as exact_run's nodes do.
     """
     index = np.atleast_1d(np.asarray(shot_index, dtype=np.int64))
     tables = [sequence] if sequence_index is None else list(sequence)
     table = np.zeros(index.size, np.intp) if sequence_index is None else np.asarray(sequence_index, np.intp)
+    plan = _row_plan(tables, noise) if plan is None else plan
     seeds = np.broadcast_to(np.asarray(master_seed, dtype=object), index.shape)
-    n_steps = max(s.step_id for t in tables for s in t)
-    shot = sample_shot_noise(noise, seeds, index, N_IONS, n_steps)
-    dephased = np.any(shot.detuning_SD) or np.any(shot.detuning_H)
+    shot = sample_shot_noise(noise, seeds, index, N_IONS, max(row[0] for row in plan))
+    # Each ion's per-level detuning (S, D, H), or None when no shot dephases.
+    rates = np.stack([np.zeros_like(shot.detuning_SD), shot.detuning_SD, shot.detuning_H], axis=-1)
+    rates = rates if np.any(rates) else None
 
     reg = initialize(N_IONS, fock_cutoff, shots=index.size)
     # A flip mid-gate legitimately drives population up the truncated Fock
@@ -415,7 +423,8 @@ def run_shot(
     released = np.zeros((index.size, N_IONS))  # clock time up to which each ion's phase is applied
     bright: dict[str, np.ndarray] = {}  # reported Bright per shot, by readout label
 
-    for step_id, action, pulse, on, theta, phi, duration in _stacked_rows(tables, table, noise):
+    for step_id, action, pulse, *per_table in plan:
+        on, theta, phi, duration = (v if np.ndim(v) == 0 else v[table] for v in per_table)
         col, fired = step_id - 1, True  # the shots this row acts on
         if isinstance(action, ConditionalPulse):
             fired = bright[action.detect_label] == (action.required is Outcome.BRIGHT)
@@ -431,23 +440,23 @@ def run_shot(
             )
         elif np.any(on):
             if isinstance(pulse, BlueSideband):
-                top = np.abs(np.take(reg.tensor(), S, axis=1 + pulse.ion)[..., -1]) ** 2  # (shots, other two ions)
+                top = np.abs(reg.tensor()[(slice(None),) * (1 + pulse.ion) + (S, ..., -1)]) ** 2  # (shots, other two ions)
                 top = np.where(on, top.sum(axis=(1, 2)), 0.0)
                 _check_truncation(step_id, pulse.ion, fock_cutoff, top[~flipped])
                 truncation = np.maximum(truncation, top)
-            if dephased:
-                reg, released = release_phase(reg, released, shot, pulse.ion)
-            pulse = replace(pulse, theta=theta, phi=phi)
+            phase = None
+            if rates is not None:
+                t = reg.elapsed_us - released[:, pulse.ion]
+                phase, released[:, pulse.ion] = np.exp(-1j * t[:, None] * rates[:, pulse.ion]), reg.elapsed_us
+            pulse = replace(pulse, theta=np.where(on, theta, 0.0), phi=phi)
             if noise.amplitude_error_sigma != 0.0:  # otherwise every factor is exactly 1
                 pulse = perturb_pulse(pulse, shot, col)
-            reg = apply_pulse(reg, replace(pulse, theta=np.where(on, pulse.theta, 0.0)))
+            reg = apply_pulse(reg, pulse, phase)
             if isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(step_id):
                 k = sample_pauli_index(shot.depol_u[:, col], noise.depolarizing_per_pulse)
                 hit = (k >= 0) & on
-                if np.any(hit):
-                    psi = reg.psi.copy()
-                    psi[hit] = apply_site(psi[hit], _PAULI_STACK[k[hit]], reg.dims, pulse.ion)
-                    reg = replace(reg, psi=psi)
+                if np.any(hit):  # reg.psi is apply_pulse's fresh array, this pass's own
+                    reg.psi[hit] = apply_site(reg.psi[hit], _PAULI_STACK[k[hit]], reg.dims, pulse.ion)
                     flipped |= hit
 
     for label in ("pmt1", "pmt2", "final"):
@@ -482,7 +491,9 @@ def sample_counts(
     roundoff, its count is one binomial draw from default_rng([seed, tag, j]);
     otherwise it counts trajectories with shot indices j * shots + i for
     i < shots, those of all sequences advancing together, SHOT_PASS shots per
-    run_shot call. Sampled artefacts rest on these streams, so they must not move.
+    run_shot call on one row plan. Sampled artefacts rest on this layout: the
+    binomial streams, and for trajectories the shot indices under
+    sample_shot_noise's SHOT_BLOCK-shot blocks of each seed.
     """
     seeds = [master_seed] if np.ndim(master_seed) == 0 else list(master_seed)
     if len(sequences) % len(seeds):
@@ -494,10 +505,12 @@ def sample_counts(
     table = np.repeat(np.arange(len(sequences)), shots)
     index = table % per * shots + np.tile(np.arange(shots), len(sequences))
     seed = np.array(seeds, dtype=object)[table // per]
+    plan = _row_plan(sequences, noise)
     counts = np.zeros(len(sequences), dtype=np.int64)
     for part in (slice(lo, lo + SHOT_PASS) for lo in range(0, table.size, SHOT_PASS)):
         records = run_shot(
-            sequences, noise, seed[part], index[part], sequence_index=table[part], fock_cutoff=fock_cutoff
+            sequences, noise, seed[part], index[part], sequence_index=table[part], fock_cutoff=fock_cutoff,
+            plan=plan,
         )
         np.add.at(counts, table[part], [r.final_outcome is Outcome.BRIGHT for r in records])
     return counts.tolist()

@@ -188,11 +188,26 @@ def _rotate(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, 
     return r[..., 0, 0] * a + r[..., 0, 1] * b, r[..., 1, 0] * a + r[..., 1, 1] * b
 
 
-def apply_pulse(reg: TrapRegister, pulse: Pulse) -> TrapRegister:
+def _phased(rot: np.ndarray, phase: np.ndarray | None, upper: int) -> np.ndarray:
+    """R @ diag(1, p) with p = phase[..., upper]: the rotations on (S, upper) after that level's phase."""
+    if phase is None:
+        return rot
+    out = np.empty(np.broadcast_shapes(rot.shape[:-2], phase.shape[:-1]) + (2, 2), dtype=np.complex128)
+    out[..., 0] = rot[..., 0]
+    np.multiply(rot[..., 1], phase[..., upper, None], out=out[..., 1])
+    return out
+
+
+def apply_pulse(reg: TrapRegister, pulse: Pulse, phase: np.ndarray | None = None) -> TrapRegister:
     """Unitary pulse application.
 
     On a stack of shots, `pulse.theta` and `pulse.phi` may hold one value per
-    shot. Detect is not a unitary; route it through fluorescence_measure instead.
+    shot. `phase`, shape (..., 3) with one row per shot, holds factors on the
+    driven ion's S, D and H applied just before the drive (a free-evolution
+    phase; S's factor, the frame's, must be 1): each 2x2 rotation's upper
+    column takes its level's factor, and only the levels the drive leaves
+    alone are multiplied. Detect is not a unitary; route it through
+    fluorescence_measure instead.
     """
     if isinstance(pulse, Detect):
         raise InvariantViolation("Detect steps are measurements, not pulses")
@@ -205,15 +220,20 @@ def apply_pulse(reg: TrapRegister, pulse: Pulse) -> TrapRegister:
     lead, dims, ion = reg.psi.shape[:-1], reg.dims, pulse.ion
     before = int(np.prod(dims[:ion]))
     if isinstance(pulse, (Carrier, Hide)):
-        upper = D if isinstance(pulse, Carrier) else H
+        upper, idle = (D, H) if isinstance(pulse, Carrier) else (H, D)
         x = reg.psi.reshape(lead + (before, 3, int(np.prod(dims[ion + 1:])))).copy()
-        rot = rotation_2x2(pulse.theta, pulse.phi)
+        rot = _phased(rotation_2x2(pulse.theta, pulse.phi), phase, upper)
+        if phase is not None:
+            x[..., idle, :] *= phase[..., idle, None, None]
         x[..., S, :], x[..., upper, :] = _rotate(x[..., S, :], x[..., upper, :], rot)
     elif isinstance(pulse, BlueSideband):
         nc = reg.fock_cutoff
         x = reg.psi.reshape(lead + (before, 3, int(np.prod(dims[ion + 1:-1])), nc)).copy()
+        if phase is not None:
+            x[..., D, :, 0] *= phase[..., D, None, None]
+            x[..., H, :, :] *= phase[..., H, None, None, None]
         for n in range(nc - 1):
-            rot = rotation_2x2(np.multiply(pulse.theta, math.sqrt(n + 1)), pulse.phi)
+            rot = _phased(rotation_2x2(np.multiply(pulse.theta, math.sqrt(n + 1)), pulse.phi), phase, D)
             x[..., S, :, n], x[..., D, :, n + 1] = _rotate(
                 x[..., S, :, n], x[..., D, :, n + 1], rot
             )

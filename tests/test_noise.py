@@ -7,19 +7,19 @@ import pytest
 
 from teleion.errors import ConfigError
 from teleion.noise import (
+    RUN_STREAM_TAG,
+    SHOT_BLOCK,
     NoiseConfig,
     PulseDurations,
     ShotNoise,
     _site_paulis,
     depolarize_density_tensor,
     perturb_pulse,
-    phase_exponent,
-    release_phase,
     sample_pauli_index,
     sample_shot_noise,
 )
 from teleion.qcore import DensityMatrix
-from teleion.trap import BlueSideband, Carrier, Detect, Hide, Wait, initialize
+from teleion.trap import S, BlueSideband, Carrier, Detect, Hide, Wait, apply_pulse, initialize
 
 PI = math.pi
 
@@ -69,31 +69,53 @@ def test_detuning_h_is_ratio_times_sd():
     assert np.allclose(shot.detuning_H, 2.0 * shot.detuning_SD)
 
 
-def test_phase_exponent_level_structure():
-    phi = phase_exponent(2, 2, np.array([0.1, 0.0]), np.array([0.2, 0.0]), 10.0)
-    assert phi.shape == (3, 3, 2)
-    assert phi[0, 0, 0] == 0.0          # S accrues nothing
-    assert np.isclose(phi[1, 0, 0], 1.0)  # D on ion 1: 0.1 rad/us * 10 us
-    assert np.isclose(phi[2, 0, 0], 2.0)  # H on ion 1
-    assert np.isclose(phi[1, 1, 0], 1.0)  # ion 2 detunings are zero here
+def test_shot_streams_are_rows_of_their_blocks():
+    # Shot i of a seed is row i % SHOT_BLOCK of the streams of block
+    # i // SHOT_BLOCK, drawn in full: here across the first two boundaries,
+    # with a seed past int64, drawn again by hand.
+    assert SHOT_BLOCK == 64  # sampled per-shot artefacts rest on it
+    cfg = NoiseConfig(detuning_sigma_SD=0.01, amplitude_error_sigma=0.05, correlated_dephasing=False)
+    seed, shots, n_steps = 2**63 + 5, [62, 63, 64, 65, 127, 128], 35
+    batch = sample_shot_noise(cfg, seed, np.array(shots))
+    for k, i in enumerate(shots):
+        block, row = divmod(i, SHOT_BLOCK)
+        normal = np.random.default_rng([seed, block]).standard_normal((SHOT_BLOCK, 3 + n_steps))[row]
+        rng = np.random.default_rng([seed, block, RUN_STREAM_TAG])
+        depol_u, meas_u = rng.random((SHOT_BLOCK, n_steps))[row], rng.random((SHOT_BLOCK, n_steps, 2))[row]
+        one = sample_shot_noise(cfg, seed, i)
+        for shot in (one, ShotNoise(*(getattr(batch, f)[k] for f in ShotNoise.__dataclass_fields__))):
+            assert np.array_equal(shot.detuning_SD, 0.01 * normal[:3])
+            assert np.array_equal(shot.detuning_H, 2.0 * shot.detuning_SD)
+            assert np.array_equal(shot.amplitude_factors, 1.0 + 0.05 * normal[3:])
+            assert np.array_equal(shot.depol_u, depol_u)
+            assert np.array_equal(shot.meas_u, meas_u)
+    # any request order gives each shot the same rows
+    order = [3, 0, 5, 2, 4, 1]
+    shuffled = sample_shot_noise(cfg, seed, np.array(shots)[order])
+    for f in ShotNoise.__dataclass_fields__:
+        assert np.array_equal(getattr(shuffled, f), getattr(batch, f)[order]), f
+    # the run stream is the same whether or not the noise stream is drawn
+    quiet = sample_shot_noise(NoiseConfig(), seed, np.array(shots))
+    assert np.array_equal(quiet.depol_u, batch.depol_u) and np.array_equal(quiet.meas_u, batch.meas_u)
+    assert not np.any(quiet.detuning_SD) and np.all(quiet.amplitude_factors == 1.0)
 
 
-def test_released_phase_rotates_d_relative_to_s():
-    reg = initialize(1, 2)
-    from teleion.trap import apply_pulse
-
-    reg = apply_pulse(reg, Carrier(0, 0.5 * PI, 1.5 * PI))  # (|S> + |D>)/sqrt2
-    shot = ShotNoise(np.array([0.1]), np.array([0.2]), np.ones(35))
-    later = replace(reg, elapsed_us=reg.elapsed_us + 10.0)  # 10 us of free evolution
-    out, released = release_phase(later, np.zeros(1), shot, 0)
-    t = out.tensor()
-    ratio = t[1, 0] / t[0, 0]
-    base = reg.tensor()[1, 0] / reg.tensor()[0, 0]
-    assert np.isclose(ratio / base, np.exp(-1j * 1.0), atol=1e-12)
-    assert out.elapsed_us == reg.elapsed_us + 10.0
-    assert released.tolist() == [10.0]
-    again, _ = release_phase(out, released, shot, 0)  # no time has passed since
-    assert np.array_equal(again.psi, out.psi)
+@pytest.mark.parametrize("fock_cutoff", [3, 4])
+@pytest.mark.parametrize("ion", range(3))
+@pytest.mark.parametrize("kind", [Carrier, Hide, BlueSideband])
+def test_a_phase_then_a_drive_is_the_folded_drive(kind, ion, fock_cutoff):
+    # apply_pulse's `phase` is the per-level phase on the driven ion applied
+    # first: folded into the rotations' upper columns and the idle levels.
+    rng = np.random.default_rng(17)
+    shots, dim = 6, 27 * fock_cutoff
+    psi = rng.normal(size=(shots, dim)) + 1j * rng.normal(size=(shots, dim))
+    reg = replace(initialize(3, fock_cutoff, shots=shots), psi=psi / np.linalg.norm(psi, axis=1, keepdims=True))
+    phase = np.exp(-1j * rng.uniform(-PI, PI, (shots, 3)))
+    phase[:, S] = 1.0
+    pulse = kind(ion, rng.uniform(0, 2 * PI, shots), rng.uniform(-PI, PI, shots))
+    phased = (reg.psi.reshape(shots, 3**ion, 3, -1) * phase[:, None, :, None]).reshape(shots, dim)
+    expected = apply_pulse(replace(reg, psi=phased), pulse).psi
+    assert np.abs(apply_pulse(reg, pulse, phase).psi - expected).max() <= 1e-14
 
 
 def test_perturb_pulse_scales_drive_area_only():

@@ -1,11 +1,13 @@
 """The batched trajectory engine against a scalar reference and the exact engine.
 
 `scalar_run_shot` is the one-shot-at-a-time step loop that `run_shot` replaced,
-kept here as the oracle: it draws every shot's streams itself and applies each
-row with its own tensordot algebra, so a batched `run_shot` must reproduce it
-outcome for outcome. The chi-square suite then checks that the sampled joint
-(branch, final outcome) law is the exact engine's, as a Monte-Carlo
-wave-function unraveling of that channel must be.
+kept here as the oracle: it draws every shot's row of its SHOT_BLOCK-shot
+blocks itself, dephases the whole register on every row and applies each
+row with its own tensordot algebra, so a batched `run_shot`, which defers
+each ion's phase into its next drive, must reproduce it outcome for outcome.
+The chi-square suite then checks that the sampled joint (branch, final
+outcome) law is the exact engine's, as a Monte-Carlo wave-function
+unraveling of that channel must be.
 """
 from dataclasses import replace
 
@@ -14,7 +16,7 @@ import pytest
 
 from teleion import protocol
 from teleion.errors import InvariantViolation
-from teleion.noise import RUN_STREAM_TAG, NoiseConfig, _site_paulis, phase_exponent
+from teleion.noise import RUN_STREAM_TAG, SHOT_BLOCK, NoiseConfig, _site_paulis
 from teleion.protocol import (
     BRANCHES,
     TRUNCATION_BOUND,
@@ -48,15 +50,23 @@ PAPER = dict(detuning_sigma_SD=0.0015, depolarizing_per_pulse=0.025)
 # ---------------------------------------------------------------------------
 # Scalar reference
 
-def _scalar_noise(noise, master_seed, shot_index, n_steps):
-    rng = np.random.default_rng([int(master_seed), int(shot_index)])
-    if noise.correlated_dephasing:
-        g = np.full(N_IONS, rng.standard_normal())
-    else:
-        g = rng.standard_normal(N_IONS)
+def _scalar_draws(noise, master_seed, shot_index, n_steps):
+    """Shot `shot_index`'s row of its block's two streams, drawn in full here.
+
+    Returns (detuning_SD, detuning_H, amplitude factors, depolarizing
+    uniforms, readout pairs).
+    """
+    block, row = divmod(int(shot_index), SHOT_BLOCK)
+    key = [int(master_seed), block]
+    n_g = 1 if noise.correlated_dephasing else N_IONS
+    normal = np.random.default_rng(key).standard_normal((SHOT_BLOCK, n_g + n_steps))[row]
+    g = np.full(N_IONS, normal[0]) if noise.correlated_dephasing else normal[:N_IONS]
     det_sd = noise.detuning_bias_SD + noise.detuning_sigma_SD * g
-    factors = 1.0 + noise.amplitude_error_sigma * rng.standard_normal(n_steps)
-    return det_sd, noise.dephasing_ratio_H * det_sd, factors
+    factors = 1.0 + noise.amplitude_error_sigma * normal[n_g:]
+    rng = np.random.default_rng(key + [RUN_STREAM_TAG])
+    depol_u = rng.random((SHOT_BLOCK, n_steps))[row]
+    meas_u = rng.random((SHOT_BLOCK, n_steps, 2))[row]
+    return det_sd, noise.dephasing_ratio_H * det_sd, factors, depol_u, meas_u
 
 
 def _apply_site(t, op, site):
@@ -76,10 +86,7 @@ def scalar_run_shot(sequence, noise, master_seed, shot_index, *, fock_cutoff=4):
     until a Pauli flip hits the shot, more than TRUNCATION_BOUND there raises.
     """
     n_steps = max(s.step_id for s in sequence)
-    det_sd, det_h, factors = _scalar_noise(noise, master_seed, shot_index, n_steps)
-    rng = np.random.default_rng([int(master_seed), int(shot_index), RUN_STREAM_TAG])
-    depol_u = rng.random(n_steps)
-    meas_u = rng.random((n_steps, 2))
+    det_sd, det_h, factors, depol_u, meas_u = _scalar_draws(noise, master_seed, shot_index, n_steps)
 
     dims = (3,) * N_IONS + (fock_cutoff,)
     t = np.zeros(dims, dtype=np.complex128)
@@ -97,7 +104,8 @@ def scalar_run_shot(sequence, noise, master_seed, shot_index, *, fock_cutoff=4):
 
         duration = noise.pulse_durations.of(pulse)
         if duration != 0.0 and (np.any(det_sd) or np.any(det_h)):
-            t = t * np.exp(-1j * phase_exponent(N_IONS, fock_cutoff, det_sd, det_h, duration))
+            for ion in range(N_IONS):
+                t = _apply_site(t, np.diag(np.exp(-1j * duration * np.array([0.0, det_sd[ion], det_h[ion]]))), ion)
         elapsed += duration
 
         if isinstance(pulse, Detect):
@@ -222,7 +230,7 @@ def test_fock_cutoff_2_trips_the_truncation_bound_like_the_reference(spec):
 
 def test_rows_book_their_duration_without_a_phase_to_apply():
     # The clock advances by every row's duration, zero included, even when no
-    # detuning phase is owed; the phases themselves wait for release_phase.
+    # detuning phase is owed; the phases themselves wait for the next drive.
     for noise, wait in ((NoiseConfig(), 0.0), (NoiseConfig(), 5.0), (NoiseConfig(detuning_bias_SD=0.1), 5.0)):
         seq = build_sequence(canonical_inputs()[0], standby_wait_us=wait, reconstruction=False)
         expected = sum(noise.pulse_durations.of(s.action) for s in seq)
