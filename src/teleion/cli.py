@@ -615,7 +615,7 @@ def cmd_export_sequence(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown input label {args.input!r} (have {sorted(inputs)})")
     spec = inputs[args.input]
     mode = FidelityCheck() if args.row34 == "fidelity" else Tomography(args.row34)
-    phase = 0.0 if cfg.phase_offset == "calibrate" else float(cfg.phase_offset)
+    phase, _ = _resolve_phase(cfg)
     text = sequence_text(build_sequence(spec, phase, mode, **cfg.sequence_kwargs()))
     sys.stdout.write(text)
     if args.out is not None:

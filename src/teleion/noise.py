@@ -7,15 +7,16 @@ Physical content:
   accrues phase detuning_SD * t, the H level detuning_H * t with
   detuning_H = dephasing_ratio_H * detuning_SD (same field fluctuation seen by
   a more sensitive transition);
-* amplitude errors — every pulse area is scaled by a per-shot factor
-  1 + N(0, amplitude_error_sigma), indexed by sequence step so conditional
+* amplitude errors — every drive's area is scaled by a per-shot factor
+  1 + N(0, amplitude_error_sigma), drawn per sequence step (ShotNoise's
+  amplitude_factors, which protocol.run_shot multiplies in) so conditional
   branches never shift the draw stream;
 * depolarizing — after each carrier/sideband pulse the addressed ion's {S,D}
   subspace suffers rho -> (1-3p/4) rho + (p/4)(X rho X + Y rho Y + Z rho Z).
   Hide pulses are exempt: a {S,D} error while an ion is hidden would leak
   population into H permanently, which is not what this channel models;
 * detection error — the reported PMT outcome flips with probability epsilon
-  while the collapse follows the true outcome (handled in trap/protocol).
+  while the collapse follows the true outcome (trap.fluorescence_measure).
 
 Durations are bookkeeping inputs to the dephasing integral: a pulse of area
 theta lasts (theta/pi) * t_pi for its pulse class, detection lasts a fixed
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,15 +138,15 @@ class NoiseConfig:
 class ShotNoise:
     """Frozen per-shot noise realisation (one entry per ion / sequence step).
 
-    Sampled for several shots at once, each array gains a leading shot axis;
-    sample_shot_noise gives the layout of the draws.
+    Built by sample_shot_noise, which gives the layout of the draws; sampled
+    for several shots at once, each array gains a leading shot axis.
     """
 
     detuning_SD: np.ndarray        # rad/us, per ion
     detuning_H: np.ndarray         # rad/us, per ion
     amplitude_factors: np.ndarray  # unitless, indexed by step_id - 1
-    depol_u: np.ndarray | None = None  # uniform per step: which Pauli, if any, a drive draws
-    meas_u: np.ndarray | None = None   # two uniforms per step: a readout's collapse, then its report
+    depol_u: np.ndarray            # uniform per step: which Pauli, if any, a drive draws
+    meas_u: np.ndarray             # two uniforms per step: a readout's collapse, then its report
 
 
 def sample_shot_noise(
@@ -194,29 +195,12 @@ def sample_shot_noise(
     return ShotNoise(*(a.reshape(lead + a.shape[1:]) for a in drawn))
 
 
-def perturb_pulse(pulse: trap.Pulse, shot: ShotNoise, step_index: int) -> trap.Pulse:
-    """Scale a drive pulse's area by the shot's factor for its table slot.
-
-    On a stack of shots the area becomes one value per shot.
-    """
-    if isinstance(pulse, (Carrier, BlueSideband, Hide)):
-        factor = shot.amplitude_factors[..., step_index]
-        return replace(pulse, theta=pulse.theta * factor)
-    return pulse
-
-
-def sample_pauli_index(u: float | np.ndarray, p: float) -> int | None | np.ndarray:
-    """Map one uniform draw to the depolarizing unraveling: None or 0..2.
-
-    An array of draws gives an int array, with -1 where no Pauli is applied.
-    """
-    u = np.asarray(u)
+def sample_pauli_index(u: np.ndarray, p: float) -> np.ndarray:
+    """Map depolarizing uniforms to the unraveling's Pauli: -1 for none, else 0..2 (X, Y, Z)."""
     k = np.full(u.shape, -1)
     hit = u >= 1.0 - 0.75 * p
     k[hit] = np.minimum(((u[hit] - (1.0 - 0.75 * p)) / (0.25 * p)).astype(int), 2)
-    if u.ndim:
-        return k
-    return None if k < 0 else int(k)
+    return k
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,10 +14,10 @@ Two execution paths share the same sequence objects:
 * run_shot — pure-state trajectories with sampled noise, each keyed
   deterministically by (master_seed, shot_index) in noise.SHOT_BLOCK blocks.
   Shots of several sequences advance together as one (shots, 3, 3, 3,
-  fock_cutoff) state; feed-forward and rows where the sequences differ are
-  masks over shots. sample_counts is the one source of sampled counts: it
-  runs all sequences' shots in passes of SHOT_PASS, or draws from
-  exact_run's P(bright);
+  fock_cutoff) array; feed-forward and rows where the sequences differ are
+  masks over shots, and the results are per-shot arrays (Shots).
+  sample_counts is the one source of sampled counts: it runs all sequences'
+  shots in passes of SHOT_PASS, or draws from exact_run's P(bright);
 * exact_run — density-matrix evolution with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
   distribution. Every (quadrature node, reported branch) entry advances on
@@ -43,7 +43,6 @@ from .noise import (
     NoiseConfig,
     depolarize_density_tensor,  # noqa: F401  perfbench/run.py --self-check needs this binding (ROADMAP B2)
     depolarizing_superop,
-    perturb_pulse,
     sample_pauli_index,
     sample_shot_noise,
     _site_paulis,
@@ -61,7 +60,6 @@ from .trap import (
     apply_pulse,
     apply_site,
     fluorescence_measure,
-    initialize,
 )
 
 PI = math.pi
@@ -152,17 +150,6 @@ class SequenceStep:
     step_id: int
     action: trap.Pulse | ConditionalPulse
     comment: str = ""
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    shot_index: int
-    pmt1: Outcome
-    pmt2: Outcome
-    final_outcome: Outcome
-    branch: str           # "SS" | "SD" | "DS" | "DD" (pmt1 first, Bright=S)
-    truncation: float     # largest |S, fock_cutoff-1> population a blue sideband found
-    elapsed_us: float
 
 
 def branch_label(pmt1: Outcome, pmt2: Outcome) -> str:
@@ -376,25 +363,35 @@ def _row_plan(tables: list[tuple[SequenceStep, ...]], noise: NoiseConfig) -> lis
     return plan
 
 
+@dataclass(frozen=True)
+class Shots:
+    """run_shot's results, one entry per shot index; outcomes are reported Bright (bool)."""
+
+    pmt1: np.ndarray
+    pmt2: np.ndarray
+    final: np.ndarray
+    truncation: np.ndarray  # largest |S, fock_cutoff-1> population a blue sideband found
+    elapsed_us: np.ndarray
+
+
 def run_shot(
     sequence: tuple[SequenceStep, ...] | list[tuple[SequenceStep, ...]],
     noise: NoiseConfig,
     master_seed: int | np.ndarray,
-    shot_index: int | range | np.ndarray,
+    shot_index: range | np.ndarray,
     *,
     sequence_index: np.ndarray | None = None,
     fock_cutoff: int = 4,
     plan: list[tuple] | None = None,
-) -> ShotRecord | list[ShotRecord]:
+) -> Shots:
     """Full trajectories through the sequence with sampled noise.
 
-    An int `shot_index` gives one ShotRecord; a range or 1-D array of indices
-    gives one record per index. All shots advance together as one
-    (shots, 3, 3, 3, fock_cutoff) state, one row at a time. Each shot's
-    randomness is keyed by (master_seed, shot_index) alone, in the block
-    layout of sample_shot_noise, and its draws are indexed by step id, so a
-    skipped conditional pulse never shifts another step's noise and a shot's
-    outcomes do not depend on the other shots.
+    `shot_index` is a range or 1-D array of indices, one shot each. All shots
+    advance together as one (shots, 3, 3, 3, fock_cutoff) array, one row at a
+    time. Each shot's randomness is keyed by (master_seed, shot_index) alone,
+    in the block layout of sample_shot_noise, and its draws are indexed by
+    step id, so a skipped conditional pulse never shifts another step's noise
+    and a shot's outcomes do not depend on the other shots.
 
     With a list of tables as `sequence`, `sequence_index` gives each shot's
     table and `master_seed` may give each shot's seed; `plan`, the tables'
@@ -405,7 +402,9 @@ def run_shot(
     flip has hit raises past TRUNCATION_BOUND on its ion's |S, fock_cutoff-1>,
     as exact_run's nodes do.
     """
-    index = np.atleast_1d(np.asarray(shot_index, dtype=np.int64))
+    index = np.asarray(shot_index, dtype=np.int64)
+    if index.ndim != 1:
+        raise DimensionMismatch("shot_index must be a range or 1-D array of shot indices")
     tables = [sequence] if sequence_index is None else list(sequence)
     table = np.zeros(index.size, np.intp) if sequence_index is None else np.asarray(sequence_index, np.intp)
     plan = _row_plan(tables, noise) if plan is None else plan
@@ -415,7 +414,9 @@ def run_shot(
     rates = np.stack([np.zeros_like(shot.detuning_SD), shot.detuning_SD, shot.detuning_H], axis=-1)
     rates = rates if np.any(rates) else None
 
-    reg = initialize(N_IONS, fock_cutoff, shots=index.size)
+    psi = np.zeros((index.size,) + (3,) * N_IONS + (fock_cutoff,), dtype=np.complex128)
+    psi[(slice(None),) + (S,) * N_IONS + (0,)] = 1.0  # all ions in S, motion in |n=0>
+    elapsed = np.zeros(index.size)
     # A flip mid-gate legitimately drives population up the truncated Fock
     # ladder, so the truncation rule only guards shots still on the ideal path.
     flipped = np.zeros(index.size, bool)
@@ -432,45 +433,37 @@ def run_shot(
         # which is exactly the identity, and draws no Pauli flip; so does a
         # shot whose table waits where others drive, after its own wait.
         on = on & fired
-        reg = replace(reg, elapsed_us=reg.elapsed_us + np.where(fired, duration, 0.0))
+        elapsed = elapsed + np.where(fired, duration, 0.0)
 
         if isinstance(pulse, Detect):  # the unreleased phases commute with the projectors
-            _true, bright[pulse.label], reg = fluorescence_measure(
-                reg, pulse.ion, shot.meas_u[:, col], noise.detection_error
+            bright[pulse.label], psi = fluorescence_measure(
+                psi, pulse.ion, shot.meas_u[:, col], noise.detection_error
             )
         elif np.any(on):
             if isinstance(pulse, BlueSideband):
-                top = np.abs(reg.tensor()[(slice(None),) * (1 + pulse.ion) + (S, ..., -1)]) ** 2  # (shots, other two ions)
+                top = np.abs(psi[(slice(None),) * (1 + pulse.ion) + (S, ..., -1)]) ** 2  # (shots, other two ions)
                 top = np.where(on, top.sum(axis=(1, 2)), 0.0)
                 _check_truncation(step_id, pulse.ion, fock_cutoff, top[~flipped])
                 truncation = np.maximum(truncation, top)
             phase = None
             if rates is not None:
-                t = reg.elapsed_us - released[:, pulse.ion]
-                phase, released[:, pulse.ion] = np.exp(-1j * t[:, None] * rates[:, pulse.ion]), reg.elapsed_us
-            pulse = replace(pulse, theta=np.where(on, theta, 0.0), phi=phi)
+                t = elapsed - released[:, pulse.ion]
+                phase, released[:, pulse.ion] = np.exp(-1j * t[:, None] * rates[:, pulse.ion]), elapsed
+            theta = np.where(on, theta, 0.0)
             if noise.amplitude_error_sigma != 0.0:  # otherwise every factor is exactly 1
-                pulse = perturb_pulse(pulse, shot, col)
-            reg = apply_pulse(reg, pulse, phase)
+                theta = theta * shot.amplitude_factors[:, col]
+            psi = apply_pulse(psi, replace(pulse, theta=theta, phi=phi), phase)
             if isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(step_id):
                 k = sample_pauli_index(shot.depol_u[:, col], noise.depolarizing_per_pulse)
                 hit = (k >= 0) & on
-                if np.any(hit):  # reg.psi is apply_pulse's fresh array, this pass's own
-                    reg.psi[hit] = apply_site(reg.psi[hit], _PAULI_STACK[k[hit]], reg.dims, pulse.ion)
+                if np.any(hit):  # psi is apply_pulse's fresh array, this pass's own
+                    psi[hit] = apply_site(psi[hit], _PAULI_STACK[k[hit]], pulse.ion)
                     flipped |= hit
 
     for label in ("pmt1", "pmt2", "final"):
         if label not in bright:
             raise InvariantViolation(f"sequence produced no {label!r} readout")
-    outcome = (Outcome.DARK, Outcome.BRIGHT)
-    pmt1, pmt2, final = (bright[label].tolist() for label in ("pmt1", "pmt2", "final"))
-    records = [
-        ShotRecord(i, outcome[a], outcome[b], outcome[f], branch_label(outcome[a], outcome[b]), top, t)
-        for i, a, b, f, top, t in zip(
-            index.tolist(), pmt1, pmt2, final, truncation.tolist(), reg.elapsed_us.tolist()
-        )
-    ]
-    return records[0] if np.ndim(shot_index) == 0 else records
+    return Shots(bright["pmt1"], bright["pmt2"], bright["final"], truncation, elapsed)
 
 
 def sample_counts(
@@ -508,11 +501,11 @@ def sample_counts(
     plan = _row_plan(sequences, noise)
     counts = np.zeros(len(sequences), dtype=np.int64)
     for part in (slice(lo, lo + SHOT_PASS) for lo in range(0, table.size, SHOT_PASS)):
-        records = run_shot(
+        final = run_shot(
             sequences, noise, seed[part], index[part], sequence_index=table[part], fock_cutoff=fock_cutoff,
             plan=plan,
-        )
-        np.add.at(counts, table[part], [r.final_outcome is Outcome.BRIGHT for r in records])
+        ).final
+        np.add.at(counts, table[part], final)
     return counts.tolist()
 
 

@@ -77,9 +77,8 @@ def test_criterion_1_noiseless_exactness(capsys):
 def test_criterion_2_branch_statistics(capsys):
     n = 10_000
     seq = build_sequence(canonical_inputs()[0])
-    counts = dict.fromkeys(BRANCHES, 0)
-    for rec in run_shot(seq, NoiseConfig(), 2026, range(n)):
-        counts[rec.branch] += 1
+    shots = run_shot(seq, NoiseConfig(), 2026, range(n))
+    counts = {b: int(c) for b, c in zip(BRANCHES, np.bincount(2 * ~shots.pmt1 + ~shots.pmt2, minlength=4))}
     sigma = math.sqrt(n * 0.25 * 0.75)
     worst = max(abs(c - n / 4) for c in counts.values())
     ok = worst <= 5 * sigma

@@ -19,9 +19,17 @@ from teleion.cli import (
 )
 from teleion.errors import ConfigError, InvariantViolation
 from teleion.noise import NoiseConfig
-from teleion.protocol import FidelityCheck, InputStateSpec, Tomography, build_sequence, run_shot
+from teleion.protocol import (
+    FidelityCheck,
+    InputStateSpec,
+    Tomography,
+    build_sequence,
+    calibrate_phase,
+    canonical_inputs,
+    run_shot,
+    sequence_text,
+)
 from teleion.tomography import BASES, teleported_counts
-from teleion.trap import Outcome
 
 DOCS_CONFIG = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
@@ -388,6 +396,24 @@ def test_export_sequence_prints_and_saves_the_table(tmp_path, capsys):
     assert "Y-basis analysis pulse" in capsys.readouterr().out
 
 
+PAPER_NOISE = {"detuning_sigma_SD": 0.0015, "depolarizing_per_pulse": 0.025}
+
+
+def test_export_sequence_prints_the_calibrated_tail(tmp_path, capsys):
+    # "calibrate" means the calibration's optimum, here as in every command:
+    # phi* = 6.28303 rad, so row 30's phase 1.5pi becomes 3.5pi (not 1.5pi).
+    cfg = write_config(tmp_path, phase_offset="calibrate", noise=PAPER_NOISE)
+    assert main(["export-sequence", "--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "RC_3(0.5000pi, 3.5000pi)" in rows[29]
+    phi_star = calibrate_phase(NoiseConfig(**PAPER_NOISE)).phi_star
+    assert rows[29:34] == sequence_text(build_sequence(canonical_inputs()[5], phi_star)).splitlines()[29:34]
+    # amplitude noise has no calibration, so the table cannot be printed
+    cfg = write_config(tmp_path, phase_offset="calibrate", noise={**PAPER_NOISE, "amplitude_error_sigma": 0.01})
+    assert main(["export-sequence", "--config", str(cfg)]) == 2
+    assert "calibrate_phase" in capsys.readouterr().err
+
+
 def test_packaged_preset_matches_the_shipped_example():
     packaged = (
         resources.files("teleion").joinpath("presets/paper.json").read_bytes()
@@ -438,20 +464,14 @@ def test_sampled_counts_keep_their_per_shot_streams(tmp_path, capsys):
     rows = (tmp_path / "out" / "fidelities.csv").read_text().splitlines()[1:]
     for idx, (spec, row) in enumerate(zip(specs, rows)):
         seq = build_sequence(spec, 0.0, FidelityCheck())
-        bright = sum(
-            run_shot(seq, noise, 11, idx * shots + i).final_outcome is Outcome.BRIGHT
-            for i in range(shots)
-        )
+        bright = sum(bool(run_shot(seq, noise, 11, [idx * shots + i]).final[0]) for i in range(shots))
         assert row.split(",")[4] == repr(bright / shots)
     capsys.readouterr()
 
     table = teleported_counts(specs[0], noise, shots, master_seed=5)
     for b, basis in enumerate(BASES):
         seq = build_sequence(specs[0], 0.0, Tomography(basis.lower()))
-        bright = sum(
-            run_shot(seq, noise, 5, b * shots + i).final_outcome is Outcome.BRIGHT
-            for i in range(shots)
-        )
+        bright = sum(bool(run_shot(seq, noise, 5, [b * shots + i]).final[0]) for i in range(shots))
         assert (basis, "Bright", float(bright)) in table.rows
 
 
@@ -476,14 +496,34 @@ def test_per_shot_state_tomo_keeps_each_inputs_streams(tmp_path, capsys):
         lines = ["basis,outcome,count"]
         for b, basis in enumerate(BASES):
             seq = build_sequence(spec, 0.0, Tomography(basis.lower()))
-            bright = sum(
-                run_shot(seq, noise, seed, b * shots + i).final_outcome is Outcome.BRIGHT
-                for i in range(shots)
-            )
+            bright = sum(bool(run_shot(seq, noise, seed, [b * shots + i]).final[0]) for i in range(shots))
             lines += [f"{basis},Bright,{bright}", f"{basis},Dark,{shots - bright}"]
         assert (dirs[0] / f"counts_{spec.label}.csv").read_text().splitlines() == lines
     names = sorted(p.name for p in dirs[0].iterdir())
     assert names == sorted(p.name for p in dirs[1].iterdir())
     for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    capsys.readouterr()
+
+
+def test_per_shot_state_tomo_counts_are_pinned(tmp_path, capsys):
+    # Literal counts of a tiny per-shot run: unlike the stream tests above,
+    # these cannot move together with run_shot. Paper noise plus amplitude
+    # and detection error; 16 shots per basis.
+    noise = {**PAPER_NOISE, "amplitude_error_sigma": 0.01, "detection_error": 0.02}
+    specs = [InputStateSpec(0.5, 1.0, "a"), InputStateSpec(2.0, 0.3, "b"), InputStateSpec(1.2, 4.0, "c")]
+    cfg = write_config(
+        tmp_path,
+        shots=16,
+        sampling="per-shot",
+        noise=noise,
+        inputs=[{"theta_chi": s.theta_chi, "phi_chi": s.phi_chi, "label": s.label} for s in specs],
+    )
+    assert main(["state-tomo", "--config", str(cfg)]) == 0
+    pinned = {"a": (12, 9, 11), "b": (8, 10, 11), "c": (6, 4, 5)}  # Bright in Z, X, Y
+    for label, bright in pinned.items():
+        lines = ["basis,outcome,count"]
+        for basis, k in zip(BASES, bright):
+            lines += [f"{basis},Bright,{k}", f"{basis},Dark,{16 - k}"]
+        assert (tmp_path / "out" / f"counts_{label}.csv").read_text().splitlines() == lines
     capsys.readouterr()

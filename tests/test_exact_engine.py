@@ -493,14 +493,16 @@ def test_detection_error_collapses_on_the_true_outcome():
     seq = build_sequence(spec)
     n, z_max = 600, 4.0
     shots = run_shot(seq, noise, 2024, range(n))
-    for b in BRANCHES:
-        in_branch = [r for r in shots if r.branch == b]
+    branch = 2 * ~shots.pmt1 + ~shots.pmt2  # index into BRANCHES
+    for j, b in enumerate(BRANCHES):
+        in_branch = branch == j
+        m = np.count_nonzero(in_branch)
         p = res.branch_probs[b]
-        assert abs(len(in_branch) / n - p) <= z_max * math.sqrt(p * (1 - p) / n)
+        assert abs(m / n - p) <= z_max * math.sqrt(p * (1 - p) / n)
         q = res.final_bright[b]
-        k = sum(r.final_outcome is Outcome.BRIGHT for r in in_branch)
-        assert abs(k / len(in_branch) - q) <= z_max * math.sqrt(q * (1 - q) / len(in_branch))
+        k = np.count_nonzero(shots.final[in_branch])
+        assert abs(k / m - q) <= z_max * math.sqrt(q * (1 - q) / m)
     # Had the collapse followed the report, every correction would be right
     # and each branch would read bright with probability 1 - eps.
-    pooled = sum(r.final_outcome is Outcome.BRIGHT for r in shots) / n
+    pooled = np.count_nonzero(shots.final) / n
     assert abs(pooled - (1 - eps)) > z_max * math.sqrt(eps * (1 - eps) / n)

@@ -1,6 +1,5 @@
 """Noise model: quasi-static detuning, amplitude errors, depolarizing."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +13,11 @@ from teleion.noise import (
     ShotNoise,
     _site_paulis,
     depolarize_density_tensor,
-    perturb_pulse,
     sample_pauli_index,
     sample_shot_noise,
 )
 from teleion.qcore import DensityMatrix
-from teleion.trap import S, BlueSideband, Carrier, Detect, Hide, Wait, apply_pulse, initialize
+from teleion.trap import S, BlueSideband, Carrier, Detect, Hide, Wait, apply_pulse
 
 PI = math.pi
 
@@ -107,32 +105,21 @@ def test_a_phase_then_a_drive_is_the_folded_drive(kind, ion, fock_cutoff):
     # apply_pulse's `phase` is the per-level phase on the driven ion applied
     # first: folded into the rotations' upper columns and the idle levels.
     rng = np.random.default_rng(17)
-    shots, dim = 6, 27 * fock_cutoff
-    psi = rng.normal(size=(shots, dim)) + 1j * rng.normal(size=(shots, dim))
-    reg = replace(initialize(3, fock_cutoff, shots=shots), psi=psi / np.linalg.norm(psi, axis=1, keepdims=True))
+    shots, dims = 6, (3, 3, 3, fock_cutoff)
+    psi = rng.normal(size=(shots, *dims)) + 1j * rng.normal(size=(shots, *dims))
+    psi /= np.linalg.norm(psi.reshape(shots, -1), axis=1).reshape(shots, 1, 1, 1, 1)
     phase = np.exp(-1j * rng.uniform(-PI, PI, (shots, 3)))
     phase[:, S] = 1.0
     pulse = kind(ion, rng.uniform(0, 2 * PI, shots), rng.uniform(-PI, PI, shots))
-    phased = (reg.psi.reshape(shots, 3**ion, 3, -1) * phase[:, None, :, None]).reshape(shots, dim)
-    expected = apply_pulse(replace(reg, psi=phased), pulse).psi
-    assert np.abs(apply_pulse(reg, pulse, phase).psi - expected).max() <= 1e-14
-
-
-def test_perturb_pulse_scales_drive_area_only():
-    shot = ShotNoise(np.zeros(3), np.zeros(3), np.full(35, 1.02))
-    p = perturb_pulse(Carrier(0, PI, 0.3), shot, 4)
-    assert np.isclose(p.theta, 1.02 * PI) and p.phi == 0.3
-    w = perturb_pulse(Wait(10.0), shot, 4)
-    assert isinstance(w, Wait) and w.duration_us == 10.0
+    phased = (psi.reshape(shots, 3**ion, 3, -1) * phase[:, None, :, None]).reshape(psi.shape)
+    expected = apply_pulse(phased, pulse)
+    assert np.abs(apply_pulse(psi, pulse, phase) - expected).max() <= 1e-14
 
 
 def test_sample_pauli_index_partitions_unit_interval():
     p = 0.4
-    assert sample_pauli_index(0.0, p) is None
-    assert sample_pauli_index(1.0 - 0.75 * p - 1e-9, p) is None
-    assert sample_pauli_index(1.0 - 0.75 * p + 1e-9, p) == 0
-    assert sample_pauli_index(1.0 - 0.25 * p - 1e-9, p) == 1
-    assert sample_pauli_index(1.0 - 1e-9, p) == 2
+    u = np.array([0.0, 1.0 - 0.75 * p - 1e-9, 1.0 - 0.75 * p + 1e-9, 1.0 - 0.25 * p - 1e-9, 1.0 - 1e-9])
+    assert sample_pauli_index(u, p).tolist() == [-1, -1, 0, 1, 2]
 
 
 def test_depolarizing_channel_contracts_bloch_vector():

@@ -9,19 +9,20 @@ The chi-square suite then checks that the sampled joint (branch, final
 outcome) law is the exact engine's, as a Monte-Carlo wave-function
 unraveling of that channel must be.
 """
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from teleion import protocol
-from teleion.errors import InvariantViolation
+from teleion.errors import DimensionMismatch, InvariantViolation
 from teleion.noise import RUN_STREAM_TAG, SHOT_BLOCK, NoiseConfig, _site_paulis
 from teleion.protocol import (
     BRANCHES,
     TRUNCATION_BOUND,
     ConditionalPulse,
     FidelityCheck,
+    Shots,
     Tomography,
     build_sequence,
     canonical_inputs,
@@ -179,28 +180,32 @@ def test_batched_run_shot_matches_the_scalar_reference(case):
     noise, spec, mode, options, nc = case
     seq = build_sequence(canonical_inputs()[spec], 0.0, mode, **options)
     seed, first = 31, 1000
-    records = run_shot(seq, noise, seed, range(first, first + SHOTS), fock_cutoff=nc)
-    assert [r.shot_index for r in records] == list(range(first, first + SHOTS))
-    for r in records:
-        pmt1, pmt2, final, truncation, elapsed = scalar_run_shot(seq, noise, seed, r.shot_index, fock_cutoff=nc)
-        assert (r.pmt1, r.pmt2, r.final_outcome) == (pmt1, pmt2, final), r.shot_index
-        assert r.branch == ("S" if pmt1 is Outcome.BRIGHT else "D") + ("S" if pmt2 is Outcome.BRIGHT else "D")
-        assert abs(r.truncation - truncation) <= 1e-12
-        assert abs(r.elapsed_us - elapsed) <= 1e-12
+    shots = run_shot(seq, noise, seed, range(first, first + SHOTS), fock_cutoff=nc)
+    assert shots.final.shape == (SHOTS,)
+    for k, i in enumerate(range(first, first + SHOTS)):
+        pmt1, pmt2, final, truncation, elapsed = scalar_run_shot(seq, noise, seed, i, fock_cutoff=nc)
+        assert (shots.pmt1[k], shots.pmt2[k], shots.final[k]) == tuple(
+            o is Outcome.BRIGHT for o in (pmt1, pmt2, final)
+        ), i
+        assert abs(shots.truncation[k] - truncation) <= 1e-12
+        assert abs(shots.elapsed_us[k] - elapsed) <= 1e-12
 
 
-def test_an_int_index_is_the_one_shot_batch():
+SHOT_FIELDS = [f.name for f in fields(Shots)]
+
+
+def test_a_shots_outcomes_do_not_depend_on_the_other_shots():
     noise, spec, mode, options, nc = MATRIX["paper noise + amplitude 0.01"]
     seq = build_sequence(canonical_inputs()[spec], 0.0, mode, **options)
     batch = run_shot(seq, noise, 8, np.array([4, 9, 2]))
-    for i, rec in zip((4, 9, 2), batch):
-        one = run_shot(seq, noise, 8, i)
-        assert (one.shot_index, one.pmt1, one.pmt2, one.final_outcome) == (
-            rec.shot_index, rec.pmt1, rec.pmt2, rec.final_outcome
-        )
-        assert abs(one.truncation - rec.truncation) <= 1e-12
-        assert abs(one.elapsed_us - rec.elapsed_us) <= 1e-12
-    assert run_shot(seq, noise, 8, range(0)) == []
+    for k, i in enumerate((4, 9, 2)):
+        one = run_shot(seq, noise, 8, np.array([i]))
+        for name in SHOT_FIELDS:
+            assert np.array_equal(getattr(one, name), getattr(batch, name)[k : k + 1]), (i, name)
+    empty = run_shot(seq, noise, 8, range(0))
+    assert all(getattr(empty, name).shape == (0,) for name in SHOT_FIELDS)
+    with pytest.raises(DimensionMismatch, match="shot_index"):
+        run_shot(seq, noise, 8, 4)
 
 
 @pytest.mark.parametrize("spec", canonical_inputs(), ids=lambda spec: spec.label)
@@ -210,7 +215,7 @@ def test_fock_cutoff_2_trips_the_truncation_bound_like_the_reference(spec):
     seq = build_sequence(spec)
     for noise in (NoiseConfig(), NoiseConfig(**PAPER)):
         if spec.label == "psi2":
-            assert len(run_shot(seq, noise, 2, range(8), fock_cutoff=2)) == 8
+            assert run_shot(seq, noise, 2, range(8), fock_cutoff=2).final.shape == (8,)
             assert scalar_run_shot(seq, noise, 2, 0, fock_cutoff=2)
             exact_run(spec, 0.0, noise, fock_cutoff=2)
             continue
@@ -234,7 +239,7 @@ def test_rows_book_their_duration_without_a_phase_to_apply():
     for noise, wait in ((NoiseConfig(), 0.0), (NoiseConfig(), 5.0), (NoiseConfig(detuning_bias_SD=0.1), 5.0)):
         seq = build_sequence(canonical_inputs()[0], standby_wait_us=wait, reconstruction=False)
         expected = sum(noise.pulse_durations.of(s.action) for s in seq)
-        assert run_shot(seq, noise, 1, 0).elapsed_us == expected
+        assert run_shot(seq, noise, 1, range(1)).elapsed_us[0] == expected
         assert scalar_run_shot(seq, noise, 1, 0)[4] == expected
 
 
@@ -282,10 +287,9 @@ def test_sampled_branch_and_outcome_law_matches_the_exact_engine(case):
         ]
     ) * CHI2_SHOTS
     assert expected.min() >= 5.0
-    cells = {(b, o): 0 for b in BRANCHES for o in (Outcome.BRIGHT, Outcome.DARK)}
-    for r in run_shot(seq, noise, 2027, range(CHI2_SHOTS), fock_cutoff=nc):
-        cells[(r.branch, r.final_outcome)] += 1
-    observed = np.array(list(cells.values()))
+    shots = run_shot(seq, noise, 2027, range(CHI2_SHOTS), fock_cutoff=nc)
+    # cells in the order of `expected`: branch (pmt1 first, Bright = S), then Bright, Dark
+    observed = np.bincount(4 * ~shots.pmt1 + 2 * ~shots.pmt2 + ~shots.final, minlength=8)
     assert observed.sum() == CHI2_SHOTS
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
     assert chi2 <= CHI2_BOUND_7DOF, (chi2, observed, expected.round(1))

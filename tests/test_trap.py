@@ -1,4 +1,4 @@
-"""Pulse unitaries and register mechanics.
+"""Pulse unitaries and the trajectory engine's drives and readouts.
 
 The rotation-matrix cases here were computed by hand from the closed form
 R(theta, phi) = [[cos(t/2), -i e^{i phi} sin(t/2)],
@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from teleion.errors import DimensionMismatch
+from teleion.errors import DimensionMismatch, InvariantViolation
 from teleion.trap import (
     D,
     H,
@@ -25,7 +25,6 @@ from teleion.trap import (
     bright_projector_mask,
     fluorescence_measure,
     hide_local,
-    initialize,
     rotation_2x2,
     sideband_local,
 )
@@ -108,26 +107,28 @@ def test_top_fock_fixed_point_guard():
     assert np.allclose(u @ v, v, atol=1e-12)
 
 
-def test_initialize_register_shape_and_ground_state():
-    reg = initialize(3, 4)
-    t = reg.tensor()
-    assert t.shape == (3, 3, 3, 4)
-    assert np.isclose(abs(t[S, S, S, 0]), 1.0)
-    assert reg.elapsed_us == 0.0
+def ground(shots, n_ions, fock_cutoff):
+    """`shots` copies of all ions in S, motion in |n=0>: the trajectory engine's state."""
+    psi = np.zeros((shots,) + (3,) * n_ions + (fock_cutoff,), dtype=np.complex128)
+    psi[(slice(None),) + (0,) * (n_ions + 1)] = 1.0
+    return psi
 
 
 def test_apply_pulse_carrier_roundtrip():
-    reg = initialize(2, 3)
-    reg = apply_pulse(reg, Carrier(0, PI, 0.0))
-    reg = apply_pulse(reg, Carrier(0, PI, PI))
-    t = reg.tensor()
-    assert np.isclose(abs(t[S, S, 0]), 1.0, atol=1e-12)
+    psi = apply_pulse(ground(1, 2, 3), Carrier(0, PI, 0.0))
+    psi = apply_pulse(psi, Carrier(0, PI, PI))
+    assert np.isclose(abs(psi[0, S, S, 0]), 1.0, atol=1e-12)
 
 
 def test_apply_pulse_rejects_bad_ion():
-    reg = initialize(2, 2)
     with pytest.raises(DimensionMismatch):
-        apply_pulse(reg, Carrier(5, PI, 0.0))
+        apply_pulse(ground(1, 2, 2), Carrier(5, PI, 0.0))
+
+
+@pytest.mark.parametrize("step", [Wait(25.0), Detect(0, "pmt1")])
+def test_apply_pulse_applies_drives_only(step):
+    with pytest.raises(InvariantViolation, match="drives only"):
+        apply_pulse(ground(1, 1, 2), step)
 
 
 def test_bright_projector_counts_s_population():
@@ -137,43 +138,31 @@ def test_bright_projector_counts_s_population():
 
 
 def test_fluorescence_collapse_and_forcing():
-    rng = np.random.default_rng(0)
-    reg = initialize(1, 2)
-    true, reported, post = fluorescence_measure(reg, 0, rng)
-    assert true is Outcome.BRIGHT and reported is Outcome.BRIGHT
-    assert np.isclose(abs(post.tensor()[S, 0]), 1.0)
+    reported, post = fluorescence_measure(ground(1, 1, 2), 0, np.array([[0.3, 0.9]]))
+    assert reported.tolist() == [True]
+    assert np.isclose(abs(post[0, S, 0]), 1.0)
 
-    # equal superposition collapses to the forced branch
-    reg = apply_pulse(initialize(1, 2), Carrier(0, 0.5 * PI, 0.0))
-    true, reported, post = fluorescence_measure(reg, 0, rng, force=Outcome.DARK)
-    assert true is Outcome.DARK
-    assert np.isclose(abs(post.tensor()[D, 0]), 1.0, atol=1e-12)
+    # an equal superposition collapses on the branch its uniform forces:
+    # below P(bright) = 1/2 Bright, above it Dark
+    psi = apply_pulse(ground(2, 1, 2), Carrier(0, 0.5 * PI, 0.0))
+    reported, post = fluorescence_measure(psi, 0, np.array([[0.4, 0.9], [0.6, 0.9]]))
+    assert reported.tolist() == [True, False]
+    assert np.isclose(abs(post[0, S, 0]), 1.0, atol=1e-12)
+    assert np.isclose(abs(post[1, D, 0]), 1.0, atol=1e-12)
 
 
 def test_detection_error_flips_report_not_state():
     rng = np.random.default_rng(1)
-    reg = initialize(1, 2)
-    flipped = 0
-    for _ in range(2000):
-        true, reported, post = fluorescence_measure(reg, 0, rng, detection_error=0.25)
-        assert true is Outcome.BRIGHT  # state is |S>, the true outcome is fixed
-        assert np.isclose(abs(post.tensor()[S, 0]), 1.0)
-        flipped += reported is Outcome.DARK
-    assert 400 < flipped < 600  # 25% +/- 5 sigma-ish
+    reported, post = fluorescence_measure(ground(2000, 1, 2), 0, rng.random((2000, 2)), detection_error=0.25)
+    # the state is |S>, so every shot's true outcome is Bright and it stays |S>
+    assert np.allclose(abs(post[:, S, 0]), 1.0)
+    assert 400 < np.count_nonzero(~reported) < 600  # 25% +/- 5 sigma-ish
 
 
 def test_hidden_population_never_fluoresces():
-    reg = apply_pulse(initialize(1, 2), Hide(0, PI, 0.0))
-    rng = np.random.default_rng(2)
-    true, reported, post = fluorescence_measure(reg, 0, rng)
-    assert true is Outcome.DARK
-
-
-def test_wait_advances_clock_only():
-    reg = initialize(1, 2)
-    reg2 = apply_pulse(reg, Wait(25.0))
-    assert np.allclose(reg2.tensor(), reg.tensor())
-    assert reg2.elapsed_us == 25.0
+    psi = apply_pulse(ground(1, 1, 2), Hide(0, PI, 0.0))
+    reported, post = fluorescence_measure(psi, 0, np.random.default_rng(2).random((1, 2)))
+    assert reported.tolist() == [False]
 
 
 def test_outcome_flip():
