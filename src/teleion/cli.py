@@ -118,7 +118,7 @@ class ExperimentConfig:
         )
 
     def exact_kwargs(self) -> dict:
-        return dict(quad_points=self.quad_points, fock_cutoff=self.fock_cutoff, **self.sequence_kwargs())
+        return dict(quad_points=self.quad_points, fock_cutoff=self.fock_cutoff)
 
     def validate(self) -> None:
         if not isinstance(self.seed, int):
@@ -316,7 +316,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 def _resolve_phase(cfg: ExperimentConfig) -> tuple[float, dict]:
     """(tail phase, report keys of its calibration: none for a fixed phase)."""
     if cfg.phase_offset == "calibrate":
-        res = calibrate_phase(cfg.noise, grid=cfg.grid, **cfg.exact_kwargs())
+        res = calibrate_phase(cfg.noise, grid=cfg.grid, **cfg.exact_kwargs(), **cfg.sequence_kwargs())
         return res.phi_star, {"calibration_residual": res.residual}
     return float(cfg.phase_offset), {}
 
@@ -334,14 +334,14 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
     phase, calibration = _resolve_phase(cfg)
+    tables = [(build_sequence(spec, phase, **cfg.sequence_kwargs()),) for spec in inputs]
     runs, counts = tomo.bright_counts(
-        inputs, (FidelityCheck(),), cfg.noise, cfg.shots, cfg.seed,
-        phase_offset=phase, sampling=cfg.sampling, tag=_TELE_TAG, **cfg.exact_kwargs(),
+        tables, cfg.noise, cfg.shots, cfg.seed, sampling=cfg.sampling, tag=_TELE_TAG, **cfg.exact_kwargs()
     )
     # Counts from trajectories leave the exact fidelities to runs of their own;
     # amplitude noise, which has no exact representation, leaves them empty.
     if runs is None and cfg.noise.amplitude_error_sigma == 0.0:
-        runs = [exact_run(spec, phase, cfg.noise, FidelityCheck(), **cfg.exact_kwargs()) for spec in inputs]
+        runs = [exact_run(t, cfg.noise, **cfg.exact_kwargs()) for t in tables]
 
     rows, bar_rows, report_states = [], [], []
     for spec, res, k in zip(inputs, runs or [None] * len(inputs), counts):
@@ -404,6 +404,7 @@ def _labeled_counts(cfg, inputs, phase) -> list[tomo.CountsTable]:
         phase_offset=phase,
         sampling=cfg.sampling,
         **cfg.exact_kwargs(),
+        **cfg.sequence_kwargs(),
     )
 
 
@@ -568,7 +569,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
 def cmd_calibrate(cfg: ExperimentConfig) -> int:
     _require_mode(cfg, "calibrate")
     out = _outdir(cfg)
-    res = calibrate_phase(cfg.noise, grid=cfg.grid, **cfg.exact_kwargs())
+    res = calibrate_phase(cfg.noise, grid=cfg.grid, **cfg.exact_kwargs(), **cfg.sequence_kwargs())
     _emit_csv(
         out / "phase_sweep.csv",
         "phi,fidelity",

@@ -138,8 +138,8 @@ class NoiseConfig:
 class ShotNoise:
     """Frozen per-shot noise realisation (one entry per ion / sequence step).
 
-    Built by sample_shot_noise, which gives the layout of the draws; sampled
-    for several shots at once, each array gains a leading shot axis.
+    Built by sample_shot_noise, which gives the layout of the draws; each
+    array has a leading shot axis.
     """
 
     detuning_SD: np.ndarray        # rad/us, per ion
@@ -152,7 +152,7 @@ class ShotNoise:
 def sample_shot_noise(
     config: NoiseConfig,
     master_seed: int | np.ndarray,
-    shot_index: int | np.ndarray,
+    shot_index: np.ndarray,
     n_ions: int = 3,
     n_steps: int = 35,
 ) -> ShotNoise:
@@ -166,12 +166,12 @@ def sample_shot_noise(
     both sigmas are 0. The run stream [seed, b, RUN_STREAM_TAG] draws the
     (SHOT_BLOCK, n_steps) depolarizing uniforms, then the (SHOT_BLOCK,
     n_steps, 2) readout pairs. Whole blocks are drawn whatever rows are asked
-    for, so a shot's draws depend on no other shot. A 1-D array of shot
-    indices stacks the shots' draws; `master_seed` is one seed or one per shot.
+    for, so a shot's draws depend on no other shot. `shot_index` is a 1-D
+    array of indices, whose draws stack on a leading shot axis; `master_seed`
+    is one seed or one per shot.
     """
-    lead = np.shape(shot_index)
-    index = np.asarray(shot_index).reshape(-1)
-    seeds = np.broadcast_to(np.asarray(master_seed, dtype=object), lead).reshape(-1)
+    index = np.asarray(shot_index)
+    seeds = np.broadcast_to(np.asarray(master_seed, dtype=object), index.shape)
     n_g = 1 if config.correlated_dephasing else n_ions
     g = np.zeros((index.size, n_g))
     z = np.zeros((index.size, n_steps))
@@ -191,8 +191,8 @@ def sample_shot_noise(
         depol_u[where] = rng.random((SHOT_BLOCK, n_steps))[rows]
         meas_u[where] = rng.random((SHOT_BLOCK, n_steps, 2))[rows]
     det_sd = config.detuning_bias_SD + config.detuning_sigma_SD * g * np.ones(n_ions)
-    drawn = (det_sd, config.dephasing_ratio_H * det_sd, 1.0 + config.amplitude_error_sigma * z, depol_u, meas_u)
-    return ShotNoise(*(a.reshape(lead + a.shape[1:]) for a in drawn))
+    amplitude = 1.0 + config.amplitude_error_sigma * z
+    return ShotNoise(det_sd, config.dephasing_ratio_H * det_sd, amplitude, depol_u, meas_u)
 
 
 def sample_pauli_index(u: np.ndarray, p: float) -> np.ndarray:

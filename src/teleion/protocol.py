@@ -9,7 +9,7 @@ probability 1/4 and reconstructs the input exactly in the noiseless limit —
 the conditional set is {I, iX, iZ, XZ} up to global phases, keyed on
 (pmt1, pmt2) = (S/D, S/D).
 
-Two execution paths share the same sequence objects:
+Two execution paths take the same tables, built once by build_sequence:
 
 * run_shot — pure-state trajectories with sampled noise, each keyed
   deterministically by (master_seed, shot_index) in noise.SHOT_BLOCK blocks.
@@ -18,7 +18,8 @@ Two execution paths share the same sequence objects:
   masks over shots, and the results are per-shot arrays (Shots).
   sample_counts is the one source of sampled counts: it runs all sequences'
   shots in passes of SHOT_PASS, or draws from exact_run's P(bright);
-* exact_run — density-matrix evolution with measurement instruments and
+* exact_run — density-matrix evolution of one input's tables (one per
+  row-34 mode, sharing the rows before it) with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
   distribution. Every (quadrature node, reported branch) entry advances on
   one stacked live register in one row loop, NODE_PASS nodes at a time: a
@@ -408,8 +409,7 @@ def run_shot(
     tables = [sequence] if sequence_index is None else list(sequence)
     table = np.zeros(index.size, np.intp) if sequence_index is None else np.asarray(sequence_index, np.intp)
     plan = _row_plan(tables, noise) if plan is None else plan
-    seeds = np.broadcast_to(np.asarray(master_seed, dtype=object), index.shape)
-    shot = sample_shot_noise(noise, seeds, index, N_IONS, max(row[0] for row in plan))
+    shot = sample_shot_noise(noise, master_seed, index, N_IONS, max(row[0] for row in plan))
     # Each ion's per-level detuning (S, D, H), or None when no shot dephases.
     rates = np.stack([np.zeros_like(shot.detuning_SD), shot.detuning_SD, shot.detuning_H], axis=-1)
     rates = rates if np.any(rates) else None
@@ -801,8 +801,8 @@ class ExactRun:
     # The two per-branch conditionals below leave out every branch whose
     # probability is at roundoff level (<= 1e-12): it has no conditional state.
     branch_states: dict[str, DensityMatrix]  # normalized per reported branch
-    final_bright: dict[str, float]           # reported P(bright | branch), row 35, first mode
-    p_bright: dict[Mode, float]              # reported P(bright), row 35, per requested mode,
+    final_bright: dict[str, float]           # reported P(bright | branch), row 35, first table
+    p_bright: tuple[float, ...]              # reported P(bright), row 35, per table in order,
                                              # clamped to [0, 1] against roundoff
     h_residual: float
     motional_residual: float
@@ -810,53 +810,30 @@ class ExactRun:
 
 
 def exact_run(
-    input_state: InputStateSpec,
-    phase_offset: float = 0.0,
+    tables: tuple[tuple[SequenceStep, ...], ...],
     noise: NoiseConfig = NoiseConfig(),
-    mode: Mode | tuple[Mode, ...] = FidelityCheck(),
     *,
     quad_points: int | None = None,
     fock_cutoff: int = 4,
-    spin_echo: bool = True,
-    standby_wait_us: float = 1.0,
-    rephase_wait_us: float = 300.0,
-    reconstruction: bool = True,
-    sequence: tuple[SequenceStep, ...] | None = None,
 ) -> ExactRun:
-    """Full exact evolution: branch states after row 33 + row-35 statistics.
+    """Full exact evolution of one input: branch states after row 33 + row-35 statistics.
 
-    Every (quadrature node, branch) entry advances through rows up to 33 on
-    one stacked live register (`_advance`, NODE_PASS nodes at a time). Each
-    mode then advances rows 34-35, whose readout splits the entries like pmt1
-    and pmt2: P(bright) is the weight of the `final` = Bright entries.
-
-    `mode` may be a tuple of row-34 modes: rows up to 33 are shared, and only
-    rows 34-35 are replayed per mode. `final_bright` belongs to the first mode;
-    `p_bright` maps each mode to its branch-summed reported P(bright). An
-    explicit `sequence` fixes its own row 34, so it takes a single mode.
+    `tables` are the input's tables, one per row-34 mode; they must share
+    every row before 34. Every (quadrature node, branch) entry advances
+    through those rows once, on one stacked live register (`_advance`,
+    NODE_PASS nodes at a time). Each table then advances its rows 34-35,
+    whose readout splits the entries like pmt1 and pmt2: P(bright) is the
+    weight of the `final` = Bright entries. `final_bright` belongs to the
+    first table; `p_bright` holds each table's reported P(bright), in order.
     """
     _check_exact_noise(noise, "exact_run")
-    modes = mode if isinstance(mode, tuple) else (mode,)
-    if sequence is not None:
-        if len(modes) != 1:
-            raise ConfigError("an explicit sequence fixes its own row-34 mode")
-        sequences = (sequence,)
-    else:
-        sequences = tuple(
-            build_sequence(
-                input_state,
-                phase_offset,
-                m,
-                standby_wait_us=standby_wait_us,
-                rephase_wait_us=rephase_wait_us,
-                spin_echo=spin_echo,
-                reconstruction=reconstruction,
-            )
-            for m in modes
-        )
-    seq = sequences[0]
+    heads = [[(s.step_id, s.action) for s in seq if s.step_id < _ANALYSIS_ROW] for seq in tables]
+    for a, b in (pair for head in heads[1:] for pair in itertools.zip_longest(heads[0], head)):
+        if a != b:
+            raise InvariantViolation(f"row {(a or b)[0]}: an input's tables differ before row {_ANALYSIS_ROW}")
+    seq = tables[0]
     life = _lifetimes(seq, (_TARGET,))
-    shared = sum(s.step_id < _ANALYSIS_ROW for s in seq)
+    shared = len(heads[0])
     stack = _evolve(seq[:shared], life, noise, quad_points, fock_cutoff)
 
     labels = np.array([branch_label(k["pmt1"], k["pmt2"]) for k in stack.keys])
@@ -889,25 +866,24 @@ def exact_run(
             f"residual motional excitation {stack.motion:.3e} (sequence/convention bug)"
         )
 
-    p_bright: dict[Mode, float] = {}
-    final_bright: dict[Mode, dict[str, float]] = {}
-    for m, seq_m in zip(modes, sequences):
+    p_bright, final_bright = [], []
+    for seq_m in tables:
         end = _advance(stack, seq_m[shared:], life, shared, noise, fock_cutoff)
         if "final" not in end.keys[0]:
             raise InvariantViolation("sequence produced no 'final' readout on ion 3")
         p = end.weight * _reduced(end, ()).real[:, 0, 0]
         bright = np.array([k["final"] is Outcome.BRIGHT for k in end.keys])
         label = np.array([branch_label(k["pmt1"], k["pmt2"]) for k in end.keys])
-        final_bright[m] = {
+        final_bright.append({
             b: float(np.sum(p[bright & (label == b)])) / float(np.sum(p[label == b])) for b in occurring
-        }
-        p_bright[m] = min(max(float(np.sum(p[bright])), 0.0), 1.0)
+        })
+        p_bright.append(min(max(float(np.sum(p[bright])), 0.0), 1.0))
     return ExactRun(
         rho_exp=_qubit_block(total),
         branch_probs=branch_probs,
         branch_states=branch_states,
-        final_bright=final_bright[modes[0]],
-        p_bright=p_bright,
+        final_bright=final_bright[0],
+        p_bright=tuple(p_bright),
         h_residual=h_residual,
         motional_residual=stack.motion,
         truncation_population=stack.truncation,

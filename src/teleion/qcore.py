@@ -31,15 +31,6 @@ def dag(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (thin wrapper so call sites stay greppable)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvariantViolation("kron: non-finite input")
-    return np.kron(a, b)
-
-
 def _as_complex(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):

@@ -16,9 +16,9 @@ trace-preserving subspace the log-likelihood is concave and positivity is a
 barrier weight, step and stop flag, and each stops on a certified gap to the
 optimum. `mle_process` is R = 1; the bootstrap is one call.
 
-`bright_counts` is the one route from input states to final-readout Bright
-counts, for the tomography tables (`teleported_counts`) and the CLI's
-teleportation fidelities alike.
+`bright_counts` is the one route from the inputs' tables to final-readout
+Bright counts, for the tomography tables (`teleported_counts`) and the CLI's
+teleportation fidelities alike; it builds no table itself.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .noise import NoiseConfig
-from .protocol import ExactRun, InputStateSpec, Mode, Tomography, build_sequence, exact_run, sample_counts
+from .protocol import ExactRun, InputStateSpec, SequenceStep, Tomography, build_sequence, exact_run, sample_counts
 from .protocol import run_shot  # noqa: F401  perfbench/spans.py traces this binding
 from .qcore import (
     ATOL_SPECTRAL,
@@ -668,36 +668,30 @@ def resolve_sampling(noise: NoiseConfig, sampling: str) -> str:
 
 
 def bright_counts(
-    inputs: list[InputStateSpec],
-    modes: tuple[Mode, ...],
+    tables: list[tuple[tuple[SequenceStep, ...], ...]],
     noise: NoiseConfig,
     shots: int,
     master_seed: int | list[int],
     *,
-    phase_offset: float = 0.0,
     sampling: str = "auto",
     tag: int = 0,
     quad_points: int | None = None,
     fock_cutoff: int = 4,
-    spin_echo: bool = True,
-    standby_wait_us: float = 1.0,
-    rephase_wait_us: float = 300.0,
 ) -> tuple[list[ExactRun] | None, list[int] | list[float]]:
-    """(exact runs, final-readout Bright counts) of every (input, mode) sequence, input-major.
+    """(exact runs, final-readout Bright counts) of every table, input-major.
 
-    `shots` = 0 gives each sequence's exact reported P(bright); otherwise
+    `tables` holds one tuple of tables per input, as exact_run takes them.
+    `shots` = 0 gives each table's exact reported P(bright); otherwise
     sample_counts draws binomially from it ("fast") or counts trajectories
     ("per-shot"). The exact runs, one per input, are made only when the counts
     come from them; otherwise `runs` is None.
     """
-    seq_kwargs = dict(spin_echo=spin_echo, standby_wait_us=standby_wait_us, rephase_wait_us=rephase_wait_us)
     runs = p_bright = None
     if shots == 0 or resolve_sampling(noise, sampling) == "fast":
-        exact = dict(quad_points=quad_points, fock_cutoff=fock_cutoff, **seq_kwargs)
-        runs = [exact_run(spec, phase_offset, noise, modes, **exact) for spec in inputs]
-        p_bright = [res.p_bright[m] for res in runs for m in modes]
+        runs = [exact_run(t, noise, quad_points=quad_points, fock_cutoff=fock_cutoff) for t in tables]
+        p_bright = [p for res in runs for p in res.p_bright]
     counts = p_bright if shots == 0 else sample_counts(
-        [build_sequence(spec, phase_offset, m, **seq_kwargs) for spec in inputs for m in modes],
+        [seq for t in tables for seq in t],
         noise,
         shots,
         master_seed,
@@ -730,11 +724,14 @@ def teleported_counts(
     with a total of 1.0.
     """
     single = isinstance(input_state, InputStateSpec)
+    seq_kwargs = dict(spin_echo=spin_echo, standby_wait_us=standby_wait_us, rephase_wait_us=rephase_wait_us)
+    sequences = [
+        tuple(build_sequence(spec, phase_offset, Tomography(b.lower()), **seq_kwargs) for b in BASES)
+        for spec in ([input_state] if single else input_state)
+    ]
     _, counts = bright_counts(
-        [input_state] if single else list(input_state), tuple(Tomography(b.lower()) for b in BASES),
-        noise, shots_per_basis, master_seed, phase_offset=phase_offset, sampling=sampling, tag=_TOMO_TAG,
-        quad_points=quad_points, fock_cutoff=fock_cutoff, spin_echo=spin_echo,
-        standby_wait_us=standby_wait_us, rephase_wait_us=rephase_wait_us,
+        sequences, noise, shots_per_basis, master_seed, sampling=sampling, tag=_TOMO_TAG,
+        quad_points=quad_points, fock_cutoff=fock_cutoff,
     )
     tables = [
         CountsTable.from_bright_counts(dict(zip(BASES, counts[i:])), float(shots_per_basis or 1))

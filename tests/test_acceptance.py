@@ -56,7 +56,7 @@ def test_criterion_1_noiseless_exactness(capsys):
     worst_total = 1.0
     worst_branch = 1.0
     for spec in canonical_inputs():
-        res = exact_run(spec)
+        res = exact_run((build_sequence(spec),))
         worst_total = min(worst_total, state_fidelity(res.rho_exp, spec.pure()))
         for b in BRANCHES:
             worst_branch = min(
@@ -238,12 +238,12 @@ def test_criterion_7_paper_bracketing(capsys, tmp_path):
 def test_criterion_8_spin_echo(capsys):
     noise = NoiseConfig(detuning_sigma_SD=0.0015)
     f_echo = float(
-        np.mean([state_fidelity(exact_run(s, 0.0, noise).rho_exp, s.pure()) for s in canonical_inputs()])
+        np.mean([state_fidelity(exact_run((build_sequence(s),), noise).rho_exp, s.pure()) for s in canonical_inputs()])
     )
     f_bare = float(
         np.mean(
             [
-                state_fidelity(exact_run(s, 0.0, noise, spin_echo=False).rho_exp, s.pure())
+                state_fidelity(exact_run((build_sequence(s, spin_echo=False),), noise).rho_exp, s.pure())
                 for s in canonical_inputs()
             ]
         )

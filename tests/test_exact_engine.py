@@ -282,18 +282,27 @@ def test_exact_run_matches_the_full_register_replay(case):
     ref = full_register_replay(
         seqs, noise, quad_points=kwargs["quad_points"], fock_cutoff=kwargs.get("fock_cutoff", 4)
     )
-    res = exact_run(spec, phase, noise, MODES, **kwargs)
+    engine_kw = {k: v for k, v in kwargs.items() if k not in seq_kw}
+    res = exact_run(tuple(seqs), noise, **engine_kw)
 
     _assert_matches(res, ref)
-    for m, p in zip(MODES, ref["p_bright"]):
-        assert abs(res.p_bright[m] - p) <= TOL
+    for j, p in enumerate(ref["p_bright"]):
+        assert abs(res.p_bright[j] - p) <= TOL
 
-    # One mode at a time gives the same numbers as the shared-prefix call.
-    for j, m in enumerate(MODES[1:], start=1):
-        single = exact_run(spec, phase, noise, m, **kwargs)
+    # One table at a time gives the same numbers as the shared-prefix call.
+    for j in range(1, len(MODES)):
+        single = exact_run((seqs[j],), noise, **engine_kw)
         for b in BRANCHES:
             assert abs(single.final_bright[b] - ref["final_bright"][j][b]) <= TOL
-        assert abs(single.p_bright[m] - res.p_bright[m]) <= TOL
+        assert abs(single.p_bright[0] - res.p_bright[j]) <= TOL
+
+
+def test_tables_of_one_exact_run_must_share_every_row_before_34():
+    # The rows before 34 advance once for all of an input's tables: psi1's
+    # and psi2's tables differ at row 9, where the input is written.
+    psi1, psi2 = (build_sequence(spec) for spec in canonical_inputs()[:2])
+    with pytest.raises(InvariantViolation, match=r"^row 9: "):
+        exact_run((psi1, psi2))
 
 
 @pytest.mark.parametrize("fock_cutoff", [3, 4, 6])
@@ -305,13 +314,14 @@ def test_zero_probability_branches_stay_out_of_the_probabilities(noise, fock_cut
     # ratio of two roundoff numbers (-5.3e282 for psi6, SS, at cutoff 2) that
     # also reached p_bright (3.4e266).
     for spec in canonical_inputs():
-        res = exact_run(spec, 0.0, noise, MODES, quad_points=3, fock_cutoff=fock_cutoff)
-        assert all(0.0 <= p <= 1.0 for p in res.p_bright.values())
+        tables = tuple(build_sequence(spec, 0.0, m) for m in MODES)
+        res = exact_run(tables, noise, quad_points=3, fock_cutoff=fock_cutoff)
+        assert all(0.0 <= p <= 1.0 for p in res.p_bright)
         assert all(math.isfinite(f) for f in res.final_bright.values())
         assert {b for b, p in res.branch_probs.items() if p > 1e-12} == set(res.final_bright)
         assert set(res.branch_states) == set(res.final_bright)
         pooled = sum(res.branch_probs[b] * f for b, f in res.final_bright.items())
-        assert abs(res.p_bright[MODES[0]] - pooled) <= 1e-9
+        assert abs(res.p_bright[0] - pooled) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -323,15 +333,15 @@ def test_fock_cutoff_2_trips_the_truncation_monitor(noise):
     # (noiseless P(bright) 0 for psi1, 0.5 for psi3-psi6) with no error.
     for spec in canonical_inputs():
         if spec.label == "psi2":  # ion 1 in D: the gate never reaches |S,1>
-            res = exact_run(spec, 0.0, noise, quad_points=3, fock_cutoff=2)
+            res = exact_run((build_sequence(spec),), noise, quad_points=3, fock_cutoff=2)
             assert res.truncation_population <= TRUNCATION_BOUND
             continue
         with pytest.raises(InvariantViolation, match=r"^row 1[1-4]: ") as err:
-            exact_run(spec, 0.0, noise, quad_points=3, fock_cutoff=2)
+            exact_run((build_sequence(spec),), noise, quad_points=3, fock_cutoff=2)
         assert "fock_cutoff" in str(err.value)
         if noise == NoiseConfig():  # one more level makes the teleportation exact
-            res = exact_run(spec, 0.0, noise, fock_cutoff=3)
-            assert abs(res.p_bright[FidelityCheck()] - 1.0) <= 1e-9
+            res = exact_run((build_sequence(spec),), noise, fock_cutoff=3)
+            assert abs(res.p_bright[0] - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -385,7 +395,7 @@ def test_calibration_polynomial_matches_the_full_register_replay(monkeypatch, ca
     scan = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
     assert (basis(res.phi_star) @ coef)[0] >= (basis(scan) @ coef).max() - 1e-12
     # The reported fidelity is the polynomial's: the exact run at phi* agrees.
-    at_star = exact_run(spec, res.phi_star, noise, quad_points=quad_points)
+    at_star = exact_run((build_sequence(spec, res.phi_star),), noise, quad_points=quad_points)
     assert abs(res.fidelity - state_fidelity(at_star.rho_exp, spec.pure())) <= TOL
 
 
@@ -447,9 +457,9 @@ def test_lifetimes_come_from_the_sequence():
     assert _lifetimes(seq[:27], (2,)) == {0: 23, 1: 25, 2: 27, 3: 23}
 
     ref = full_register_replay([seq], noise, quad_points=3)
-    res = exact_run(spec, 0.3, noise, sequence=seq, quad_points=3)
+    res = exact_run((seq,), noise, quad_points=3)
     _assert_matches(res, ref)
-    assert abs(res.p_bright[FidelityCheck()] - ref["p_bright"][0]) <= TOL
+    assert abs(res.p_bright[0] - ref["p_bright"][0]) <= TOL
     assert res.motional_residual > 0.1  # the late sideband moved motion the oracle sees too
 
 
@@ -489,8 +499,8 @@ def test_detection_error_collapses_on_the_true_outcome():
     eps = 0.05
     noise = NoiseConfig(detection_error=eps)
     spec = canonical_inputs()[2]
-    res = exact_run(spec, noise=noise)
     seq = build_sequence(spec)
+    res = exact_run((seq,), noise=noise)
     n, z_max = 600, 4.0
     shots = run_shot(seq, noise, 2024, range(n))
     branch = 2 * ~shots.pmt1 + ~shots.pmt2  # index into BRANCHES

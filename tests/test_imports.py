@@ -57,15 +57,26 @@ def test_the_check_sees_an_unused_import(tmp_path):
     assert unused_imports(probe) == ["probe.py:1 math"]
 
 
-def _mentions(node: ast.AST) -> Counter:
-    """Names read in `node`: plain names, attributes and imported names."""
+def _module_aliases(tree: ast.Module) -> set[str]:
+    """Names bound to the package's own modules by `from . import trap [as t]`."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+        for alias in node.names
+    }
+
+
+def _mentions(node: ast.AST, modules: set[str]) -> Counter:
+    """Names read in `node`: plain names, names imported from a package module,
+    and attributes of a package module bound to a name in `modules`."""
     names = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             names[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in modules:
             names[sub.attr] += 1
-        elif isinstance(sub, ast.ImportFrom):
+        elif isinstance(sub, ast.ImportFrom) and sub.level:
             names.update(alias.name for alias in sub.names)
     return names
 
@@ -87,15 +98,16 @@ def dead_definitions(package: Path) -> list[str]:
     """`file:line name` for each top-level definition in `package`/*.py that no
     other statement of the package names and no `__all__` exports."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    modules = {path: _module_aliases(tree) for path, tree in trees.items()}
     named, exported = Counter(), set()
-    for tree in trees.values():
-        named += _mentions(tree)
+    for path, tree in trees.items():
+        named += _mentions(tree, modules[path])
         exported |= _all_names(tree)
     return [
         f"{path.name}:{line} {name}"
         for path, tree in trees.items()
         for name, line, node in _definitions(tree)
-        if name not in exported and named[name] <= _mentions(node)[name]
+        if name not in exported and named[name] <= _mentions(node, modules[path])[name]
     ]
 
 
@@ -106,10 +118,14 @@ def test_every_defined_name_is_used():
 def test_the_check_sees_an_unused_definition(tmp_path):
     (tmp_path / "a.py").write_text(
         "from .b import used\n__all__ = ['exported']\n"
-        "LIMIT = 3\ndef exported(): return used(LIMIT)\ndef orphan(): return orphan()\n",
+        "LIMIT = 3\ndef exported(): return used(LIMIT)\ndef orphan(): return orphan()\n"
+        # an attribute counts only on a package module: np.mean does not use b's mean
+        "import numpy as np\nfrom . import b as bee\nprint(np.mean(bee.SCALE))\n",
         encoding="utf-8",
     )
     (tmp_path / "b.py").write_text(
-        "import math\nclass Unread: pass\ndef used(x): return math.sqrt(x)\n", encoding="utf-8"
+        "import math\nclass Unread: pass\ndef used(x): return math.sqrt(x)\n"
+        "SCALE = 2\ndef mean(x): return x\n",
+        encoding="utf-8",
     )
-    assert dead_definitions(tmp_path) == ["a.py:5 orphan", "b.py:2 Unread"]
+    assert dead_definitions(tmp_path) == ["a.py:5 orphan", "b.py:2 Unread", "b.py:5 mean"]

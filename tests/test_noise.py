@@ -43,9 +43,9 @@ def test_noise_config_validation_and_noiseless_flag():
 
 def test_shot_noise_is_deterministic_in_seed_and_index():
     cfg = NoiseConfig(detuning_sigma_SD=0.01, amplitude_error_sigma=0.05)
-    a = sample_shot_noise(cfg, 7, 3)
-    b = sample_shot_noise(cfg, 7, 3)
-    c = sample_shot_noise(cfg, 7, 4)
+    a = sample_shot_noise(cfg, 7, np.array([3]))
+    b = sample_shot_noise(cfg, 7, np.array([3]))
+    c = sample_shot_noise(cfg, 7, np.array([4]))
     assert np.allclose(a.detuning_SD, b.detuning_SD)
     assert np.allclose(a.amplitude_factors, b.amplitude_factors)
     assert not np.allclose(a.detuning_SD, c.detuning_SD)
@@ -53,17 +53,17 @@ def test_shot_noise_is_deterministic_in_seed_and_index():
 
 def test_correlated_dephasing_shares_one_draw():
     cfg = NoiseConfig(detuning_sigma_SD=0.01)
-    shot = sample_shot_noise(cfg, 1, 0)
+    shot = sample_shot_noise(cfg, 1, np.array([0]))
     assert np.ptp(shot.detuning_SD) == 0.0
     uncorr = sample_shot_noise(
-        NoiseConfig(detuning_sigma_SD=0.01, correlated_dephasing=False), 1, 0
+        NoiseConfig(detuning_sigma_SD=0.01, correlated_dephasing=False), 1, np.array([0])
     )
     assert np.ptp(uncorr.detuning_SD) > 0.0
 
 
 def test_detuning_h_is_ratio_times_sd():
     cfg = NoiseConfig(detuning_sigma_SD=0.02, dephasing_ratio_H=2.0)
-    shot = sample_shot_noise(cfg, 5, 9)
+    shot = sample_shot_noise(cfg, 5, np.array([9]))
     assert np.allclose(shot.detuning_H, 2.0 * shot.detuning_SD)
 
 
@@ -80,8 +80,9 @@ def test_shot_streams_are_rows_of_their_blocks():
         normal = np.random.default_rng([seed, block]).standard_normal((SHOT_BLOCK, 3 + n_steps))[row]
         rng = np.random.default_rng([seed, block, RUN_STREAM_TAG])
         depol_u, meas_u = rng.random((SHOT_BLOCK, n_steps))[row], rng.random((SHOT_BLOCK, n_steps, 2))[row]
-        one = sample_shot_noise(cfg, seed, i)
-        for shot in (one, ShotNoise(*(getattr(batch, f)[k] for f in ShotNoise.__dataclass_fields__))):
+        one = sample_shot_noise(cfg, seed, np.array([i]))
+        for drawn, at in ((one, 0), (batch, k)):
+            shot = ShotNoise(*(getattr(drawn, f)[at] for f in ShotNoise.__dataclass_fields__))
             assert np.array_equal(shot.detuning_SD, 0.01 * normal[:3])
             assert np.array_equal(shot.detuning_H, 2.0 * shot.detuning_SD)
             assert np.array_equal(shot.amplitude_factors, 1.0 + 0.05 * normal[3:])

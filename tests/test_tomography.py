@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from teleion.errors import ConfigError, DimensionMismatch, InvariantViolation
 from teleion.noise import NoiseConfig
 from teleion import tomography
-from teleion.protocol import FidelityCheck, Tomography, build_sequence, canonical_inputs, exact_run, sample_counts
+from teleion.protocol import Tomography, build_sequence, canonical_inputs, exact_run, sample_counts
 from teleion.qcore import (
     PAULIS,
     DensityMatrix,
@@ -764,10 +764,10 @@ def test_bright_counts_runs_the_exact_engine_only_for_counts_drawn_from_it(monke
     monkeypatch.setattr(tomography, "exact_run", lambda *a, **k: calls.append(1) or exact_run(*a, **k))
     noise = NoiseConfig(depolarizing_per_pulse=0.05)
     specs = [canonical_inputs()[0], canonical_inputs()[4]]
-    runs, counts = bright_counts(specs, (FidelityCheck(),), noise, 6, 3, sampling=sampling, tag=7)
-    assert len(calls) == exact_runs and (runs is None) == (exact_runs == 0)
-    p_bright = None if runs is None else [res.p_bright[FidelityCheck()] for res in runs]
     seqs = [build_sequence(spec) for spec in specs]
+    runs, counts = bright_counts([(seq,) for seq in seqs], noise, 6, 3, sampling=sampling, tag=7)
+    assert len(calls) == exact_runs and (runs is None) == (exact_runs == 0)
+    p_bright = None if runs is None else [res.p_bright[0] for res in runs]
     assert counts == sample_counts(seqs, noise, 6, 3, p_bright=p_bright, tag=7)
 
 
@@ -775,9 +775,10 @@ def test_bright_counts_at_zero_shots_are_each_runs_p_bright_input_major():
     noise = NoiseConfig(depolarizing_per_pulse=0.05)
     specs = [canonical_inputs()[0], canonical_inputs()[4], canonical_inputs()[2]]
     modes = (Tomography("z"), Tomography("x"), Tomography("y"))
-    runs, counts = bright_counts(specs, modes, noise, 0, 3)
-    assert counts == [res.p_bright[m] for res in runs for m in modes]
-    alone = [exact_run(spec, 0.0, noise, m).p_bright[m] for spec in specs for m in modes]
+    tables = [tuple(build_sequence(spec, 0.0, m) for m in modes) for spec in specs]
+    runs, counts = bright_counts(tables, noise, 0, 3)
+    assert counts == [p for res in runs for p in res.p_bright]
+    alone = [exact_run((seq,), noise).p_bright[0] for t in tables for seq in t]
     assert counts == pytest.approx(alone, abs=1e-15)
     assert len(set(np.round(counts, 6))) > 3  # the order is visible
 
