@@ -134,6 +134,8 @@ class ExperimentConfig:
         tomo.resolve_sampling(self.noise, self.sampling)
         if self.mode is not None and self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if not (self.standby_wait_us >= 0.0 and self.rephase_wait_us >= 0.0):
+            raise ConfigError("standby_wait_us and rephase_wait_us must be nonnegative")
         if self.grid < 8:
             raise ConfigError("grid must be >= 8")
         if self.bootstrap_resamples < 0 or self.bootstrap_resamples == 1:
@@ -268,9 +270,16 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _strict_json(text: str, where: str, error: type[Exception]):
+    """json.loads refusing NaN and Infinity, which Python's parser accepts, with `error`."""
+    def refuse(constant: str):
+        raise error(f"{where}: non-finite number {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _parse_json(text: str, source: str) -> dict:
     try:
-        return json.loads(text)
+        return _strict_json(text, source, ConfigError)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
@@ -299,11 +308,7 @@ def _emit_json(path: Path, obj_or_text) -> None:
         if isinstance(obj_or_text, str)
         else json.dumps(obj_or_text, indent=2, sort_keys=True) + "\n"
     )
-
-    def refuse(constant: str):
-        raise InvariantViolation(f"{path.name}: non-finite number {constant}")
-
-    json.loads(text, parse_constant=refuse)  # schema gate: strict JSON, no NaN or Infinity
+    _strict_json(text, path.name, InvariantViolation)  # schema gate: strict JSON, no NaN or Infinity
     path.write_text(text, encoding="utf-8")
 
 
@@ -341,7 +346,7 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     # Counts from trajectories leave the exact fidelities to runs of their own;
     # amplitude noise, which has no exact representation, leaves them empty.
     if runs is None and cfg.noise.amplitude_error_sigma == 0.0:
-        runs = [exact_run(t, cfg.noise, **cfg.exact_kwargs()) for t in tables]
+        runs = exact_run(tables, cfg.noise, **cfg.exact_kwargs())
 
     rows, bar_rows, report_states = [], [], []
     for spec, res, k in zip(inputs, runs or [None] * len(inputs), counts):

@@ -19,8 +19,9 @@ Physical content:
   while the collapse follows the true outcome (trap.fluorescence_measure).
 
 Durations are bookkeeping inputs to the dephasing integral: a pulse of area
-theta lasts (theta/pi) * t_pi for its pulse class, detection lasts a fixed
-window, waits last their nominal value.
+theta lasts (|theta|/pi) * t_pi for its pulse class (R(-theta, phi) is the
+same pulse as R(theta, phi + pi)), detection lasts a fixed window, waits last
+their nominal value.
 """
 from __future__ import annotations
 
@@ -78,11 +79,11 @@ class PulseDurations:
 
     def of(self, pulse: trap.Pulse) -> float:
         if isinstance(pulse, Carrier):
-            return self.carrier_pi * pulse.theta / math.pi
+            return self.carrier_pi * abs(pulse.theta) / math.pi
         if isinstance(pulse, BlueSideband):
-            return self.sideband_pi * pulse.theta / math.pi
+            return self.sideband_pi * abs(pulse.theta) / math.pi
         if isinstance(pulse, Hide):
-            return self.hide_pi * pulse.theta / math.pi
+            return self.hide_pi * abs(pulse.theta) / math.pi
         if isinstance(pulse, Wait):
             return float(pulse.duration_us)
         if isinstance(pulse, Detect):

@@ -18,17 +18,20 @@ Two execution paths take the same tables, built once by build_sequence:
   masks over shots, and the results are per-shot arrays (Shots).
   sample_counts is the one source of sampled counts: it runs all sequences'
   shots in passes of SHOT_PASS, or draws from exact_run's P(bright);
-* exact_run — density-matrix evolution of one input's tables (one per
+* exact_run — density-matrix evolution of every input's tables (one per
   row-34 mode, sharing the rows before it) with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
-  distribution. Every (quadrature node, reported branch) entry advances on
-  one stacked live register in one row loop, NODE_PASS nodes at a time: a
-  subsystem holds only the levels its drives have reached (any other level
-  is exactly zero) and leaves after the last sideband or readout needing it
-  (at most 48 levels, after rows 10-18 of the standard table, then 12, 18,
-  9 and ion 3's 3x3 state), every readout splits the entries on the
-  reported outcome, and each ion's detuning phase waits for its next drive.
-  This is the infinite-statistics reference.
+  distribution. Every (input, quadrature node, reported branch) entry
+  advances on one stacked live register in one row loop, NODE_PASS (input,
+  node) pairs at a time. The inputs' tables differ only in the angles of a
+  carrier (row 9's input write, FidelityCheck's row 34), where each entry
+  takes its own input's operator; every other row acts once on all
+  entries. A subsystem holds only the levels its drives have reached in any
+  input (any other level is exactly zero) and leaves after the last
+  sideband or readout needing it (at most 48 levels, after rows 10-18 of
+  the standard table, then 12, 18, 9 and ion 3's 3x3 state), every readout
+  splits the entries on the reported outcome, and each ion's detuning phase
+  waits for its next drive. This is the infinite-statistics reference.
 """
 from __future__ import annotations
 
@@ -515,9 +518,10 @@ def sample_counts(
 #: The exact engine's subsystems: the ions, then the motional mode.
 _SUBSYSTEMS = N_IONS + 1
 _MOTION = N_IONS
-#: Quadrature nodes per pass of the exact engine: bounds the stacked register
-#: (27 nodes at the standard table's 48 levels hold about 1 MB) whatever the
-#: node count, 9^3 = 729 by default for uncorrelated dephasing.
+#: (input, quadrature node) pairs per pass of the exact engine: bounds the
+#: stacked register (27 pairs at the standard table's 48 levels hold about
+#: 1 MB) whatever the input and node counts, 9^3 = 729 nodes per input by
+#: default for uncorrelated dephasing.
 NODE_PASS = 27
 
 
@@ -644,51 +648,68 @@ def _check_exact_noise(noise: NoiseConfig, entry: str) -> None:
 
 @dataclass(frozen=True)
 class _Stack:
-    """Every (quadrature node, reported branch) entry of the exact engine.
+    """Every (input, quadrature node, reported branch) entry of the exact engine.
 
     `rho` holds each entry's unnormalized density tensor: a leading entry
     axis, then one ket and one bra axis per subsystem. Both hold the
-    subsystem's `levels`, the only ones a drive has reached so far: every
-    other level is exactly zero. A subsystem holds (0,), |S> or |n=0>, until
-    its first drive, and (0,), its trace, after its `_lifetimes`. Each ion's
-    free-evolution time waits in `pending` until its next drive.
+    subsystem's `levels`, the only ones a drive has reached so far in any
+    input: every other level is exactly zero. A subsystem holds (0,), |S> or
+    |n=0>, until its first drive, and (0,), its trace, after its `_lifetimes`.
+    Each ion's free-evolution time waits in `pending` until its next drive.
     """
 
     rho: np.ndarray                       # (E,) + ket axes + bra axes
-    node: np.ndarray                      # (E,) index of the entry's quadrature node
+    node: np.ndarray                      # (E,) index of the entry's (input, quadrature node)
+    input: np.ndarray                     # (E,) index of the entry's input
     weight: np.ndarray                    # (E,) Gauss-Hermite weight of that node
     rates: np.ndarray                     # (E, ion, level) detuning of S, D, H in rad/us
     pending: np.ndarray                   # (E, ion) time not yet applied as a phase, in us
     keys: tuple[dict[str, Outcome], ...]  # reported outcomes of the entry's branch
     levels: tuple[tuple[int, ...], ...]   # per subsystem, the levels its ket and bra axes hold
-    truncation: float = 0.0               # largest per-node blue-sideband |S, fock_cutoff-1> population
-    motion: float = 0.0                   # weighted population above n = 0 when the motion left
+    truncation: np.ndarray                # (inputs,) largest blue-sideband |S, fock_cutoff-1> population of a node
+    motion: np.ndarray                    # (inputs,) weighted population above n = 0 when the motion left
 
 
-def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cutoff: int) -> _Stack:
-    """The exact engine's one row loop: `steps` on every entry of `stack` at once.
+def _row_pulses(row: tuple[SequenceStep | None, ...]) -> tuple[trap.Pulse, ...]:
+    """One row's pulse, or each input's where their tables differ: only a Carrier or Hide's angles may."""
+    step = row[0]
+    if len({s and (s.step_id, s.action) for s in row}) == 1:
+        return (step.action.pulse if isinstance(step.action, ConditionalPulse) else step.action,)
+    if None in row or len({(s.step_id, type(s.action), getattr(s.action, "ion", None)) for s in row}) > 1 or \
+            not isinstance(step.action, (Carrier, Hide)):
+        raise InvariantViolation(f"row {next(filter(None, row)).step_id}: inputs' tables may differ only in "
+                                 "a carrier or hide pulse's angles")
+    return tuple(s.action for s in row)
 
-    `steps` are rows first, first + 1, ... of the table `life` came from. A
-    conditional row acts on the entries whose branch meets its condition.
-    Every readout splits each entry on the reported outcome (the collapse
-    follows the true outcome). A drive folds each entry's pending phase into
-    its own operator; a blue sideband raises past TRUNCATION_BOUND when a
-    node's entries hold more than that on its ion's |S, fock_cutoff-1>.
-    Before a drive, its subsystems grow to the levels `_drive_plan` says it
-    reaches, and the drive acts on those levels only.
+
+def _advance(stack: _Stack, tables, life, first: int, noise: NoiseConfig, fock_cutoff: int) -> _Stack:
+    """The exact engine's one row loop: every input's rows on every entry of `stack` at once.
+
+    `tables` hold rows first, first + 1, ... of each input's table, in input
+    order; `life` came from them. A row all inputs share acts once on every
+    entry; at a row where they differ (`_row_pulses`), each entry takes its
+    own input's operator and duration. A conditional row acts on the entries
+    whose branch meets its condition. Every readout splits each entry on the
+    reported outcome (the collapse follows the true outcome). A drive folds
+    each entry's pending phase into its own operator; a blue sideband raises
+    past TRUNCATION_BOUND when an (input, node)'s entries hold more than that
+    on its ion's |S, fock_cutoff-1>. Before a drive, its subsystems grow to
+    the levels `_drive_plan` says it reaches in every input, and the drive
+    acts on those levels only.
     """
     rho, pending, keys = stack.rho.copy(), stack.pending.copy(), stack.keys
-    node, weight, rates = stack.node, stack.weight, stack.rates
+    node, inputs, weight, rates = stack.node, stack.input, stack.weight, stack.rates
     truncation, motion, levels = stack.truncation, stack.motion, list(stack.levels)
     eps = noise.detection_error
     work = (np.empty(0, rho.dtype),) * 2
-    for i, step in enumerate(steps, start=first):
-        action, sel = step.action, slice(None)
+    for i, row in enumerate(itertools.zip_longest(*tables), start=first):
+        step, pulses = row[0], _row_pulses(row)
+        action, pulse, sel = step.action, pulses[0], slice(None)
         if isinstance(action, ConditionalPulse):
             sel = np.array([key.get(action.detect_label) is action.required for key in keys], bool)
             rho = rho.copy()  # rho[sel] is written below: rho must not be _apply's output buffer
-        pulse = action.pulse if isinstance(action, ConditionalPulse) else action
-        pending[sel] += noise.pulse_durations.of(pulse)
+        durations = [noise.pulse_durations.of(p) for p in pulses]
+        pending[sel] += durations[0] if len(pulses) == 1 else np.array(durations)[inputs, None]
         acts = _row_sites(action)[0]
         if not acts or any(i > life.get(s, -1) for s in acts):
             continue  # a wait, or a local row on a subsystem that is only traced out
@@ -698,13 +719,17 @@ def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cu
             on_s, off_s = (_along(v, k) * _along(v, k_bra) for v in (is_s * 1.0, 1.0 - is_s))
             reports = np.stack([(1.0 - eps) * on_s + eps * off_s, eps * on_s + (1.0 - eps) * off_s], axis=1)
             rho = (rho[:, None] * reports).reshape((-1,) + rho.shape[1:])  # Bright, then Dark
-            node, weight, rates, pending = (np.repeat(a, 2, axis=0) for a in (node, weight, rates, pending))
+            node, inputs, weight, rates, pending = (
+                np.repeat(a, 2, axis=0) for a in (node, inputs, weight, rates, pending))
             keys = tuple({**key, pulse.label: o} for key in keys for o in (Outcome.BRIGHT, Outcome.DARK))
         else:
             depol = noise.depolarizing_applies(step.step_id) and not isinstance(pulse, Hide)
-            grown, op, dep = _drive_plan(
-                pulse, fock_cutoff, tuple(levels[s] for s in acts), noise.depolarizing_per_pulse if depol else 0.0
-            )
+            rate, kept = noise.depolarizing_per_pulse if depol else 0.0, tuple(levels[s] for s in acts)
+            plans = [_drive_plan(p, fock_cutoff, kept, rate) for p in pulses]
+            while len({plan[0] for plan in plans}) > 1:  # inputs reach different levels: plan all on their union
+                kept = tuple(tuple(sorted(set().union(*lv))) for lv in zip(*(plan[0] for plan in plans)))
+                plans = [_drive_plan(p, fock_cutoff, kept, rate) for p in pulses]
+            grown, op, dep = plans[0]
             for site, lv in zip(acts, grown):
                 rho, levels[site] = _grow(rho, site, levels[site], lv), lv
             part = rho[sel]
@@ -716,26 +741,27 @@ def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cu
             pending[sel, pulse.ion] = 0.0
             if isinstance(pulse, BlueSideband):
                 ion_lv, motion_lv = grown
-                top = 0.0  # a level the register does not hold is exactly empty
+                top = np.zeros(len(truncation))  # a level the register does not hold is exactly empty
                 if S in ion_lv and fock_cutoff - 1 in motion_lv:
                     pops = np.einsum("eabcdabcd->eabcd", part).real
                     pops = np.take(pops, ion_lv.index(S), axis=k)[..., motion_lv.index(fock_cutoff - 1)]
-                    top = np.bincount(node[sel], pops.reshape(len(pops), -1).sum(axis=1)).max(initial=0.0)
+                    per_node = np.bincount(node[sel], pops.reshape(len(pops), -1).sum(axis=1))  # by (input, node)
+                    np.maximum.at(top, inputs[sel], per_node[node[sel]])
                 _check_truncation(step.step_id, pulse.ion, fock_cutoff, top)
-                truncation = max(truncation, top)
+                truncation = np.maximum(truncation, top)
                 d = op.shape[0] * op.shape[1]
                 u = (op * ph[:, None, None, :, None]).reshape(len(ph), d, d)
                 part = _apply(u, part, [k, 1 + _MOTION], work)
                 part = _apply(u.conj(), part, [k_bra, 1 + _MOTION + _SUBSYSTEMS], work)
                 if dep is not None:
                     part = _apply(dep, part, [k, k_bra], work)
-            else:  # one fused (site, site') superoperator: drive, then depolarizing
-                d = len(op)
-                sup = np.einsum("ab,cd->acbd", op, op.conj()).reshape(d * d, d * d)
+            else:  # one fused (site, site') superoperator per input: drive, then depolarizing
+                d, ops = len(op), np.stack([plan[1] for plan in plans])
+                sup = np.einsum("iab,icd->iacbd", ops, ops.conj()).reshape(len(ops), d * d, d * d)
                 if dep is not None:
                     sup = dep @ sup
                 cols = (ph[:, :, None] * ph.conj()[:, None, :]).reshape(-1, 1, d * d)
-                part = _apply(sup * cols, part, [k, k_bra], work)
+                part = _apply(sup[0 if len(sup) == 1 else inputs[sel]] * cols, part, [k, k_bra], work)
             if isinstance(sel, slice):
                 rho = part
             else:
@@ -743,35 +769,41 @@ def _advance(stack: _Stack, steps, life, first: int, noise: NoiseConfig, fock_cu
         for site in (s for s in acts if life[s] == i):
             if site == _MOTION:
                 pops = np.einsum("eabcdabcd->eabcd", rho).real[..., np.array(levels[site]) != 0]
-                motion += float(weight @ pops.reshape(len(pops), -1).sum(axis=1))
+                motion = motion + np.bincount(inputs, weight * pops.reshape(len(pops), -1).sum(axis=1), len(motion))
             axes = (1 + site, 1 + site + _SUBSYSTEMS)
             rho = np.expand_dims(np.trace(rho, axis1=axes[0], axis2=axes[1]), axes)
             levels[site] = (0,)
-    return _Stack(rho, node, weight, rates, pending, keys, tuple(levels), truncation, motion)
+    return _Stack(rho, node, inputs, weight, rates, pending, keys, tuple(levels), truncation, motion)
 
 
-def _evolve(steps, life, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int) -> _Stack:
-    """`_advance` from the cooled register through the leading rows `steps`,
-    NODE_PASS quadrature nodes at a time; the passes' entries end in node order."""
+def _evolve(tables, life, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int) -> _Stack:
+    """`_advance` from the cooled register through each input's leading rows
+    in `tables`, NODE_PASS (input, quadrature node) pairs at a time; the
+    passes' entries end input-major, each input's in node order."""
     nodes, parts = _gh_nodes(noise, quad_points), []
-    for lo in range(0, len(nodes), NODE_PASS):
-        det_sd, det_h, weight = (np.array(v) for v in zip(*nodes[lo:lo + NODE_PASS]))
-        n = len(weight)
+    for lo in range(0, len(tables) * len(nodes), NODE_PASS):
+        entry = np.arange(lo, min(lo + NODE_PASS, len(tables) * len(nodes)))
+        det_sd, det_h, weight = (np.array(v) for v in zip(*(nodes[e % len(nodes)] for e in entry)))
+        n = len(entry)
         start = _Stack(
             rho=np.ones((n,) + (1,) * 2 * _SUBSYSTEMS, dtype=np.complex128),
-            node=np.arange(lo, lo + n),
+            node=entry,
+            input=entry // len(nodes),
             weight=weight,
             rates=np.stack([np.zeros_like(det_sd), det_sd, det_h], axis=2),
             pending=np.zeros((n, N_IONS)),
             keys=({},) * n,
             levels=((0,),) * _SUBSYSTEMS,
+            truncation=np.zeros(len(tables)),
+            motion=np.zeros(len(tables)),
         )
-        parts.append(_advance(start, steps, life, 0, noise, fock_cutoff))
+        parts.append(_advance(start, tables, life, 0, noise, fock_cutoff))
     return _Stack(
-        *(np.concatenate([getattr(p, f) for p in parts]) for f in ("rho", "node", "weight", "rates", "pending")),
+        *(np.concatenate([getattr(p, f) for p in parts])
+          for f in ("rho", "node", "input", "weight", "rates", "pending")),
         keys=tuple(itertools.chain.from_iterable(p.keys for p in parts)),
         levels=parts[0].levels,
-        truncation=max(p.truncation for p in parts),
+        truncation=np.max([p.truncation for p in parts], axis=0),
         motion=sum(p.motion for p in parts),
     )
 
@@ -810,84 +842,86 @@ class ExactRun:
 
 
 def exact_run(
-    tables: tuple[tuple[SequenceStep, ...], ...],
+    tables: list[tuple[tuple[SequenceStep, ...], ...]],
     noise: NoiseConfig = NoiseConfig(),
     *,
     quad_points: int | None = None,
     fock_cutoff: int = 4,
-) -> ExactRun:
-    """Full exact evolution of one input: branch states after row 33 + row-35 statistics.
+) -> list[ExactRun]:
+    """Full exact evolution of every input: branch states after row 33 + row-35 statistics.
 
-    `tables` are the input's tables, one per row-34 mode; they must share
-    every row before 34. Every (quadrature node, branch) entry advances
-    through those rows once, on one stacked live register (`_advance`,
-    NODE_PASS nodes at a time). Each table then advances its rows 34-35,
+    `tables` holds one tuple of tables per input, one table per row-34 mode,
+    input-major; an input's tables must share every row before 34, and the
+    inputs' tables may differ only in a carrier or hide pulse's angles
+    (row 9's input write, FidelityCheck's row 34). Every (input, quadrature
+    node, branch) entry advances through the rows before 34 once, on one
+    stacked live register (`_advance`, NODE_PASS (input, node) pairs at a
+    time). Each table index then advances its rows 34-35 for all inputs,
     whose readout splits the entries like pmt1 and pmt2: P(bright) is the
-    weight of the `final` = Bright entries. `final_bright` belongs to the
-    first table; `p_bright` holds each table's reported P(bright), in order.
+    weight of the `final` = Bright entries. One ExactRun per input, in
+    order: `final_bright` belongs to its first table; `p_bright` holds each
+    of its tables' reported P(bright), in order.
     """
     _check_exact_noise(noise, "exact_run")
-    heads = [[(s.step_id, s.action) for s in seq if s.step_id < _ANALYSIS_ROW] for seq in tables]
-    for a, b in (pair for head in heads[1:] for pair in itertools.zip_longest(heads[0], head)):
+    if len({len(t) for t in tables}) > 1:
+        raise InvariantViolation("every input needs as many tables as the others")
+    heads = [[[(s.step_id, s.action) for s in seq if s.step_id < _ANALYSIS_ROW] for seq in t] for t in tables]
+    for a, b in (pair for h in heads for head in h[1:] for pair in itertools.zip_longest(h[0], head)):
         if a != b:
             raise InvariantViolation(f"row {(a or b)[0]}: an input's tables differ before row {_ANALYSIS_ROW}")
-    seq = tables[0]
-    life = _lifetimes(seq, (_TARGET,))
-    shared = len(heads[0])
-    stack = _evolve(seq[:shared], life, noise, quad_points, fock_cutoff)
+    life = _lifetimes(tables[0][0], (_TARGET,))
+    shared = sum(s.step_id < _ANALYSIS_ROW for s in tables[0][0])
+    stack = _evolve([t[0][:shared] for t in tables], life, noise, quad_points, fock_cutoff)
+    ends = [_advance(stack, [t[m][shared:] for t in tables], life, shared, noise, fock_cutoff)
+            for m in range(len(tables[0]))]
+    if any("final" not in end.keys[0] for end in ends):
+        raise InvariantViolation("sequence produced no 'final' readout on ion 3")
+    tails = [(end.input, end.weight * _reduced(end, ()).real[:, 0, 0],
+              np.array([k["final"] is Outcome.BRIGHT for k in end.keys]),
+              np.array([branch_label(k["pmt1"], k["pmt2"]) for k in end.keys])) for end in ends]
 
     labels = np.array([branch_label(k["pmt1"], k["pmt2"]) for k in stack.keys])
     weighted = stack.weight[:, None, None] * _reduced(stack, (_TARGET,))
-    acc = {b: weighted[labels == b].sum(axis=0) for b in BRANCHES if b in labels}
-    branch_probs = {b: float(np.real(np.trace(r))) for b, r in acc.items()}
-    # A branch whose probability is a roundoff-level defect has no conditional state.
-    occurring = [b for b in acc if branch_probs[b] > ATOL_STRUCTURAL]
-    branch_states = {b: _qubit_block(acc[b] / branch_probs[b]) for b in occurring}
-
-    total = sum(acc.values())
-    tr_total = float(np.real(np.trace(total)))
-    if abs(tr_total - 1.0) > 1e-9:
-        raise InvariantViolation(f"exact evolution lost trace: {tr_total}")
-    h_residual = float(np.real(total[2, 2]))
-    if h_residual > 1e-8:
-        raise InvariantViolation(
-            f"residual H population {h_residual:.3e} after unhide (sequence/convention bug)"
-        )
     # Depolarizing flips and inter-pulse detuning phases both break the
     # composite gate's interference and legitimately strand motional
     # population, so the bug tripwire only arms when neither is present.
-    can_strand = (
-        noise.depolarizing_per_pulse != 0.0
-        or noise.detuning_sigma_SD != 0.0
-        or noise.detuning_bias_SD != 0.0
-    )
-    if not can_strand and stack.motion > 1e-8:
-        raise InvariantViolation(
-            f"residual motional excitation {stack.motion:.3e} (sequence/convention bug)"
-        )
+    can_strand = noise.depolarizing_per_pulse != 0.0 or noise.detuning_sigma_SD != 0.0 or noise.detuning_bias_SD != 0.0
+    runs = []
+    for j in range(len(tables)):
+        mine = stack.input == j
+        acc = {b: weighted[mine & (labels == b)].sum(axis=0) for b in BRANCHES if b in labels[mine]}
+        branch_probs = {b: float(np.real(np.trace(r))) for b, r in acc.items()}
+        # A branch whose probability is a roundoff-level defect has no conditional state.
+        occurring = [b for b in acc if branch_probs[b] > ATOL_STRUCTURAL]
+        branch_states = {b: _qubit_block(acc[b] / branch_probs[b]) for b in occurring}
 
-    p_bright, final_bright = [], []
-    for seq_m in tables:
-        end = _advance(stack, seq_m[shared:], life, shared, noise, fock_cutoff)
-        if "final" not in end.keys[0]:
-            raise InvariantViolation("sequence produced no 'final' readout on ion 3")
-        p = end.weight * _reduced(end, ()).real[:, 0, 0]
-        bright = np.array([k["final"] is Outcome.BRIGHT for k in end.keys])
-        label = np.array([branch_label(k["pmt1"], k["pmt2"]) for k in end.keys])
-        final_bright.append({
-            b: float(np.sum(p[bright & (label == b)])) / float(np.sum(p[label == b])) for b in occurring
-        })
-        p_bright.append(min(max(float(np.sum(p[bright])), 0.0), 1.0))
-    return ExactRun(
-        rho_exp=_qubit_block(total),
-        branch_probs=branch_probs,
-        branch_states=branch_states,
-        final_bright=final_bright[0],
-        p_bright=tuple(p_bright),
-        h_residual=h_residual,
-        motional_residual=stack.motion,
-        truncation_population=stack.truncation,
-    )
+        total = sum(acc.values())
+        tr_total = float(np.real(np.trace(total)))
+        if abs(tr_total - 1.0) > 1e-9:
+            raise InvariantViolation(f"exact evolution lost trace: {tr_total}")
+        h_residual = float(np.real(total[2, 2]))
+        if h_residual > 1e-8:
+            raise InvariantViolation(f"residual H population {h_residual:.3e} after unhide (sequence/convention bug)")
+        if not can_strand and stack.motion[j] > 1e-8:
+            raise InvariantViolation(f"residual motional excitation {stack.motion[j]:.3e} (sequence/convention bug)")
+
+        p_bright, final_bright = [], []
+        for p, bright, label in ((p[i == j], bright[i == j], label[i == j]) for i, p, bright, label in tails):
+            final_bright.append({
+                b: float(np.sum(p[bright & (label == b)])) / float(np.sum(p[label == b])) for b in occurring
+            })
+            p_bright.append(min(max(float(np.sum(p[bright])), 0.0), 1.0))
+        runs.append(ExactRun(
+            rho_exp=_qubit_block(total),
+            branch_probs=branch_probs,
+            branch_states=branch_states,
+            final_bright=final_bright[0],
+            p_bright=tuple(p_bright),
+            h_residual=h_residual,
+            motional_residual=float(stack.motion[j]),
+            truncation_population=float(stack.truncation[j]),
+        ))
+    return runs
 
 
 def _qubit_block(rho3: np.ndarray) -> DensityMatrix:
@@ -985,12 +1019,12 @@ def calibrate_phase(
     )
     life = _lifetimes(base_seq, (_TARGET,))
     fixed = sum(s.step_id < _TAIL_START for s in base_seq)
-    stack = _evolve(base_seq[:fixed], life, noise, quad_points, fock_cutoff)
+    stack = _evolve([base_seq[:fixed]], life, noise, quad_points, fock_cutoff)
     tail = tuple(s for s in base_seq[fixed:] if s.step_id < _ANALYSIS_ROW)
     psi = reference_input.ket()
 
     def fidelity_at(phi: float) -> float:
-        end = _advance(stack, _shift_phases(tail, phi), life, fixed, noise, fock_cutoff)
+        end = _advance(stack, [_shift_phases(tail, phi)], life, fixed, noise, fock_cutoff)
         rho3 = np.einsum("e,eab->ab", end.weight, _reduced(end, (_TARGET,)))[:2, :2]
         tr = float(np.real(np.trace(rho3)))
         return float(np.real(psi.conj() @ rho3 @ psi)) / tr
@@ -1036,6 +1070,6 @@ def bell_preparation_fidelity(
     target = np.zeros(9)
     target[[1 * 3 + 0, 0 * 3 + 1]] = 1.0 / math.sqrt(2.0)  # |D S> + |S D>
     keep = (1, _TARGET)
-    stack = _evolve(prefix, _lifetimes(prefix, keep), noise, quad_points, fock_cutoff)
+    stack = _evolve([prefix], _lifetimes(prefix, keep), noise, quad_points, fock_cutoff)
     rho = np.tensordot(stack.weight, _reduced(stack, keep), axes=1)
     return float(np.real(target @ rho @ target))

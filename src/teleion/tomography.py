@@ -683,12 +683,12 @@ def bright_counts(
     `tables` holds one tuple of tables per input, as exact_run takes them.
     `shots` = 0 gives each table's exact reported P(bright); otherwise
     sample_counts draws binomially from it ("fast") or counts trajectories
-    ("per-shot"). The exact runs, one per input, are made only when the counts
-    come from them; otherwise `runs` is None.
+    ("per-shot"). The exact runs, one per input from one exact_run call, are
+    made only when the counts come from them; otherwise `runs` is None.
     """
     runs = p_bright = None
     if shots == 0 or resolve_sampling(noise, sampling) == "fast":
-        runs = [exact_run(t, noise, quad_points=quad_points, fock_cutoff=fock_cutoff) for t in tables]
+        runs = exact_run(tables, noise, quad_points=quad_points, fock_cutoff=fock_cutoff)
         p_bright = [p for res in runs for p in res.p_bright]
     counts = p_bright if shots == 0 else sample_counts(
         [seq for t in tables for seq in t],

@@ -55,8 +55,8 @@ def test_criterion_1_noiseless_exactness(capsys):
     t0 = time.time()
     worst_total = 1.0
     worst_branch = 1.0
-    for spec in canonical_inputs():
-        res = exact_run((build_sequence(spec),))
+    specs = canonical_inputs()
+    for spec, res in zip(specs, exact_run([(build_sequence(spec),) for spec in specs])):
         worst_total = min(worst_total, state_fidelity(res.rho_exp, spec.pure()))
         for b in BRANCHES:
             worst_branch = min(
@@ -237,16 +237,13 @@ def test_criterion_7_paper_bracketing(capsys, tmp_path):
 
 def test_criterion_8_spin_echo(capsys):
     noise = NoiseConfig(detuning_sigma_SD=0.0015)
-    f_echo = float(
-        np.mean([state_fidelity(exact_run((build_sequence(s),), noise).rho_exp, s.pure()) for s in canonical_inputs()])
-    )
-    f_bare = float(
-        np.mean(
-            [
-                state_fidelity(exact_run((build_sequence(s, spin_echo=False),), noise).rho_exp, s.pure())
-                for s in canonical_inputs()
-            ]
-        )
+    specs = canonical_inputs()
+    f_echo, f_bare = (
+        float(np.mean([
+            state_fidelity(res.rho_exp, s.pure())
+            for s, res in zip(specs, exact_run([(build_sequence(s, spin_echo=echo),) for s in specs], noise))
+        ]))
+        for echo in (True, False)
     )
     ok = f_bare <= 0.9 and f_echo > f_bare
     announce(

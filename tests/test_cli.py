@@ -1,6 +1,7 @@
 """Command-line interface: config handling, artifacts, exit codes."""
 import json
 import re
+import warnings
 from dataclasses import fields as dc_fields
 from importlib import resources
 from pathlib import Path
@@ -194,6 +195,37 @@ def test_a_single_bootstrap_resample_exits_2(tmp_path, capsys):
     assert main(["proc-tomo", "--config", str(cfg)]) == 2
     assert "bootstrap_resamples must be 0 or >= 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, constant",
+    [
+        ({"noise": {"detuning_sigma_SD": float("nan")}}, "NaN"),
+        ({"rephase_wait_us": float("inf")}, "Infinity"),
+        ({"phase_offset": float("nan")}, "NaN"),
+        ({"inputs": [{"theta_chi": float("nan"), "phi_chi": 0.0}]}, "NaN"),
+        ({"noise": {"pulse_durations": {"carrier_pi": -float("inf")}}}, "-Infinity"),
+    ],
+)
+def test_non_finite_numbers_in_a_config_exit_2(tmp_path, capsys, overrides, constant):
+    # json.dumps writes NaN and Infinity, and Python's json.loads reads them
+    # back; they once passed validation and exited 3 from the exact engine
+    # with "DensityMatrix: non-finite entries" and a RuntimeWarning.
+    cfg = write_config(tmp_path, **overrides)
+    assert constant in cfg.read_text(encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["teleport", "--config", str(cfg), "--exact"]) == 2
+    assert f"non-finite number {constant}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["standby_wait_us", "rephase_wait_us"])
+def test_a_negative_wait_exits_2(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, **{key: -1.0})
+    assert main(["teleport", "--config", str(cfg), "--exact"]) == 2
+    assert "standby_wait_us and rephase_wait_us must be nonnegative" in capsys.readouterr().err
+    config_from_dict({key: 0.0})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

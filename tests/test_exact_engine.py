@@ -1,15 +1,16 @@
 """The exact engine's live register against a full-register replay of all 35 rows.
 
 exact_run, calibrate_phase and bell_preparation_fidelity advance every
-(quadrature node, branch) entry on one stacked live register, NODE_PASS
-nodes at a time: each subsystem holds only the levels its drives have
-reached and is traced out after the last row that needs it, ion 3 (or ions 2
-and 3) is kept to the end, and each ion's detuning phase waits until its next
-drive. The reference here is a plain row loop: every row on the whole (3, 3,
+(input, quadrature node, branch) entry on one stacked live register,
+NODE_PASS (input, node) pairs at a time: each subsystem holds only the
+levels its drives have reached and is traced out after the last row that
+needs it, ion 3 (or ions 2 and 3) is kept to the end, and each ion's
+detuning phase waits until its next drive. The reference here is a plain row loop: every row on the whole (3, 3,
 3, fock_cutoff) register with a full dephasing pass per row, through row 34,
 with row 35 read by hand. Any error in the lifetimes, the kept levels, the
-deferred phases, the stacked (node, branch) entries, the node passes or the
-shared-prefix bookkeeping shows up as a gap.
+deferred phases, the stacked (input, node, branch) entries, the node passes or
+the shared-prefix bookkeeping shows up as a gap. A batch of inputs must give
+each input the numbers of its own one-input run.
 """
 import math
 
@@ -24,6 +25,7 @@ from teleion.protocol import (
     TRUNCATION_BOUND,
     ConditionalPulse,
     FidelityCheck,
+    InputStateSpec,
     SequenceStep,
     Tomography,
     _gh_nodes,
@@ -283,7 +285,7 @@ def test_exact_run_matches_the_full_register_replay(case):
         seqs, noise, quad_points=kwargs["quad_points"], fock_cutoff=kwargs.get("fock_cutoff", 4)
     )
     engine_kw = {k: v for k, v in kwargs.items() if k not in seq_kw}
-    res = exact_run(tuple(seqs), noise, **engine_kw)
+    res = exact_run([tuple(seqs)], noise, **engine_kw)[0]
 
     _assert_matches(res, ref)
     for j, p in enumerate(ref["p_bright"]):
@@ -291,10 +293,17 @@ def test_exact_run_matches_the_full_register_replay(case):
 
     # One table at a time gives the same numbers as the shared-prefix call.
     for j in range(1, len(MODES)):
-        single = exact_run((seqs[j],), noise, **engine_kw)
+        single = exact_run([(seqs[j],)], noise, **engine_kw)[0]
         for b in BRANCHES:
             assert abs(single.final_bright[b] - ref["final_bright"][j][b]) <= TOL
         assert abs(single.p_bright[0] - res.p_bright[j]) <= TOL
+
+    # Second in a batch behind another input, whose row 9 and FidelityCheck
+    # row 34 differ, the input still matches the replay.
+    other = canonical_inputs()[(sorted(CASES).index(case) + 1) % 6]
+    pair = exact_run([tuple(build_sequence(other, phase, m, **seq_kw) for m in MODES), tuple(seqs)], noise, **engine_kw)
+    _assert_matches(pair[1], ref)
+    assert np.abs(np.array(pair[1].p_bright) - ref["p_bright"]).max() <= TOL
 
 
 def test_tables_of_one_exact_run_must_share_every_row_before_34():
@@ -302,7 +311,142 @@ def test_tables_of_one_exact_run_must_share_every_row_before_34():
     # and psi2's tables differ at row 9, where the input is written.
     psi1, psi2 = (build_sequence(spec) for spec in canonical_inputs()[:2])
     with pytest.raises(InvariantViolation, match=r"^row 9: "):
-        exact_run((psi1, psi2))
+        exact_run([(psi1, psi2)])
+
+
+def _assert_same_run(a, b, tol=TOL):
+    """Every ExactRun field of `a` within `tol` of `b`'s, with the same branches."""
+    for name in ("branch_probs", "branch_states", "final_bright"):
+        assert list(getattr(a, name)) == list(getattr(b, name)), name
+    for x, y in [(a.rho_exp, b.rho_exp), *((a.branch_states[k], b.branch_states[k]) for k in a.branch_states)]:
+        assert np.abs(x.matrix - y.matrix).max() <= tol
+    for name in ("branch_probs", "final_bright"):
+        for k, v in getattr(a, name).items():
+            assert abs(v - getattr(b, name)[k]) <= tol, (name, k)
+    assert len(a.p_bright) == len(b.p_bright)
+    assert np.abs(np.array(a.p_bright) - b.p_bright).max() <= tol
+    for name in ("h_residual", "motional_residual", "truncation_population"):
+        assert abs(getattr(a, name) - getattr(b, name)) <= tol, name
+
+
+BATCH_CASES = {
+    # Noiseless, psi1's row 9 leaves ion 1 on |S> while the others reach D:
+    # the batch runs row 9 on the union of the inputs' levels.
+    "noiseless": (NoiseConfig(), {}),
+    "correlated dephasing": (NoiseConfig(detuning_bias_SD=0.001, **PAPER), {}),
+    "uncorrelated dephasing": (
+        NoiseConfig(detuning_sigma_SD=0.0015, correlated_dephasing=False, depolarizing_per_pulse=0.025),
+        {"quad_points": 2},
+    ),
+    "detection error": (NoiseConfig(detection_error=0.05, **PAPER), {}),
+    # depolarizing on the rows where the inputs differ, 9 and 34, too
+    "depolarizing steps": (
+        NoiseConfig(detuning_sigma_SD=0.0015, depolarizing_per_pulse=0.05, depolarizing_steps=(4, 9, 12, 31, 34)),
+        {},
+    ),
+    "no spin echo": (NoiseConfig(**PAPER), {"spin_echo": False}),
+    "no reconstruction": (NoiseConfig(**PAPER), {"reconstruction": False}),
+    "fock cutoff 3": (NoiseConfig(**PAPER), {"fock_cutoff": 3}),
+    "fock cutoff 6": (NoiseConfig(**PAPER), {"fock_cutoff": 6}),
+}
+BATCH_MODES = {"fidelity": (FidelityCheck(),), "tomography": MODES[1:]}
+
+
+def _batch_tables(case, modes):
+    noise, kwargs = BATCH_CASES[case]
+    seq_kw = {k: kwargs[k] for k in ("spin_echo", "reconstruction") if k in kwargs}
+    engine_kw = {"quad_points": 3, **{k: v for k, v in kwargs.items() if k not in seq_kw}}
+    tables = [tuple(build_sequence(spec, 0.3, m, **seq_kw) for m in BATCH_MODES[modes]) for spec in canonical_inputs()]
+    return tables, noise, engine_kw
+
+
+@pytest.mark.parametrize("modes", BATCH_MODES)
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_one_batched_exact_run_gives_each_input_its_own_run(case, modes):
+    tables, noise, engine_kw = _batch_tables(case, modes)
+    runs = exact_run(tables, noise, **engine_kw)
+    assert len(runs) == len(tables)
+    for t, res in zip(tables, runs):
+        _assert_same_run(res, exact_run([t], noise, **engine_kw)[0])
+
+
+@pytest.mark.parametrize("node_pass", [1, 2, 4, 5])
+def test_passes_that_split_and_mix_inputs_give_each_input_its_own_run(monkeypatch, node_pass):
+    # 3 or 8 nodes per input: passes of 2, 4 or 5 (input, node) pairs end
+    # mid-input and start the next input in the same pass.
+    cases = [("correlated dephasing", "fidelity"), ("uncorrelated dephasing", "tomography"), ("fock cutoff 3", "fidelity")]
+    for case, modes in cases:
+        tables, noise, engine_kw = _batch_tables(case, modes)
+        singles = [exact_run([t], noise, **engine_kw)[0] for t in tables]
+        monkeypatch.setattr(protocol, "NODE_PASS", node_pass)
+        for res, single in zip(exact_run(tables, noise, **engine_kw), singles):
+            _assert_same_run(res, single)
+        monkeypatch.undo()
+
+
+def test_the_truncation_read_keeps_the_inputs_of_one_node_apart():
+    # A blue sideband reads each (input, node)'s population on |S, n=2> at
+    # cutoff 3. Summed over the inputs that share a node index, these twelve
+    # inputs at paper noise read 0.070 (six read 0.038, against 0.012 for
+    # psi1 alone) and trip TRUNCATION_BOUND.
+    noise = NoiseConfig(**PAPER)
+    specs = [*canonical_inputs(), *(InputStateSpec(0.3 + 0.4 * j, 0.9 * j) for j in range(6))]
+    tables = [(build_sequence(spec),) for spec in specs]
+    runs = exact_run(tables, noise, quad_points=3, fock_cutoff=3)
+    for t, res in zip(tables, runs):
+        assert res.truncation_population == exact_run([t], noise, quad_points=3, fock_cutoff=3)[0].truncation_population
+    assert 0.01 < max(res.truncation_population for res in runs) <= TRUNCATION_BOUND
+
+
+def _swap_row(seq, step_id, action):
+    return tuple(SequenceStep(s.step_id, action, s.comment) if s.step_id == step_id else s for s in seq)
+
+
+@pytest.mark.parametrize(
+    "step_id, action",
+    [
+        (9, Hide(0, 0.5 * math.pi, 0.0)),
+        (9, Carrier(1, 0.5 * math.pi, 0.0)),
+        (11, BlueSideband(0, 0.6 * math.pi, 0.5 * math.pi)),
+        (7, Wait(2.0)),
+        (31, ConditionalPulse("pmt1", Outcome.DARK, Carrier(2, math.pi, 0.1))),
+    ],
+    ids=["pulse kind", "ion", "sideband angle", "wait length", "conditional carrier"],
+)
+def test_inputs_may_differ_only_in_a_carrier_or_hide_pulses_angles(step_id, action):
+    # Only a carrier or hide has a per-entry form in the batch; any other row
+    # acts once for every input, so a difference there must not pass quietly.
+    base = build_sequence(canonical_inputs()[2])
+    other = _swap_row(build_sequence(canonical_inputs()[3]), step_id, action)
+    for tables in ([(base,), (other,)], [(other,), (base,)]):
+        with pytest.raises(InvariantViolation, match=rf"^row {step_id}: inputs' tables may differ only"):
+            exact_run(tables)
+
+
+def test_inputs_need_equally_many_tables_of_equal_length():
+    psi3, psi4 = (build_sequence(spec) for spec in canonical_inputs()[2:4])
+    with pytest.raises(InvariantViolation, match="as many tables"):
+        exact_run([(psi3,), (psi4, psi4)])
+    for tables in ([(psi3,), (psi4[:-1],)], [(psi3[:-1],), (psi4,)]):
+        with pytest.raises(InvariantViolation, match=r"^row 35: "):
+            exact_run(tables)
+
+
+def test_a_negative_pulse_area_lasts_as_long_as_its_positive_form():
+    # R(-theta, phi) is R(theta, phi + pi). A negative area once lasted a
+    # negative time, running ion 1's detuning clock backwards: at
+    # detuning_bias_SD 0.01 the first form read P(bright) 0.208 and the
+    # second 0.131.
+    noise = NoiseConfig(detuning_bias_SD=0.01)
+    specs = (InputStateSpec(-0.5 * math.pi, 0.0), InputStateSpec(0.5 * math.pi, math.pi))
+    tables = [tuple(build_sequence(spec, 0.0, m) for m in MODES) for spec in specs]
+    negative, positive = exact_run(tables, noise)
+    _assert_same_run(negative, positive)
+    for t in tables:  # and each alone
+        _assert_same_run(exact_run([t], noise)[0], positive)
+    sampled = NoiseConfig(detuning_sigma_SD=0.01, depolarizing_per_pulse=0.025)
+    elapsed = [run_shot(t[0], sampled, 5, range(64)).elapsed_us for t in tables]
+    assert np.array_equal(elapsed[0], elapsed[1]) and elapsed[0].min() > 0.0
 
 
 @pytest.mark.parametrize("fock_cutoff", [3, 4, 6])
@@ -315,7 +459,7 @@ def test_zero_probability_branches_stay_out_of_the_probabilities(noise, fock_cut
     # also reached p_bright (3.4e266).
     for spec in canonical_inputs():
         tables = tuple(build_sequence(spec, 0.0, m) for m in MODES)
-        res = exact_run(tables, noise, quad_points=3, fock_cutoff=fock_cutoff)
+        res = exact_run([tables], noise, quad_points=3, fock_cutoff=fock_cutoff)[0]
         assert all(0.0 <= p <= 1.0 for p in res.p_bright)
         assert all(math.isfinite(f) for f in res.final_bright.values())
         assert {b for b, p in res.branch_probs.items() if p > 1e-12} == set(res.final_bright)
@@ -333,14 +477,14 @@ def test_fock_cutoff_2_trips_the_truncation_monitor(noise):
     # (noiseless P(bright) 0 for psi1, 0.5 for psi3-psi6) with no error.
     for spec in canonical_inputs():
         if spec.label == "psi2":  # ion 1 in D: the gate never reaches |S,1>
-            res = exact_run((build_sequence(spec),), noise, quad_points=3, fock_cutoff=2)
+            res = exact_run([(build_sequence(spec),)], noise, quad_points=3, fock_cutoff=2)[0]
             assert res.truncation_population <= TRUNCATION_BOUND
             continue
         with pytest.raises(InvariantViolation, match=r"^row 1[1-4]: ") as err:
-            exact_run((build_sequence(spec),), noise, quad_points=3, fock_cutoff=2)
+            exact_run([(build_sequence(spec),)], noise, quad_points=3, fock_cutoff=2)
         assert "fock_cutoff" in str(err.value)
         if noise == NoiseConfig():  # one more level makes the teleportation exact
-            res = exact_run((build_sequence(spec),), noise, fock_cutoff=3)
+            res = exact_run([(build_sequence(spec),)], noise, fock_cutoff=3)[0]
             assert abs(res.p_bright[0] - 1.0) <= 1e-9
 
 
@@ -395,7 +539,7 @@ def test_calibration_polynomial_matches_the_full_register_replay(monkeypatch, ca
     scan = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
     assert (basis(res.phi_star) @ coef)[0] >= (basis(scan) @ coef).max() - 1e-12
     # The reported fidelity is the polynomial's: the exact run at phi* agrees.
-    at_star = exact_run((build_sequence(spec, res.phi_star),), noise, quad_points=quad_points)
+    at_star = exact_run([(build_sequence(spec, res.phi_star),)], noise, quad_points=quad_points)[0]
     assert abs(res.fidelity - state_fidelity(at_star.rho_exp, spec.pure())) <= TOL
 
 
@@ -457,7 +601,7 @@ def test_lifetimes_come_from_the_sequence():
     assert _lifetimes(seq[:27], (2,)) == {0: 23, 1: 25, 2: 27, 3: 23}
 
     ref = full_register_replay([seq], noise, quad_points=3)
-    res = exact_run((seq,), noise, quad_points=3)
+    res = exact_run([(seq,)], noise, quad_points=3)[0]
     _assert_matches(res, ref)
     assert abs(res.p_bright[0] - ref["p_bright"][0]) <= TOL
     assert res.motional_residual > 0.1  # the late sideband moved motion the oracle sees too
@@ -473,7 +617,7 @@ def test_the_register_holds_only_the_levels_its_drives_reached():
     life = _lifetimes(seq, (2,))
 
     def after(row):
-        stack = protocol._evolve(tuple(s for s in seq if s.step_id <= row), life, noise, 3, 4)
+        stack = protocol._evolve([tuple(s for s in seq if s.step_id <= row)], life, noise, 3, 4)
         assert stack.rho.shape[1:] == tuple(len(lv) for lv in stack.levels) * 2
         return stack.levels
 
@@ -500,7 +644,7 @@ def test_detection_error_collapses_on_the_true_outcome():
     noise = NoiseConfig(detection_error=eps)
     spec = canonical_inputs()[2]
     seq = build_sequence(spec)
-    res = exact_run((seq,), noise=noise)
+    res = exact_run([(seq,)], noise=noise)[0]
     n, z_max = 600, 4.0
     shots = run_shot(seq, noise, 2024, range(n))
     branch = 2 * ~shots.pmt1 + ~shots.pmt2  # index into BRANCHES

@@ -162,7 +162,7 @@ def test_bell_preparation_fidelity_is_one_noiselessly():
 def test_uncorrected_branch_states_show_the_required_corrections():
     # With reconstruction off, each branch carries the inverse of its own
     # feed-forward correction: SS none, SD a bit flip, DS a phase flip, DD both.
-    res = exact_run((build_sequence(canonical_inputs()[0], reconstruction=False),))  # input |S>
+    res = exact_run([(build_sequence(canonical_inputs()[0], reconstruction=False),)])[0]  # input |S>
     pop_s = {b: res.branch_states[b].matrix[0, 0].real for b in BRANCHES}
     assert pop_s["SS"] == pytest.approx(1.0, abs=1e-9)
     assert pop_s["DS"] == pytest.approx(1.0, abs=1e-9)
@@ -175,7 +175,7 @@ def test_uncorrected_branch_states_show_the_required_corrections():
 
 @pytest.mark.parametrize("spec", canonical_inputs(), ids=lambda s: s.label)
 def test_noiseless_exact_fidelity_is_one(spec):
-    res = exact_run((build_sequence(spec),))
+    res = exact_run([(build_sequence(spec),)])[0]
     assert state_fidelity(res.rho_exp, spec.pure()) >= 1.0 - 1e-9
     for b in BRANCHES:
         assert res.branch_probs[b] == pytest.approx(0.25, abs=1e-9)
@@ -189,7 +189,7 @@ def test_unechoed_protocol_is_also_exact_noiselessly():
     # Dropping the echo block removes an iY on ion 3; the inverted
     # feed-forward conditions must absorb it exactly.
     for spec in (canonical_inputs()[0], canonical_inputs()[3], canonical_inputs()[5]):
-        res = exact_run((build_sequence(spec, spin_echo=False),))
+        res = exact_run([(build_sequence(spec, spin_echo=False),)])[0]
         assert state_fidelity(res.rho_exp, spec.pure()) >= 1.0 - 1e-9
         for b in BRANCHES:
             assert state_fidelity(res.branch_states[b], spec.pure()) >= 1.0 - 1e-9
@@ -232,7 +232,7 @@ def test_noiseless_shots_always_read_bright():
 def test_sampled_estimate_matches_exact_within_binomial_error():
     noise = NoiseConfig(depolarizing_per_pulse=0.02)
     spec = canonical_inputs()[5]
-    exact = state_fidelity(exact_run((build_sequence(spec),), noise).rho_exp, spec.pure())
+    exact = state_fidelity(exact_run([(build_sequence(spec),)], noise)[0].rho_exp, spec.pure())
     (n_bright,) = sample_counts([build_sequence(spec)], noise, 400, 11)
     value = n_bright / 400
     stderr = math.sqrt(max(value * (1.0 - value), 0.0) / 400)
@@ -323,7 +323,7 @@ def test_classical_baseline_is_two_thirds():
 
 def test_exact_path_rejects_amplitude_noise():
     with pytest.raises(ConfigError):
-        exact_run((build_sequence(canonical_inputs()[0]),), noise=NoiseConfig(amplitude_error_sigma=0.01))
+        exact_run([(build_sequence(canonical_inputs()[0]),)], noise=NoiseConfig(amplitude_error_sigma=0.01))
 
 
 def test_spin_echo_refocuses_detuning_noise():
@@ -331,8 +331,8 @@ def test_spin_echo_refocuses_detuning_noise():
     # reconstruction; without the echo that phase never refocuses
     noise = NoiseConfig(detuning_sigma_SD=0.002)
     spec = canonical_inputs()[0]
-    f_echo = state_fidelity(exact_run((build_sequence(spec),), noise).rho_exp, spec.pure())
-    f_bare = state_fidelity(exact_run((build_sequence(spec, spin_echo=False),), noise).rho_exp, spec.pure())
+    f_echo = state_fidelity(exact_run([(build_sequence(spec),)], noise)[0].rho_exp, spec.pure())
+    f_bare = state_fidelity(exact_run([(build_sequence(spec, spin_echo=False),)], noise)[0].rho_exp, spec.pure())
     assert f_bare < 0.6
     assert f_echo > 0.75
     assert f_echo > f_bare

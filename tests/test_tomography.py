@@ -756,7 +756,7 @@ def test_resolve_sampling_rules():
         resolve_sampling(quiet, "weird")
 
 
-@pytest.mark.parametrize("sampling, exact_runs", [("per-shot", 0), ("fast", 2)])
+@pytest.mark.parametrize("sampling, exact_runs", [("per-shot", 0), ("fast", 1)])
 def test_bright_counts_runs_the_exact_engine_only_for_counts_drawn_from_it(monkeypatch, sampling, exact_runs):
     # Trajectory counts never pay for exact runs: at paper noise with
     # uncorrelated dephasing those cost several times the trajectories.
@@ -778,7 +778,7 @@ def test_bright_counts_at_zero_shots_are_each_runs_p_bright_input_major():
     tables = [tuple(build_sequence(spec, 0.0, m) for m in modes) for spec in specs]
     runs, counts = bright_counts(tables, noise, 0, 3)
     assert counts == [p for res in runs for p in res.p_bright]
-    alone = [exact_run((seq,), noise).p_bright[0] for t in tables for seq in t]
+    alone = [exact_run([(seq,)], noise)[0].p_bright[0] for t in tables for seq in t]
     assert counts == pytest.approx(alone, abs=1e-15)
     assert len(set(np.round(counts, 6))) > 3  # the order is visible
 

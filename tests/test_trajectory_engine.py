@@ -217,7 +217,7 @@ def test_fock_cutoff_2_trips_the_truncation_bound_like_the_reference(spec):
         if spec.label == "psi2":
             assert run_shot(seq, noise, 2, range(8), fock_cutoff=2).final.shape == (8,)
             assert scalar_run_shot(seq, noise, 2, 0, fock_cutoff=2)
-            exact_run((seq,), noise, fock_cutoff=2)
+            exact_run([(seq,)], noise, fock_cutoff=2)
             continue
         with pytest.raises(InvariantViolation, match=r"^row 1[1-4]: .* exceeds TRUNCATION_BOUND") as scalar:
             scalar_run_shot(seq, noise, 2, 0, fock_cutoff=2)
@@ -228,7 +228,7 @@ def test_fock_cutoff_2_trips_the_truncation_bound_like_the_reference(spec):
             sample_counts([seq], noise, 8, 2, fock_cutoff=2)
         assert str(counted.value) == str(batched.value)
         with pytest.raises(InvariantViolation, match=r"^row 1[1-4]: .* exceeds TRUNCATION_BOUND") as exact:
-            exact_run((seq,), noise, fock_cutoff=2)
+            exact_run([(seq,)], noise, fock_cutoff=2)
         if noise.is_noiseless:  # one node, one pure state: the very same population
             assert str(exact.value) == str(batched.value)
 
@@ -278,7 +278,7 @@ def test_sampled_branch_and_outcome_law_matches_the_exact_engine(case):
     noise, spec, mode, options, nc, quad_points = case
     spec = canonical_inputs()[spec]
     seq = build_sequence(spec, 0.0, mode, **options)
-    res = exact_run((seq,), noise, fock_cutoff=nc, quad_points=quad_points)
+    res = exact_run([(seq,)], noise, fock_cutoff=nc, quad_points=quad_points)[0]
     expected = np.array(
         [
             res.branch_probs[b] * q
