@@ -74,8 +74,8 @@ class PulseDurations:
 
     def __post_init__(self):
         for name in ("carrier_pi", "sideband_pi", "hide_pi", "detect"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"pulse duration {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # refuses NaN as well
+                raise ConfigError(f"pulse duration {name} must be positive and finite")
 
     def of(self, pulse: trap.Pulse) -> float:
         if isinstance(pulse, Carrier):
@@ -106,14 +106,17 @@ class NoiseConfig:
     depolarizing_steps: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.detuning_sigma_SD < 0 or self.amplitude_error_sigma < 0:
-            raise ConfigError("noise sigmas must be nonnegative")
+        # Written so that NaN fails every range test.
+        if not (0 <= self.detuning_sigma_SD < math.inf and 0 <= self.amplitude_error_sigma < math.inf):
+            raise ConfigError("noise sigmas must be nonnegative and finite")
+        if not math.isfinite(self.detuning_bias_SD):
+            raise ConfigError("detuning_bias_SD must be finite")
         if not 0.0 <= self.depolarizing_per_pulse <= 1.0:
             raise ConfigError("depolarizing_per_pulse must be in [0, 1]")
         if not 0.0 <= self.detection_error <= 1.0:
             raise ConfigError("detection_error must be in [0, 1]")
-        if self.dephasing_ratio_H < 0:
-            raise ConfigError("dephasing_ratio_H must be nonnegative")
+        if not 0 <= self.dephasing_ratio_H < math.inf:
+            raise ConfigError("dephasing_ratio_H must be nonnegative and finite")
         if self.depolarizing_steps is not None:
             object.__setattr__(
                 self, "depolarizing_steps", tuple(int(s) for s in self.depolarizing_steps)

@@ -14,8 +14,10 @@ Two execution paths take the same tables, built once by build_sequence:
 * run_shot — pure-state trajectories with sampled noise, each keyed
   deterministically by (master_seed, shot_index) in noise.SHOT_BLOCK blocks.
   Shots of several sequences advance together as one (shots, 3, 3, 3,
-  fock_cutoff) array; feed-forward and rows where the sequences differ are
-  masks over shots, and the results are per-shot arrays (Shots).
+  fock_cutoff) array, stored with the shot axis innermost in memory and
+  updated in place by every drive and readout; feed-forward and rows where
+  the sequences differ are masks over shots, and the results are per-shot
+  arrays (Shots).
   sample_counts is the one source of sampled counts: it runs all sequences'
   shots in passes of SHOT_PASS, or draws from exact_run's P(bright);
 * exact_run — density-matrix evolution of every input's tables (one per
@@ -326,9 +328,11 @@ def sequence_text(steps: tuple[SequenceStep, ...]) -> str:
 
 #: X, Y, Z on a three-level ion, indexed by sample_pauli_index's k.
 _PAULI_STACK = np.stack(_site_paulis(3))
-#: Shots per run_shot call in sample_counts: bounds the stacked state whatever
-#: the shot total, while spreading each row's fixed cost over many shots.
-SHOT_PASS = 256
+#: Shots per run_shot call in sample_counts: bounds the stacked state (1.8 MB
+#: at fock_cutoff 4) whatever the shot total, while spreading each row's fixed
+#: cost over many shots; with the shot axis innermost, each elementwise pass
+#: runs over contiguous runs of this many amplitudes.
+SHOT_PASS = 1024
 
 
 def _row_plan(tables: list[tuple[SequenceStep, ...]], noise: NoiseConfig) -> list[tuple]:
@@ -392,10 +396,12 @@ def run_shot(
 
     `shot_index` is a range or 1-D array of indices, one shot each. All shots
     advance together as one (shots, 3, 3, 3, fock_cutoff) array, one row at a
-    time. Each shot's randomness is keyed by (master_seed, shot_index) alone,
-    in the block layout of sample_shot_noise, and its draws are indexed by
-    step id, so a skipped conditional pulse never shifts another step's noise
-    and a shot's outcomes do not depend on the other shots.
+    time: a view of a (3, 3, 3, fock_cutoff, shots) buffer, shot axis
+    innermost in memory, which every drive and readout updates in place.
+    Each shot's randomness is keyed by (master_seed, shot_index) alone, in
+    the block layout of sample_shot_noise, and its draws are indexed by step
+    id, so a skipped conditional pulse never shifts another step's noise and
+    a shot's outcomes do not depend on the other shots.
 
     With a list of tables as `sequence`, `sequence_index` gives each shot's
     table and `master_seed` may give each shot's seed; `plan`, the tables'
@@ -417,7 +423,9 @@ def run_shot(
     rates = np.stack([np.zeros_like(shot.detuning_SD), shot.detuning_SD, shot.detuning_H], axis=-1)
     rates = rates if np.any(rates) else None
 
-    psi = np.zeros((index.size,) + (3,) * N_IONS + (fock_cutoff,), dtype=np.complex128)
+    # Shots innermost: each elementwise pass of a drive runs over contiguous
+    # runs of all shots, not over the few amplitudes one shot holds per pair.
+    psi = np.moveaxis(np.zeros((3,) * N_IONS + (fock_cutoff, index.size), dtype=np.complex128), -1, 0)
     psi[(slice(None),) + (S,) * N_IONS + (0,)] = 1.0  # all ions in S, motion in |n=0>
     elapsed = np.zeros(index.size)
     # A flip mid-gate legitimately drives population up the truncated Fock
@@ -439,13 +447,12 @@ def run_shot(
         elapsed = elapsed + np.where(fired, duration, 0.0)
 
         if isinstance(pulse, Detect):  # the unreleased phases commute with the projectors
-            bright[pulse.label], psi = fluorescence_measure(
-                psi, pulse.ion, shot.meas_u[:, col], noise.detection_error
-            )
+            bright[pulse.label], _ = fluorescence_measure(psi, pulse.ion, shot.meas_u[:, col], noise.detection_error)
         elif np.any(on):
             if isinstance(pulse, BlueSideband):
-                top = np.abs(psi[(slice(None),) * (1 + pulse.ion) + (S, ..., -1)]) ** 2  # (shots, other two ions)
-                top = np.where(on, top.sum(axis=(1, 2)), 0.0)
+                top = psi[(slice(None),) * (1 + pulse.ion) + (S, ..., -1)]  # (shots, other two ions)
+                # summed in C order: each shot's sum then runs in one order whatever the shot count
+                top = np.where(on, (np.abs(top, order="C") ** 2).sum(axis=(1, 2)), 0.0)
                 _check_truncation(step_id, pulse.ion, fock_cutoff, top[~flipped])
                 truncation = np.maximum(truncation, top)
             phase = None
@@ -455,11 +462,11 @@ def run_shot(
             theta = np.where(on, theta, 0.0)
             if noise.amplitude_error_sigma != 0.0:  # otherwise every factor is exactly 1
                 theta = theta * shot.amplitude_factors[:, col]
-            psi = apply_pulse(psi, replace(pulse, theta=theta, phi=phi), phase)
+            apply_pulse(psi, replace(pulse, theta=theta, phi=phi), phase)
             if isinstance(pulse, (Carrier, BlueSideband)) and noise.depolarizing_applies(step_id):
                 k = sample_pauli_index(shot.depol_u[:, col], noise.depolarizing_per_pulse)
                 hit = (k >= 0) & on
-                if np.any(hit):  # psi is apply_pulse's fresh array, this pass's own
+                if np.any(hit):
                     psi[hit] = apply_site(psi[hit], _PAULI_STACK[k[hit]], pulse.ion)
                     flipped |= hit
 
@@ -860,9 +867,11 @@ def exact_run(
     whose readout splits the entries like pmt1 and pmt2: P(bright) is the
     weight of the `final` = Bright entries. One ExactRun per input, in
     order: `final_bright` belongs to its first table; `p_bright` holds each
-    of its tables' reported P(bright), in order.
+    of its tables' reported P(bright), in order; no inputs give no runs.
     """
     _check_exact_noise(noise, "exact_run")
+    if not tables:
+        return []
     if len({len(t) for t in tables}) > 1:
         raise InvariantViolation("every input needs as many tables as the others")
     heads = [[[(s.step_id, s.action) for s in seq if s.step_id < _ANALYSIS_ROW] for seq in t] for t in tables]

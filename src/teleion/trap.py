@@ -2,9 +2,13 @@
 
 Level layout per ion: S = 0 (bright qubit ground), D = 1 (metastable qubit
 excited), H = 2 (hideout level reached from S, invisible to the PMT together
-with D). The trajectory engine's state is one complex array of shape
+with D). The trajectory engine's state is one complex array of logical shape
 (shots,) + (3,)*n_ions + (fock_cutoff,), one pure state per shot, with the
-motional mode last; protocol.run_shot owns it and keeps the clock.
+motional mode last; protocol.run_shot owns it and keeps the clock. run_shot
+stores it with the shot axis innermost in memory (a moveaxis view of a
+(3,)*n_ions + (fock_cutoff, shots) buffer), so each amplitude's shots are one
+contiguous run; apply_pulse and fluorescence_measure take any memory order
+and write the array they are given in place.
 
 Pulse zoo:
 
@@ -133,8 +137,8 @@ def _check_ion(n_ions: int, ion: int) -> None:
 
 # ---------------------------------------------------------------------------
 # The trajectory engine: drives and readouts on a stack of shots, the array
-# (shots,) + (3,)*n_ions + (fock_cutoff,). The exact engine applies the local
-# matrices above.
+# (shots,) + (3,)*n_ions + (fock_cutoff,) in any memory order, updated in
+# place. The exact engine applies the local matrices above.
 
 def apply_site(psi: np.ndarray, op: np.ndarray, site: int) -> np.ndarray:
     """Apply a single-site operator to subsystem `site` of a stack of shots.
@@ -147,10 +151,14 @@ def apply_site(psi: np.ndarray, op: np.ndarray, site: int) -> np.ndarray:
     return (op[..., None, :, :] @ x).reshape(shape)
 
 
-def _rotate(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A 2x2 rotation, or one per shot along a's leading axis, on amplitude pairs (a, b)."""
+def _rotate(a: np.ndarray, b: np.ndarray, rot: np.ndarray) -> None:
+    """A 2x2 rotation, or one per shot along a's leading axis, on amplitude pairs (a, b), in place."""
     r = rot.reshape(rot.shape[:-2] + (1,) * (a.ndim + 2 - rot.ndim) + (2, 2))
-    return r[..., 0, 0] * a + r[..., 0, 1] * b, r[..., 1, 0] * a + r[..., 1, 1] * b
+    upper = r[..., 0, 1] * b  # a's new value needs the b that the next line overwrites
+    np.multiply(r[..., 1, 1], b, out=b)
+    b += r[..., 1, 0] * a
+    np.multiply(r[..., 0, 0], a, out=a)
+    a += upper
 
 
 def _phased(rot: np.ndarray, phase: np.ndarray | None, upper: int) -> np.ndarray:
@@ -164,8 +172,11 @@ def _phased(rot: np.ndarray, phase: np.ndarray | None, upper: int) -> np.ndarray
 
 
 def apply_pulse(psi: np.ndarray, pulse: Pulse, phase: np.ndarray | None = None) -> np.ndarray:
-    """A drive on a stack of shots; returns a new array.
+    """A drive on a stack of shots, written into `psi` in place; returns `psi`.
 
+    `psi` may be any strided view of the stack, such as run_shot's
+    shot-innermost one: the drive reaches its level pairs through basic-index
+    views and never reshapes, which would silently copy such a view.
     `pulse.theta` and `pulse.phi` may hold one value per shot. `phase`, shape
     (shots, 3), holds factors on the driven ion's S, D and H applied just
     before the drive (a free-evolution phase; S's factor, the frame's, must
@@ -178,27 +189,25 @@ def apply_pulse(psi: np.ndarray, pulse: Pulse, phase: np.ndarray | None = None) 
     _check_ion(psi.ndim - 2, pulse.ion)
     # Every drive is a set of 2x2 rotations on pairs of levels: {S, D} or
     # {S, H} of the ion, or each |S,n>,|D,n+1> block of a sideband.
-    shape, ion = psi.shape, pulse.ion
-    lead = (shape[0], math.prod(shape[1:ion + 1]), 3)
+    lead = (slice(None),) * (1 + pulse.ion)  # every shot, every level of the ions before the driven one
+
+    def scale(view: np.ndarray, level: int) -> None:  # each shot's phase factor of `level`, in place
+        view *= phase[:, level].reshape((-1,) + (1,) * (view.ndim - 1))
+
     if isinstance(pulse, (Carrier, Hide)):
         upper, idle = (D, H) if isinstance(pulse, Carrier) else (H, D)
-        x = psi.reshape(lead + (math.prod(shape[ion + 2:]),)).copy()
         rot = _phased(rotation_2x2(pulse.theta, pulse.phi), phase, upper)
         if phase is not None:
-            x[..., idle, :] *= phase[..., idle, None, None]
-        x[..., S, :], x[..., upper, :] = _rotate(x[..., S, :], x[..., upper, :], rot)
+            scale(psi[lead + (idle,)], idle)
+        _rotate(psi[lead + (S,)], psi[lead + (upper,)], rot)
     else:
-        nc = shape[-1]
-        x = psi.reshape(lead + (math.prod(shape[ion + 2:-1]), nc)).copy()
         if phase is not None:
-            x[..., D, :, 0] *= phase[..., D, None, None]
-            x[..., H, :, :] *= phase[..., H, None, None, None]
-        for n in range(nc - 1):
+            scale(psi[lead + (D, ..., 0)], D)
+            scale(psi[lead + (H,)], H)
+        for n in range(psi.shape[-1] - 1):
             rot = _phased(rotation_2x2(np.multiply(pulse.theta, math.sqrt(n + 1)), pulse.phi), phase, D)
-            x[..., S, :, n], x[..., D, :, n + 1] = _rotate(
-                x[..., S, :, n], x[..., D, :, n + 1], rot
-            )
-    return x.reshape(shape)
+            _rotate(psi[lead + (S, ..., n)], psi[lead + (D, ..., n + 1)], rot)
+    return psi
 
 
 def bright_projector_mask(n_ions: int, fock_cutoff: int, ion: int) -> np.ndarray:
@@ -214,26 +223,30 @@ def bright_projector_mask(n_ions: int, fock_cutoff: int, ion: int) -> np.ndarray
 def fluorescence_measure(
     psi: np.ndarray, ion: int, u: np.ndarray, detection_error: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projective S-vs-{D,H} readout of a stack of shots.
+    """Projective S-vs-{D,H} readout of a stack of shots, collapsing `psi` in place.
 
     `u`, shape (shots, 2), holds each shot's uniforms: the first decides the
-    collapse, the second the report flip. Returns (reported, collapsed):
-    reported Bright per shot (bool), and the states collapsed on the *true*
-    outcome; with detection error epsilon the report flips with probability
-    epsilon.
+    collapse, the second the report flip. Returns (reported, psi): reported
+    Bright per shot (bool), and `psi` itself, each shot collapsed on its
+    *true* outcome (the rejected levels zeroed, the rest divided by the
+    shot's norm); with detection error epsilon the report flips with
+    probability epsilon. `psi` may be any strided view of the stack; each
+    shot's populations are summed from a C-ordered copy, so a shot's result
+    depends neither on the memory order nor on the other shots.
     """
     _check_ion(psi.ndim - 2, ion)
-    flat = psi.reshape(psi.shape[0], math.prod(psi.shape[1:]))
-    mask = bright_projector_mask(psi.ndim - 2, psi.shape[-1], ion).reshape(-1)
-    p_bright = np.sum(np.abs(flat[..., mask]) ** 2, axis=-1)
-    p_bright = np.clip(p_bright, 0.0, 1.0)
-    true = u[..., 0] < p_bright
+    mask = bright_projector_mask(psi.ndim - 2, psi.shape[-1], ion)
+    weight = np.abs(psi, order="C").reshape(psi.shape[0], mask.size)
+    np.square(weight, out=weight)
+    # np.compress keeps each shot's entries contiguous (a boolean index would not)
+    p_bright, p_dark = (np.compress(m, weight, axis=1).sum(axis=-1) for m in (mask.ravel(), ~mask.ravel()))
+    true = u[..., 0] < np.clip(p_bright, 0.0, 1.0)
 
-    collapsed = np.where(true[..., None] == mask, flat, 0.0)
-    norm = np.linalg.norm(collapsed, axis=-1)
+    norm = np.sqrt(np.where(true, p_bright, p_dark))
     if np.any(norm == 0.0):
         raise InvariantViolation("measurement collapsed onto a zero branch")
-    collapsed = collapsed / norm[..., None]
+    np.copyto(psi, 0.0, where=true.reshape((-1,) + (1,) * mask.ndim) != mask)
+    psi /= norm.reshape((-1,) + (1,) * mask.ndim)
 
     reported = true ^ ((detection_error > 0.0) & (u[..., 1] < detection_error))
-    return reported, collapsed.reshape(psi.shape)
+    return reported, psi

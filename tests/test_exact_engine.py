@@ -314,6 +314,11 @@ def test_tables_of_one_exact_run_must_share_every_row_before_34():
         exact_run([(psi1, psi2)])
 
 
+def test_an_exact_run_of_no_inputs_has_no_runs():
+    assert exact_run([]) == []
+    assert exact_run([], NoiseConfig(**PAPER), quad_points=3) == []
+
+
 def _assert_same_run(a, b, tol=TOL):
     """Every ExactRun field of `a` within `tol` of `b`'s, with the same branches."""
     for name in ("branch_probs", "branch_states", "final_bright"):

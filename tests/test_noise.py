@@ -41,6 +41,24 @@ def test_noise_config_validation_and_noiseless_flag():
         NoiseConfig(detection_error=-0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls,name",
+    [
+        *((NoiseConfig, name) for name in (
+            "detuning_sigma_SD", "detuning_bias_SD", "dephasing_ratio_H", "amplitude_error_sigma",
+            "depolarizing_per_pulse", "detection_error",
+        )),
+        *((PulseDurations, name) for name in ("carrier_pi", "sideband_pi", "hide_pi", "detect")),
+    ],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_noise_and_durations_refuse_non_finite_values(cls, name, value):
+    # A library caller builds these directly, past the CLI's strict-JSON gate.
+    with pytest.raises(ConfigError):
+        cls(**{name: value})
+
+
 def test_shot_noise_is_deterministic_in_seed_and_index():
     cfg = NoiseConfig(detuning_sigma_SD=0.01, amplitude_error_sigma=0.05)
     a = sample_shot_noise(cfg, 7, np.array([3]))

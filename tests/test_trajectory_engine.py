@@ -208,6 +208,21 @@ def test_a_shots_outcomes_do_not_depend_on_the_other_shots():
         run_shot(seq, noise, 8, 4)
 
 
+def test_a_shot_alone_reads_what_it_reads_in_a_batch():
+    # At cutoff 3 a sideband's truncation read sums several nonzero
+    # populations for some shots; summed in the register's memory order
+    # (shot axis innermost), a shot alone would get other last bits than the
+    # same shot in a batch. Seed 8 has such shots among its first 64.
+    noise, spec, mode, options, nc = MATRIX["fock cutoff 3"]
+    seq = build_sequence(canonical_inputs()[spec], 0.0, mode, **options)
+    index = np.arange(64)
+    batch = run_shot(seq, noise, 8, index, fock_cutoff=nc)
+    for k in index:
+        one = run_shot(seq, noise, 8, index[k : k + 1], fock_cutoff=nc)
+        for name in SHOT_FIELDS:
+            assert np.array_equal(getattr(one, name), getattr(batch, name)[k : k + 1]), (k, name)
+
+
 @pytest.mark.parametrize("spec", canonical_inputs(), ids=lambda spec: spec.label)
 def test_fock_cutoff_2_trips_the_truncation_bound_like_the_reference(spec):
     # At cutoff 2 the phase gate finds half the population on ion 1's |S, n=1>
@@ -295,7 +310,7 @@ def test_sampled_branch_and_outcome_law_matches_the_exact_engine(case):
     assert chi2 <= CHI2_BOUND_7DOF, (chi2, observed, expected.round(1))
 
 
-@pytest.mark.parametrize("shot_pass", [7, 256])
+@pytest.mark.parametrize("shot_pass", [7, 256, 1024])
 def test_sample_counts_of_mixed_sequences_match_the_scalar_reference(shot_pass, monkeypatch):
     # Two seed groups of all six inputs x three bases advance together; rows 9
     # and 34 differ between sequences (row 34 is a wait in the Z basis). With

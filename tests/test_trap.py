@@ -7,6 +7,7 @@ acting on (lower, upper) = (S, D); they pin the sign/phase conventions that
 every sequence milestone depends on.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from teleion.trap import (
     D,
     H,
     S,
+    BlueSideband,
     Carrier,
     Detect,
     Hide,
@@ -23,6 +25,7 @@ from teleion.trap import (
     Wait,
     apply_pulse,
     bright_projector_mask,
+    carrier_local,
     fluorescence_measure,
     hide_local,
     rotation_2x2,
@@ -163,6 +166,86 @@ def test_hidden_population_never_fluoresces():
     psi = apply_pulse(ground(1, 1, 2), Hide(0, PI, 0.0))
     reported, post = fluorescence_measure(psi, 0, np.random.default_rng(2).random((1, 2)))
     assert reported.tolist() == [False]
+
+
+def random_stack(rng, shots, n_ions, fock_cutoff):
+    """`shots` random normalized states, C-ordered."""
+    shape = (shots,) + (3,) * n_ions + (fock_cutoff,)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return psi / np.linalg.norm(psi.reshape(shots, -1), axis=-1).reshape((-1,) + (1,) * (n_ions + 1))
+
+
+def shot_innermost(psi):
+    """A copy of `psi` with the shot axis innermost in memory, seen in psi's logical layout."""
+    view = np.moveaxis(np.empty(psi.shape[1:] + psi.shape[:1], dtype=psi.dtype), -1, 0)
+    view[...] = psi
+    return view
+
+
+def driven_by_local_matrices(psi, pulse, phase):
+    """Each shot of `psi` after diag(phase) and the pulse's local matrix on its ion (and motion)."""
+    out = np.empty_like(psi)
+    nc, thetas = psi.shape[-1], np.broadcast_to(pulse.theta, psi.shape[:1])
+    for k, x in enumerate(psi):
+        x = np.moveaxis(x, (pulse.ion, -1), (0, 1))  # (ion level, motion, other ions)
+        if isinstance(pulse, BlueSideband):
+            u = sideband_local(thetas[k], pulse.phi, nc) * np.repeat(phase[k], nc)
+            y = (u @ x.reshape(3 * nc, -1)).reshape(x.shape)
+        else:
+            local = carrier_local if isinstance(pulse, Carrier) else hide_local
+            y = np.tensordot(local(thetas[k], pulse.phi) * phase[k], x, axes=(1, 0))
+        out[k] = np.moveaxis(y, (0, 1), (pulse.ion, -1))
+    return out
+
+
+@pytest.mark.parametrize("per_shot_area", [False, True])
+@pytest.mark.parametrize(
+    "pulse", [Carrier(1, 0.7, 0.3), Hide(0, 1.1, -0.4), BlueSideband(2, 0.9, 1.2), BlueSideband(0, 2.3, -0.8)],
+    ids=repr,
+)
+def test_apply_pulse_drives_any_memory_order_in_place(pulse, per_shot_area):
+    # run_shot keeps the shot axis innermost in memory; a C-ordered stack and
+    # that view must take the same drive, written into the array passed in.
+    rng = np.random.default_rng(11)
+    shots = 5
+    stack = random_stack(rng, shots, 3, 4)
+    phase = np.exp(1j * rng.normal(size=(shots, 3)))
+    phase[:, S] = 1.0
+    if per_shot_area:
+        pulse = replace(pulse, theta=pulse.theta * (1.0 + 0.1 * rng.normal(size=shots)))
+    expected = driven_by_local_matrices(stack, pulse, phase)
+    view = shot_innermost(stack)
+    assert stack.flags.c_contiguous and not view.flags.c_contiguous
+    for psi in (stack, view):
+        assert apply_pulse(psi, pulse, phase) is psi
+    assert np.abs(stack - view).max() <= 1e-15
+    assert np.abs(stack - expected).max() <= 1e-12
+
+
+def test_fluorescence_measure_collapses_any_memory_order_in_place():
+    rng = np.random.default_rng(12)
+    shots, ion = 6, 1
+    stack = random_stack(rng, shots, 3, 4)
+    u = np.column_stack([np.linspace(0.05, 0.95, shots), rng.random(shots)])
+    view = shot_innermost(stack)
+    alone = [shot_innermost(stack[k : k + 1]) for k in range(shots)]
+    reports = []
+    for psi in (stack, view):
+        reported, post = fluorescence_measure(psi, ion, u, detection_error=0.3)
+        assert post is psi
+        reports.append(reported)
+    assert np.array_equal(*reports)
+    assert np.abs(stack - view).max() <= 1e-15
+    # a shot measured alone collapses to the very amplitudes it gets in the stack
+    for k, psi in enumerate(alone):
+        assert fluorescence_measure(psi, ion, u[k : k + 1], detection_error=0.3)[0] == reports[0][k]
+        assert np.array_equal(psi[0], view[k])
+    # each shot keeps only its true outcome's levels, renormalized
+    levels = np.moveaxis(stack, 1 + ion, 1)  # (shots, ion level, ...)
+    bright = levels[:, S].reshape(shots, -1).any(axis=-1)
+    assert 0 < np.count_nonzero(bright) < shots
+    assert not np.where(bright[:, None, None, None, None], levels[:, D:], levels[:, :D]).any()
+    assert np.allclose(np.linalg.norm(stack.reshape(shots, -1), axis=-1), 1.0, atol=1e-15)
 
 
 def test_outcome_flip():
