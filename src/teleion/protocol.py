@@ -72,10 +72,6 @@ PI = math.pi
 N_IONS = 3
 #: The target ion, the one subsystem the exact engine keeps to the last row.
 _TARGET = N_IONS - 1
-#: First step of the reconstruction/analysis tail, the rows that carry the
-#: calibration phase offset: calibration replays rows from here to 33 per
-#: fit phase on the stack advanced through the rows before it.
-_TAIL_START = 30
 #: The mode-dependent analysis row; every row before it is shared by all modes.
 _ANALYSIS_ROW = 34
 #: Largest population a blue sideband may find on its ion's |S, fock_cutoff-1>,
@@ -265,17 +261,6 @@ def build_sequence(
     )
     _validate_sequence(steps)
     return steps
-
-
-def _shift_phases(steps: tuple[SequenceStep, ...], offset: float) -> tuple[SequenceStep, ...]:
-    """`steps` with `offset` added to every pulse phase, conditional pulses included:
-    applied to build_sequence's phase-0 tail, the tail built with that phase_offset."""
-    def shift(action):
-        if isinstance(action, ConditionalPulse):
-            return replace(action, pulse=shift(action.pulse))
-        return replace(action, phi=action.phi + offset) if hasattr(action, "phi") else action
-
-    return tuple(replace(s, action=shift(s.action)) for s in steps)
 
 
 def _validate_sequence(steps: tuple[SequenceStep, ...]) -> None:
@@ -950,7 +935,7 @@ def _qubit_block(rho3: np.ndarray) -> DensityMatrix:
 @dataclass(frozen=True)
 class CalibrationResult:
     phi_star: float
-    fidelity: float  # the fitted polynomial at phi_star: the reference input's exact fidelity there
+    fidelity: float  # the fitted polynomial at phi_star: psi6's exact fidelity there
     grid_phis: np.ndarray
     grid_fidelities: np.ndarray
     residual: float  # the tripwire replay's miss of the fitted polynomial
@@ -992,7 +977,6 @@ def _phase_fit(samples) -> tuple[float, np.ndarray, float]:
 
 def calibrate_phase(
     noise: NoiseConfig = NoiseConfig(),
-    reference_input: InputStateSpec | None = None,
     *,
     grid: int = 32,
     quad_points: int | None = None,
@@ -1001,44 +985,39 @@ def calibrate_phase(
     standby_wait_us: float = 1.0,
     rephase_wait_us: float = 300.0,
 ) -> CalibrationResult:
-    """The tail phase offset that maximises the reference input's exact fidelity F.
+    """The tail phase offset that maximises psi6's exact fidelity F.
 
-    Advances the stacked live register once, NODE_PASS quadrature nodes at a
-    time, through the phase-independent rows up to 29; each of _FIT_PHASES
-    then advances only rows 30-33, the phase = 0 rows with every pulse phase
-    shifted, on that stack. The shift conjugates the tail by a z rotation of
-    ion 3, so F is a degree-2 trigonometric polynomial of the offset: five
-    replays fix it, a sixth checks it (`residual`), and `_phase_fit` gives
-    its maximum in closed form, and `fidelity` its value there.
-    `grid_fidelities` are its values at `grid` evenly spaced phases.
+    build_sequence builds psi6's table at each of _FIT_PHASES; rows 34-35
+    are left out. The rows before the first one where those tables differ
+    (row 30, where the offset starts) advance once on the stacked live
+    register, NODE_PASS quadrature nodes at a time, and each table's own
+    tail, rows 30-33, then advances on that stack. The offset conjugates the
+    tail by a z rotation of ion 3, so F is a degree-2 trigonometric
+    polynomial of it: five replays fix it, a sixth checks it (`residual`),
+    and `_phase_fit` gives its maximum in closed form, and `fidelity` its
+    value there. `grid_fidelities` are its values at `grid` evenly spaced
+    phases.
     """
     _check_exact_noise(noise, "calibrate_phase")
     if grid < 8:
         raise ConfigError("calibration grid needs at least 8 points")
-    if reference_input is None:
-        reference_input = canonical_inputs()[5]  # +x superposition: phase-sensitive
-
-    base_seq = build_sequence(
-        reference_input,
-        0.0,
-        FidelityCheck(),
-        standby_wait_us=standby_wait_us,
-        rephase_wait_us=rephase_wait_us,
-        spin_echo=spin_echo,
-    )
-    life = _lifetimes(base_seq, (_TARGET,))
-    fixed = sum(s.step_id < _TAIL_START for s in base_seq)
-    stack = _evolve([base_seq[:fixed]], life, noise, quad_points, fock_cutoff)
-    tail = tuple(s for s in base_seq[fixed:] if s.step_id < _ANALYSIS_ROW)
-    psi = reference_input.ket()
-
-    def fidelity_at(phi: float) -> float:
-        end = _advance(stack, [_shift_phases(tail, phi)], life, fixed, noise, fock_cutoff)
+    psi6 = canonical_inputs()[5]  # +x superposition: phase-sensitive
+    tables = [
+        tuple(s for s in build_sequence(psi6, phi, FidelityCheck(), standby_wait_us=standby_wait_us,
+                                        rephase_wait_us=rephase_wait_us, spin_echo=spin_echo)
+              if s.step_id < _ANALYSIS_ROW)
+        for phi in _FIT_PHASES
+    ]
+    fixed = next(i for i, row in enumerate(zip(*tables)) if len(set(row)) > 1)
+    life = _lifetimes(tables[0], (_TARGET,))
+    stack = _evolve([tables[0][:fixed]], life, noise, quad_points, fock_cutoff)
+    psi, samples = psi6.ket(), []
+    for table in tables:
+        end = _advance(stack, [table[fixed:]], life, fixed, noise, fock_cutoff)
         rho3 = np.einsum("e,eab->ab", end.weight, _reduced(end, (_TARGET,)))[:2, :2]
-        tr = float(np.real(np.trace(rho3)))
-        return float(np.real(psi.conj() @ rho3 @ psi)) / tr
+        samples.append(float(np.real(psi.conj() @ rho3 @ psi)) / float(np.real(np.trace(rho3))))
 
-    phi_star, coef, residual = _phase_fit([fidelity_at(p) for p in _FIT_PHASES])
+    phi_star, coef, residual = _phase_fit(samples)
     phis = np.linspace(0.0, 2.0 * PI, grid, endpoint=False)
     fidelity = float((_trig_basis(phi_star) @ coef)[0])
     return CalibrationResult(phi_star, fidelity, phis, _trig_basis(phis) @ coef, residual)

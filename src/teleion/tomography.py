@@ -89,6 +89,11 @@ class CountsTable:
         got = [(b, o) for b, o, _ in self.rows]
         if got != expected:
             raise ConfigError(f"counts rows must be ordered {expected}, got {got}")
+        for b, o, c in self.rows:
+            if not math.isfinite(c):
+                raise ConfigError(f"counts row ({b}, {o}): count {c} is not finite")
+        if not math.isfinite(self.total_shots_per_basis):
+            raise ConfigError(f"total shots per basis {self.total_shots_per_basis} is not finite")
         for basis in BASES:
             subtotal = sum(c for b, _, c in self.rows if b == basis)
             if abs(subtotal - self.total_shots_per_basis) > 1e-9 * max(
@@ -131,13 +136,19 @@ def counts_to_csv(table: CountsTable) -> str:
 
 
 def counts_from_csv(text: str) -> CountsTable:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "basis,outcome,count":
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != "basis,outcome,count":
         raise ConfigError("counts CSV must start with 'basis,outcome,count'")
     rows = []
-    for ln in lines[1:]:
-        b, o, c = ln.split(",")
-        rows.append((b, o, float(c)))
+    for n, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != 3:
+            raise ConfigError(f"counts CSV line {n}: expected basis,outcome,count, got {ln!r}")
+        b, o, c = fields
+        try:
+            rows.append((b, o, float(c)))
+        except ValueError:
+            raise ConfigError(f"counts CSV line {n}: count {c!r} is not a number") from None
     totals = {b: sum(c for bb, _, c in rows if bb == b) for b in BASES}
     total = totals[BASES[0]]
     return CountsTable(tuple(rows), total)

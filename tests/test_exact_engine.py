@@ -494,17 +494,23 @@ def test_fock_cutoff_2_trips_the_truncation_monitor(noise):
 
 
 @pytest.mark.parametrize(
-    "noise",
-    [NoiseConfig(detection_error=0.05, **PAPER), NoiseConfig(detuning_bias_SD=0.001)],
-    ids=["paper noise + detection error", "detuning bias"],
+    "noise, table",
+    [
+        (NoiseConfig(detection_error=0.05, **PAPER), {}),
+        (NoiseConfig(detuning_bias_SD=0.001), {}),
+        # The table settings must reach all six fit tables: this grid is up to
+        # 0.017 away from the default table's.
+        (NoiseConfig(**PAPER), dict(spin_echo=False, standby_wait_us=5.0, rephase_wait_us=150.0)),
+    ],
+    ids=["paper noise + detection error", "detuning bias", "paper noise, no echo, other waits"],
 )
-def test_calibration_grid_matches_the_full_register_replay(noise):
+def test_calibration_grid_matches_the_full_register_replay(noise, table):
     grid, quad_points = 8, 2
-    res = calibrate_phase(noise, grid=grid, quad_points=quad_points)
+    res = calibrate_phase(noise, grid=grid, quad_points=quad_points, **table)
     spec = canonical_inputs()[5]
     psi = spec.ket()
     for phi, f in zip(res.grid_phis, res.grid_fidelities):
-        rho = full_register_replay([build_sequence(spec, phi)], noise, quad_points=quad_points)
+        rho = full_register_replay([build_sequence(spec, phi, **table)], noise, quad_points=quad_points)
         assert abs(f - float(np.real(psi.conj() @ rho["rho_exp"] @ psi))) <= TOL
 
 
@@ -578,7 +584,7 @@ def test_node_passes_split_mid_stack_and_still_match_the_full_register_replay(mo
     for case in ("uncorrelated dephasing", "detection error"):
         test_exact_run_matches_the_full_register_replay(case)
     for noise in (NoiseConfig(detection_error=0.05, **PAPER), NoiseConfig(detuning_bias_SD=0.001)):
-        test_calibration_grid_matches_the_full_register_replay(noise)
+        test_calibration_grid_matches_the_full_register_replay(noise, {})
     test_fock_cutoff_2_trips_the_truncation_monitor(NoiseConfig(**PAPER))
 
 

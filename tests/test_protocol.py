@@ -21,7 +21,6 @@ from teleion.protocol import (
     Tomography,
     _FIT_PHASES,
     _phase_fit,
-    _shift_phases,
     _trig_basis,
     bell_preparation_fidelity,
     branch_label,
@@ -99,16 +98,6 @@ def test_phase_offset_only_touches_the_tail():
         if sa.step_id < 30:
             assert sa.action == sb.action
     assert b[29].action.phi == a[29].action.phi + 0.3
-
-
-@pytest.mark.parametrize("spin_echo", [True, False])
-def test_shifting_the_zero_phase_tail_builds_the_offset_tail(spin_echo):
-    # calibrate_phase replays rows 30-33 by shifting the phase = 0 rows
-    spec = canonical_inputs()[5]
-    tail = build_sequence(spec, 0.0, spin_echo=spin_echo)[29:33]
-    assert sum(isinstance(s.action, ConditionalPulse) for s in tail) == 3
-    for phi in (0.0, 0.3, -1.1, 2.0 * PI - 1e-3, 4.7):
-        assert _shift_phases(tail, phi) == build_sequence(spec, phi, spin_echo=spin_echo)[29:33]
 
 
 def test_row_34_depends_on_analysis_mode():

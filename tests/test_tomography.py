@@ -133,6 +133,36 @@ def test_counts_csv_round_trip():
         counts_from_csv("wrong,header\n")
 
 
+_GOOD_CSV = ["basis,outcome,count", "Z,Bright,3", "Z,Dark,7", "X,Bright,5", "X,Dark,5", "Y,Bright,4", "Y,Dark,6"]
+
+
+@pytest.mark.parametrize(
+    "line, value, message",
+    [
+        (2, "Z,Bright", r"line 2: expected basis,outcome,count, got 'Z,Bright'"),
+        (4, "X,Bright,5,1", r"line 4: expected basis,outcome,count"),
+        (3, "Z,Dark,x", r"line 3: count 'x' is not a number"),
+        (2, "Z,Bright,nan", r"row \(Z, Bright\): count nan is not finite"),
+        (5, "X,Dark,inf", r"row \(X, Dark\): count inf is not finite"),
+        (2, "Z,Bright,inf", r"row \(Z, Bright\): count inf is not finite"),
+        (7, "Y,Dark,-inf", r"row \(Y, Dark\): count -inf is not finite"),
+    ],
+    ids=["two fields", "four fields", "not a number", "nan", "inf in X", "inf in Z", "-inf"],
+)
+def test_malformed_or_non_finite_counts_csv_is_a_config_error_naming_its_line_or_row(line, value, message):
+    lines = list(_GOOD_CSV)
+    lines[line - 1] = value
+    with pytest.raises(ConfigError, match=message):
+        counts_from_csv("\n".join(lines) + "\n")
+    assert counts_from_csv("\n".join(_GOOD_CSV) + "\n").total_shots_per_basis == 10.0
+
+
+def test_a_non_finite_total_is_a_config_error():
+    rows = tuple((b, o, 0.0) for b in BASES for o in ("Bright", "Dark"))
+    with pytest.raises(ConfigError, match="not finite"):
+        CountsTable(rows, float("nan"))
+
+
 def test_sampled_tomography_needs_an_rng():
     with pytest.raises(ConfigError):
         simulate_state_tomography(density_from_bloch((0, 0, 1)), 100)

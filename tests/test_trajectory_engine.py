@@ -310,11 +310,13 @@ def test_sampled_branch_and_outcome_law_matches_the_exact_engine(case):
     assert chi2 <= CHI2_BOUND_7DOF, (chi2, observed, expected.round(1))
 
 
-@pytest.mark.parametrize("shot_pass", [7, 256, 1024])
+@pytest.mark.parametrize("shot_pass", [7, 50, 1024])
 def test_sample_counts_of_mixed_sequences_match_the_scalar_reference(shot_pass, monkeypatch):
     # Two seed groups of all six inputs x three bases advance together; rows 9
     # and 34 differ between sequences (row 34 is a wait in the Z basis). With
-    # 7-shot passes a pass crosses sequence and seed-group boundaries.
+    # 7-shot passes a pass crosses sequence and seed-group boundaries; the 108
+    # shots make three 50-shot passes, the second crossing the seed-group
+    # boundary at shot 54 and the last partial, or one 1024-shot pass.
     monkeypatch.setattr(protocol, "SHOT_PASS", shot_pass)
     noise = NoiseConfig(amplitude_error_sigma=0.01, **PAPER)
     group = [build_sequence(spec, 0.0, Tomography(b)) for spec in canonical_inputs() for b in "zxy"]
