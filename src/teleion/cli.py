@@ -50,7 +50,7 @@ def _child_seed(*parts: int) -> int:
 
 _CONFIG_KEY_DOCS = """\
 configuration keys (JSON file; flags override file values):
-  seed                    integer master seed (default 1234)
+  seed                    nonnegative integer master seed (default 1234)
   shots                   shots per input (teleport) or per basis (tomography), default 1000
   fock_cutoff             motional Fock levels simulated, >= 3 (default 4)
   phase_offset            tail phase in radians, or "calibrate" (default 0.0)
@@ -121,8 +121,8 @@ class ExperimentConfig:
         return dict(quad_points=self.quad_points, fock_cutoff=self.fock_cutoff)
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         if not isinstance(self.shots, int) or self.shots < 0:
             raise ConfigError("shots must be a nonnegative integer")
         if not isinstance(self.fock_cutoff, int) or self.fock_cutoff < 3:

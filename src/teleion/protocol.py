@@ -13,13 +13,12 @@ Two execution paths take the same tables, built once by build_sequence:
 
 * run_shot — pure-state trajectories with sampled noise, each keyed
   deterministically by (master_seed, shot_index) in noise.SHOT_BLOCK blocks.
-  Shots of several sequences advance together as one (shots, 3, 3, 3,
-  fock_cutoff) array, stored with the shot axis innermost in memory and
-  updated in place by every drive and readout; feed-forward and rows where
-  the sequences differ are masks over shots, and the results are per-shot
-  arrays (Shots).
-  sample_counts is the one source of sampled counts: it runs all sequences'
-  shots in passes of SHOT_PASS, or draws from exact_run's P(bright);
+  Shots of several sequences advance together, SHOT_PASS at a time, as one
+  (shots, 3, 3, 3, fock_cutoff) array, stored with the shot axis innermost
+  in memory and updated in place by every drive and readout; feed-forward
+  and rows where the sequences differ are masks over shots, and the results
+  are per-shot arrays (Shots). tomography.bright_counts turns either path's
+  results into counts;
 * exact_run — density-matrix evolution of every input's tables (one per
   row-34 mode, sharing the rows before it) with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
@@ -313,8 +312,8 @@ def sequence_text(steps: tuple[SequenceStep, ...]) -> str:
 
 #: X, Y, Z on a three-level ion, indexed by sample_pauli_index's k.
 _PAULI_STACK = np.stack(_site_paulis(3))
-#: Shots per run_shot call in sample_counts: bounds the stacked state (1.8 MB
-#: at fock_cutoff 4) whatever the shot total, while spreading each row's fixed
+#: Shots per pass of run_shot: bounds the stacked state (1.8 MB at
+#: fock_cutoff 4) whatever the shot total, while spreading each row's fixed
 #: cost over many shots; with the shot axis innermost, each elementwise pass
 #: runs over contiguous runs of this many amplitudes.
 SHOT_PASS = 1024
@@ -375,34 +374,42 @@ def run_shot(
     *,
     sequence_index: np.ndarray | None = None,
     fock_cutoff: int = 4,
-    plan: list[tuple] | None = None,
 ) -> Shots:
     """Full trajectories through the sequence with sampled noise.
 
-    `shot_index` is a range or 1-D array of indices, one shot each. All shots
-    advance together as one (shots, 3, 3, 3, fock_cutoff) array, one row at a
-    time: a view of a (3, 3, 3, fock_cutoff, shots) buffer, shot axis
-    innermost in memory, which every drive and readout updates in place.
-    Each shot's randomness is keyed by (master_seed, shot_index) alone, in
-    the block layout of sample_shot_noise, and its draws are indexed by step
-    id, so a skipped conditional pulse never shifts another step's noise and
-    a shot's outcomes do not depend on the other shots.
+    `shot_index` is a range or 1-D array of indices, one shot each, and each
+    Shots field lists them in that order. The shots run SHOT_PASS at a time
+    on one row plan, each pass advancing together as one (shots, 3, 3, 3,
+    fock_cutoff) array, one row at a time: a view of a (3, 3, 3, fock_cutoff,
+    shots) buffer, shot axis innermost in memory, which every drive and
+    readout updates in place. Each shot's randomness is keyed by
+    (master_seed, shot_index) alone, in the block layout of sample_shot_noise,
+    and its draws are indexed by step id, so a skipped conditional pulse never
+    shifts another step's noise and a shot's outcomes depend on no other shot.
 
     With a list of tables as `sequence`, `sequence_index` gives each shot's
-    table and `master_seed` may give each shot's seed; `plan`, the tables'
-    _row_plan under `noise`, spares a caller with many batches rebuilding it.
-    Each ion's detuning phase waits for its next drive, which applies it
-    (apply_pulse's `phase`); what is left after the last readout changes no
-    outcome and is dropped. Before each blue sideband, a shot that no Pauli
-    flip has hit raises past TRUNCATION_BOUND on its ion's |S, fock_cutoff-1>,
-    as exact_run's nodes do.
+    table and `master_seed` may give each shot's seed. Each ion's detuning
+    phase waits for its next drive, which applies it (apply_pulse's `phase`);
+    what is left after the last readout changes no outcome and is dropped.
+    Before each blue sideband, a shot that no Pauli flip has hit raises past
+    TRUNCATION_BOUND on its ion's |S, fock_cutoff-1>, as exact_run's nodes do.
     """
     index = np.asarray(shot_index, dtype=np.int64)
     if index.ndim != 1:
         raise DimensionMismatch("shot_index must be a range or 1-D array of shot indices")
     tables = [sequence] if sequence_index is None else list(sequence)
     table = np.zeros(index.size, np.intp) if sequence_index is None else np.asarray(sequence_index, np.intp)
-    plan = _row_plan(tables, noise) if plan is None else plan
+    seed = np.broadcast_to(np.asarray(master_seed, dtype=object), index.shape)
+    plan = _row_plan(tables, noise)
+    passes = [  # an empty index still makes one pass, which checks the readouts
+        _run_pass(plan, noise, seed[part], index[part], table[part], fock_cutoff)
+        for part in (slice(lo, lo + SHOT_PASS) for lo in range(0, index.size or 1, SHOT_PASS))
+    ]
+    return Shots(*map(np.concatenate, zip(*passes)))
+
+
+def _run_pass(plan: list[tuple], noise: NoiseConfig, master_seed, index, table, fock_cutoff: int) -> tuple:
+    """One pass of run_shot over its `plan`: the Shots fields of these shots, in order."""
     shot = sample_shot_noise(noise, master_seed, index, N_IONS, max(row[0] for row in plan))
     # Each ion's per-level detuning (S, D, H), or None when no shot dephases.
     rates = np.stack([np.zeros_like(shot.detuning_SD), shot.detuning_SD, shot.detuning_H], axis=-1)
@@ -458,50 +465,7 @@ def run_shot(
     for label in ("pmt1", "pmt2", "final"):
         if label not in bright:
             raise InvariantViolation(f"sequence produced no {label!r} readout")
-    return Shots(bright["pmt1"], bright["pmt2"], bright["final"], truncation, elapsed)
-
-
-def sample_counts(
-    sequences: list[tuple[SequenceStep, ...]],
-    noise: NoiseConfig,
-    shots: int,
-    master_seed: int | list[int],
-    *,
-    p_bright: list[float] | None = None,
-    tag: int = 0,
-    fock_cutoff: int = 4,
-) -> list[int]:
-    """Final-readout Bright counts over `shots` shots of each sequence.
-
-    `master_seed` is one seed, or one per group of equally many consecutive
-    sequences; sequence j of a group draws from stream j of the group's seed.
-    Given every sequence's exact reported P(bright), clamped to [0, 1] against
-    roundoff, its count is one binomial draw from default_rng([seed, tag, j]);
-    otherwise it counts trajectories with shot indices j * shots + i for
-    i < shots, those of all sequences advancing together, SHOT_PASS shots per
-    run_shot call on one row plan. Sampled artefacts rest on this layout: the
-    binomial streams, and for trajectories the shot indices under
-    sample_shot_noise's SHOT_BLOCK-shot blocks of each seed.
-    """
-    seeds = [master_seed] if np.ndim(master_seed) == 0 else list(master_seed)
-    if len(sequences) % len(seeds):
-        raise ConfigError(f"{len(sequences)} sequences do not split into {len(seeds)} seed groups")
-    per = len(sequences) // len(seeds) or 1
-    if p_bright is not None:
-        rngs = (np.random.default_rng([int(seeds[k // per]), tag, k % per]) for k in range(len(p_bright)))
-        return [int(rng.binomial(shots, min(max(p, 0.0), 1.0))) for rng, p in zip(rngs, p_bright)]
-    table = np.repeat(np.arange(len(sequences)), shots)
-    index = table % per * shots + np.tile(np.arange(shots), len(sequences))
-    seed = np.array(seeds, dtype=object)[table // per]
-    plan = _row_plan(sequences, noise)
-    counts = np.zeros(len(sequences), dtype=np.int64)
-    for part in (slice(lo, lo + SHOT_PASS) for lo in range(0, table.size, SHOT_PASS)):
-        final = run_shot(
-            sequences, noise, seed[part], index[part], sequence_index=table[part], fock_cutoff=fock_cutoff,
-            plan=plan,
-        ).final
-        np.add.at(counts, table[part], final)
-    return counts.tolist()
+    return bright["pmt1"], bright["pmt2"], bright["final"], truncation, elapsed
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ trace-preserving subspace the log-likelihood is concave and positivity is a
 barrier weight, step and stop flag, and each stops on a certified gap to the
 optimum. `mle_process` is R = 1; the bootstrap is one call.
 
-`bright_counts` is the one route from the inputs' tables to final-readout
-Bright counts, for the tomography tables (`teleported_counts`) and the CLI's
-teleportation fidelities alike; it builds no table itself.
+`bright_counts` is the one function that turns the inputs' tables into
+final-readout Bright counts, for the tomography tables (`teleported_counts`)
+and the CLI's teleportation fidelities alike: it returns the exact
+probabilities, draws each count binomially from them, or counts the
+trajectories of one run_shot call. It builds no table itself.
 """
 from __future__ import annotations
 
@@ -31,8 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .noise import NoiseConfig
-from .protocol import ExactRun, InputStateSpec, SequenceStep, Tomography, build_sequence, exact_run, sample_counts
-from .protocol import run_shot  # noqa: F401  perfbench/spans.py traces this binding
+from .protocol import ExactRun, InputStateSpec, SequenceStep, Tomography, build_sequence, exact_run, run_shot
 from .qcore import (
     ATOL_SPECTRAL,
     DensityMatrix,
@@ -691,26 +692,35 @@ def bright_counts(
 ) -> tuple[list[ExactRun] | None, list[int] | list[float]]:
     """(exact runs, final-readout Bright counts) of every table, input-major.
 
-    `tables` holds one tuple of tables per input, as exact_run takes them.
-    `shots` = 0 gives each table's exact reported P(bright); otherwise
-    sample_counts draws binomially from it ("fast") or counts trajectories
-    ("per-shot"). The exact runs, one per input from one exact_run call, are
-    made only when the counts come from them; otherwise `runs` is None.
+    `tables` holds one tuple of tables per input, as exact_run takes them;
+    `master_seed` is one seed, or one per group of equally many consecutive
+    tables, table j of a group drawing from stream j of its group's seed.
+    `shots` = 0 gives each table's exact reported P(bright); "fast" draws
+    each count binomially from it (clamped to [0, 1]) with
+    default_rng([seed, tag, j]); "per-shot" counts trajectories j * shots + i,
+    i < shots, all made by one run_shot call. Sampled artefacts rest on these
+    streams and shot indices. The exact runs, one per input from one exact_run
+    call, are made only when the counts come from them; otherwise `runs` is None.
     """
-    runs = p_bright = None
+    sequences = [seq for t in tables for seq in t]
+    seeds = [master_seed] if np.ndim(master_seed) == 0 else list(master_seed)
+    if len(sequences) % len(seeds):
+        raise ConfigError(f"{len(sequences)} sequences do not split into {len(seeds)} seed groups")
+    per = len(sequences) // len(seeds) or 1
     if shots == 0 or resolve_sampling(noise, sampling) == "fast":
         runs = exact_run(tables, noise, quad_points=quad_points, fock_cutoff=fock_cutoff)
         p_bright = [p for res in runs for p in res.p_bright]
-    counts = p_bright if shots == 0 else sample_counts(
-        [seq for t in tables for seq in t],
-        noise,
-        shots,
-        master_seed,
-        p_bright=p_bright,
-        tag=tag,
-        fock_cutoff=fock_cutoff,
-    )
-    return runs, counts
+        if shots == 0:
+            return runs, p_bright
+        rngs = (np.random.default_rng([int(seeds[j // per]), tag, j % per]) for j in range(len(p_bright)))
+        return runs, [int(rng.binomial(shots, min(max(p, 0.0), 1.0))) for rng, p in zip(rngs, p_bright)]
+    if not sequences:  # run_shot needs a table to plan its rows
+        return None, []
+    table = np.repeat(np.arange(len(sequences)), shots)
+    index = table % per * shots + np.tile(np.arange(shots), len(sequences))
+    seed = np.array(seeds, dtype=object)[table // per]
+    final = run_shot(sequences, noise, seed, index, sequence_index=table, fock_cutoff=fock_cutoff).final
+    return None, np.bincount(table[final], minlength=len(sequences)).tolist()
 
 
 def teleported_counts(
@@ -730,7 +740,7 @@ def teleported_counts(
     """The three bases' count tables of the teleported qubit, from bright_counts.
 
     A list of inputs, with one master seed each, gives one table per input;
-    their trajectories all advance together in one sample_counts call.
+    their trajectories all advance together in one run_shot call.
     shots_per_basis = 0 gives exact reported-outcome probabilities, each basis
     with a total of 1.0.
     """

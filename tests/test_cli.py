@@ -220,6 +220,25 @@ def test_non_finite_numbers_in_a_config_exit_2(tmp_path, capsys, overrides, cons
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["teleport", "state-tomo", "proc-tomo", "calibrate"])
+def test_a_negative_seed_exits_2_and_names_the_key(tmp_path, capsys, command):
+    # numpy's SeedSequence refuses negative entropy: teleport, state-tomo and
+    # proc-tomo once raised its ValueError uncaught, while calibrate exited 0.
+    cfg = write_config(tmp_path, seed=-1, shots=10, bootstrap_resamples=0)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, shots=10)
+    assert main(["teleport", "--config", str(cfg), "--seed", "-1"]) == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["teleport", "--config", str(cfg), "--seed", "0"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("key", ["standby_wait_us", "rephase_wait_us"])
 def test_a_negative_wait_exits_2(tmp_path, capsys, key):
     cfg = write_config(tmp_path, **{key: -1.0})

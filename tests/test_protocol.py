@@ -31,10 +31,10 @@ from teleion.protocol import (
     classical_baseline_per_state,
     exact_run,
     run_shot,
-    sample_counts,
     sequence_text,
 )
 from teleion.qcore import state_fidelity
+from teleion.tomography import bright_counts
 from teleion.trap import Carrier, Detect, Hide, Outcome, Wait, apply_pulse
 
 PI = math.pi
@@ -222,7 +222,7 @@ def test_sampled_estimate_matches_exact_within_binomial_error():
     noise = NoiseConfig(depolarizing_per_pulse=0.02)
     spec = canonical_inputs()[5]
     exact = state_fidelity(exact_run([(build_sequence(spec),)], noise)[0].rho_exp, spec.pure())
-    (n_bright,) = sample_counts([build_sequence(spec)], noise, 400, 11)
+    _, (n_bright,) = bright_counts([(build_sequence(spec),)], noise, 400, 11, sampling="per-shot")
     value = n_bright / 400
     stderr = math.sqrt(max(value * (1.0 - value), 0.0) / 400)
     assert abs(value - exact) <= 5.0 * max(stderr, 1e-3)

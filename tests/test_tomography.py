@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from teleion.errors import ConfigError, DimensionMismatch, InvariantViolation
 from teleion.noise import NoiseConfig
 from teleion import tomography
-from teleion.protocol import Tomography, build_sequence, canonical_inputs, exact_run, sample_counts
+from teleion.protocol import Tomography, build_sequence, canonical_inputs, exact_run, run_shot
 from teleion.qcore import (
     PAULIS,
     DensityMatrix,
@@ -797,8 +797,18 @@ def test_bright_counts_runs_the_exact_engine_only_for_counts_drawn_from_it(monke
     seqs = [build_sequence(spec) for spec in specs]
     runs, counts = bright_counts([(seq,) for seq in seqs], noise, 6, 3, sampling=sampling, tag=7)
     assert len(calls) == exact_runs and (runs is None) == (exact_runs == 0)
-    p_bright = None if runs is None else [res.p_bright[0] for res in runs]
-    assert counts == sample_counts(seqs, noise, 6, 3, p_bright=p_bright, tag=7)
+    if runs is None:  # sequence j counts shots j * 6 + i of seed 3
+        expected = [int(run_shot(seq, noise, 3, range(6 * j, 6 * j + 6)).final.sum()) for j, seq in enumerate(seqs)]
+    else:  # sequence j draws once from default_rng([seed, tag, j])
+        expected = [int(np.random.default_rng([3, 7, j]).binomial(6, min(max(res.p_bright[0], 0.0), 1.0)))
+                    for j, res in enumerate(runs)]
+    assert counts == expected
+
+
+@pytest.mark.parametrize("shots, sampling, runs", [(0, "auto", []), (6, "fast", []), (6, "per-shot", None)])
+def test_bright_counts_of_no_tables_are_no_counts_on_every_route(shots, sampling, runs):
+    # The per-shot route must not ask run_shot to plan the rows of no table.
+    assert bright_counts([], NoiseConfig(depolarizing_per_pulse=0.05), shots, 3, sampling=sampling) == (runs, [])
 
 
 def test_bright_counts_at_zero_shots_are_each_runs_p_bright_input_major():

@@ -28,8 +28,8 @@ from teleion.protocol import (
     canonical_inputs,
     exact_run,
     run_shot,
-    sample_counts,
 )
+from teleion.tomography import bright_counts
 from teleion.trap import (
     S,
     BlueSideband,
@@ -240,7 +240,7 @@ def test_fock_cutoff_2_trips_the_truncation_bound_like_the_reference(spec):
             run_shot(seq, noise, 2, range(8), fock_cutoff=2)
         assert str(batched.value) == str(scalar.value)
         with pytest.raises(InvariantViolation) as counted:
-            sample_counts([seq], noise, 8, 2, fock_cutoff=2)
+            bright_counts([(seq,)], noise, 8, 2, sampling="per-shot", fock_cutoff=2)
         assert str(counted.value) == str(batched.value)
         with pytest.raises(InvariantViolation, match=r"^row 1[1-4]: .* exceeds TRUNCATION_BOUND") as exact:
             exact_run([(seq,)], noise, fock_cutoff=2)
@@ -311,7 +311,7 @@ def test_sampled_branch_and_outcome_law_matches_the_exact_engine(case):
 
 
 @pytest.mark.parametrize("shot_pass", [7, 50, 1024])
-def test_sample_counts_of_mixed_sequences_match_the_scalar_reference(shot_pass, monkeypatch):
+def test_counts_and_shots_of_mixed_sequences_match_the_scalar_reference(shot_pass, monkeypatch):
     # Two seed groups of all six inputs x three bases advance together; rows 9
     # and 34 differ between sequences (row 34 is a wait in the Z basis). With
     # 7-shot passes a pass crosses sequence and seed-group boundaries; the 108
@@ -321,11 +321,23 @@ def test_sample_counts_of_mixed_sequences_match_the_scalar_reference(shot_pass, 
     noise = NoiseConfig(amplitude_error_sigma=0.01, **PAPER)
     group = [build_sequence(spec, 0.0, Tomography(b)) for spec in canonical_inputs() for b in "zxy"]
     shots, seeds = 3, [9, 2**63 + 5]
-    counts = sample_counts(group + group, noise, shots, seeds)
+    _, counts = bright_counts([(seq,) for seq in group + group], noise, shots, seeds, sampling="per-shot")
+    # the same 108 shots, in bright_counts' order, from one run_shot call
+    table = np.repeat(np.arange(2 * len(group)), shots)
+    index = table % len(group) * shots + np.tile(np.arange(shots), 2 * len(group))
+    seed = np.array(seeds, dtype=object)[table // len(group)]
+    batch = run_shot(group + group, noise, seed, index, sequence_index=table)
+    assert batch.final.shape == (table.size,)
     for k, seq in enumerate(group + group):
-        seed, j = seeds[k // len(group)], k % len(group)
-        finals = [scalar_run_shot(seq, noise, seed, j * shots + i)[2] for i in range(shots)]
-        assert counts[k] == sum(f is Outcome.BRIGHT for f in finals), k
+        mine = np.flatnonzero(table == k)
+        ref = [scalar_run_shot(seq, noise, seed[s], index[s]) for s in mine]
+        assert counts[k] == sum(r[2] is Outcome.BRIGHT for r in ref), k
+        for s, (pmt1, pmt2, final, truncation, elapsed) in zip(mine, ref):
+            assert (batch.pmt1[s], batch.pmt2[s], batch.final[s]) == tuple(
+                o is Outcome.BRIGHT for o in (pmt1, pmt2, final)
+            ), s
+            assert abs(batch.truncation[s] - truncation) <= 1e-12
+            assert abs(batch.elapsed_us[s] - elapsed) <= 1e-12
 
 
 def _with_row(seq, step_id, action):
@@ -344,4 +356,4 @@ def test_stacked_sequences_must_share_readouts_and_conditions():
         with pytest.raises(InvariantViolation, match=f"row {row}: "):
             run_shot([seq, other], noise, 1, range(4), sequence_index=[0, 1, 0, 1])
         with pytest.raises(InvariantViolation, match=f"row {row}: "):
-            sample_counts([seq, other], noise, 2, 1)
+            bright_counts([(seq, other)], noise, 2, 1, sampling="per-shot")
