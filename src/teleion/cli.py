@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import MISSING, dataclass, field, fields as dc_fields
 from importlib import resources
 from pathlib import Path
 
@@ -120,17 +120,25 @@ class ExperimentConfig:
     def exact_kwargs(self) -> dict:
         return dict(quad_points=self.quad_points, fock_cutoff=self.fock_cutoff)
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        if self.exact:
+            self.shots = 0
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if not isinstance(self.shots, int) or self.shots < 0:
             raise ConfigError("shots must be a nonnegative integer")
         if not isinstance(self.fock_cutoff, int) or self.fock_cutoff < 3:
             raise ConfigError("fock_cutoff must be an integer >= 3")
-        if self.phase_offset != "calibrate" and (
-            isinstance(self.phase_offset, bool) or not isinstance(self.phase_offset, (int, float))
-        ):
+        if self.phase_offset != "calibrate" and not _fits((int, float), self.phase_offset):
             raise ConfigError('phase_offset must be a number or "calibrate"')
+        if self.inputs != "six-canonical" and (isinstance(self.inputs, str) or not self.inputs):
+            raise ConfigError('inputs must be "six-canonical" or a non-empty list')
+        labels = [s.label for s in self.resolved_inputs()]
+        for i, label in enumerate(labels):
+            if not label or not all(c.isalnum() or c in "_-" for c in label):
+                raise ConfigError(f"inputs[{i}].label must be filename-safe, got {label!r}")
+            if label in labels[:i]:
+                raise ConfigError(f"input labels must be unique: {label!r} repeats")
         tomo.resolve_sampling(self.noise, self.sampling)
         if self.mode is not None and self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
@@ -144,103 +152,62 @@ class ExperimentConfig:
             raise ConfigError('process_inputs must be "reconstructed" or "ideal"')
         if self.tomography_resolution < 8:
             raise ConfigError("tomography_resolution must be >= 8")
-        if self.quad_points is not None and (
-            not isinstance(self.quad_points, int) or self.quad_points < 1
-        ):
+        if self.quad_points is not None and not (_fits(int, self.quad_points) and self.quad_points >= 1):
             raise ConfigError("quad_points must be a positive integer")
 
 
-def _parse_inputs(raw) -> tuple[InputStateSpec, ...] | str:
-    if raw == "six-canonical":
-        return raw
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError('inputs must be "six-canonical" or a non-empty list')
-    specs = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ConfigError(f"inputs[{i}] must be an object")
-        unknown = set(item) - {"theta_chi", "phi_chi", "label"}
-        if unknown:
-            raise ConfigError(f"inputs[{i}]: unknown keys {sorted(unknown)}")
-        for key in ("theta_chi", "phi_chi"):
-            if key not in item:
-                raise ConfigError(f"inputs[{i}] needs numeric theta_chi and phi_chi")
-            if isinstance(item[key], bool) or not isinstance(item[key], (int, float)):
-                raise ConfigError(f"inputs[{i}].{key} must be a number, got {json.dumps(item[key])}")
-        theta, phi = float(item["theta_chi"]), float(item["phi_chi"])
-        label = item.get("label", f"input{i + 1}")
-        if not isinstance(label, str) or not label or not all(
-            c.isalnum() or c in "_-" for c in label
-        ):
-            raise ConfigError(f"inputs[{i}]: label must be filename-safe")
-        specs.append(InputStateSpec(theta, phi, label))
-    if len({s.label for s in specs}) != len(specs):
-        raise ConfigError("input labels must be unique")
-    return tuple(specs)
+# The JSON type each annotation reads, and its spelling; a boolean is not a number here.
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "a boolean"),
+               "str": (str, "a string"), "None": (type(None), "null")}
+_OBJECTS = {c.__name__: c for c in (NoiseConfig, PulseDurations, InputStateSpec)}
 
 
-# JSON types accepted per field annotation; a boolean is not a number here.
-_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-               "bool": (bool, "a boolean"), "str": (str, "a string")}
+def _read(cls, raw, where: str = ""):
+    """A `cls` config built from the JSON object `raw`, driven by its fields.
+
+    The same rules hold at every level: every key names a field, and its
+    value has a JSON type the field's annotation reads; a float field stores
+    a float; a config field reads an object and a tuple field a list, each
+    entry by these rules again; a field with no default must be present.
+    `where` is `raw`'s key path, which every message names.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where.removesuffix('.') or 'config root'} must be an object, got {json.dumps(raw)}")
+    fields = {f.name: f for f in dc_fields(cls)}
+    if unknown := sorted(where + key for key in set(raw) - set(fields)):
+        raise ConfigError(f"unknown config keys: {unknown}")
+    for f in fields.values():
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}{f.name} is missing")
+    return cls(**{key: _value(fields[key].type, value, where + key) for key, value in raw.items()})
 
 
-def _check_types(raw: dict, cls, prefix: str = "") -> None:
-    """Reject a value whose JSON type does not match its field's annotation."""
-    for f in dc_fields(cls):
-        kind = _JSON_TYPES.get(f.type.removesuffix(" | None"))
-        optional = f.type.endswith(" | None")
-        if kind is None or f.name not in raw or (raw[f.name] is None and optional):
+def _value(annotation: str, value, where: str):
+    """`value` read as the first alternative of a field's `annotation` whose JSON type it has."""
+    spelled = []
+    for kind in annotation.split(" | "):
+        item = kind.removeprefix("tuple[").removesuffix(", ...]")
+        cls, (types, name) = _OBJECTS.get(item), _JSON_TYPES.get(item, (dict, "an object"))
+        if item == kind:
+            spelled.append(name)
+            if _fits(types, value):
+                return _read(cls, value, where + ".") if cls else float(value) if kind == "float" else value
             continue
-        (types, label), value = kind, raw[f.name]
-        if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
-            raise ConfigError(f"{prefix}{f.name} must be {label}, got {json.dumps(value)}")
+        spelled.append(f"a list of {name.split()[-1]}s")
+        if isinstance(value, list) and cls:  # an entry's missing label is its 1-based position
+            return tuple(_read(cls, {"label": f"input{i + 1}", **v} if isinstance(v, dict) else v, f"{where}[{i}].")
+                         for i, v in enumerate(value))
+        if isinstance(value, list) and all(_fits(types, v) for v in value):
+            return tuple(value)
+    raise ConfigError(f"{where} must be {' or '.join(spelled)}, got {json.dumps(value)}")
 
 
-def _noise_from_dict(raw: dict) -> NoiseConfig:
-    allowed = {f.name for f in dc_fields(NoiseConfig)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown noise keys: {sorted(unknown)}")
-    _check_types(raw, NoiseConfig, "noise.")
-    kwargs = dict(raw)
-    if "pulse_durations" in kwargs:
-        pd_raw = kwargs["pulse_durations"]
-        if not isinstance(pd_raw, dict):
-            raise ConfigError("noise.pulse_durations must be an object")
-        pd_allowed = {f.name for f in dc_fields(PulseDurations)}
-        pd_unknown = set(pd_raw) - pd_allowed
-        if pd_unknown:
-            raise ConfigError(f"unknown pulse_durations keys: {sorted(pd_unknown)}")
-        _check_types(pd_raw, PulseDurations, "noise.pulse_durations.")
-        kwargs["pulse_durations"] = PulseDurations(**{k: float(v) for k, v in pd_raw.items()})
-    steps = kwargs.get("depolarizing_steps")
-    if steps is not None:
-        if not isinstance(steps, list) or any(isinstance(s, bool) or not isinstance(s, int) for s in steps):
-            raise ConfigError(f"noise.depolarizing_steps must be a list of integers, got {json.dumps(steps)}")
-        kwargs["depolarizing_steps"] = tuple(steps)
-    return NoiseConfig(**kwargs)
+def _fits(types, value) -> bool:
+    return isinstance(value, bool) == (types is bool) and isinstance(value, types)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    allowed = {f.name for f in dc_fields(ExperimentConfig)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    _check_types(raw, ExperimentConfig)
-    kwargs = dict(raw)
-    if "noise" in kwargs:
-        if not isinstance(kwargs["noise"], dict):
-            raise ConfigError("noise must be an object")
-        kwargs["noise"] = _noise_from_dict(kwargs["noise"])
-    if "inputs" in kwargs:
-        kwargs["inputs"] = _parse_inputs(kwargs["inputs"])
-    cfg = ExperimentConfig(**kwargs)
-    if cfg.exact:
-        cfg.shots = 0
-    cfg.validate()
-    return cfg
+    return _read(ExperimentConfig, raw)
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -262,7 +229,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         source = str(path)
         raw = _parse_json(path.read_text(encoding="utf-8"), source)
-    # Flags beat the file; config_from_dict then lets exact beat shots.
+    # Flags beat the file; ExperimentConfig then lets exact beat shots.
     flags = {"seed": getattr(args, "seed", None), "shots": getattr(args, "shots", None),
              "output_dir": getattr(args, "out", None), "exact": getattr(args, "exact", False) or None}
     if isinstance(raw, dict):

@@ -431,6 +431,7 @@ def _run_pass(plan: list[tuple], noise: NoiseConfig, master_seed, index, table, 
         on, theta, phi, duration = (v if np.ndim(v) == 0 else v[table] for v in per_table)
         col, fired = step_id - 1, True  # the shots this row acts on
         if isinstance(action, ConditionalPulse):
+            _check_readouts(bright, (action.detect_label,))
             fired = bright[action.detect_label] == (action.required is Outcome.BRIGHT)
         # A shot whose condition fails sees a zero-area pulse lasting no time,
         # which is exactly the identity, and draws no Pauli flip; so does a
@@ -462,10 +463,15 @@ def _run_pass(plan: list[tuple], noise: NoiseConfig, master_seed, index, table, 
                     psi[hit] = apply_site(psi[hit], _PAULI_STACK[k[hit]], pulse.ion)
                     flipped |= hit
 
-    for label in ("pmt1", "pmt2", "final"):
-        if label not in bright:
-            raise InvariantViolation(f"sequence produced no {label!r} readout")
+    _check_readouts(bright)
     return bright["pmt1"], bright["pmt2"], bright["final"], truncation, elapsed
+
+
+def _check_readouts(made, labels=("pmt1", "pmt2", "final")) -> None:
+    """Name the first readout in `labels` that is not a key of `made`, the readouts made so far."""
+    for label in labels:
+        if label not in made:
+            raise InvariantViolation(f"sequence produced no {label!r} readout")
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +668,7 @@ def _advance(stack: _Stack, tables, life, first: int, noise: NoiseConfig, fock_c
         step, pulses = row[0], _row_pulses(row)
         action, pulse, sel = step.action, pulses[0], slice(None)
         if isinstance(action, ConditionalPulse):
+            _check_readouts(keys[0], (action.detect_label,))
             sel = np.array([key.get(action.detect_label) is action.required for key in keys], bool)
             rho = rho.copy()  # rho[sel] is written below: rho must not be _apply's output buffer
         durations = [noise.pulse_durations.of(p) for p in pulses]
@@ -832,8 +839,8 @@ def exact_run(
     stack = _evolve([t[0][:shared] for t in tables], life, noise, quad_points, fock_cutoff)
     ends = [_advance(stack, [t[m][shared:] for t in tables], life, shared, noise, fock_cutoff)
             for m in range(len(tables[0]))]
-    if any("final" not in end.keys[0] for end in ends):
-        raise InvariantViolation("sequence produced no 'final' readout on ion 3")
+    for end in ends:
+        _check_readouts(end.keys[0])
     tails = [(end.input, end.weight * _reduced(end, ()).real[:, 0, 0],
               np.array([k["final"] is Outcome.BRIGHT for k in end.keys]),
               np.array([branch_label(k["pmt1"], k["pmt2"]) for k in end.keys])) for end in ends]

@@ -704,7 +704,7 @@ def bright_counts(
     """
     sequences = [seq for t in tables for seq in t]
     seeds = [master_seed] if np.ndim(master_seed) == 0 else list(master_seed)
-    if len(sequences) % len(seeds):
+    if not seeds or len(sequences) % len(seeds):
         raise ConfigError(f"{len(sequences)} sequences do not split into {len(seeds)} seed groups")
     per = len(sequences) // len(seeds) or 1
     if shots == 0 or resolve_sampling(noise, sampling) == "fast":

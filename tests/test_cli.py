@@ -14,6 +14,7 @@ from teleion.cli import (
     _emit_json,
     ExperimentConfig,
     build_parser,
+    cmd_baseline,
     cmd_teleport,
     config_from_dict,
     main,
@@ -53,6 +54,8 @@ def test_unknown_keys_are_rejected_at_every_level():
         config_from_dict({"noise": {"detuning_sigma": 0.1}})
     with pytest.raises(ConfigError):
         config_from_dict({"noise": {"pulse_durations": {"carrier": 1.0}}})
+    with pytest.raises(ConfigError, match=r"\['inputs\[0\]\.lable'\]"):
+        config_from_dict({"inputs": [{"theta_chi": 0.0, "phi_chi": 0.0, "lable": "x"}]})
 
 
 def test_config_value_validation():
@@ -85,6 +88,32 @@ def test_input_lists_need_unique_filename_safe_labels():
         {"inputs": [{"theta_chi": 0.5, "phi_chi": 1.0, "label": "probe-1"}]}
     )
     assert [s.label for s in cfg.resolved_inputs()] == ["probe-1"]
+
+
+def test_a_config_built_in_code_checks_itself():
+    # Only config_from_dict once ran these checks: built in code, a negative
+    # seed or shot count reached numpy's own errors, one bootstrap resample
+    # the NaN gate, and exact still sampled 1000 shots.
+    for kwargs, message in (
+        ({"seed": -1}, "seed must be a nonnegative integer"),
+        ({"shots": -5}, "shots must be a nonnegative integer"),
+        ({"bootstrap_resamples": 1}, "bootstrap_resamples must be 0 or >= 2"),
+        ({"inputs": ()}, 'inputs must be "six-canonical" or a non-empty list'),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            ExperimentConfig(**kwargs)
+    assert ExperimentConfig(exact=True).shots == 0
+
+
+def test_the_docs_example_config_runs(tmp_path, capsys):
+    # The only JSON example in the docs must load and run.
+    text = DOCS_CONFIG.read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```json\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    cfg = config_from_dict(json.loads(block))
+    cfg.output_dir = str(tmp_path / "docs")
+    assert cmd_baseline(cfg) == 0
+    assert json.loads((tmp_path / "docs" / "report.json").read_text())["command"] == "baseline"
+    capsys.readouterr()
 
 
 def test_six_canonical_is_the_default_input_set():
@@ -178,6 +207,10 @@ def test_fock_cutoff_3_runs_per_shot(tmp_path, capsys):
         ({"noise": {"depolarizing_steps": 5}}, "noise.depolarizing_steps"),
         ({"inputs": [{"theta_chi": True, "phi_chi": 0.0}]}, "inputs[0].theta_chi"),
         ({"inputs": [{"theta_chi": 0.0, "phi_chi": "0.5"}]}, "inputs[0].phi_chi"),
+        ({"noise": {"pulse_durations": {"detect": "x"}}}, "noise.pulse_durations.detect"),
+        ({"inputs": [{"theta_chi": 0.0, "phi_chi": 0.0, "label": 5}]}, "inputs[0].label"),
+        ({"inputs": [3]}, "inputs[0]"),
+        ({"noise": {"depolarizing_steps": [1.5]}}, "noise.depolarizing_steps"),
         # a valid type, but a sampling mode the noise rules out, refused as the config loads
         ({"sampling": "fast", "noise": {"amplitude_error_sigma": 0.01}}, "sampling"),
     ],

@@ -315,6 +315,25 @@ def test_exact_path_rejects_amplitude_noise():
         exact_run([(build_sequence(canonical_inputs()[0]),)], noise=NoiseConfig(amplitude_error_sigma=0.01))
 
 
+@pytest.mark.parametrize("label", ["pmt1", "pmt2", "final"])
+@pytest.mark.parametrize("engine", ["exact", "per-shot"])
+def test_a_table_missing_a_readout_names_it_in_both_engines(engine, label):
+    # With pmt1's readout a wait, exact_run once raised a bare KeyError, or a
+    # reshape ValueError while the rows conditioned on it stayed, and run_shot
+    # a KeyError; each engine now names the readout, with or without those rows.
+    waited = tuple(
+        SequenceStep(s.step_id, Wait(0.0), s.comment) if getattr(s.action, "label", None) == label else s
+        for s in build_sequence(canonical_inputs()[2])
+    )
+    unconditioned = tuple(s for s in waited if getattr(s.action, "detect_label", None) != label)
+    for table in (waited, unconditioned):
+        with pytest.raises(InvariantViolation, match=f"^sequence produced no '{label}' readout$"):
+            if engine == "exact":
+                exact_run([(table,)])
+            else:
+                run_shot(table, NoiseConfig(), 1, range(4))
+
+
 def test_spin_echo_refocuses_detuning_noise():
     # the target ion waits 300 us in an S/H superposition before the
     # reconstruction; without the echo that phase never refocuses

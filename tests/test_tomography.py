@@ -811,6 +811,15 @@ def test_bright_counts_of_no_tables_are_no_counts_on_every_route(shots, sampling
     assert bright_counts([], NoiseConfig(depolarizing_per_pulse=0.05), shots, 3, sampling=sampling) == (runs, [])
 
 
+@pytest.mark.parametrize("shots, sampling", [(0, "auto"), (6, "fast"), (6, "per-shot")])
+def test_an_empty_seed_list_is_a_config_error_on_every_route(shots, sampling):
+    # The seed-group check divides by the number of seeds: no seed once raised ZeroDivisionError.
+    noise = NoiseConfig(depolarizing_per_pulse=0.05)
+    for tables in ([(build_sequence(canonical_inputs()[0]),)], []):
+        with pytest.raises(ConfigError, match="into 0 seed groups"):
+            bright_counts(tables, noise, shots, [], sampling=sampling)
+
+
 def test_bright_counts_at_zero_shots_are_each_runs_p_bright_input_major():
     noise = NoiseConfig(depolarizing_per_pulse=0.05)
     specs = [canonical_inputs()[0], canonical_inputs()[4], canonical_inputs()[2]]
