@@ -121,15 +121,17 @@ class ExperimentConfig:
         return dict(quad_points=self.quad_points, fock_cutoff=self.fock_cutoff)
 
     def __post_init__(self):
+        for f in dc_fields(self):  # built in code, each value is read as its JSON would be
+            setattr(self, f.name, _value(f.type, getattr(self, f.name), f.name))
         if self.exact:
             self.shots = 0
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if not isinstance(self.shots, int) or self.shots < 0:
+        if self.shots < 0:
             raise ConfigError("shots must be a nonnegative integer")
-        if not isinstance(self.fock_cutoff, int) or self.fock_cutoff < 3:
+        if self.fock_cutoff < 3:
             raise ConfigError("fock_cutoff must be an integer >= 3")
-        if self.phase_offset != "calibrate" and not _fits((int, float), self.phase_offset):
+        if isinstance(self.phase_offset, str) and self.phase_offset != "calibrate":
             raise ConfigError('phase_offset must be a number or "calibrate"')
         if self.inputs != "six-canonical" and (isinstance(self.inputs, str) or not self.inputs):
             raise ConfigError('inputs must be "six-canonical" or a non-empty list')
@@ -152,7 +154,7 @@ class ExperimentConfig:
             raise ConfigError('process_inputs must be "reconstructed" or "ideal"')
         if self.tomography_resolution < 8:
             raise ConfigError("tomography_resolution must be >= 8")
-        if self.quad_points is not None and not (_fits(int, self.quad_points) and self.quad_points >= 1):
+        if self.quad_points is not None and self.quad_points < 1:
             raise ConfigError("quad_points must be a positive integer")
 
 
@@ -166,11 +168,13 @@ def _read(cls, raw, where: str = ""):
     """A `cls` config built from the JSON object `raw`, driven by its fields.
 
     The same rules hold at every level: every key names a field, and its
-    value has a JSON type the field's annotation reads; a float field stores
-    a float; a config field reads an object and a tuple field a list, each
-    entry by these rules again; a field with no default must be present.
-    `where` is `raw`'s key path, which every message names.
+    value has a JSON type the field's annotation reads (or, built in code, a
+    config or tuple); a float field stores a finite float; each entry of a
+    config or tuple field is read by these rules again; a field with no
+    default must be present. `where` is `raw`'s key path, which every message names.
     """
+    if isinstance(raw, cls):  # built in code
+        return raw
     if not isinstance(raw, dict):
         raise ConfigError(f"{where.removesuffix('.') or 'config root'} must be an object, got {json.dumps(raw)}")
     fields = {f.name: f for f in dc_fields(cls)}
@@ -187,19 +191,20 @@ def _value(annotation: str, value, where: str):
     spelled = []
     for kind in annotation.split(" | "):
         item = kind.removeprefix("tuple[").removesuffix(", ...]")
-        cls, (types, name) = _OBJECTS.get(item), _JSON_TYPES.get(item, (dict, "an object"))
+        cls = _OBJECTS.get(item)
+        types, name = _JSON_TYPES.get(item, ((dict, cls), "an object"))
         if item == kind:
             spelled.append(name)
-            if _fits(types, value):
+            if _fits(types, value) and (kind != "float" or math.isfinite(value)):
                 return _read(cls, value, where + ".") if cls else float(value) if kind == "float" else value
             continue
         spelled.append(f"a list of {name.split()[-1]}s")
-        if isinstance(value, list) and cls:  # an entry's missing label is its 1-based position
-            return tuple(_read(cls, {"label": f"input{i + 1}", **v} if isinstance(v, dict) else v, f"{where}[{i}].")
+        if isinstance(value, (list, tuple)) and cls:  # an entry's missing label is its 1-based position
+            return tuple(_value(item, {"label": f"input{i + 1}", **v} if isinstance(v, dict) else v, f"{where}[{i}]")
                          for i, v in enumerate(value))
-        if isinstance(value, list) and all(_fits(types, v) for v in value):
+        if isinstance(value, (list, tuple)) and all(_fits(types, v) for v in value):
             return tuple(value)
-    raise ConfigError(f"{where} must be {' or '.join(spelled)}, got {json.dumps(value)}")
+    raise ConfigError(f"{where} must be {' or '.join(spelled)}, got {json.dumps(value, default=repr)}")
 
 
 def _fits(types, value) -> bool:

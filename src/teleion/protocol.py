@@ -23,16 +23,17 @@ Two execution paths take the same tables, built once by build_sequence:
   row-34 mode, sharing the rows before it) with measurement instruments and
   channel noise, Gauss-Hermite-averaged over the quasi-static detuning
   distribution. Every (input, quadrature node, reported branch) entry
-  advances on one stacked live register in one row loop, NODE_PASS (input,
-  node) pairs at a time. The inputs' tables differ only in the angles of a
-  carrier (row 9's input write, FidelityCheck's row 34), where each entry
-  takes its own input's operator; every other row acts once on all
-  entries. A subsystem holds only the levels its drives have reached in any
-  input (any other level is exactly zero) and leaves after the last
-  sideband or readout needing it (at most 48 levels, after rows 10-18 of
-  the standard table, then 12, 18, 9 and ion 3's 3x3 state), every readout
-  splits the entries on the reported outcome, and each ion's detuning phase
-  waits for its next drive. This is the infinite-statistics reference.
+  advances on one stacked live register in one row loop over run_shot's row
+  plan: rows before 34 NODE_PASS (input, node) pairs at a time, then rows
+  34-35 once per table index on all entries. The inputs' tables may differ
+  wherever run_shot's may: a row they share acts once on all entries, and at
+  any other each entry takes its own input's operator. A subsystem holds
+  only the levels its drives have reached in any input (any other level is
+  exactly zero) and leaves after the last sideband or readout needing it (at
+  most 48 levels, after rows 10-18 of the standard table, then 12, 18, 9 and
+  ion 3's 3x3 state), every readout splits the entries on the reported
+  outcome, and each ion's detuning phase waits for its next drive. This is
+  the infinite-statistics reference.
 """
 from __future__ import annotations
 
@@ -522,14 +523,13 @@ def _drive_plan(pulse: trap.Pulse, fock_cutoff: int, kept: tuple[tuple[int, ...]
     return tuple(levels), op, dep
 
 
-def _row_sites(action: trap.Pulse | ConditionalPulse) -> tuple[tuple[int, ...], bool]:
-    """(subsystems a row acts on, whether the live register must hold them for it).
+def _row_sites(pulse: trap.Pulse) -> tuple[tuple[int, ...], bool]:
+    """(subsystems a row's drive acts on, whether the live register must hold them for it).
 
     Only a blue sideband and a readout, which splits the entries, need their
     subsystems: any other row is a local channel, skipped on a subsystem only
     traced out.
     """
-    pulse = action.pulse if isinstance(action, ConditionalPulse) else action
     if isinstance(pulse, Wait):
         return (), False
     if isinstance(pulse, BlueSideband):
@@ -537,20 +537,17 @@ def _row_sites(action: trap.Pulse | ConditionalPulse) -> tuple[tuple[int, ...], 
     return (pulse.ion,), isinstance(pulse, Detect)
 
 
-def _lifetimes(steps, keep: tuple[int, ...]) -> dict[int, int]:
-    """The row index in `steps` after which each subsystem leaves the live register.
+def _lifetimes(plan: list[tuple], keep: tuple[int, ...]) -> dict[int, int]:
+    """The row index in `_row_plan`'s `plan` after which each subsystem leaves the live register.
 
-    A subsystem is traced out right after the last row that needs it; one in
-    `keep` stays to the end, len(steps). A subsystem that no row needs is
-    never driven and has no entry.
+    A subsystem is traced out right after the last row whose drive, in any
+    table, needs it; one in `keep` stays to the end, len(plan). A subsystem
+    that no row needs is never driven and has no entry.
     """
-    rows = [_row_sites(s.action) for s in steps]
     life = {}
-    for site in range(_SUBSYSTEMS):
-        needed = [i for i, (acts, held) in enumerate(rows) if held and site in acts] + [len(steps)] * (site in keep)
-        if needed:
-            life[site] = needed[-1]
-    return life
+    for i, (acts, held) in enumerate(_row_sites(row[2]) for row in plan):
+        life.update(dict.fromkeys(acts if held else (), i))
+    return {**life, **dict.fromkeys(keep, len(plan))}
 
 
 def _along(v: np.ndarray, axis: int) -> np.ndarray:
@@ -632,48 +629,35 @@ class _Stack:
     motion: np.ndarray                    # (inputs,) weighted population above n = 0 when the motion left
 
 
-def _row_pulses(row: tuple[SequenceStep | None, ...]) -> tuple[trap.Pulse, ...]:
-    """One row's pulse, or each input's where their tables differ: only a Carrier or Hide's angles may."""
-    step = row[0]
-    if len({s and (s.step_id, s.action) for s in row}) == 1:
-        return (step.action.pulse if isinstance(step.action, ConditionalPulse) else step.action,)
-    if None in row or len({(s.step_id, type(s.action), getattr(s.action, "ion", None)) for s in row}) > 1 or \
-            not isinstance(step.action, (Carrier, Hide)):
-        raise InvariantViolation(f"row {next(filter(None, row)).step_id}: inputs' tables may differ only in "
-                                 "a carrier or hide pulse's angles")
-    return tuple(s.action for s in row)
-
-
-def _advance(stack: _Stack, tables, life, first: int, noise: NoiseConfig, fock_cutoff: int) -> _Stack:
+def _advance(stack: _Stack, plan: list[tuple], life, first: int, noise: NoiseConfig, fock_cutoff: int) -> _Stack:
     """The exact engine's one row loop: every input's rows on every entry of `stack` at once.
 
-    `tables` hold rows first, first + 1, ... of each input's table, in input
-    order; `life` came from them. A row all inputs share acts once on every
-    entry; at a row where they differ (`_row_pulses`), each entry takes its
-    own input's operator and duration. A conditional row acts on the entries
-    whose branch meets its condition. Every readout splits each entry on the
-    reported outcome (the collapse follows the true outcome). A drive folds
-    each entry's pending phase into its own operator; a blue sideband raises
-    past TRUNCATION_BOUND when an (input, node)'s entries hold more than that
-    on its ion's |S, fock_cutoff-1>. Before a drive, its subsystems grow to
-    the levels `_drive_plan` says it reaches in every input, and the drive
-    acts on those levels only.
+    `plan` is `_row_plan` of rows first, first + 1, ... of each input's table,
+    in input order; `life` came from a plan of them. A row all inputs share
+    acts once on every entry; at any other, each entry takes its own input's
+    operator and duration: where its table waits, as in run_shot, a zero-area
+    drive with no depolarizing and no truncation read. A conditional row acts
+    on the entries whose branch meets its condition. Every readout splits each
+    entry on the reported outcome (the collapse follows the true outcome). A
+    drive folds each entry's pending phase into its own operator; a blue
+    sideband raises past TRUNCATION_BOUND when an (input, node)'s entries hold
+    more than that on its ion's |S, fock_cutoff-1>. Before a drive, its
+    subsystems grow to the levels `_drive_plan` says it reaches in every
+    input, and the drive acts on those levels only.
     """
     rho, pending, keys = stack.rho.copy(), stack.pending.copy(), stack.keys
     node, inputs, weight, rates = stack.node, stack.input, stack.weight, stack.rates
     truncation, motion, levels = stack.truncation, stack.motion, list(stack.levels)
     eps = noise.detection_error
     work = (np.empty(0, rho.dtype),) * 2
-    for i, row in enumerate(itertools.zip_longest(*tables), start=first):
-        step, pulses = row[0], _row_pulses(row)
-        action, pulse, sel = step.action, pulses[0], slice(None)
+    for i, (step_id, action, pulse, on, theta, phi, duration) in enumerate(plan, start=first):
+        sel = slice(None)
         if isinstance(action, ConditionalPulse):
             _check_readouts(keys[0], (action.detect_label,))
             sel = np.array([key.get(action.detect_label) is action.required for key in keys], bool)
             rho = rho.copy()  # rho[sel] is written below: rho must not be _apply's output buffer
-        durations = [noise.pulse_durations.of(p) for p in pulses]
-        pending[sel] += durations[0] if len(pulses) == 1 else np.array(durations)[inputs, None]
-        acts = _row_sites(action)[0]
+        pending[sel] += duration if np.ndim(duration) == 0 else duration[inputs[sel], None]
+        acts = _row_sites(pulse)[0]
         if not acts or any(i > life.get(s, -1) for s in acts):
             continue  # a wait, or a local row on a subsystem that is only traced out
         k, k_bra = 1 + pulse.ion, 1 + pulse.ion + _SUBSYSTEMS
@@ -686,13 +670,19 @@ def _advance(stack: _Stack, tables, life, first: int, noise: NoiseConfig, fock_c
                 np.repeat(a, 2, axis=0) for a in (node, inputs, weight, rates, pending))
             keys = tuple({**key, pulse.label: o} for key in keys for o in (Outcome.BRIGHT, Outcome.DARK))
         else:
-            depol = noise.depolarizing_applies(step.step_id) and not isinstance(pulse, Hide)
+            pulses, each = (pulse,), 0  # one drive for all entries, or each input's own
+            if np.ndim(on) + np.ndim(theta) + np.ndim(phi):
+                theta, phi, on = np.broadcast_arrays(np.where(on, theta, 0.0), phi, on)
+                each, pulses = inputs[sel], [replace(pulse, theta=t, phi=p) for t, p in np.c_[theta, phi].tolist()]
+            depol = noise.depolarizing_applies(step_id) and not isinstance(pulse, Hide)
             rate, kept = noise.depolarizing_per_pulse if depol else 0.0, tuple(levels[s] for s in acts)
             plans = [_drive_plan(p, fock_cutoff, kept, rate) for p in pulses]
-            while len({plan[0] for plan in plans}) > 1:  # inputs reach different levels: plan all on their union
-                kept = tuple(tuple(sorted(set().union(*lv))) for lv in zip(*(plan[0] for plan in plans)))
+            while len({dp[0] for dp in plans}) > 1:  # inputs reach different levels: plan all on their union
+                kept = tuple(tuple(sorted(set().union(*lv))) for lv in zip(*(dp[0] for dp in plans)))
                 plans = [_drive_plan(p, fock_cutoff, kept, rate) for p in pulses]
-            grown, op, dep = plans[0]
+            (grown, _, dep), ops = plans[0], np.stack([dp[1] for dp in plans])
+            if dep is not None and not np.all(on):  # an input that waits is not depolarized
+                dep = np.where(on[:, None, None], dep, np.eye(len(dep)))
             for site, lv in zip(acts, grown):
                 rho, levels[site] = _grow(rho, site, levels[site], lv), lv
             part = rho[sel]
@@ -710,21 +700,22 @@ def _advance(stack: _Stack, tables, life, first: int, noise: NoiseConfig, fock_c
                     pops = np.take(pops, ion_lv.index(S), axis=k)[..., motion_lv.index(fock_cutoff - 1)]
                     per_node = np.bincount(node[sel], pops.reshape(len(pops), -1).sum(axis=1))  # by (input, node)
                     np.maximum.at(top, inputs[sel], per_node[node[sel]])
-                _check_truncation(step.step_id, pulse.ion, fock_cutoff, top)
+                top = np.where(on, top, 0.0)
+                _check_truncation(step_id, pulse.ion, fock_cutoff, top)
                 truncation = np.maximum(truncation, top)
-                d = op.shape[0] * op.shape[1]
-                u = (op * ph[:, None, None, :, None]).reshape(len(ph), d, d)
+                d = ops.shape[1] * ops.shape[2]
+                u = (ops[each] * ph[:, None, None, :, None]).reshape(len(ph), d, d)
                 part = _apply(u, part, [k, 1 + _MOTION], work)
                 part = _apply(u.conj(), part, [k_bra, 1 + _MOTION + _SUBSYSTEMS], work)
                 if dep is not None:
-                    part = _apply(dep, part, [k, k_bra], work)
+                    part = _apply(dep if dep.ndim == 2 else dep[each], part, [k, k_bra], work)
             else:  # one fused (site, site') superoperator per input: drive, then depolarizing
-                d, ops = len(op), np.stack([plan[1] for plan in plans])
+                d = ops.shape[1]
                 sup = np.einsum("iab,icd->iacbd", ops, ops.conj()).reshape(len(ops), d * d, d * d)
                 if dep is not None:
                     sup = dep @ sup
                 cols = (ph[:, :, None] * ph.conj()[:, None, :]).reshape(-1, 1, d * d)
-                part = _apply(sup[0 if len(sup) == 1 else inputs[sel]] * cols, part, [k, k_bra], work)
+                part = _apply(sup[each] * cols, part, [k, k_bra], work)
             if isinstance(sel, slice):
                 rho = part
             else:
@@ -739,13 +730,13 @@ def _advance(stack: _Stack, tables, life, first: int, noise: NoiseConfig, fock_c
     return _Stack(rho, node, inputs, weight, rates, pending, keys, tuple(levels), truncation, motion)
 
 
-def _evolve(tables, life, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int) -> _Stack:
-    """`_advance` from the cooled register through each input's leading rows
-    in `tables`, NODE_PASS (input, quadrature node) pairs at a time; the
-    passes' entries end input-major, each input's in node order."""
+def _evolve(plan, inputs: int, life, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int) -> _Stack:
+    """`_advance` from the cooled register through `plan`, one row plan of `inputs`
+    inputs' leading rows for all passes of NODE_PASS (input, quadrature node)
+    pairs; the passes' entries end input-major, each input's in node order."""
     nodes, parts = _gh_nodes(noise, quad_points), []
-    for lo in range(0, len(tables) * len(nodes), NODE_PASS):
-        entry = np.arange(lo, min(lo + NODE_PASS, len(tables) * len(nodes)))
+    for lo in range(0, inputs * len(nodes), NODE_PASS):
+        entry = np.arange(lo, min(lo + NODE_PASS, inputs * len(nodes)))
         det_sd, det_h, weight = (np.array(v) for v in zip(*(nodes[e % len(nodes)] for e in entry)))
         n = len(entry)
         start = _Stack(
@@ -757,10 +748,10 @@ def _evolve(tables, life, noise: NoiseConfig, quad_points: int | None, fock_cuto
             pending=np.zeros((n, N_IONS)),
             keys=({},) * n,
             levels=((0,),) * _SUBSYSTEMS,
-            truncation=np.zeros(len(tables)),
-            motion=np.zeros(len(tables)),
+            truncation=np.zeros(inputs),
+            motion=np.zeros(inputs),
         )
-        parts.append(_advance(start, tables, life, 0, noise, fock_cutoff))
+        parts.append(_advance(start, plan, life, 0, noise, fock_cutoff))
     return _Stack(
         *(np.concatenate([getattr(p, f) for p in parts])
           for f in ("rho", "node", "input", "weight", "rates", "pending")),
@@ -815,11 +806,11 @@ def exact_run(
 
     `tables` holds one tuple of tables per input, one table per row-34 mode,
     input-major; an input's tables must share every row before 34, and the
-    inputs' tables may differ only in a carrier or hide pulse's angles
-    (row 9's input write, FidelityCheck's row 34). Every (input, quadrature
-    node, branch) entry advances through the rows before 34 once, on one
-    stacked live register (`_advance`, NODE_PASS (input, node) pairs at a
-    time). Each table index then advances its rows 34-35 for all inputs,
+    inputs' tables may differ wherever run_shot's may (`_row_plan`). Every
+    (input, quadrature node, branch) entry advances through the rows before
+    34 once, on one stacked live register (`_advance`, NODE_PASS (input,
+    node) pairs at a time). Each table index then advances its rows 34-35
+    for all inputs,
     whose readout splits the entries like pmt1 and pmt2: P(bright) is the
     weight of the `final` = Bright entries. One ExactRun per input, in
     order: `final_bright` belongs to its first table; `p_bright` holds each
@@ -834,11 +825,12 @@ def exact_run(
     for a, b in (pair for h in heads for head in h[1:] for pair in itertools.zip_longest(h[0], head)):
         if a != b:
             raise InvariantViolation(f"row {(a or b)[0]}: an input's tables differ before row {_ANALYSIS_ROW}")
-    life = _lifetimes(tables[0][0], (_TARGET,))
     shared = sum(s.step_id < _ANALYSIS_ROW for s in tables[0][0])
-    stack = _evolve([t[0][:shared] for t in tables], life, noise, quad_points, fock_cutoff)
-    ends = [_advance(stack, [t[m][shared:] for t in tables], life, shared, noise, fock_cutoff)
-            for m in range(len(tables[0]))]
+    head = _row_plan([t[0][:shared] for t in tables], noise)
+    tails = [_row_plan([t[m][shared:] for t in tables], noise) for m in range(len(tables[0]))]
+    life = _lifetimes(head + [row for tail in tails for row in tail], (_TARGET,))  # what any mode needs
+    stack = _evolve(head, len(tables), life, noise, quad_points, fock_cutoff)
+    ends = [_advance(stack, tail, life, shared, noise, fock_cutoff) for tail in tails]
     for end in ends:
         _check_readouts(end.keys[0])
     tails = [(end.input, end.weight * _reduced(end, ()).real[:, 0, 0],
@@ -980,11 +972,12 @@ def calibrate_phase(
         for phi in _FIT_PHASES
     ]
     fixed = next(i for i, row in enumerate(zip(*tables)) if len(set(row)) > 1)
-    life = _lifetimes(tables[0], (_TARGET,))
-    stack = _evolve([tables[0][:fixed]], life, noise, quad_points, fock_cutoff)
+    head, tails = _row_plan([tables[0][:fixed]], noise), [_row_plan([t[fixed:]], noise) for t in tables]
+    life = _lifetimes(head + tails[0], (_TARGET,))
+    stack = _evolve(head, 1, life, noise, quad_points, fock_cutoff)
     psi, samples = psi6.ket(), []
-    for table in tables:
-        end = _advance(stack, [table[fixed:]], life, fixed, noise, fock_cutoff)
+    for tail in tails:
+        end = _advance(stack, tail, life, fixed, noise, fock_cutoff)
         rho3 = np.einsum("e,eab->ab", end.weight, _reduced(end, (_TARGET,)))[:2, :2]
         samples.append(float(np.real(psi.conj() @ rho3 @ psi)) / float(np.real(np.trace(rho3))))
 
@@ -1028,7 +1021,7 @@ def bell_preparation_fidelity(
     prefix = tuple(s for s in seq if s.step_id <= 6)
     target = np.zeros(9)
     target[[1 * 3 + 0, 0 * 3 + 1]] = 1.0 / math.sqrt(2.0)  # |D S> + |S D>
-    keep = (1, _TARGET)
-    stack = _evolve([prefix], _lifetimes(prefix, keep), noise, quad_points, fock_cutoff)
+    keep, plan = (1, _TARGET), _row_plan([prefix], noise)
+    stack = _evolve(plan, 1, _lifetimes(plan, keep), noise, quad_points, fock_cutoff)
     rho = np.tensordot(stack.weight, _reduced(stack, keep), axes=1)
     return float(np.real(target @ rho @ target))

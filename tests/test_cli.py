@@ -19,7 +19,8 @@ from teleion.cli import (
     config_from_dict,
     main,
 )
-from teleion.errors import ConfigError, InvariantViolation
+from teleion import cli
+from teleion.errors import ConfigError, DimensionMismatch, InvariantViolation, NonConvergence
 from teleion.noise import NoiseConfig
 from teleion.protocol import (
     FidelityCheck,
@@ -31,7 +32,8 @@ from teleion.protocol import (
     run_shot,
     sequence_text,
 )
-from teleion.tomography import BASES, teleported_counts
+from teleion.qcore import DensityMatrix
+from teleion.tomography import BASES, rho_to_json, teleported_counts
 
 DOCS_CONFIG = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
@@ -70,6 +72,9 @@ def test_config_value_validation():
     with pytest.raises(ConfigError):
         config_from_dict({"phase_offset": "auto"})
     config_from_dict({"phase_offset": "calibrate"})
+    with pytest.raises(ConfigError, match=r"^inputs\[0\]\.theta_chi is missing"):
+        config_from_dict({"inputs": [{"phi_chi": 0.0}]})
+    assert config_from_dict({"noise": {"depolarizing_steps": [4, 9]}}).noise.depolarizing_steps == (4, 9)
 
 
 def test_input_lists_need_unique_filename_safe_labels():
@@ -103,6 +108,27 @@ def test_a_config_built_in_code_checks_itself():
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             ExperimentConfig(**kwargs)
     assert ExperimentConfig(exact=True).shots == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"grid": "x"}, 'grid must be an integer, got "x"'),
+        ({"standby_wait_us": "1"}, 'standby_wait_us must be a number, got "1"'),
+        ({"noise": 3}, "noise must be an object, got 3"),
+        ({"phase_offset": float("inf")}, "phase_offset must be a number or a string, got Infinity"),
+        ({"standby_wait_us": float("inf")}, "standby_wait_us must be a number, got Infinity"),
+        ({"inputs": (InputStateSpec(0.0, 0.0, "a"), {1, 2})}, 'inputs[1] must be an object, got "{1, 2}"'),
+    ],
+    ids=["grid string", "wait string", "noise number", "infinite phase", "infinite wait", "unprintable input"],
+)
+def test_a_config_built_in_code_reads_its_values_as_json_would(kwargs, message):
+    # Built in code, these once raised TypeError or AttributeError, or passed
+    # a non-finite number JSON cannot carry.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(noise=NoiseConfig(detection_error=0.01), inputs=[InputStateSpec(0.5, 1.0, "a")])
+    assert cfg.noise.detection_error == 0.01 and cfg.inputs == (InputStateSpec(0.5, 1.0, "a"),)
 
 
 def test_the_docs_example_config_runs(tmp_path, capsys):
@@ -161,7 +187,33 @@ def test_preset_and_config_are_mutually_exclusive(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["baseline", "--config", str(cfg), "--preset", "paper"]) == 2
     assert main(["baseline", "--preset", "no-such-preset"]) == 2
+    assert "unknown preset 'no-such-preset'" in capsys.readouterr().err
+
+
+def test_the_paper_preset_loads_the_shipped_example(tmp_path, capsys):
+    example = Path(__file__).resolve().parents[1] / "examples" / "paper.json"
+    args = build_parser().parse_args(["teleport", "--preset", "paper"])
+    assert cli.load_config(args) == config_from_dict(json.loads(example.read_text(encoding="utf-8")))
+    assert main(["baseline", "--preset", "paper", "--out", str(tmp_path / "paper")]) == 0
+    assert json.loads((tmp_path / "paper" / "report.json").read_text())["command"] == "baseline"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (InvariantViolation, 3, "invariant violation"),
+        (DimensionMismatch, 3, "invariant violation"),
+        (NonConvergence, 4, "non-convergence"),
+    ],
+)
+def test_main_exits_3_on_an_invariant_and_4_on_non_convergence(monkeypatch, capsys, error, code, prefix):
+    def fail(cfg):
+        raise error("probe")
+
+    monkeypatch.setattr(cli, "cmd_baseline", fail)
+    assert main(["baseline"]) == code
+    assert capsys.readouterr().err == f"{prefix}: probe\n"
 
 
 def test_mode_key_must_match_the_subcommand(tmp_path, capsys):
@@ -213,6 +265,11 @@ def test_fock_cutoff_3_runs_per_shot(tmp_path, capsys):
         ({"noise": {"depolarizing_steps": [1.5]}}, "noise.depolarizing_steps"),
         # a valid type, but a sampling mode the noise rules out, refused as the config loads
         ({"sampling": "fast", "noise": {"amplitude_error_sigma": 0.01}}, "sampling"),
+        # valid types, out of range
+        ({"grid": 4}, "grid"),
+        ({"process_inputs": "exact"}, "process_inputs"),
+        ({"tomography_resolution": 7}, "tomography_resolution"),
+        ({"quad_points": 0}, "quad_points"),
     ],
 )
 def test_a_value_of_the_wrong_json_type_exits_2_and_names_the_key(tmp_path, capsys, overrides, key):
@@ -368,6 +425,21 @@ def test_teleport_with_amplitude_noise_reports_no_exact_fidelity(tmp_path, capsy
     capsys.readouterr()
 
 
+def test_per_shot_teleport_reports_the_fast_routes_exact_fidelities(tmp_path, capsys):
+    # Without amplitude noise, per-shot counts leave the exact fidelities to
+    # a second exact run, which must give what the fast route's run gives.
+    reports = {}
+    for sampling in ("fast", "per-shot"):
+        cfg = write_config(tmp_path, f"{sampling}.json", shots=20, sampling=sampling, noise=PAPER_NOISE,
+                           quad_points=3, output_dir=str(tmp_path / sampling))
+        assert main(["teleport", "--config", str(cfg)]) == 0
+        reports[sampling] = json.loads((tmp_path / sampling / "report.json").read_text())
+    assert reports["per-shot"]["sampling"] == "per-shot"
+    exact = {k: [s["f_exact"] for s in r["states"]] + [r["f_avg_exact"]] for k, r in reports.items()}
+    assert exact["per-shot"] == exact["fast"] and None not in exact["fast"]
+    capsys.readouterr()
+
+
 def test_sampled_teleport_reruns_byte_identically(tmp_path, capsys):
     cfg_a = write_config(tmp_path, "a.json", output_dir=str(tmp_path / "a"))
     cfg_b = write_config(tmp_path, "b.json", output_dir=str(tmp_path / "b"))
@@ -406,6 +478,17 @@ def test_proc_tomo_exact_finds_the_identity_channel(tmp_path, capsys):
     assert report["errors"] == {}  # no bootstrap without sampling
     for name in ("chi.json", "chi_bars.csv", "affine.json", "ellipsoid.csv"):
         assert (out / name).exists()
+    capsys.readouterr()
+
+
+def test_proc_tomo_can_take_the_ideal_input_states(tmp_path, capsys):
+    cfg = write_config(tmp_path, shots=200, bootstrap_resamples=0, process_inputs="ideal")
+    assert main(["proc-tomo", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert json.loads((out / "report.json").read_text())["process_inputs"] == "ideal"
+    for spec in canonical_inputs():
+        ideal = rho_to_json(DensityMatrix.from_pure(spec.pure()))
+        assert (out / f"rho_in_{spec.label}.json").read_text() == ideal
     capsys.readouterr()
 
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from teleion import protocol, trap
+from teleion import tomography as tomo
 from teleion.errors import InvariantViolation
 from teleion.noise import NoiseConfig, depolarize_density_tensor
 from teleion.protocol import (
@@ -30,6 +31,7 @@ from teleion.protocol import (
     Tomography,
     _gh_nodes,
     _lifetimes,
+    _row_plan,
     bell_preparation_fidelity,
     branch_label,
     build_sequence,
@@ -314,6 +316,18 @@ def test_tables_of_one_exact_run_must_share_every_row_before_34():
         exact_run([(psi1, psi2)])
 
 
+def test_a_subsystem_stays_while_any_modes_row_34_needs_it():
+    # Lifetimes once came from the first mode's table alone: behind a Z-basis
+    # table, a row-34 sideband on ion 3 found the motion traced out after
+    # row 19 and was skipped, reading P(bright) 0.5 instead of 0.01.
+    noise = NoiseConfig(detection_error=0.01)
+    z_basis = build_sequence(canonical_inputs()[2], 0.0, Tomography("z"))
+    probe = _swap_row(z_basis, 34, BlueSideband(2, math.pi, 0.0))
+    alone = exact_run([(probe,)], noise)[0]
+    joint = exact_run([(z_basis, probe)], noise)[0]
+    assert abs(joint.p_bright[1] - alone.p_bright[0]) <= TOL
+
+
 def test_an_exact_run_of_no_inputs_has_no_runs():
     assert exact_run([]) == []
     assert exact_run([], NoiseConfig(**PAPER), quad_points=3) == []
@@ -410,22 +424,42 @@ def _swap_row(seq, step_id, action):
 @pytest.mark.parametrize(
     "step_id, action",
     [
-        (9, Hide(0, 0.5 * math.pi, 0.0)),
-        (9, Carrier(1, 0.5 * math.pi, 0.0)),
         (11, BlueSideband(0, 0.6 * math.pi, 0.5 * math.pi)),
         (7, Wait(2.0)),
         (31, ConditionalPulse("pmt1", Outcome.DARK, Carrier(2, math.pi, 0.1))),
+        (19, Wait(0.0)),
     ],
-    ids=["pulse kind", "ion", "sideband angle", "wait length", "conditional carrier"],
+    ids=["sideband angle", "wait length", "conditional carrier", "sideband against a wait"],
 )
-def test_inputs_may_differ_only_in_a_carrier_or_hide_pulses_angles(step_id, action):
-    # Only a carrier or hide has a per-entry form in the batch; any other row
-    # acts once for every input, so a difference there must not pass quietly.
+def test_the_exact_engine_runs_the_tables_run_shot_runs(step_id, action):
+    # Both engines read a batch's tables through one row plan: inputs may
+    # differ in a row's angles or duration, and one may wait where another
+    # drives. Each input of a pair must get its own run in either order; at
+    # row 19 the waiting input must not trace out the motion the other still
+    # drives, nor be depolarized, nor read the other's truncation.
+    noise = NoiseConfig(detection_error=0.01, **PAPER)
     base = build_sequence(canonical_inputs()[2])
     other = _swap_row(build_sequence(canonical_inputs()[3]), step_id, action)
-    for tables in ([(base,), (other,)], [(other,), (base,)]):
-        with pytest.raises(InvariantViolation, match=rf"^row {step_id}: inputs' tables may differ only"):
-            exact_run(tables)
+    singles = {seq: exact_run([(seq,)], noise, quad_points=3)[0] for seq in (base, other)}
+    for pair in ((base, other), (other, base)):
+        tables = [(seq,) for seq in pair]
+        runs = exact_run(tables, noise, quad_points=3)
+        for seq, res in zip(pair, runs):
+            _assert_same_run(res, singles[seq])
+        assert tomo.bright_counts(tables, noise, 0, 5, quad_points=3)[1] == [res.p_bright[0] for res in runs]
+        for sampling in ("fast", "per-shot"):
+            assert len(tomo.bright_counts(tables, noise, 20, 5, sampling=sampling, quad_points=3)[1]) == 2
+
+
+@pytest.mark.parametrize("action", [Hide(0, 0.5 * math.pi, 0.0), Carrier(1, 0.5 * math.pi, 0.0)], ids=["kind", "ion"])
+def test_both_engines_refuse_inputs_that_differ_in_a_rows_kind_of_drive(action):
+    base = build_sequence(canonical_inputs()[2])
+    other = _swap_row(build_sequence(canonical_inputs()[3]), 9, action)
+    for pair in ([base, other], [other, base]):
+        with pytest.raises(InvariantViolation, match=r"^row 9: sequences in one run must share"):
+            exact_run([(seq,) for seq in pair])
+        with pytest.raises(InvariantViolation, match=r"^row 9: sequences in one run must share"):
+            run_shot(pair, NoiseConfig(), 5, range(2), sequence_index=np.array([0, 1]))
 
 
 def test_inputs_need_equally_many_tables_of_equal_length():
@@ -593,7 +627,7 @@ def test_lifetimes_come_from_the_sequence():
     # ion 1 after row 23 (pmt1) and ion 2 after row 26 (pmt2); ion 3 stays to
     # the cut.
     standard = build_sequence(canonical_inputs()[0])[:27]
-    assert _lifetimes(standard, (2,)) == {0: 22, 1: 25, 2: 27, 3: 18}
+    assert _lifetimes(_row_plan([standard], NoiseConfig()), (2,)) == {0: 22, 1: 25, 2: 27, 3: 18}
 
     # Without the echo block, a readout of the parked ion 3 (which keeps its
     # D-H coherence, and so its phase) comes before two hide pulses that drive
@@ -609,7 +643,7 @@ def test_lifetimes_come_from_the_sequence():
     for step_id, pulse in swaps.items():
         rows[step_id - 1] = SequenceStep(step_id, pulse, "lifetime probe")
     seq = tuple(rows)
-    assert _lifetimes(seq[:27], (2,)) == {0: 23, 1: 25, 2: 27, 3: 23}
+    assert _lifetimes(_row_plan([seq[:27]], noise), (2,)) == {0: 23, 1: 25, 2: 27, 3: 23}
 
     ref = full_register_replay([seq], noise, quad_points=3)
     res = exact_run([(seq,)], noise, quad_points=3)[0]
@@ -625,10 +659,10 @@ def test_the_register_holds_only_the_levels_its_drives_reached():
     # 2 * 2 * 3 * 4 = 48 of the 108 levels after rows 10-18.
     noise = NoiseConfig(**PAPER)
     seq = build_sequence(canonical_inputs()[5])
-    life = _lifetimes(seq, (2,))
+    life = _lifetimes(_row_plan([seq], noise), (2,))
 
     def after(row):
-        stack = protocol._evolve([tuple(s for s in seq if s.step_id <= row)], life, noise, 3, 4)
+        stack = protocol._evolve(_row_plan([seq[:row]], noise), 1, life, noise, 3, 4)
         assert stack.rho.shape[1:] == tuple(len(lv) for lv in stack.levels) * 2
         return stack.levels
 

@@ -4,8 +4,11 @@ An import kept only for an outside reader of the binding says so with
 `# noqa: F401` on its line; the package's re-exports are its `__all__`.
 A top-level function, class or constant is named somewhere in the package
 besides its own definition, or is in `__all__`.
+Every function the benchmark traces (perfbench/spans.py) exists by the name
+it traces.
 """
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -129,3 +132,14 @@ def test_the_check_sees_an_unused_definition(tmp_path):
         encoding="utf-8",
     )
     assert dead_definitions(tmp_path) == ["a.py:5 orphan", "b.py:2 Unread", "b.py:5 mean"]
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # perfbench/spans.install skips a function its module lacks, and that
+    # function's per-layer metrics then read zero: a rename must fail here.
+    spec = importlib.util.spec_from_file_location("spans", SRC.parents[1] / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LAYER_FUNCTIONS
+    for module, function in spans.LAYER_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), function, None)), f"{module}.{function}"
