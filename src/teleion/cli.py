@@ -36,6 +36,10 @@ from .protocol import run_shot  # noqa: F401  perfbench/spans.py traces this bin
 from .qcore import DensityMatrix, state_fidelity, trace_distance
 from . import tomography as tomo
 
+# `main` runs each subcommand's `cmd_*` function by name, so that a replaced one is run.
+__all__ = ["ExperimentConfig", "build_parser", "cmd_baseline", "cmd_calibrate", "cmd_export_sequence",
+           "cmd_proc_tomo", "cmd_state_tomo", "cmd_teleport", "config_from_dict", "load_config", "main"]
+
 _TELE_TAG = 0xCA11
 _INPUT_TAG = 0x1297
 
@@ -56,7 +60,7 @@ configuration keys (JSON file; flags override file values):
   phase_offset            tail phase in radians, or "calibrate" (default 0.0)
   inputs                  "six-canonical" or list of {theta_chi, phi_chi[, label]}, angles in radians
   output_dir              artifact directory (default "out")
-  mode                    optional; must match the subcommand when present
+  mode                    optional; must match the subcommand when present (export-sequence ignores it)
   quad_points             Gauss-Hermite nodes for detuning averaging (default 21 correlated, 9/ion otherwise)
   sampling                auto | fast | per-shot (default auto)
   spin_echo               boolean, echo pulse on the target ion (default true)
@@ -81,7 +85,14 @@ configuration keys (JSON file; flags override file values):
   noise.pulse_durations.detect       us per detection window (default 250.0)
 """
 
-_MODES = ("teleport", "state-tomo", "proc-tomo", "calibrate", "baseline")
+#: Every command a config's `mode` may name, with its --help line; `main` runs `cmd_<name>`.
+_MODES = {
+    "teleport": "teleportation fidelity per input state (exact + sampled)",
+    "state-tomo": "tomography of the teleported output states",
+    "proc-tomo": "full process tomography of the teleportation channel",
+    "calibrate": "fit the tail phase offset's fidelity curve and report its optimum",
+    "baseline": "classical measure-and-resend fidelity reference",
+}
 
 
 @dataclass
@@ -298,16 +309,10 @@ def _resolve_phase(cfg: ExperimentConfig) -> tuple[float, dict]:
     return float(cfg.phase_offset), {}
 
 
-def _require_mode(cfg: ExperimentConfig, command: str) -> None:
-    if cfg.mode is not None and cfg.mode != command:
-        raise ConfigError(f"config mode {cfg.mode!r} does not match subcommand {command!r}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_teleport(cfg: ExperimentConfig) -> int:
-    _require_mode(cfg, "teleport")
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
     phase, calibration = _resolve_phase(cfg)
@@ -320,19 +325,17 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     if runs is None and cfg.noise.amplitude_error_sigma == 0.0:
         runs = exact_run(tables, cfg.noise, **cfg.exact_kwargs())
 
-    rows, bar_rows, report_states = [], [], []
+    report_states = []
     for spec, res, k in zip(inputs, runs or [None] * len(inputs), counts):
-        f_exact = None if res is None else state_fidelity(res.rho_exp, spec.pure())
         f = k / (cfg.shots or 1)
-        stderr = math.sqrt(max(f * (1 - f), 0.0) / cfg.shots) if cfg.shots else 0.0
-        exact_cell = "" if f_exact is None else _fmt(f_exact)
-        rows.append(
-            [spec.label, _fmt(spec.theta_chi), _fmt(spec.phi_chi), exact_cell, _fmt(f), _fmt(stderr)]
-        )
-        bar_rows.append([spec.label, _fmt(f), _fmt(stderr)])
-        report_states.append(
-            {"label": spec.label, "f_exact": f_exact, "f_sampled": f, "stderr": stderr}
-        )
+        report_states.append({
+            "label": spec.label,
+            "f_exact": None if res is None else state_fidelity(res.rho_exp, spec.pure()),
+            "f_sampled": f,
+            "stderr": math.sqrt(max(f * (1 - f), 0.0) / cfg.shots) if cfg.shots else 0.0,
+        })
+    rows = [[s["label"], _fmt(spec.theta_chi), _fmt(spec.phi_chi), "" if s["f_exact"] is None else _fmt(s["f_exact"]),
+             _fmt(s["f_sampled"]), _fmt(s["stderr"])] for spec, s in zip(inputs, report_states)]
 
     f_avg_exact = float(np.mean([s["f_exact"] for s in report_states])) if runs else None
     f_avg_sampled = float(np.mean([s["f_sampled"] for s in report_states]))
@@ -342,7 +345,7 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     baseline = classical_baseline()
 
     _emit_csv(out / "fidelities.csv", "input_label,theta_chi,phi_chi,f_exact,f_sampled,stderr", rows)
-    _emit_csv(out / "fidelity_bars.csv", "input_label,f_sampled,stderr", bar_rows)
+    _emit_csv(out / "fidelity_bars.csv", "input_label,f_sampled,stderr", [row[:1] + row[4:] for row in rows])
     _emit_json(
         out / "report.json",
         {
@@ -371,9 +374,10 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _labeled_counts(cfg, inputs, phase) -> list[tomo.CountsTable]:
-    """Every input's count table, input i sampling on its own child seed."""
-    return tomo.teleported_counts(
+def _output_states(cfg, out: Path, inputs, phase, prefix: str = "") -> tuple[list, list[DensityMatrix]]:
+    """Every input's teleported count table and maximum-likelihood state, input i sampling on
+    its own child seed; each pair is written as counts_<prefix><label>.csv and rho_<prefix><label>.json."""
+    counts = tomo.teleported_counts(
         inputs,
         cfg.noise,
         cfg.shots,
@@ -383,30 +387,28 @@ def _labeled_counts(cfg, inputs, phase) -> list[tomo.CountsTable]:
         **cfg.exact_kwargs(),
         **cfg.sequence_kwargs(),
     )
+    states = []
+    for spec, table in zip(inputs, counts):
+        (out / f"counts_{prefix}{spec.label}.csv").write_text(tomo.counts_to_csv(table), encoding="utf-8")
+        states.append(tomo.mle_state(table))
+        _emit_json(out / f"rho_{prefix}{spec.label}.json", tomo.rho_to_json(states[-1]))
+    return counts, states
 
 
 def cmd_state_tomo(cfg: ExperimentConfig) -> int:
-    _require_mode(cfg, "state-tomo")
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
     phase, _ = _resolve_phase(cfg)
 
     bar_rows, report_states = [], []
-    for spec, counts in zip(inputs, _labeled_counts(cfg, inputs, phase)):
-        (out / f"counts_{spec.label}.csv").write_text(tomo.counts_to_csv(counts), encoding="utf-8")
-        rho = tomo.mle_state(counts)
-        _emit_json(out / f"rho_{spec.label}.json", tomo.rho_to_json(rho))
-        for r, rname in enumerate("SD"):
-            for c, cname in enumerate("SD"):
-                bar_rows.append(
-                    [spec.label, rname, cname, _fmt(rho.matrix[r, c].real), _fmt(rho.matrix[r, c].imag)]
-                )
-        ideal = DensityMatrix.from_pure(spec.pure())
+    for spec, rho in zip(inputs, _output_states(cfg, out, inputs, phase)[1]):
+        bar_rows += [[spec.label, "SD"[r], "SD"[c], _fmt(v.real), _fmt(v.imag)]
+                     for (r, c), v in np.ndenumerate(rho.matrix)]
         report_states.append(
             {
                 "label": spec.label,
                 "fidelity_to_ideal": state_fidelity(rho, spec.pure()),
-                "trace_distance_to_ideal": trace_distance(rho, ideal),
+                "trace_distance_to_ideal": trace_distance(rho, DensityMatrix.from_pure(spec.pure())),
             }
         )
 
@@ -428,27 +430,19 @@ def cmd_state_tomo(cfg: ExperimentConfig) -> int:
 
 
 def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
-    _require_mode(cfg, "proc-tomo")
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
     phase, _ = _resolve_phase(cfg)
 
-    in_states, out_states, out_counts = [], [], _labeled_counts(cfg, inputs, phase)
-    for idx, (spec, counts) in enumerate(zip(inputs, out_counts)):
-        ideal = DensityMatrix.from_pure(spec.pure())
-        if cfg.process_inputs == "ideal":
-            rho_in = ideal
-        else:
+    out_counts, out_states = _output_states(cfg, out, inputs, phase, "out_")
+    in_states = []
+    for idx, spec in enumerate(inputs):
+        rho_in = DensityMatrix.from_pure(spec.pure())
+        if cfg.process_inputs == "reconstructed":
             rng = np.random.default_rng([cfg.seed, _INPUT_TAG, idx])
-            in_table = tomo.simulate_state_tomography(ideal, cfg.shots, rng)
-            rho_in = tomo.mle_state(in_table)
+            rho_in = tomo.mle_state(tomo.simulate_state_tomography(rho_in, cfg.shots, rng))
         in_states.append(rho_in)
         _emit_json(out / f"rho_in_{spec.label}.json", tomo.rho_to_json(rho_in))
-
-        (out / f"counts_out_{spec.label}.csv").write_text(tomo.counts_to_csv(counts), encoding="utf-8")
-        rho_out = tomo.mle_state(counts)
-        out_states.append(rho_out)
-        _emit_json(out / f"rho_out_{spec.label}.json", tomo.rho_to_json(rho_out))
 
     chi, diag = tomo.mle_process(in_states, out_counts, return_diagnostics=True)
     if not diag.converged:
@@ -476,7 +470,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
             return_diagnostics=True,
         )
         chi_ii = np.array([float(p.chi[0, 0].real) for p in resampled])
-        fps = np.array([tomo.process_fidelity(p, tomo.chi_ideal_identity()) for p in resampled])
+        fps = np.clip(chi_ii, 0.0, 1.0)  # the fidelity with the identity: each fit is CPTP by construction
         amaps = [tomo.affine_decompose(p) for p in resampled]
         bs = np.array([a.b for a in amaps])
         eigs = np.array([a.s_eigenvalues for a in amaps])
@@ -496,12 +490,8 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
         }
 
     _emit_json(out / "chi.json", tomo.chi_to_json(chi))
-    chi_rows = []
-    labels = ("I", "X", "Y", "Z")
-    for m in range(4):
-        for n in range(4):
-            v = chi.chi[m, n]
-            chi_rows.append([labels[m], labels[n], _fmt(abs(v)), _fmt(v.real), _fmt(v.imag)])
+    chi_rows = [["IXYZ"[m], "IXYZ"[n], _fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
+                for (m, n), v in np.ndenumerate(chi.chi)]
     _emit_csv(out / "chi_bars.csv", "m,n,abs,re,im", chi_rows)
     _emit_json(out / "affine.json", tomo.affine_to_json(amap, extra=errors or None))
     _emit_csv(
@@ -544,7 +534,6 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
 
 
 def cmd_calibrate(cfg: ExperimentConfig) -> int:
-    _require_mode(cfg, "calibrate")
     out = _outdir(cfg)
     res = calibrate_phase(cfg.noise, grid=cfg.grid, **cfg.exact_kwargs(), **cfg.sequence_kwargs())
     _emit_csv(
@@ -568,7 +557,6 @@ def cmd_calibrate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_baseline(cfg: ExperimentConfig) -> int:
-    _require_mode(cfg, "baseline")
     out = _outdir(cfg)
     per_state = classical_baseline_per_state()
     rows = [
@@ -624,13 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--exact", action="store_true", help="infinite-statistics mode (no sampling)"
         )
 
-    for name, helptext in (
-        ("teleport", "teleportation fidelity per input state (exact + sampled)"),
-        ("state-tomo", "tomography of the teleported output states"),
-        ("proc-tomo", "full process tomography of the teleportation channel"),
-        ("calibrate", "fit the tail phase offset's fidelity curve and report its optimum"),
-        ("baseline", "classical measure-and-resend fidelity reference"),
-    ):
+    for name, helptext in _MODES.items():
         common(sub.add_parser(name, help=helptext))
 
     exp = sub.add_parser("export-sequence", help="print the 35-row pulse table")
@@ -650,19 +632,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
-        if args.command == "teleport":
-            return cmd_teleport(cfg)
-        if args.command == "state-tomo":
-            return cmd_state_tomo(cfg)
-        if args.command == "proc-tomo":
-            return cmd_proc_tomo(cfg)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg)
-        if args.command == "baseline":
-            return cmd_baseline(cfg)
-        if args.command == "export-sequence":
+        if args.command == "export-sequence":  # a table, whatever command the config was written for
             return cmd_export_sequence(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if cfg.mode is not None and cfg.mode != args.command:
+            raise ConfigError(f"config mode {cfg.mode!r} does not match subcommand {args.command!r}")
+        return globals()["cmd_" + args.command.replace("-", "_")](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -256,30 +256,7 @@ def build_sequence(
         rows.append((Carrier(2, 0.5 * PI, PI + phi), "Y-basis analysis pulse"))
     rows.append((Detect(2, "final"), "readout of ion 3"))
 
-    steps = tuple(
-        SequenceStep(i + 1, action, comment) for i, (action, comment) in enumerate(rows)
-    )
-    _validate_sequence(steps)
-    return steps
-
-
-def _validate_sequence(steps: tuple[SequenceStep, ...]) -> None:
-    if [s.step_id for s in steps] != sorted({s.step_id for s in steps}):
-        raise InvariantViolation("step ids must be strictly increasing")
-    seen_detects: set[str] = set()
-    for s in steps:
-        if isinstance(s.action, Detect):
-            if s.action.label in seen_detects:
-                raise InvariantViolation(f"duplicate detect label {s.action.label!r}")
-            seen_detects.add(s.action.label)
-        elif isinstance(s.action, ConditionalPulse):
-            if isinstance(s.action.pulse, Detect):
-                raise InvariantViolation(f"step {s.step_id}: a readout cannot be conditional")
-            if s.action.detect_label not in seen_detects:
-                raise InvariantViolation(
-                    f"step {s.step_id} conditions on future/unknown detect "
-                    f"{s.action.detect_label!r}"
-                )
+    return tuple(SequenceStep(i + 1, action, comment) for i, (action, comment) in enumerate(rows))
 
 
 def _fmt_angle(x: float) -> str:

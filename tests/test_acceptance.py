@@ -25,9 +25,6 @@ from teleion.protocol import (
 )
 from teleion.qcore import (
     DensityMatrix,
-    haar_average_fidelity,
-    random_cptp_qubit_channel,
-    random_pure_state,
     state_fidelity,
     trace_distance,
 )
@@ -42,6 +39,8 @@ from teleion.tomography import (
     process_fidelity,
     simulate_state_tomography,
 )
+
+from oracles import haar_average_fidelity, random_cptp_qubit_channel, random_pure_state
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "examples" / "paper.json"
 

@@ -222,6 +222,35 @@ def test_mode_key_must_match_the_subcommand(tmp_path, capsys):
     assert "does not match subcommand" in capsys.readouterr().err
 
 
+COMMANDS = {"teleport": "cmd_teleport", "state-tomo": "cmd_state_tomo", "proc-tomo": "cmd_proc_tomo",
+            "calibrate": "cmd_calibrate", "baseline": "cmd_baseline"}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_main_runs_each_subcommand_through_its_own_function(monkeypatch, tmp_path, name):
+    assert set(cli._MODES) == set(COMMANDS)
+    calls = []
+    for command, function in COMMANDS.items():
+        monkeypatch.setattr(cli, function, lambda cfg, command=command: calls.append((command, cfg.mode)) or 0)
+    assert main([name, "--config", str(write_config(tmp_path, mode=name))]) == 0
+    assert calls == [(name, name)]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_mode_mismatch_exits_2_before_any_output(tmp_path, capsys, name):
+    other = "baseline" if name == "teleport" else "teleport"
+    assert main([name, "--config", str(write_config(tmp_path, mode=other))]) == 2
+    assert capsys.readouterr() == ("", f"config error: config mode {other!r} does not match subcommand {name!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_export_sequence_ignores_the_mode_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, mode="teleport")
+    assert main(["export-sequence", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == sequence_text(build_sequence(canonical_inputs()[5]))
+    assert not (tmp_path / "out").exists()
+
+
 def test_fock_cutoff_2_exits_2_and_names_the_key(tmp_path, capsys):
     # At cutoff 2 every exact run of an input with population on ion 1's S
     # level stops at row 11 on the truncation monitor, so the config refuses it.

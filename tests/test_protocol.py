@@ -64,13 +64,20 @@ def test_canonical_inputs_are_the_six_bloch_axes():
 # ---------------------------------------------------------------------------
 # Sequence structure
 
-def test_sequence_has_35_rows_and_the_three_readouts():
-    seq = build_sequence(canonical_inputs()[0])
+@pytest.mark.parametrize("mode", [FidelityCheck(), *map(Tomography, "zxy")], ids=["fidelity", "z", "x", "y"])
+@pytest.mark.parametrize("spin_echo", [True, False], ids=["echo", "no-echo"])
+@pytest.mark.parametrize("reconstruction", [True, False], ids=["corrected", "uncorrected"])
+def test_sequence_has_35_rows_and_the_three_readouts(mode, spin_echo, reconstruction):
+    seq = build_sequence(canonical_inputs()[0], 0.3, mode, spin_echo=spin_echo, reconstruction=reconstruction)
     assert [s.step_id for s in seq] == list(range(1, 36))
     detects = [(s.step_id, s.action.label) for s in seq if isinstance(s.action, Detect)]
     assert detects == [(23, "pmt1"), (26, "pmt2"), (35, "final")]
-    conds = [s.step_id for s in seq if isinstance(s.action, ConditionalPulse)]
-    assert conds == [31, 32, 33]
+    conds = [s for s in seq if isinstance(s.action, ConditionalPulse)]
+    assert [s.step_id for s in conds] == ([31, 32, 33] if reconstruction else [])
+    read_at = {label: step_id for step_id, label in detects}
+    for s in conds:  # every correction follows the readout it names, and is a drive
+        assert read_at[s.action.detect_label] < s.step_id
+        assert not isinstance(s.action.pulse, Detect)
 
 
 def test_conditional_rows_fire_on_dark_with_echo_bright_without():

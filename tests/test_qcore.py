@@ -13,13 +13,12 @@ from teleion.qcore import (
     PureState,
     bloch_vector,
     density_from_bloch,
-    haar_average_fidelity,
     partial_trace,
-    random_cptp_qubit_channel,
-    random_pure_state,
     state_fidelity,
     trace_distance,
 )
+
+from oracles import haar_average_fidelity, random_cptp_qubit_channel, random_pure_state
 
 
 def test_pauli_algebra():

@@ -16,8 +16,6 @@ from teleion.qcore import (
     DensityMatrix,
     bloch_vector,
     density_from_bloch,
-    random_cptp_qubit_channel,
-    random_pure_state,
     state_fidelity,
     trace_distance,
 )
@@ -61,6 +59,8 @@ from teleion.tomography import (
     _fit_chi,
     _process_model,
 )
+
+from oracles import random_cptp_qubit_channel, random_pure_state
 
 
 def depolarizing_chi(p: float) -> np.ndarray:
