@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, InvariantViolation, NonConvergence
 from .noise import NoiseConfig, PulseDurations
 from .protocol import (
+    ConditionalPulse,
     FidelityCheck,
     InputStateSpec,
     Tomography,
@@ -35,6 +36,7 @@ from .protocol import (
 from .protocol import run_shot  # noqa: F401  perfbench/spans.py traces this binding
 from .qcore import DensityMatrix, state_fidelity, trace_distance
 from . import tomography as tomo
+from .trap import BlueSideband, Carrier
 
 # `main` runs each subcommand's `cmd_*` function by name, so that a replaced one is run.
 __all__ = ["ExperimentConfig", "build_parser", "cmd_baseline", "cmd_calibrate", "cmd_export_sequence",
@@ -153,6 +155,13 @@ class ExperimentConfig:
             if label in labels[:i]:
                 raise ConfigError(f"input labels must be unique: {label!r} repeats")
         tomo.resolve_sampling(self.noise, self.sampling)
+        if self.noise.depolarizing_steps is not None:  # a drive that depolarizes: a carrier or a sideband
+            rows = build_sequence(self.resolved_inputs()[0], **self.sequence_kwargs())
+            drives = {s.step_id for s in rows if isinstance(
+                s.action.pulse if isinstance(s.action, ConditionalPulse) else s.action, (Carrier, BlueSideband))}
+            if stray := sorted(set(self.noise.depolarizing_steps) - drives):
+                raise ConfigError(f"noise.depolarizing_steps must be step ids of carrier or blue-sideband rows, "
+                                  f"not {stray}")
         if self.mode is not None and self.mode not in _MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not (self.standby_wait_us >= 0.0 and self.rephase_wait_us >= 0.0):
@@ -182,10 +191,11 @@ def _read(cls, raw, where: str = ""):
     value has a JSON type the field's annotation reads (or, built in code, a
     config or tuple); a float field stores a finite float; each entry of a
     config or tuple field is read by these rules again; a field with no
-    default must be present. `where` is `raw`'s key path, which every message names.
+    default must be present; a `cls` built in code is read through its
+    fields. `where` is `raw`'s key path, which every message names.
     """
     if isinstance(raw, cls):  # built in code
-        return raw
+        raw = {f.name: getattr(raw, f.name) for f in dc_fields(cls)}
     if not isinstance(raw, dict):
         raise ConfigError(f"{where.removesuffix('.') or 'config root'} must be an object, got {json.dumps(raw)}")
     fields = {f.name: f for f in dc_fields(cls)}

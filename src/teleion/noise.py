@@ -117,10 +117,10 @@ class NoiseConfig:
             raise ConfigError("detection_error must be in [0, 1]")
         if not 0 <= self.dephasing_ratio_H < math.inf:
             raise ConfigError("dephasing_ratio_H must be nonnegative and finite")
-        if self.depolarizing_steps is not None:
-            object.__setattr__(
-                self, "depolarizing_steps", tuple(int(s) for s in self.depolarizing_steps)
-            )
+        if (steps := self.depolarizing_steps) is not None:  # refused, not coerced: int() reads "5" or 2.9
+            if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in steps):
+                raise ConfigError(f"depolarizing_steps must be a list of integer step ids, got {steps!r}")
+            object.__setattr__(self, "depolarizing_steps", tuple(map(int, steps)))
 
     @property
     def is_noiseless(self) -> bool:

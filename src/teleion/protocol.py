@@ -58,6 +58,7 @@ from . import trap
 from .trap import (
     BlueSideband,
     Carrier,
+    D,
     Detect,
     Hide,
     Outcome,
@@ -465,39 +466,46 @@ _MOTION = N_IONS
 NODE_PASS = 27
 
 
-def _reached(hit: np.ndarray, axis: int, levels: tuple[int, ...]) -> tuple[int, ...]:
-    """`levels` plus every index along `axis` at which `hit` holds a True."""
-    hits = hit.any(axis=tuple(a for a in range(hit.ndim) if a != axis))
-    return tuple(sorted({*levels, *map(int, np.flatnonzero(hits))}))
-
-
 @functools.lru_cache(maxsize=256)
 def _drive_plan(pulse: trap.Pulse, fock_cutoff: int, kept: tuple[tuple[int, ...], ...], depol: float):
     """(levels, op, dep) of a drive on subsystems that hold the levels `kept`.
 
-    `levels` are `kept` plus every level the drive's local unitary (on (ion,
-    motion) for a sideband) reaches from them by its nonzero pattern, then,
-    for depol > 0, every ion level the depolarizing channel's pattern
-    reaches: any other level stays exactly zero. `op` is the unitary on
-    `levels`, and `dep` the ion's (d*d, d*d) depolarizing superoperator on
-    them, None for depol = 0. Read-only; cached.
+    Built from trap.drive_pairs in closed form. `levels` are `kept` plus both
+    ends of every pair whose rotation mixes them (a nonzero off-diagonal
+    entry) and that has an end in `kept`, then, for depol > 0, S and D on an
+    ion that holds either: any other level stays exactly zero. `op` is the
+    unitary on `levels`: the identity, with each pair's rotation entry
+    written wherever its row and column both lie in `levels` (an end whose
+    partner lies outside keeps its cos(area/2)). `dep` is the ion's (d*d,
+    d*d) depolarizing superoperator on its levels, None for depol = 0.
+    Read-only; cached.
     """
-    if isinstance(pulse, BlueSideband):
-        op = trap.sideband_local(pulse.theta, pulse.phi, fock_cutoff).reshape((3, fock_cutoff) * 2)
-    else:
-        op = (trap.carrier_local if isinstance(pulse, Carrier) else trap.hide_local)(pulse.theta, pulse.phi)
-    hit = op[(...,) + np.ix_(*kept)] != 0
-    levels = [_reached(hit, j, lv) for j, lv in enumerate(kept)]
+    pairs = [((lower, upper), trap.rotation_2x2(pulse.theta * f, pulse.phi))
+             for lower, upper, f in trap.drive_pairs(pulse, fock_cutoff)[0]]
+    grown = [set(sub) for sub in kept]
+    for ends, rot in pairs:
+        held = any(all(level in sub for sub, level in zip(kept, end)) for end in ends)
+        if held and (rot[0, 1] != 0 or rot[1, 0] != 0):
+            for sub, both in zip(grown, zip(*ends)):  # each subsystem's levels of the two ends
+                sub.update(both)
+    if depol and grown[0] & {S, D}:  # the channel mixes S and D, and leaves H alone
+        grown[0] |= {S, D}
+    levels = tuple(tuple(sorted(sub)) for sub in grown)
     dep = None
-    if depol:  # a Hermiticity-preserving map: its ket pattern is its bra pattern
-        sup = depolarizing_superop(depol, 3).reshape(3, 3, 3, 3)
-        levels[0] = _reached(sup[(...,) + np.ix_(levels[0], levels[0])] != 0, 0, levels[0])
+    if depol:
         d = len(levels[0])
-        dep = sup[np.ix_(*levels[:1] * 4)].reshape(d * d, d * d)
+        dep = depolarizing_superop(depol, 3).reshape(3, 3, 3, 3)[np.ix_(*levels[:1] * 4)].reshape(d * d, d * d)
         dep.flags.writeable = False
-    op = op[np.ix_(*levels * 2)]
+    shape = tuple(map(len, levels))
+    op = np.eye(math.prod(shape), dtype=np.complex128).reshape(shape * 2)
+    where = [{level: i for i, level in enumerate(sub)} for sub in levels]  # level -> its index in `levels`
+    for ends, rot in pairs:
+        at = [tuple(ix.get(level) for ix, level in zip(where, end)) for end in ends]
+        for (i, row), (j, col) in itertools.product(enumerate(at), repeat=2):
+            if None not in row + col:
+                op[row + col] = rot[i, j]
     op.flags.writeable = False
-    return tuple(levels), op, dep
+    return levels, op, dep
 
 
 def _row_sites(pulse: trap.Pulse) -> tuple[tuple[int, ...], bool]:

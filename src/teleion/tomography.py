@@ -653,15 +653,10 @@ def ellipsoid_mesh(amap: AffineMap, resolution: int = 24) -> np.ndarray:
     """Images of a latitude-longitude unit-sphere grid, shape (resolution^2, 3)."""
     if resolution < 8:
         raise ConfigError("resolution must be >= 8")
-    thetas = np.linspace(0.0, math.pi, resolution)
-    phis = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    pts = []
-    ms = amap.O @ amap.S
-    for th in thetas:
-        for ph in phis:
-            r = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
-            pts.append(ms @ r + amap.b)
-    return np.array(pts)
+    th, ph = np.meshgrid(np.linspace(0.0, math.pi, resolution),
+                         np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False), indexing="ij")
+    unit = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1).reshape(-1, 3)
+    return unit @ (amap.O @ amap.S).T + amap.b
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,10 @@ Pulse zoo:
 * Detect(ion, label)            — a readout: fluorescence_measure on shots,
   the exact engine's instrument on density matrices.
 
-apply_pulse applies the three drives and refuses the rest.
+drive_pairs is the one definition of the three drives: the level pairs each
+rotates and the levels it leaves idle. apply_pulse iterates it on shots (and
+refuses the other pulses); protocol._drive_plan writes it into the exact
+engine's operators.
 
 The 2x2 rotation convention (basis order: lower level first) is
 
@@ -101,33 +104,21 @@ def rotation_2x2(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarr
     return r
 
 
-def carrier_local(theta: float, phi: float) -> np.ndarray:
-    """3x3 single-ion matrix: R(theta, phi) on {S, D}, identity on H."""
-    u = np.eye(3, dtype=np.complex128)
-    u[np.ix_([S, D], [S, D])] = rotation_2x2(theta, phi)
-    return u
+def drive_pairs(pulse: Carrier | Hide | BlueSideband, fock_cutoff: int):
+    """(pairs, idle): the level pairs a drive rotates, and the levels it leaves idle.
 
-
-def hide_local(theta: float, phi: float) -> np.ndarray:
-    """3x3 single-ion matrix: R(theta, phi) on {S, H}, identity on D."""
-    u = np.eye(3, dtype=np.complex128)
-    u[np.ix_([S, H], [S, H])] = rotation_2x2(theta, phi)
-    return u
-
-
-def sideband_local(theta: float, phi: float, fock_cutoff: int) -> np.ndarray:
-    """(3*nc x 3*nc) matrix on (ion level, motion), index = level*nc + n.
-
-    Each |S,n>,|D,n+1> block gets R(theta*sqrt(n+1), phi); everything else
-    (H levels, |D,0>, the truncated |S, nc-1>) is an exact fixed point, so the
-    matrix is unitary at any cutoff.
+    A level is (ion level,) for a carrier or a hide, which leave the motion
+    alone, and (ion level, Fock number) for a sideband, whose (ion level,)
+    holds every Fock number. Each pair (lower, upper, f) takes R(theta*f,
+    phi): {S, D} or {S, H} with f = 1, or each |S,n>,|D,n+1> block with
+    f = sqrt(n+1). `idle` lists the D and H levels that no pair touches; the
+    sideband's uncoupled |S, fock_cutoff-1> is idle too, but S, the frame,
+    never takes a phase.
     """
-    nc = fock_cutoff
-    u = np.eye(3 * nc, dtype=np.complex128)
-    for n in range(nc - 1):
-        idx = [S * nc + n, D * nc + n + 1]
-        u[np.ix_(idx, idx)] = rotation_2x2(theta * math.sqrt(n + 1), phi)
-    return u
+    if isinstance(pulse, BlueSideband):
+        return tuple(((S, n), (D, n + 1), math.sqrt(n + 1)) for n in range(fock_cutoff - 1)), ((D, 0), (H,))
+    upper, idle = (D, H) if isinstance(pulse, Carrier) else (H, D)
+    return (((S,), (upper,), 1.0),), ((idle,),)
 
 
 def _check_ion(n_ions: int, ion: int) -> None:
@@ -138,7 +129,7 @@ def _check_ion(n_ions: int, ion: int) -> None:
 # ---------------------------------------------------------------------------
 # The trajectory engine: drives and readouts on a stack of shots, the array
 # (shots,) + (3,)*n_ions + (fock_cutoff,) in any memory order, updated in
-# place. The exact engine applies the local matrices above.
+# place. The exact engine builds its drives from the same drive_pairs.
 
 def apply_site(psi: np.ndarray, op: np.ndarray, site: int) -> np.ndarray:
     """Apply a single-site operator to subsystem `site` of a stack of shots.
@@ -174,39 +165,32 @@ def _phased(rot: np.ndarray, phase: np.ndarray | None, upper: int) -> np.ndarray
 def apply_pulse(psi: np.ndarray, pulse: Pulse, phase: np.ndarray | None = None) -> np.ndarray:
     """A drive on a stack of shots, written into `psi` in place; returns `psi`.
 
-    `psi` may be any strided view of the stack, such as run_shot's
-    shot-innermost one: the drive reaches its level pairs through basic-index
-    views and never reshapes, which would silently copy such a view.
-    `pulse.theta` and `pulse.phi` may hold one value per shot. `phase`, shape
-    (shots, 3), holds factors on the driven ion's S, D and H applied just
-    before the drive (a free-evolution phase; S's factor, the frame's, must
-    be 1): each 2x2 rotation's upper column takes its level's factor, and
-    only the levels the drive leaves alone are multiplied. Waits and readouts
-    are not drives and raise.
+    Each of drive_pairs' pairs takes its 2x2 rotation. `psi` may be any
+    strided view of the stack, such as run_shot's shot-innermost one: the
+    drive reaches its levels through basic-index views and never reshapes,
+    which would silently copy such a view. `pulse.theta` and `pulse.phi` may
+    hold one value per shot. `phase`, shape (shots, 3), holds factors on the
+    driven ion's S, D and H applied just before the drive (a free-evolution
+    phase; S's factor, the frame's, must be 1): each rotation's upper column
+    takes its level's factor, and only drive_pairs' idle levels are
+    multiplied. Waits and readouts are not drives and raise.
     """
     if not isinstance(pulse, (Carrier, Hide, BlueSideband)):
         raise InvariantViolation(f"apply_pulse applies drives only, not {type(pulse).__name__}")
     _check_ion(psi.ndim - 2, pulse.ion)
-    # Every drive is a set of 2x2 rotations on pairs of levels: {S, D} or
-    # {S, H} of the ion, or each |S,n>,|D,n+1> block of a sideband.
     lead = (slice(None),) * (1 + pulse.ion)  # every shot, every level of the ions before the driven one
 
-    def scale(view: np.ndarray, level: int) -> None:  # each shot's phase factor of `level`, in place
-        view *= phase[:, level].reshape((-1,) + (1,) * (view.ndim - 1))
+    def at(level: tuple[int, ...]) -> np.ndarray:  # the view of one drive_pairs level of the driven ion
+        return psi[lead + level[:1] + (...,) + level[1:]]
 
-    if isinstance(pulse, (Carrier, Hide)):
-        upper, idle = (D, H) if isinstance(pulse, Carrier) else (H, D)
-        rot = _phased(rotation_2x2(pulse.theta, pulse.phi), phase, upper)
-        if phase is not None:
-            scale(psi[lead + (idle,)], idle)
-        _rotate(psi[lead + (S,)], psi[lead + (upper,)], rot)
-    else:
-        if phase is not None:
-            scale(psi[lead + (D, ..., 0)], D)
-            scale(psi[lead + (H,)], H)
-        for n in range(psi.shape[-1] - 1):
-            rot = _phased(rotation_2x2(np.multiply(pulse.theta, math.sqrt(n + 1)), pulse.phi), phase, D)
-            _rotate(psi[lead + (S, ..., n)], psi[lead + (D, ..., n + 1)], rot)
+    pairs, idle = drive_pairs(pulse, psi.shape[-1])
+    for lower, upper, factor in pairs:
+        rot = _phased(rotation_2x2(np.multiply(pulse.theta, factor), pulse.phi), phase, upper[0])
+        _rotate(at(lower), at(upper), rot)
+    if phase is not None:
+        for level in idle:  # each shot's phase factor of the level, in place
+            view = at(level)
+            view *= phase[:, level[0]].reshape((-1,) + (1,) * (view.ndim - 1))
     return psi
 
 

@@ -1,9 +1,15 @@
-"""Test-side oracles: random pure states, random qubit channels and a
-Monte-Carlo Haar average, drawn independently of the package's own routes."""
+"""Test-side oracles, built independently of the package's own routes:
+random pure states, random qubit channels and a Monte-Carlo Haar average;
+each drive's dense local matrix, and the exact engine's drive plan read from
+those matrices' nonzero pattern."""
+import math
+
 import numpy as np
 
 from teleion.errors import InvariantViolation
+from teleion.noise import depolarizing_superop
 from teleion.qcore import PAULIS, PureState, dag
+from teleion.trap import D, H, S, BlueSideband, Carrier, rotation_2x2
 
 
 def random_pure_state(rng: np.random.Generator, dim: int = 2) -> PureState:
@@ -45,3 +51,56 @@ def haar_average_fidelity(channel, rng: np.random.Generator, samples: int) -> fl
         rho_out = channel(np.outer(psi.amplitudes, psi.amplitudes.conj()))
         acc += float(np.real(psi.amplitudes.conj() @ rho_out @ psi.amplitudes))
     return acc / samples
+
+
+def carrier_local(theta: float, phi: float) -> np.ndarray:
+    """3x3 single-ion matrix: R(theta, phi) on {S, D}, identity on H."""
+    u = np.eye(3, dtype=np.complex128)
+    u[np.ix_([S, D], [S, D])] = rotation_2x2(theta, phi)
+    return u
+
+
+def hide_local(theta: float, phi: float) -> np.ndarray:
+    """3x3 single-ion matrix: R(theta, phi) on {S, H}, identity on D."""
+    u = np.eye(3, dtype=np.complex128)
+    u[np.ix_([S, H], [S, H])] = rotation_2x2(theta, phi)
+    return u
+
+
+def sideband_local(theta: float, phi: float, fock_cutoff: int) -> np.ndarray:
+    """(3*nc x 3*nc) matrix on (ion level, motion), index = level*nc + n.
+
+    Each |S,n>,|D,n+1> block gets R(theta*sqrt(n+1), phi); everything else
+    (H levels, |D,0>, the truncated |S, nc-1>) is an exact fixed point, so the
+    matrix is unitary at any cutoff.
+    """
+    nc = fock_cutoff
+    u = np.eye(3 * nc, dtype=np.complex128)
+    for n in range(nc - 1):
+        idx = [S * nc + n, D * nc + n + 1]
+        u[np.ix_(idx, idx)] = rotation_2x2(theta * math.sqrt(n + 1), phi)
+    return u
+
+
+def dense_drive_plan(pulse, fock_cutoff: int, kept: tuple[tuple[int, ...], ...], depol: float):
+    """(levels, op, dep) as protocol._drive_plan gives them, read numerically
+    from the drive's dense local matrix: `levels` grow by every level that
+    matrix, then the depolarizing superoperator, reaches from the held ones
+    by its nonzero pattern, and `op` is the dense matrix restricted to them."""
+    def reached(hit: np.ndarray, axis: int, levels: tuple[int, ...]) -> tuple[int, ...]:
+        hits = hit.any(axis=tuple(a for a in range(hit.ndim) if a != axis))
+        return tuple(sorted({*levels, *map(int, np.flatnonzero(hits))}))
+
+    if isinstance(pulse, BlueSideband):
+        op = sideband_local(pulse.theta, pulse.phi, fock_cutoff).reshape((3, fock_cutoff) * 2)
+    else:
+        op = (carrier_local if isinstance(pulse, Carrier) else hide_local)(pulse.theta, pulse.phi)
+    hit = op[(...,) + np.ix_(*kept)] != 0
+    levels = [reached(hit, j, lv) for j, lv in enumerate(kept)]
+    dep = None
+    if depol:
+        sup = depolarizing_superop(depol, 3).reshape(3, 3, 3, 3)
+        levels[0] = reached(sup[(...,) + np.ix_(levels[0], levels[0])] != 0, 0, levels[0])
+        d = len(levels[0])
+        dep = sup[np.ix_(*levels[:1] * 4)].reshape(d * d, d * d)
+    return tuple(levels), op[np.ix_(*levels * 2)], dep

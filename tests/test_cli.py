@@ -1,5 +1,6 @@
 """Command-line interface: config handling, artifacts, exit codes."""
 import json
+import math
 import re
 import warnings
 from dataclasses import fields as dc_fields
@@ -21,7 +22,7 @@ from teleion.cli import (
 )
 from teleion import cli
 from teleion.errors import ConfigError, DimensionMismatch, InvariantViolation, NonConvergence
-from teleion.noise import NoiseConfig
+from teleion.noise import NoiseConfig, PulseDurations
 from teleion.protocol import (
     FidelityCheck,
     InputStateSpec,
@@ -75,6 +76,9 @@ def test_config_value_validation():
     with pytest.raises(ConfigError, match=r"^inputs\[0\]\.theta_chi is missing"):
         config_from_dict({"inputs": [{"phi_chi": 0.0}]})
     assert config_from_dict({"noise": {"depolarizing_steps": [4, 9]}}).noise.depolarizing_steps == (4, 9)
+    # the conditional rows 31-33 and row 34 are carriers too
+    steps = config_from_dict({"noise": {"depolarizing_steps": [31, 32, 33, 34]}}).noise.depolarizing_steps
+    assert steps == (31, 32, 33, 34)
 
 
 def test_input_lists_need_unique_filename_safe_labels():
@@ -130,6 +134,34 @@ def test_a_config_built_in_code_reads_its_values_as_json_would(kwargs, message):
     cfg = ExperimentConfig(noise=NoiseConfig(detection_error=0.01), inputs=[InputStateSpec(0.5, 1.0, "a")])
     assert cfg.noise.detection_error == 0.01 and cfg.inputs == (InputStateSpec(0.5, 1.0, "a"),)
 
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ExperimentConfig(noise=NoiseConfig(detection_error=True)),
+         "noise.detection_error must be a number, got true"),
+        (lambda: ExperimentConfig(noise=NoiseConfig(correlated_dephasing=0)),
+         "noise.correlated_dephasing must be a boolean, got 0"),
+        (lambda: ExperimentConfig(noise=NoiseConfig(pulse_durations=PulseDurations(detect=True))),
+         "noise.pulse_durations.detect must be a number, got true"),
+        (lambda: ExperimentConfig(inputs=(InputStateSpec(theta_chi=True, phi_chi=0.0, label="a"),)),
+         "inputs[0].theta_chi must be a number, got true"),
+        (lambda: ExperimentConfig(inputs=(InputStateSpec(theta_chi=math.nan, phi_chi=0.0, label="a"),)),
+         "inputs[0].theta_chi must be a number, got NaN"),
+        (lambda: ExperimentConfig(inputs=(InputStateSpec(0.1, 0.0, label=7),)),
+         "inputs[0].label must be a string, got 7"),
+        (lambda: NoiseConfig(depolarizing_steps=["5", 2.9]),
+         "depolarizing_steps must be a list of integer step ids, got ['5', 2.9]"),
+    ],
+    ids=["boolean detection error", "integer correlated flag", "boolean detect window", "boolean angle",
+         "NaN angle", "integer label", "string and float step ids"],
+)
+def test_a_config_object_nested_in_code_is_read_as_its_json_would_be(build, message):
+    # A NoiseConfig, PulseDurations or InputStateSpec built in code once
+    # passed into an ExperimentConfig unread, and a NoiseConfig read its step
+    # ids through int(): each value here loaded, or raised TypeError.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
 
 def test_the_docs_example_config_runs(tmp_path, capsys):
     # The only JSON example in the docs must load and run.
@@ -292,6 +324,12 @@ def test_fock_cutoff_3_runs_per_shot(tmp_path, capsys):
         ({"inputs": [{"theta_chi": 0.0, "phi_chi": 0.0, "label": 5}]}, "inputs[0].label"),
         ({"inputs": [3]}, "inputs[0]"),
         ({"noise": {"depolarizing_steps": [1.5]}}, "noise.depolarizing_steps"),
+        # integers that name no depolarizing row: none, a hide (8), or past the table
+        ({"noise": {"depolarizing_steps": [0]}}, "noise.depolarizing_steps"),
+        ({"noise": {"depolarizing_steps": [-3]}}, "noise.depolarizing_steps"),
+        ({"noise": {"depolarizing_steps": [999]}}, "noise.depolarizing_steps"),
+        ({"noise": {"depolarizing_steps": [4, 8]}}, "noise.depolarizing_steps"),
+        ({"spin_echo": False, "noise": {"depolarizing_steps": [17]}}, "noise.depolarizing_steps"),
         # a valid type, but a sampling mode the noise rules out, refused as the config loads
         ({"sampling": "fast", "noise": {"amplitude_error_sigma": 0.01}}, "sampling"),
         # valid types, out of range

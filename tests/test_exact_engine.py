@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from teleion import protocol, trap
+from teleion import protocol
 from teleion import tomography as tomo
 from teleion.errors import InvariantViolation
 from teleion.noise import NoiseConfig, depolarize_density_tensor
@@ -53,6 +53,8 @@ from teleion.trap import (
     Wait,
     bright_projector_mask,
 )
+
+from oracles import carrier_local, dense_drive_plan, hide_local, sideband_local
 
 TOL = 1e-12
 MODES = (FidelityCheck(), Tomography("z"), Tomography("x"), Tomography("y"))
@@ -109,10 +111,10 @@ def _apply_unitary_density(rho_t, op, sites):
 
 def _pulse_op_and_sites(pulse, fock_cutoff):
     if isinstance(pulse, Carrier):
-        return trap.carrier_local(pulse.theta, pulse.phi), (pulse.ion,)
+        return carrier_local(pulse.theta, pulse.phi), (pulse.ion,)
     if isinstance(pulse, Hide):
-        return trap.hide_local(pulse.theta, pulse.phi), (pulse.ion,)
-    op = trap.sideband_local(pulse.theta, pulse.phi, fock_cutoff)
+        return hide_local(pulse.theta, pulse.phi), (pulse.ion,)
+    op = sideband_local(pulse.theta, pulse.phi, fock_cutoff)
     return op.reshape(3, fock_cutoff, 3, fock_cutoff), (pulse.ion, 3)
 
 
@@ -679,6 +681,36 @@ def test_the_register_holds_only_the_levels_its_drives_reached():
     assert plan(Carrier(0, 0.0, 0.0), 4, ((S,),), 0.025)[0] == ((S, D),)
     levels, op, dep = plan(BlueSideband(0, math.pi, 0.0), 4, ((S,), (0,)), 0.0)
     assert levels == ((S, D), (0, 1)) and op.shape == (2, 2, 2, 2) and dep is None
+
+
+def _subsets(n):
+    """Every nonempty subset of range(n), as a sorted tuple."""
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2 ** n)]
+
+
+@pytest.mark.parametrize("fock_cutoff", [3, 4, 5])
+def test_drive_plans_match_the_dense_matrices_nonzero_pattern(fock_cutoff):
+    # _drive_plan reads trap.drive_pairs in closed form; the reference reads
+    # the drive's dense local matrix and the depolarizing superoperator
+    # numerically. Zero and full-turn areas leave a pair's ends unmixed or
+    # mixed with a zero diagonal, and a kept set that holds one end of a
+    # pair but not the other writes that end's cos(area/2) alone.
+    plan = protocol._drive_plan.__wrapped__
+    cases = 0
+    for area in (0.0, 0.7, math.pi, 2 * math.pi, -1.3):
+        for depol in (0.0, 0.025, 1.0):
+            for pulse in (Carrier(0, area, 0.3), Hide(1, area, 0.3), BlueSideband(2, area, 0.3)):
+                ions = _subsets(3)
+                grid = ([(i,) for i in ions] if not isinstance(pulse, BlueSideband)
+                        else [(i, n) for i in ions for n in _subsets(fock_cutoff)])
+                for kept in grid:
+                    levels, op, dep = plan(pulse, fock_cutoff, kept, depol)
+                    ref_levels, ref_op, ref_dep = dense_drive_plan(pulse, fock_cutoff, kept, depol)
+                    assert levels == ref_levels, (pulse, kept, depol)
+                    assert np.array_equal(op, ref_op), (pulse, kept, depol)
+                    assert (dep is None and ref_dep is None) or np.array_equal(dep, ref_dep)
+                    cases += 1
+    assert cases == 15 * (2 * 7 + 7 * (2 ** fock_cutoff - 1))
 
 
 def test_detection_error_collapses_on_the_true_outcome():

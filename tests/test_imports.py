@@ -5,7 +5,8 @@ An import kept only for an outside reader of the binding says so with
 A top-level function, class or constant is named somewhere in the package
 besides its own definition, or is in `__all__`.
 Every function the benchmark traces (perfbench/spans.py) exists by the name
-it traces.
+it traces. Every top-level name of the test-side oracles (tests/oracles.py)
+is imported by some test module, so that no reference goes stale unseen.
 """
 import ast
 import importlib.util
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "teleion"
+TESTS = Path(__file__).resolve().parent
 
 
 def _all_names(tree: ast.Module) -> set[str]:
@@ -132,6 +134,31 @@ def test_the_check_sees_an_unused_definition(tmp_path):
         encoding="utf-8",
     )
     assert dead_definitions(tmp_path) == ["a.py:5 orphan", "b.py:2 Unread", "b.py:5 mean"]
+
+
+def unimported_oracles(tests: Path) -> list[str]:
+    """`oracles.py:line name` for each top-level definition of `tests`/oracles.py
+    that no `tests`/test_*.py module imports from `oracles`."""
+    imported = {
+        alias.name
+        for path in sorted(tests.glob("test_*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+        for alias in node.names
+    }
+    tree = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    return [f"oracles.py:{line} {name}" for name, line, _ in _definitions(tree) if name not in imported]
+
+
+def test_every_oracle_is_imported_by_a_test():
+    assert unimported_oracles(TESTS) == []
+
+
+def test_the_check_sees_an_unimported_oracle(tmp_path):
+    (tmp_path / "oracles.py").write_text("LIMIT = 3\ndef used(): pass\ndef stale(): pass\n", encoding="utf-8")
+    (tmp_path / "test_a.py").write_text("from oracles import used\nimport oracles\n", encoding="utf-8")
+    (tmp_path / "helper.py").write_text("from oracles import LIMIT\n", encoding="utf-8")
+    assert unimported_oracles(tmp_path) == ["oracles.py:1 LIMIT", "oracles.py:3 stale"]
 
 
 def test_every_function_the_benchmark_traces_exists():

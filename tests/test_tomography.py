@@ -750,6 +750,20 @@ def test_ellipsoid_mesh_stays_inside_the_ball():
         ellipsoid_mesh(amap, resolution=4)
 
 
+@pytest.mark.parametrize("resolution", [8, 24])
+def test_ellipsoid_mesh_maps_each_grid_point_of_the_sphere(resolution):
+    # Row i * resolution + j is the image of the unit vector at the i-th
+    # polar angle (0 to pi, both ends) and j-th azimuth (0 to 2 pi, open).
+    amap = affine_decompose(random_cptp_qubit_channel(7))
+    ms = amap.O @ amap.S
+    expected = [
+        ms @ np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]) + amap.b
+        for th in np.linspace(0.0, math.pi, resolution)
+        for ph in np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    ]
+    assert np.max(np.abs(ellipsoid_mesh(amap, resolution) - np.array(expected))) <= 1e-15
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_affine_shrink_of_random_channels_never_exceeds_one(seed):

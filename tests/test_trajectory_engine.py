@@ -39,10 +39,9 @@ from teleion.trap import (
     Outcome,
     Wait,
     bright_projector_mask,
-    carrier_local,
-    hide_local,
-    sideband_local,
 )
+
+from oracles import carrier_local, hide_local, sideband_local
 
 N_IONS = 3
 PAPER = dict(detuning_sigma_SD=0.0015, depolarizing_per_pulse=0.025)

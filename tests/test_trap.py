@@ -25,12 +25,11 @@ from teleion.trap import (
     Wait,
     apply_pulse,
     bright_projector_mask,
-    carrier_local,
     fluorescence_measure,
-    hide_local,
     rotation_2x2,
-    sideband_local,
 )
+
+from oracles import carrier_local, hide_local, sideband_local
 
 PI = math.pi
 SQ2 = 1 / math.sqrt(2)
