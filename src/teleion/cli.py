@@ -12,15 +12,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, InvariantViolation, NonConvergence
-from .noise import NoiseConfig, PulseDurations
+from .noise import NoiseConfig
 from .protocol import (
+    ANALYSIS_PULSES,
     ConditionalPulse,
     FidelityCheck,
     InputStateSpec,
@@ -35,6 +36,7 @@ from .protocol import (
 )
 from .protocol import run_shot  # noqa: F401  perfbench/spans.py traces this binding
 from .qcore import DensityMatrix, state_fidelity, trace_distance
+from .schema import read_fields, read_object
 from . import tomography as tomo
 from .trap import BlueSideband, Carrier
 
@@ -134,8 +136,7 @@ class ExperimentConfig:
         return dict(quad_points=self.quad_points, fock_cutoff=self.fock_cutoff)
 
     def __post_init__(self):
-        for f in dc_fields(self):  # built in code, each value is read as its JSON would be
-            setattr(self, f.name, _value(f.type, getattr(self, f.name), f.name))
+        read_fields(self)
         if self.exact:
             self.shots = 0
         if self.seed < 0:
@@ -178,62 +179,8 @@ class ExperimentConfig:
             raise ConfigError("quad_points must be a positive integer")
 
 
-# The JSON type each annotation reads, and its spelling; a boolean is not a number here.
-_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "a boolean"),
-               "str": (str, "a string"), "None": (type(None), "null")}
-_OBJECTS = {c.__name__: c for c in (NoiseConfig, PulseDurations, InputStateSpec)}
-
-
-def _read(cls, raw, where: str = ""):
-    """A `cls` config built from the JSON object `raw`, driven by its fields.
-
-    The same rules hold at every level: every key names a field, and its
-    value has a JSON type the field's annotation reads (or, built in code, a
-    config or tuple); a float field stores a finite float; each entry of a
-    config or tuple field is read by these rules again; a field with no
-    default must be present; a `cls` built in code is read through its
-    fields. `where` is `raw`'s key path, which every message names.
-    """
-    if isinstance(raw, cls):  # built in code
-        raw = {f.name: getattr(raw, f.name) for f in dc_fields(cls)}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where.removesuffix('.') or 'config root'} must be an object, got {json.dumps(raw)}")
-    fields = {f.name: f for f in dc_fields(cls)}
-    if unknown := sorted(where + key for key in set(raw) - set(fields)):
-        raise ConfigError(f"unknown config keys: {unknown}")
-    for f in fields.values():
-        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where}{f.name} is missing")
-    return cls(**{key: _value(fields[key].type, value, where + key) for key, value in raw.items()})
-
-
-def _value(annotation: str, value, where: str):
-    """`value` read as the first alternative of a field's `annotation` whose JSON type it has."""
-    spelled = []
-    for kind in annotation.split(" | "):
-        item = kind.removeprefix("tuple[").removesuffix(", ...]")
-        cls = _OBJECTS.get(item)
-        types, name = _JSON_TYPES.get(item, ((dict, cls), "an object"))
-        if item == kind:
-            spelled.append(name)
-            if _fits(types, value) and (kind != "float" or math.isfinite(value)):
-                return _read(cls, value, where + ".") if cls else float(value) if kind == "float" else value
-            continue
-        spelled.append(f"a list of {name.split()[-1]}s")
-        if isinstance(value, (list, tuple)) and cls:  # an entry's missing label is its 1-based position
-            return tuple(_value(item, {"label": f"input{i + 1}", **v} if isinstance(v, dict) else v, f"{where}[{i}]")
-                         for i, v in enumerate(value))
-        if isinstance(value, (list, tuple)) and all(_fits(types, v) for v in value):
-            return tuple(value)
-    raise ConfigError(f"{where} must be {' or '.join(spelled)}, got {json.dumps(value, default=repr)}")
-
-
-def _fits(types, value) -> bool:
-    return isinstance(value, bool) == (types is bool) and isinstance(value, types)
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    return _read(ExperimentConfig, raw)
+    return read_object(ExperimentConfig, raw)
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -630,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--input", default="psi6", help="input-state label (default psi6)")
     exp.add_argument(
         "--row34",
-        choices=("fidelity", "z", "x", "y"),
+        choices=("fidelity", *ANALYSIS_PULSES),
         default="fidelity",
         help="row-34 variant: fidelity check or analysis basis",
     )

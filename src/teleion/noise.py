@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
+from .schema import read_fields
 from . import trap
 from .trap import BlueSideband, Carrier, Detect, Hide, Wait
 
@@ -73,9 +74,10 @@ class PulseDurations:
     detect: float = 250.0
 
     def __post_init__(self):
+        read_fields(self)  # each duration is now a finite float
         for name in ("carrier_pi", "sideband_pi", "hide_pi", "detect"):
-            if not 0 < getattr(self, name) < math.inf:  # refuses NaN as well
-                raise ConfigError(f"pulse duration {name} must be positive and finite")
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"pulse duration {name} must be positive")
 
     def of(self, pulse: trap.Pulse) -> float:
         if isinstance(pulse, Carrier):
@@ -106,21 +108,15 @@ class NoiseConfig:
     depolarizing_steps: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        # Written so that NaN fails every range test.
-        if not (0 <= self.detuning_sigma_SD < math.inf and 0 <= self.amplitude_error_sigma < math.inf):
-            raise ConfigError("noise sigmas must be nonnegative and finite")
-        if not math.isfinite(self.detuning_bias_SD):
-            raise ConfigError("detuning_bias_SD must be finite")
+        read_fields(self)  # each number is now a finite float
+        if self.detuning_sigma_SD < 0 or self.amplitude_error_sigma < 0:
+            raise ConfigError("noise sigmas must be nonnegative")
         if not 0.0 <= self.depolarizing_per_pulse <= 1.0:
             raise ConfigError("depolarizing_per_pulse must be in [0, 1]")
         if not 0.0 <= self.detection_error <= 1.0:
             raise ConfigError("detection_error must be in [0, 1]")
-        if not 0 <= self.dephasing_ratio_H < math.inf:
-            raise ConfigError("dephasing_ratio_H must be nonnegative and finite")
-        if (steps := self.depolarizing_steps) is not None:  # refused, not coerced: int() reads "5" or 2.9
-            if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in steps):
-                raise ConfigError(f"depolarizing_steps must be a list of integer step ids, got {steps!r}")
-            object.__setattr__(self, "depolarizing_steps", tuple(map(int, steps)))
+        if self.dephasing_ratio_H < 0:
+            raise ConfigError("dephasing_ratio_H must be nonnegative")
 
     @property
     def is_noiseless(self) -> bool:

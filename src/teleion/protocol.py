@@ -54,6 +54,7 @@ from .noise import (
     _site_paulis,
 )
 from .qcore import ATOL_STRUCTURAL, DensityMatrix, PureState
+from .schema import read_fields
 from . import trap
 from .trap import (
     BlueSideband,
@@ -75,6 +76,9 @@ N_IONS = 3
 _TARGET = N_IONS - 1
 #: The mode-dependent analysis row; every row before it is shared by all modes.
 _ANALYSIS_ROW = 34
+#: Row 34's analysis pulse on the target ion for each tomography basis, as
+#: (theta, phi) before the tail phase is added; the z basis reads with none.
+ANALYSIS_PULSES = {"z": None, "x": (0.5 * PI, 1.5 * PI), "y": (0.5 * PI, PI)}
 #: Largest population a blue sideband may find on its ion's |S, fock_cutoff-1>,
 #: whose partner |D, fock_cutoff> is cut away: the one truncation rule of both
 #: engines. The noiseless phase gate puts 0.5 there at cutoff 2; paper noise
@@ -101,10 +105,11 @@ class InputStateSpec:
     phi_chi: float
     label: str = ""
 
+    def __post_init__(self):
+        read_fields(self)
+
     def ket(self) -> np.ndarray:
-        c = math.cos(self.theta_chi / 2.0)
-        s = math.sin(self.theta_chi / 2.0)
-        return np.array([c, -1j * np.exp(-1j * self.phi_chi) * s])
+        return trap.rotation_2x2(self.theta_chi, self.phi_chi)[:, 0].copy()
 
     def pure(self) -> PureState:
         return PureState(self.ket())
@@ -131,10 +136,10 @@ class FidelityCheck:
 class Tomography:
     """Row 34 becomes the analysis pulse for one measurement basis."""
 
-    basis: str  # "z" | "x" | "y"
+    basis: str  # a key of ANALYSIS_PULSES: "z", "x" or "y"
 
     def __post_init__(self):
-        if self.basis not in ("z", "x", "y"):
+        if self.basis not in ANALYSIS_PULSES:
             raise ConfigError(f"unknown tomography basis {self.basis!r}")
 
 
@@ -249,12 +254,10 @@ def build_sequence(
         rows.append(
             (Carrier(2, chi_t, chi_p + PI + phi), "undo the input preparation")
         )
-    elif mode.basis == "z":
+    elif (analysis := ANALYSIS_PULSES[mode.basis]) is None:
         rows.append((Wait(0.0), "no analysis pulse (Z basis)"))
-    elif mode.basis == "x":
-        rows.append((Carrier(2, 0.5 * PI, 1.5 * PI + phi), "X-basis analysis pulse"))
     else:
-        rows.append((Carrier(2, 0.5 * PI, PI + phi), "Y-basis analysis pulse"))
+        rows.append((Carrier(2, analysis[0], analysis[1] + phi), f"{mode.basis.upper()}-basis analysis pulse"))
     rows.append((Detect(2, "final"), "readout of ion 3"))
 
     return tuple(SequenceStep(i + 1, action, comment) for i, (action, comment) in enumerate(rows))
@@ -303,6 +306,7 @@ def _row_plan(tables: list[tuple[SequenceStep, ...]], noise: NoiseConfig) -> lis
 
     The tables must share step ids, readouts, conditions and each row's kind
     of drive, but one may wait where others drive; `on` marks those that drive.
+    A readout is never conditional: both engines make every readout.
     The last four are one value for all tables, or an array with one per table.
     """
     plan = []
@@ -322,6 +326,8 @@ def _row_plan(tables: list[tuple[SequenceStep, ...]], noise: NoiseConfig) -> lis
                 "conditions and the kind of drive"
             )
         drive = next((p for p in pulses if not isinstance(p, Wait)), pulses[0])
+        if isinstance(drive, Detect) and isinstance(steps[0].action, ConditionalPulse):
+            raise InvariantViolation(f"row {steps[0].step_id}: a readout cannot be conditional")
         plan.append((steps[0].step_id, steps[0].action, drive, *(
             v[0] if len(set(v)) == 1 else np.array(v)
             for v in (
@@ -977,11 +983,7 @@ def calibrate_phase(
 
 def classical_baseline_per_state() -> np.ndarray:
     """Best measure-and-resend fidelity (fixed Z measurement) per canonical input."""
-    out = []
-    for spec in canonical_inputs():
-        amps = spec.ket()
-        out.append(float(sum(abs(a) ** 4 for a in amps)))
-    return np.array(out)
+    return np.array([float(sum(abs(a) ** 4 for a in spec.ket())) for spec in canonical_inputs()])
 
 
 def classical_baseline() -> float:

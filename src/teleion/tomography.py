@@ -1,11 +1,16 @@
 """Qubit state and process tomography with maximum-likelihood reconstruction.
 
 Measurement model: each basis setting applies a pre-rotation V_b to the state,
-then the detector projects onto S (Bright) vs D (Dark). Under this repo's
-rotation convention V_X = R(pi/2, 3pi/2) and V_Y = R(pi/2, pi), so
+then the detector projects onto S (Bright) vs D (Dark). V_b is row 34's
+analysis pulse from protocol.ANALYSIS_PULSES, the one table build_sequence
+writes that row from: V_Z = 1, V_X = R(pi/2, 3pi/2) and V_Y = R(pi/2, pi), so
 
     P(Bright | X) = (1 - r_x) / 2,   P(Bright | Y) = (1 - r_y) / 2,
     P(Bright | Z) = (1 + r_z) / 2.
+
+A CountsTable records what the detector counts: (bright, total), the Bright
+count of each basis out of a shared per-basis total; each Dark count is the
+total less its Bright count.
 
 State reconstruction is closed-form (`mle_state`): the linear inversion inside
 the Bloch ball, otherwise one Lagrange-multiplier root on the sphere. Process
@@ -33,17 +38,12 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .noise import NoiseConfig
-from .protocol import ExactRun, InputStateSpec, SequenceStep, Tomography, build_sequence, exact_run, run_shot
-from .qcore import (
-    ATOL_SPECTRAL,
-    DensityMatrix,
-    PAULIS,
-    dag,
-    density_from_bloch,
-)
+from .protocol import (ANALYSIS_PULSES, ExactRun, InputStateSpec, SequenceStep, Tomography, build_sequence,
+                       exact_run, run_shot)
+from .qcore import ATOL_SPECTRAL, DensityMatrix, PAULIS, dag, density_from_bloch
 from .trap import rotation_2x2
 
-BASES = ("Z", "X", "Y")
+BASES = tuple(b.upper() for b in ANALYSIS_PULSES)  # Z, X, Y: the order of every table
 OUTCOMES = ("Bright", "Dark")
 _TOMO_TAG = 0x70B0
 _BOOT_TAG = 0xB007
@@ -53,14 +53,11 @@ _KET_D = np.array([0.0, 1.0], dtype=np.complex128)
 
 
 def basis_prerotation(basis: str) -> np.ndarray:
-    """Analysis pulse applied before the Bright/Dark readout."""
-    if basis == "Z":
-        return np.eye(2, dtype=np.complex128)
-    if basis == "X":
-        return rotation_2x2(0.5 * math.pi, 1.5 * math.pi)
-    if basis == "Y":
-        return rotation_2x2(0.5 * math.pi, math.pi)
-    raise ConfigError(f"unknown basis {basis!r}")
+    """Analysis pulse applied before the Bright/Dark readout: row 34's, for `basis` in BASES."""
+    if basis not in BASES:
+        raise ConfigError(f"unknown basis {basis!r}")
+    angles = ANALYSIS_PULSES[basis.lower()]
+    return np.eye(2, dtype=np.complex128) if angles is None else rotation_2x2(*angles)
 
 
 def measurement_operators(basis: str) -> tuple[np.ndarray, np.ndarray]:
@@ -70,61 +67,42 @@ def measurement_operators(basis: str) -> tuple[np.ndarray, np.ndarray]:
     return pi_b, dag(v) @ np.outer(_KET_D, _KET_D.conj()) @ v
 
 
-# (6, 2, 2) POVM elements in the canonical (basis, outcome) row order of a CountsTable.
+# (6, 2, 2) POVM elements in the (basis, outcome) order of CountsTable.rows.
 _POVM = np.array([pi for b in BASES for pi in measurement_operators(b)])
 
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Bright/Dark counts for the three Pauli bases, in canonical row order.
+    """Each basis's Bright count, in BASES order, out of `total_shots_per_basis`: (bright, total).
 
-    `total_shots_per_basis` may be a float: exact-probability tables store the
-    Born probabilities themselves with a per-basis total of 1.0.
+    Its Dark count is the total less its Bright count. The total may be a float: an
+    exact-probability table holds the Born probabilities with a total of 1.0. A total
+    that is not positive and finite is refused; counts_from_csv checks counts from outside.
     """
 
-    rows: tuple[tuple[str, str, float], ...]
+    bright: tuple[float, float, float]
     total_shots_per_basis: float
 
     def __post_init__(self):
-        expected = [(b, o) for b in BASES for o in OUTCOMES]
-        got = [(b, o) for b, o, _ in self.rows]
-        if got != expected:
-            raise ConfigError(f"counts rows must be ordered {expected}, got {got}")
-        for b, o, c in self.rows:
-            if not math.isfinite(c):
-                raise ConfigError(f"counts row ({b}, {o}): count {c} is not finite")
-        if not math.isfinite(self.total_shots_per_basis):
-            raise ConfigError(f"total shots per basis {self.total_shots_per_basis} is not finite")
-        for basis in BASES:
-            subtotal = sum(c for b, _, c in self.rows if b == basis)
-            if abs(subtotal - self.total_shots_per_basis) > 1e-9 * max(
-                1.0, self.total_shots_per_basis
-            ):
-                raise ConfigError(
-                    f"basis {basis} counts sum to {subtotal}, "
-                    f"expected {self.total_shots_per_basis}"
-                )
-        if any(c < 0 for _, _, c in self.rows):
-            raise ConfigError("negative count")
+        total = self.total_shots_per_basis
+        if not math.isfinite(total):
+            raise ConfigError(f"total shots per basis {total} is not finite")
+        if total <= 0:
+            raise ConfigError(f"total shots per basis {total} is not positive: the table is empty")
+
+    @property
+    def rows(self) -> tuple[tuple[str, str, float], ...]:
+        """(basis, outcome, count) in the canonical order: per basis in BASES, Bright then Dark."""
+        total = self.total_shots_per_basis
+        return tuple(row for b, k in zip(BASES, self.bright) for row in ((b, "Bright", k), (b, "Dark", total - k)))
 
     def count(self, basis: str, outcome: str) -> float:
-        for b, o, c in self.rows:
-            if b == basis and o == outcome:
-                return c
-        raise ConfigError(f"no row ({basis}, {outcome})")
+        if basis not in BASES or outcome not in OUTCOMES:
+            raise ConfigError(f"no row ({basis}, {outcome})")
+        return self.rows[2 * BASES.index(basis) + OUTCOMES.index(outcome)][2]
 
     def bright_fraction(self, basis: str) -> float:
         return self.count(basis, "Bright") / self.total_shots_per_basis
-
-    @staticmethod
-    def from_bright_counts(bright: dict[str, float], total: float) -> "CountsTable":
-        rows = []
-        for b in BASES:
-            # Exact probabilities can overshoot [0, total] by float roundoff.
-            k = min(max(float(bright[b]), 0.0), float(total))
-            rows.append((b, "Bright", k))
-            rows.append((b, "Dark", total - k))
-        return CountsTable(tuple(rows), total)
 
 
 def counts_to_csv(table: CountsTable) -> str:
@@ -137,6 +115,10 @@ def counts_to_csv(table: CountsTable) -> str:
 
 
 def counts_from_csv(text: str) -> CountsTable:
+    """The table a counts CSV holds, checked: its header, three fields a line, finite numbers,
+    the canonical (basis, outcome) rows, one total for all bases (to 1e-9 relative), no negative
+    count. The total is Z's sum; each Dark count reads as it less the Bright count, exactly
+    the CSV's for integer counts and for the exact tables (total 1.0) the CLI writes."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != "basis,outcome,count":
         raise ConfigError("counts CSV must start with 'basis,outcome,count'")
@@ -150,21 +132,27 @@ def counts_from_csv(text: str) -> CountsTable:
             rows.append((b, o, float(c)))
         except ValueError:
             raise ConfigError(f"counts CSV line {n}: count {c!r} is not a number") from None
-    totals = {b: sum(c for bb, _, c in rows if bb == b) for b in BASES}
-    total = totals[BASES[0]]
-    return CountsTable(tuple(rows), total)
+    expected = [(b, o) for b in BASES for o in OUTCOMES]
+    if (got := [(b, o) for b, o, _ in rows]) != expected:
+        raise ConfigError(f"counts rows must be ordered {expected}, got {got}")
+    for b, o, c in rows:
+        if not math.isfinite(c):
+            raise ConfigError(f"counts row ({b}, {o}): count {c} is not finite")
+    totals = [sum(c for _, _, c in rows[i:i + 2]) for i in range(0, len(rows), 2)]
+    for basis, subtotal in zip(BASES, totals):
+        if abs(subtotal - totals[0]) > 1e-9 * max(1.0, totals[0]):
+            raise ConfigError(f"basis {basis} counts sum to {subtotal}, expected {totals[0]}")
+    if any(c < 0 for _, _, c in rows):
+        raise ConfigError("negative count")
+    return CountsTable(tuple(c for _, o, c in rows if o == "Bright"), totals[0])
 
 
 def bright_probabilities(state) -> dict[str, float]:
     rho = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state)
     if rho.shape != (2, 2):
         raise DimensionMismatch("tomography expects a single-qubit state")
-    out = {}
-    for b in BASES:
-        pi_b, _ = measurement_operators(b)
-        p = float(np.real(np.trace(pi_b @ rho)))
-        out[b] = min(max(p, 0.0), 1.0)
-    return out
+    # One basis at a time: one einsum over the stack can change the last bits.
+    return {b: min(max(float(np.real(np.trace(pi_b @ rho))), 0.0), 1.0) for b, pi_b in zip(BASES, _POVM[0::2])}
 
 
 def simulate_state_tomography(
@@ -177,13 +165,12 @@ def simulate_state_tomography(
     """
     probs = bright_probabilities(state)
     if shots_per_basis == 0:
-        return CountsTable.from_bright_counts(probs, 1.0)
+        return CountsTable(tuple(probs.values()), 1.0)
     if shots_per_basis < 0:
         raise ConfigError("shots_per_basis must be >= 0")
     if rng is None:
         raise ConfigError("sampled tomography needs an rng")
-    bright = {b: float(rng.binomial(shots_per_basis, probs[b])) for b in BASES}
-    return CountsTable.from_bright_counts(bright, float(shots_per_basis))
+    return CountsTable(tuple(float(rng.binomial(shots_per_basis, probs[b])) for b in BASES), float(shots_per_basis))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +235,6 @@ def mle_state(counts: CountsTable, *, return_diagnostics: bool = False):
     report `converged=True` and the multiplier steps taken.
     """
     ns = np.array([c for _, _, c in counts.rows], dtype=float)
-    if ns.sum() <= 0:
-        raise ConfigError("empty counts table")
     u = np.array([1.0, -1.0, -1.0]) * (ns[0::2] - ns[1::2]) / (ns[0::2] + ns[1::2])
     excess, steps = float(u @ u) - 1.0, 0
     if excess > 1e-12:
@@ -534,8 +519,6 @@ def mle_process(
     warns if `max_iters` Newton steps end before the certified gap is met.
     """
     h_ops, counts = _process_model(inputs, outputs)
-    if counts.sum() <= 0:
-        raise ConfigError("empty counts tables")
     (result,), (diag,) = _fit_chi(h_ops, counts.reshape(1, -1), start, max_iters=max_iters)
     if not diag.converged:
         warnings.warn(
@@ -750,7 +733,7 @@ def teleported_counts(
         quad_points=quad_points, fock_cutoff=fock_cutoff,
     )
     tables = [
-        CountsTable.from_bright_counts(dict(zip(BASES, counts[i:])), float(shots_per_basis or 1))
+        CountsTable(tuple(map(float, counts[i:i + len(BASES)])), float(shots_per_basis or 1))
         for i in range(0, len(counts), len(BASES))
     ]
     return tables[0] if single else tables

@@ -139,19 +139,19 @@ def test_a_config_built_in_code_reads_its_values_as_json_would(kwargs, message):
     "build, message",
     [
         (lambda: ExperimentConfig(noise=NoiseConfig(detection_error=True)),
-         "noise.detection_error must be a number, got true"),
+         "detection_error must be a number, got true"),
         (lambda: ExperimentConfig(noise=NoiseConfig(correlated_dephasing=0)),
-         "noise.correlated_dephasing must be a boolean, got 0"),
+         "correlated_dephasing must be a boolean, got 0"),
         (lambda: ExperimentConfig(noise=NoiseConfig(pulse_durations=PulseDurations(detect=True))),
-         "noise.pulse_durations.detect must be a number, got true"),
+         "detect must be a number, got true"),
         (lambda: ExperimentConfig(inputs=(InputStateSpec(theta_chi=True, phi_chi=0.0, label="a"),)),
-         "inputs[0].theta_chi must be a number, got true"),
+         "theta_chi must be a number, got true"),
         (lambda: ExperimentConfig(inputs=(InputStateSpec(theta_chi=math.nan, phi_chi=0.0, label="a"),)),
-         "inputs[0].theta_chi must be a number, got NaN"),
+         "theta_chi must be a number, got NaN"),
         (lambda: ExperimentConfig(inputs=(InputStateSpec(0.1, 0.0, label=7),)),
-         "inputs[0].label must be a string, got 7"),
+         "label must be a string, got 7"),
         (lambda: NoiseConfig(depolarizing_steps=["5", 2.9]),
-         "depolarizing_steps must be a list of integer step ids, got ['5', 2.9]"),
+         'depolarizing_steps must be a list of integers or null, got ["5", 2.9]'),
     ],
     ids=["boolean detection error", "integer correlated flag", "boolean detect window", "boolean angle",
          "NaN angle", "integer label", "string and float step ids"],
@@ -159,9 +159,48 @@ def test_a_config_built_in_code_reads_its_values_as_json_would(kwargs, message):
 def test_a_config_object_nested_in_code_is_read_as_its_json_would_be(build, message):
     # A NoiseConfig, PulseDurations or InputStateSpec built in code once
     # passed into an ExperimentConfig unread, and a NoiseConfig read its step
-    # ids through int(): each value here loaded, or raised TypeError.
+    # ids through int(): each value here loaded, or raised TypeError. Each
+    # object now reads its own fields as it is built, so the refusal names
+    # the field, before any ExperimentConfig holds it.
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, key, raw, tail",
+    [
+        (lambda: NoiseConfig(depolarizing_steps=5), "noise.depolarizing_steps",
+         {"noise": {"depolarizing_steps": 5}}, "must be a list of integers or null, got 5"),
+        (lambda: PulseDurations(detect="250"), "noise.pulse_durations.detect",
+         {"noise": {"pulse_durations": {"detect": "250"}}}, 'must be a number, got "250"'),
+        (lambda: NoiseConfig(detuning_sigma_SD="0.1"), "noise.detuning_sigma_SD",
+         {"noise": {"detuning_sigma_SD": "0.1"}}, 'must be a number, got "0.1"'),
+        (lambda: NoiseConfig(detection_error=None), "noise.detection_error",
+         {"noise": {"detection_error": None}}, "must be a number, got null"),
+        (lambda: NoiseConfig(correlated_dephasing="yes"), "noise.correlated_dephasing",
+         {"noise": {"correlated_dephasing": "yes"}}, 'must be a boolean, got "yes"'),
+        (lambda: NoiseConfig(pulse_durations=3), "noise.pulse_durations",
+         {"noise": {"pulse_durations": 3}}, "must be an object, got 3"),
+        (lambda: InputStateSpec("0.1", 0.0), "inputs[0].theta_chi",
+         {"inputs": [{"theta_chi": "0.1", "phi_chi": 0.0}]}, 'must be a number, got "0.1"'),
+    ],
+    ids=["integer step ids", "string detect window", "string sigma", "null detection error",
+         "string correlated flag", "number durations", "string angle"],
+)
+def test_a_config_object_of_the_wrong_kind_built_in_code_is_a_config_error_naming_its_field(
+    build, key, raw, tail, tmp_path, capsys
+):
+    # Built in code, the first four once raised TypeError in their own checks
+    # and the last three loaded, failing only later. The JSON form names the
+    # key by its full path, through the same reader.
+    field = key.rsplit(".", 1)[-1]
+    with pytest.raises(ConfigError, match=f"^{re.escape(field + ' ' + tail)}$"):
+        build()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["baseline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {key} {tail}\n"
+
 
 def test_the_docs_example_config_runs(tmp_path, capsys):
     # The only JSON example in the docs must load and run.

@@ -341,6 +341,19 @@ def test_a_table_missing_a_readout_names_it_in_both_engines(engine, label):
                 run_shot(table, NoiseConfig(), 1, range(4))
 
 
+@pytest.mark.parametrize("engine", ["exact", "per-shot"])
+def test_a_conditional_readout_is_refused_in_both_engines(engine):
+    # Made conditional on pmt1, pmt2's readout once ran unconditionally: the
+    # exact engine gave every branch 1/4 and run_shot read pmt2 on every shot.
+    table = list(build_sequence(canonical_inputs()[0]))
+    table[25] = SequenceStep(26, ConditionalPulse("pmt1", Outcome.BRIGHT, Detect(1, "pmt2")), table[25].comment)
+    with pytest.raises(InvariantViolation, match="^row 26: a readout cannot be conditional$"):
+        if engine == "exact":
+            exact_run([(tuple(table),)])
+        else:
+            run_shot(tuple(table), NoiseConfig(), 1, range(200))
+
+
 def test_spin_echo_refocuses_detuning_noise():
     # the target ion waits 300 us in an S/H superposition before the
     # reconstruction; without the echo that phase never refocuses

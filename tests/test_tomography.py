@@ -59,6 +59,7 @@ from teleion.tomography import (
     _fit_chi,
     _process_model,
 )
+from teleion.trap import Wait, rotation_2x2
 
 from oracles import random_cptp_qubit_channel, random_pure_state
 
@@ -100,6 +101,22 @@ def test_povm_elements_sum_to_identity():
         basis_prerotation("Q")
 
 
+def test_one_measurement_model():
+    # Each basis's pre-rotation is the analysis pulse build_sequence writes
+    # into row 34 (Z's is a wait: the identity).
+    for b in BASES:
+        pulse = build_sequence(canonical_inputs()[0], 0.0, Tomography(b.lower()))[33].action
+        expected = np.eye(2) if isinstance(pulse, Wait) else rotation_2x2(pulse.theta, pulse.phi)
+        assert np.array_equal(basis_prerotation(b), expected), b
+    # mle_state's signs (+1, -1, -1) and axis order are those of the Bright
+    # elements' Bloch axes: a table certain in one basis and even in the
+    # others reconstructs the pure state on that element's axis.
+    for j, b in enumerate(BASES):
+        axis = np.array([np.real(np.trace(_POVM[2 * j] @ p)) for p in PAULIS[1:]])  # 2 Pi_b - 1 = axis . sigma
+        table = CountsTable(tuple(1.0 if c == b else 0.5 for c in BASES), 1.0)
+        assert np.max(np.abs(bloch_vector(mle_state(table)) - axis)) <= 1e-12, b
+
+
 def test_canonical_inputs_give_the_expected_extremal_fractions():
     # psi1 = |S>: certain Bright in Z; psi4/psi6: certain outcomes in X
     t1 = simulate_state_tomography(DensityMatrix.from_pure(canonical_inputs()[0].ket()))
@@ -111,17 +128,33 @@ def test_canonical_inputs_give_the_expected_extremal_fractions():
 
 
 def test_counts_table_validation():
+    # A table is its Bright counts and their total; the checks on counts read
+    # from outside are counts_from_csv's.
+    table = CountsTable((5.0, 5.0, 5.0), 10.0)
     rows = [(b, o, 5.0) for b in BASES for o in ("Bright", "Dark")]
-    CountsTable(tuple(rows), 10.0)
-    with pytest.raises(ConfigError):
-        CountsTable(tuple(reversed(rows)), 10.0)
-    with pytest.raises(ConfigError):
-        CountsTable(tuple(rows), 11.0)
+    assert table.rows == tuple(rows)
+
+    def csv(rows):
+        return "\n".join(["basis,outcome,count"] + [f"{b},{o},{c:g}" for b, o, c in rows]) + "\n"
+
+    assert counts_from_csv(csv(rows)) == table
+    with pytest.raises(ConfigError, match="counts rows must be ordered"):
+        counts_from_csv(csv(reversed(rows)))
+    eleven = list(rows)
+    eleven[1] = ("Z", "Dark", 6.0)
+    with pytest.raises(ConfigError, match=r"^basis X counts sum to 10.0, expected 11.0$"):
+        counts_from_csv(csv(eleven))
     bad = list(rows)
     bad[0] = ("Z", "Bright", -1.0)
     bad[1] = ("Z", "Dark", 11.0)
-    with pytest.raises(ConfigError):
-        CountsTable(tuple(bad), 10.0)
+    with pytest.raises(ConfigError, match="^negative count$"):
+        counts_from_csv(csv(bad))
+    # An empty table is refused as it is built, not by a later division by zero.
+    for total in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="is not positive"):
+            CountsTable((0.0, 0.0, 0.0), total)
+    with pytest.raises(ConfigError, match="is not positive"):
+        counts_from_csv(csv([(b, o, 0.0) for b, o, _ in rows]))
 
 
 def test_counts_csv_round_trip():
@@ -129,6 +162,12 @@ def test_counts_csv_round_trip():
     table = simulate_state_tomography(density_from_bloch((0.2, 0.1, -0.5)), 500, rng)
     again = counts_from_csv(counts_to_csv(table))
     assert again == table
+    # Exact tables (total 1.0) read back bit for bit too, though each Dark
+    # count is read as the total less its Bright count.
+    for _ in range(200):
+        v = rng.normal(size=3)
+        exact = simulate_state_tomography(density_from_bloch(v / np.linalg.norm(v) * rng.uniform()))
+        assert counts_from_csv(counts_to_csv(exact)) == exact
     with pytest.raises(ConfigError):
         counts_from_csv("wrong,header\n")
 
@@ -158,9 +197,12 @@ def test_malformed_or_non_finite_counts_csv_is_a_config_error_naming_its_line_or
 
 
 def test_a_non_finite_total_is_a_config_error():
-    rows = tuple((b, o, 0.0) for b in BASES for o in ("Bright", "Dark"))
     with pytest.raises(ConfigError, match="not finite"):
-        CountsTable(rows, float("nan"))
+        CountsTable((0.0, 0.0, 0.0), float("nan"))
+    # Finite counts whose sum overflows.
+    lines = ["basis,outcome,count"] + [f"{b},{o},1e308" for b in BASES for o in ("Bright", "Dark")]
+    with pytest.raises(ConfigError, match="^total shots per basis inf is not finite$"):
+        counts_from_csv("\n".join(lines) + "\n")
 
 
 def test_sampled_tomography_needs_an_rng():
@@ -255,11 +297,6 @@ def reference_mle_state(counts, dilution=0.5, max_iters=10_000, tol=1e-10):
     return DensityMatrix(rho), ll
 
 
-def table_from_counts(counts, total):
-    keys = [(b, o) for b in BASES for o in ("Bright", "Dark")]
-    return CountsTable(tuple((b, o, float(c)) for (b, o), c in zip(keys, counts)), float(total))
-
-
 def criterion_5_tables(trials=range(100)):
     """The tables of test_criterion_5_mle_statistical_recovery, same seeds."""
     tables = []
@@ -300,7 +337,7 @@ def state_tables(n_random=300, c5_trials=range(100)):
             v = rng.normal(size=3)
             rho = density_from_bloch(v / np.linalg.norm(v) * rng.uniform() ** (1 / 3))
         random_tables.append(simulate_state_tomography(rho, int(rng.integers(10, 2001)), rng))
-    edge = [table_from_counts([5, 0, 5, 0, 5, 0], 5), table_from_counts([1, 0, 0, 1, 1, 0], 1)]
+    edge = [CountsTable((5.0, 5.0, 5.0), 5.0), CountsTable((1.0, 0.0, 1.0), 1.0)]
     return {
         "existing": existing,
         "criterion 5": criterion_5_tables(c5_trials),
@@ -660,9 +697,7 @@ def test_bootstrap_matches_sequential_redraws_and_fits():
     oracle, ns = [], []
     for _ in range(6):
         redrawn = [
-            CountsTable.from_bright_counts(
-                {b: float(redraw.binomial(800, t.bright_fraction(b))) for b in BASES}, 800.0
-            )
+            CountsTable(tuple(float(redraw.binomial(800, t.bright_fraction(b))) for b in BASES), 800.0)
             for t in tables
         ]
         ns.append(np.array([c for t in redrawn for _, _, c in t.rows]))
