@@ -23,6 +23,7 @@ from .noise import NoiseConfig
 from .protocol import (
     ANALYSIS_PULSES,
     ConditionalPulse,
+    ExactPrefix,
     FidelityCheck,
     InputStateSpec,
     Tomography,
@@ -258,12 +259,15 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return p
 
 
-def _resolve_phase(cfg: ExperimentConfig) -> tuple[float, dict]:
-    """(tail phase, report keys of its calibration: none for a fixed phase)."""
+def _resolve_phase(cfg: ExperimentConfig, inputs: tuple[InputStateSpec, ...] = ()
+                   ) -> tuple[float, dict, ExactPrefix | None]:
+    """(tail phase, report keys of its calibration, its exact pass over `inputs` for exact_run to go
+    on from): no keys and no pass for a fixed phase. A command hands over its inputs only when the
+    exact engine runs on them, so that the calibration evolves nothing it does not use."""
     if cfg.phase_offset == "calibrate":
-        res = calibrate_phase(cfg.noise, grid=cfg.grid, **cfg.exact_kwargs(), **cfg.sequence_kwargs())
-        return res.phi_star, {"calibration_residual": res.residual}
-    return float(cfg.phase_offset), {}
+        res = calibrate_phase(cfg.noise, inputs=inputs, grid=cfg.grid, **cfg.exact_kwargs(), **cfg.sequence_kwargs())
+        return res.phi_star, {"calibration_residual": res.residual}, res.prefix
+    return float(cfg.phase_offset), {}, None
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +276,17 @@ def _resolve_phase(cfg: ExperimentConfig) -> tuple[float, dict]:
 def cmd_teleport(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
-    phase, calibration = _resolve_phase(cfg)
+    # The exact engine runs on the inputs whenever a calibration can (it refuses amplitude noise).
+    phase, calibration, prefix = _resolve_phase(cfg, inputs)
     tables = [(build_sequence(spec, phase, **cfg.sequence_kwargs()),) for spec in inputs]
     runs, counts = tomo.bright_counts(
-        tables, cfg.noise, cfg.shots, cfg.seed, sampling=cfg.sampling, tag=_TELE_TAG, **cfg.exact_kwargs()
+        tables, cfg.noise, cfg.shots, cfg.seed, sampling=cfg.sampling, tag=_TELE_TAG, prefix=prefix,
+        **cfg.exact_kwargs()
     )
     # Counts from trajectories leave the exact fidelities to runs of their own;
     # amplitude noise, which has no exact representation, leaves them empty.
     if runs is None and cfg.noise.amplitude_error_sigma == 0.0:
-        runs = exact_run(tables, cfg.noise, **cfg.exact_kwargs())
+        runs = exact_run(tables, cfg.noise, prefix=prefix, **cfg.exact_kwargs())
 
     report_states = []
     for spec, res, k in zip(inputs, runs or [None] * len(inputs), counts):
@@ -331,9 +337,12 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _output_states(cfg, out: Path, inputs, phase, prefix: str = "") -> tuple[list, list[DensityMatrix]]:
-    """Every input's teleported count table and maximum-likelihood state, input i sampling on
-    its own child seed; each pair is written as counts_<prefix><label>.csv and rho_<prefix><label>.json."""
+def _output_states(cfg, out: Path, inputs, name_prefix: str = "") -> tuple[float, list, list[DensityMatrix]]:
+    """(tail phase, every input's teleported count table, its maximum-likelihood state), input i
+    sampling on its own child seed; each pair is written as counts_<name_prefix><label>.csv and
+    rho_<name_prefix><label>.json."""
+    exact = cfg.shots == 0 or tomo.resolve_sampling(cfg.noise, cfg.sampling) == "fast"
+    phase, _, prefix = _resolve_phase(cfg, inputs if exact else ())
     counts = tomo.teleported_counts(
         inputs,
         cfg.noise,
@@ -341,24 +350,25 @@ def _output_states(cfg, out: Path, inputs, phase, prefix: str = "") -> tuple[lis
         master_seed=[_child_seed(cfg.seed, idx) for idx in range(len(inputs))],
         phase_offset=phase,
         sampling=cfg.sampling,
+        prefix=prefix,
         **cfg.exact_kwargs(),
         **cfg.sequence_kwargs(),
     )
     states = []
     for spec, table in zip(inputs, counts):
-        (out / f"counts_{prefix}{spec.label}.csv").write_text(tomo.counts_to_csv(table), encoding="utf-8")
+        (out / f"counts_{name_prefix}{spec.label}.csv").write_text(tomo.counts_to_csv(table), encoding="utf-8")
         states.append(tomo.mle_state(table))
-        _emit_json(out / f"rho_{prefix}{spec.label}.json", tomo.rho_to_json(states[-1]))
-    return counts, states
+        _emit_json(out / f"rho_{name_prefix}{spec.label}.json", tomo.rho_to_json(states[-1]))
+    return phase, counts, states
 
 
 def cmd_state_tomo(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
-    phase, _ = _resolve_phase(cfg)
+    phase, _, states = _output_states(cfg, out, inputs)
 
     bar_rows, report_states = [], []
-    for spec, rho in zip(inputs, _output_states(cfg, out, inputs, phase)[1]):
+    for spec, rho in zip(inputs, states):
         bar_rows += [[spec.label, "SD"[r], "SD"[c], _fmt(v.real), _fmt(v.imag)]
                      for (r, c), v in np.ndenumerate(rho.matrix)]
         report_states.append(
@@ -389,9 +399,7 @@ def cmd_state_tomo(cfg: ExperimentConfig) -> int:
 def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
-    phase, _ = _resolve_phase(cfg)
-
-    out_counts, out_states = _output_states(cfg, out, inputs, phase, "out_")
+    phase, out_counts, out_states = _output_states(cfg, out, inputs, "out_")
     in_states = []
     for idx, spec in enumerate(inputs):
         rho_in = DensityMatrix.from_pure(spec.pure())
@@ -538,7 +546,7 @@ def cmd_export_sequence(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown input label {args.input!r} (have {sorted(inputs)})")
     spec = inputs[args.input]
     mode = FidelityCheck() if args.row34 == "fidelity" else Tomography(args.row34)
-    phase, _ = _resolve_phase(cfg)
+    phase, *_ = _resolve_phase(cfg)
     text = sequence_text(build_sequence(spec, phase, mode, **cfg.sequence_kwargs()))
     sys.stdout.write(text)
     if args.out is not None:

@@ -572,6 +572,32 @@ def _apply(ops: np.ndarray, rho: np.ndarray, axes: list[int], work: tuple[np.nda
     return out.reshape(moved.shape).transpose(np.argsort(order))
 
 
+def _hermgauss(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.polynomial.hermite.hermgauss(points) bit for bit, without importing numpy.polynomial.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal companion
+    matrix of H_points (Golub & Welsch, Math. Comp. 23, 221 (1969)), refined
+    by one Newton step on the normalised Hermite recurrence; the weights come
+    from that recurrence, and both are symmetrised, the weights summing to sqrt(pi).
+    """
+    def normed(x: np.ndarray, n: int) -> np.ndarray:  # the normalised Hermite polynomial of degree n at x
+        if n == 0:
+            return np.full(x.shape, 1 / np.sqrt(np.sqrt(np.pi)))
+        c0, c1, nd = 0.0, 1.0 / np.sqrt(np.sqrt(np.pi)), float(n)
+        for _ in range(n - 1):
+            c0, c1, nd = -c1 * np.sqrt((nd - 1.0) / nd), c0 + c1 * x * np.sqrt(2.0 / nd), nd - 1.0
+        return c0 + c1 * x * np.sqrt(2)
+
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, points)), -1))  # reads the lower triangle
+    x -= normed(x, points) / (normed(x, points - 1) * np.sqrt(2 * points))
+    fm = normed(x, points - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    w *= np.sqrt(np.pi) / w.sum()
+    return (x - x[::-1]) / 2, w
+
+
 def _gh_nodes(noise: NoiseConfig, quad_points: int | None):
     """(detuning_SD per ion, detuning_H per ion, weight) quadrature nodes."""
     sigma, bias, ratio = noise.detuning_sigma_SD, noise.detuning_bias_SD, noise.dephasing_ratio_H
@@ -580,7 +606,7 @@ def _gh_nodes(noise: NoiseConfig, quad_points: int | None):
         return [(d, ratio * d, 1.0)]
     draws = 1 if noise.correlated_dephasing else N_IONS  # one detuning for all ions, or one each
     points = quad_points if quad_points is not None else (21 if draws == 1 else 9)
-    x, w = np.polynomial.hermite.hermgauss(points)
+    x, w = _hermgauss(points)
     nodes = []
     for combo in itertools.product(range(points), repeat=draws):
         d = np.resize(bias + math.sqrt(2.0) * sigma * x[list(combo)], N_IONS)
@@ -753,6 +779,45 @@ def _evolve(plan, inputs: int, life, noise: NoiseConfig, quad_points: int | None
     )
 
 
+def _inputs(stack: _Stack, lo: int, hi: int) -> _Stack:
+    """The entries of inputs lo, ..., hi - 1 of `stack`, in order, those inputs renumbered from 0."""
+    keep = (stack.input >= lo) & (stack.input < hi)
+    return replace(
+        stack, rho=stack.rho[keep], node=stack.node[keep], input=stack.input[keep] - lo, weight=stack.weight[keep],
+        rates=stack.rates[keep], pending=stack.pending[keep], keys=tuple(itertools.compress(stack.keys, keep)),
+        truncation=stack.truncation[lo:hi], motion=stack.motion[lo:hi],
+    )
+
+
+@dataclass(frozen=True)
+class ExactPrefix:
+    """An exact pass through the rows before `split`, a row index, for exact_run to go on from.
+
+    `stack` holds the entries of every input of `rows`, each input's table
+    cut at `split`, in order, then of one more input when calibrate_phase
+    added psi6 for its fit. `life` is the `_lifetimes` the pass ran with and
+    `settings` its (noise, quad_points, fock_cutoff).
+    """
+
+    stack: _Stack
+    rows: tuple[tuple[SequenceStep, ...], ...]
+    split: int
+    life: dict[int, int]
+    settings: tuple
+
+    def resume(self, tables: list[tuple[tuple[SequenceStep, ...], ...]], life: dict[int, int],
+               settings: tuple) -> _Stack:
+        """The stack of exact_run's `tables`, run with `life` and `settings`, after the rows before `split`.
+
+        Raises unless those rows of the tables are `rows` and the pass ran with
+        the same settings and lifetimes up to `split`.
+        """
+        cut = [{site: min(i, self.split) for site, i in lf.items()} for lf in (life, self.life)]
+        if [t[0][:self.split] for t in tables] != list(self.rows) or cut[0] != cut[1] or settings != self.settings:
+            raise InvariantViolation(f"the exact pass handed on does not hold these tables' rows 1-{self.split}")
+        return _inputs(self.stack, 0, len(self.rows))
+
+
 def _reduced(stack: _Stack, keep: tuple[int, ...]) -> np.ndarray:
     """Each entry's (d, d) density over the ions in `keep`, pending phases applied;
     every other subsystem is traced out."""
@@ -792,6 +857,7 @@ def exact_run(
     *,
     quad_points: int | None = None,
     fock_cutoff: int = 4,
+    prefix: ExactPrefix | None = None,
 ) -> list[ExactRun]:
     """Full exact evolution of every input: branch states after row 33 + row-35 statistics.
 
@@ -806,6 +872,9 @@ def exact_run(
     weight of the `final` = Bright entries. One ExactRun per input, in
     order: `final_bright` belongs to its first table; `p_bright` holds each
     of its tables' reported P(bright), in order; no inputs give no runs.
+    A `prefix` from calibrate_phase holds the rows before its split already
+    advanced on these inputs with these settings (`ExactPrefix.resume`
+    checks it and drops an input added for the fit); the rows go on from there.
     """
     _check_exact_noise(noise, "exact_run")
     if not tables:
@@ -820,7 +889,11 @@ def exact_run(
     head = _row_plan([t[0][:shared] for t in tables], noise)
     tails = [_row_plan([t[m][shared:] for t in tables], noise) for m in range(len(tables[0]))]
     life = _lifetimes(head + [row for tail in tails for row in tail], (_TARGET,))  # what any mode needs
-    stack = _evolve(head, len(tables), life, noise, quad_points, fock_cutoff)
+    if prefix is None:
+        stack = _evolve(head, len(tables), life, noise, quad_points, fock_cutoff)
+    else:
+        stack = prefix.resume(tables, life, (noise, quad_points, fock_cutoff))
+        stack = _advance(stack, head[prefix.split:], life, prefix.split, noise, fock_cutoff)
     ends = [_advance(stack, tail, life, shared, noise, fock_cutoff) for tail in tails]
     for end in ends:
         _check_readouts(end.keys[0])
@@ -893,6 +966,7 @@ class CalibrationResult:
     grid_phis: np.ndarray
     grid_fidelities: np.ndarray
     residual: float  # the tripwire replay's miss of the fitted polynomial
+    prefix: ExactPrefix  # the fit's exact pass through the rows before the tail, for exact_run
 
 
 def _trig_basis(phis) -> np.ndarray:
@@ -932,6 +1006,7 @@ def _phase_fit(samples) -> tuple[float, np.ndarray, float]:
 def calibrate_phase(
     noise: NoiseConfig = NoiseConfig(),
     *,
+    inputs: tuple[InputStateSpec, ...] = (),
     grid: int = 32,
     quad_points: int | None = None,
     fock_cutoff: int = 4,
@@ -944,38 +1019,43 @@ def calibrate_phase(
     build_sequence builds psi6's table at each of _FIT_PHASES; rows 34-35
     are left out. The rows before the first one where those tables differ
     (row 30, where the offset starts) advance once on the stacked live
-    register, NODE_PASS quadrature nodes at a time, and each table's own
-    tail, rows 30-33, then advances on that stack. The offset conjugates the
-    tail by a z rotation of ion 3, so F is a degree-2 trigonometric
-    polynomial of it: five replays fix it, a sixth checks it (`residual`),
-    and `_phase_fit` gives its maximum in closed form, and `fidelity` its
-    value there. `grid_fidelities` are its values at `grid` evenly spaced
-    phases.
+    register, NODE_PASS (input, quadrature node) pairs at a time, for each of
+    `inputs` and then for psi6 unless an input's rows there are psi6's; each
+    fit table's own tail, rows 30-33, then advances on psi6's entries. The
+    offset conjugates the tail by a z rotation of ion 3, so F is a degree-2
+    trigonometric polynomial of it: five replays fix it, a sixth checks it
+    (`residual`), and `_phase_fit` gives its maximum in closed form, and
+    `fidelity` its value there. `grid_fidelities` are its values at `grid`
+    evenly spaced phases. `prefix` hands the pass on to exact_run, which goes
+    on from it for tables of `inputs` at any phase and row-34 mode.
     """
     _check_exact_noise(noise, "calibrate_phase")
     if grid < 8:
         raise ConfigError("calibration grid needs at least 8 points")
     psi6 = canonical_inputs()[5]  # +x superposition: phase-sensitive
+    kwargs = dict(standby_wait_us=standby_wait_us, rephase_wait_us=rephase_wait_us, spin_echo=spin_echo)
     tables = [
-        tuple(s for s in build_sequence(psi6, phi, FidelityCheck(), standby_wait_us=standby_wait_us,
-                                        rephase_wait_us=rephase_wait_us, spin_echo=spin_echo)
-              if s.step_id < _ANALYSIS_ROW)
+        tuple(s for s in build_sequence(psi6, phi, FidelityCheck(), **kwargs) if s.step_id < _ANALYSIS_ROW)
         for phi in _FIT_PHASES
     ]
     fixed = next(i for i, row in enumerate(zip(*tables)) if len(set(row)) > 1)
-    head, tails = _row_plan([tables[0][:fixed]], noise), [_row_plan([t[fixed:]], noise) for t in tables]
+    rows, own = tuple(build_sequence(spec, 0.0, **kwargs)[:fixed] for spec in inputs), tables[0][:fixed]
+    heads = list(rows) if own in rows else [*rows, own]
+    head, tails = _row_plan(heads, noise), [_row_plan([t[fixed:]], noise) for t in tables]
     life = _lifetimes(head + tails[0], (_TARGET,))
-    stack = _evolve(head, 1, life, noise, quad_points, fock_cutoff)
-    psi, samples = psi6.ket(), []
+    stack = _evolve(head, len(heads), life, noise, quad_points, fock_cutoff)
+    at = heads.index(own)
+    mine, psi, samples = _inputs(stack, at, at + 1), psi6.ket(), []
     for tail in tails:
-        end = _advance(stack, tail, life, fixed, noise, fock_cutoff)
+        end = _advance(mine, tail, life, fixed, noise, fock_cutoff)
         rho3 = np.einsum("e,eab->ab", end.weight, _reduced(end, (_TARGET,)))[:2, :2]
         samples.append(float(np.real(psi.conj() @ rho3 @ psi)) / float(np.real(np.trace(rho3))))
 
     phi_star, coef, residual = _phase_fit(samples)
     phis = np.linspace(0.0, 2.0 * PI, grid, endpoint=False)
     fidelity = float((_trig_basis(phi_star) @ coef)[0])
-    return CalibrationResult(phi_star, fidelity, phis, _trig_basis(phis) @ coef, residual)
+    prefix = ExactPrefix(stack, rows, fixed, life, (noise, quad_points, fock_cutoff))
+    return CalibrationResult(phi_star, fidelity, phis, _trig_basis(phis) @ coef, residual, prefix)
 
 
 # ---------------------------------------------------------------------------

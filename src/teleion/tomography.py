@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, InvariantViolation
 from .noise import NoiseConfig
-from .protocol import (ANALYSIS_PULSES, ExactRun, InputStateSpec, SequenceStep, Tomography, build_sequence,
-                       exact_run, run_shot)
+from .protocol import (ANALYSIS_PULSES, ExactPrefix, ExactRun, InputStateSpec, SequenceStep, Tomography,
+                       build_sequence, exact_run, run_shot)
 from .qcore import ATOL_SPECTRAL, DensityMatrix, PAULIS, dag, density_from_bloch
 from .trap import rotation_2x2
 
@@ -77,7 +77,8 @@ class CountsTable:
 
     Its Dark count is the total less its Bright count. The total may be a float: an
     exact-probability table holds the Born probabilities with a total of 1.0. A total
-    that is not positive and finite is refused; counts_from_csv checks counts from outside.
+    that is not positive and finite is refused, and so is anything but three Bright counts
+    in [0, total]; counts_from_csv checks a CSV's rows first.
     """
 
     bright: tuple[float, float, float]
@@ -89,6 +90,11 @@ class CountsTable:
             raise ConfigError(f"total shots per basis {total} is not finite")
         if total <= 0:
             raise ConfigError(f"total shots per basis {total} is not positive: the table is empty")
+        if len(self.bright) != len(BASES):
+            raise ConfigError(f"a count table needs one Bright count per basis {BASES}, got {len(self.bright)}")
+        for basis, k in zip(BASES, self.bright):
+            if not 0.0 <= k <= total:  # also refuses NaN
+                raise ConfigError(f"basis {basis}: Bright count {k} is not a number in [0, {total}]")
 
     @property
     def rows(self) -> tuple[tuple[str, str, float], ...]:
@@ -667,6 +673,7 @@ def bright_counts(
     tag: int = 0,
     quad_points: int | None = None,
     fock_cutoff: int = 4,
+    prefix: ExactPrefix | None = None,
 ) -> tuple[list[ExactRun] | None, list[int] | list[float]]:
     """(exact runs, final-readout Bright counts) of every table, input-major.
 
@@ -679,6 +686,7 @@ def bright_counts(
     i < shots, all made by one run_shot call. Sampled artefacts rest on these
     streams and shot indices. The exact runs, one per input from one exact_run
     call, are made only when the counts come from them; otherwise `runs` is None.
+    `prefix`, a calibration's exact pass over these inputs, goes to that call.
     """
     sequences = [seq for t in tables for seq in t]
     seeds = [master_seed] if np.ndim(master_seed) == 0 else list(master_seed)
@@ -686,7 +694,7 @@ def bright_counts(
         raise ConfigError(f"{len(sequences)} sequences do not split into {len(seeds)} seed groups")
     per = len(sequences) // len(seeds) or 1
     if shots == 0 or resolve_sampling(noise, sampling) == "fast":
-        runs = exact_run(tables, noise, quad_points=quad_points, fock_cutoff=fock_cutoff)
+        runs = exact_run(tables, noise, quad_points=quad_points, fock_cutoff=fock_cutoff, prefix=prefix)
         p_bright = [p for res in runs for p in res.p_bright]
         if shots == 0:
             return runs, p_bright
@@ -714,13 +722,14 @@ def teleported_counts(
     spin_echo: bool = True,
     standby_wait_us: float = 1.0,
     rephase_wait_us: float = 300.0,
+    prefix: ExactPrefix | None = None,
 ) -> CountsTable | list[CountsTable]:
     """The three bases' count tables of the teleported qubit, from bright_counts.
 
     A list of inputs, with one master seed each, gives one table per input;
     their trajectories all advance together in one run_shot call.
     shots_per_basis = 0 gives exact reported-outcome probabilities, each basis
-    with a total of 1.0.
+    with a total of 1.0. `prefix` goes to bright_counts.
     """
     single = isinstance(input_state, InputStateSpec)
     seq_kwargs = dict(spin_echo=spin_echo, standby_wait_us=standby_wait_us, rephase_wait_us=rephase_wait_us)
@@ -730,7 +739,7 @@ def teleported_counts(
     ]
     _, counts = bright_counts(
         sequences, noise, shots_per_basis, master_seed, sampling=sampling, tag=_TOMO_TAG,
-        quad_points=quad_points, fock_cutoff=fock_cutoff,
+        quad_points=quad_points, fock_cutoff=fock_cutoff, prefix=prefix,
     )
     tables = [
         CountsTable(tuple(map(float, counts[i:i + len(BASES)])), float(shots_per_basis or 1))

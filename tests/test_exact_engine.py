@@ -12,12 +12,18 @@ deferred phases, the stacked (input, node, branch) entries, the node passes or
 the shared-prefix bookkeeping shows up as a gap. A batch of inputs must give
 each input the numbers of its own one-input run.
 """
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from teleion import protocol
+import teleion
+from teleion import cli, protocol
 from teleion import tomography as tomo
 from teleion.errors import InvariantViolation
 from teleion.noise import NoiseConfig, depolarize_density_tensor
@@ -588,6 +594,78 @@ def test_calibration_polynomial_matches_the_full_register_replay(monkeypatch, ca
     # The reported fidelity is the polynomial's: the exact run at phi* agrees.
     at_star = exact_run([(build_sequence(spec, res.phi_star),)], noise, quad_points=quad_points)[0]
     assert abs(res.fidelity - state_fidelity(at_star.rho_exp, spec.pure())) <= TOL
+
+
+SHARED_PASS = {  # (noise, inputs, table settings, engine settings, row-34 modes)
+    "six inputs, paper noise": (NoiseConfig(**PAPER), canonical_inputs(), {}, dict(quad_points=3), (FidelityCheck(),)),
+    "two inputs without psi6": (
+        NoiseConfig(detuning_sigma_SD=0.0015, correlated_dephasing=False, detection_error=0.02),
+        (InputStateSpec(1.1, 0.3, "a"), InputStateSpec(2.0, 4.0, "b")), {}, dict(quad_points=3), (FidelityCheck(),),
+    ),
+    "no echo, other wait, cutoff 6, detuning bias": (
+        NoiseConfig(detuning_bias_SD=0.001, **PAPER), canonical_inputs(), dict(spin_echo=False, rephase_wait_us=150.0),
+        dict(quad_points=5, fock_cutoff=6), (FidelityCheck(),),
+    ),
+    "noiseless": (NoiseConfig(), canonical_inputs(), {}, {}, (FidelityCheck(),)),
+    "three bases, as state-tomo at shots 0": (
+        NoiseConfig(**PAPER), canonical_inputs(), {}, dict(quad_points=3), tuple(Tomography(b) for b in "zxy"),
+    ),
+}
+
+
+def test_a_calibration_shares_one_exact_pass_with_the_commands_inputs(tmp_path, monkeypatch):
+    # The fit reads psi6's entries of the inputs' row-29 stack (psi6 joins
+    # when it is not an input), and exact_run goes on from that stack: every
+    # number is the psi6-only calibration's and the plain exact run's, bit for bit.
+    for case, (noise, inputs, table, engine_kw, modes) in SHARED_PASS.items():
+        alone = calibrate_phase(noise, grid=8, **engine_kw, **table)
+        shared = calibrate_phase(noise, inputs=inputs, grid=8, **engine_kw, **table)
+        assert (shared.phi_star, shared.fidelity, shared.residual) == (alone.phi_star, alone.fidelity, alone.residual)
+        assert np.array_equal(shared.grid_fidelities, alone.grid_fidelities), case
+        tables = [tuple(build_sequence(spec, alone.phi_star, m, **table) for m in modes) for spec in inputs]
+        runs = exact_run(tables, noise, prefix=shared.prefix, **engine_kw)
+        for a, b in zip(runs, exact_run(tables, noise, **engine_kw), strict=True):
+            _assert_same_run(a, b, tol=0.0)
+    # A pass of other rows or other settings is refused.
+    with pytest.raises(InvariantViolation, match="rows 1-29"):
+        exact_run(tables[1:], noise, prefix=shared.prefix, **engine_kw)
+    with pytest.raises(InvariantViolation, match="rows 1-29"):
+        exact_run(tables, noise, prefix=shared.prefix, quad_points=2)
+
+    # A calibrated teleport evolves rows 1-29 once, for all six inputs, also
+    # when its counts come from trajectories and its exact fidelities from a run of their own.
+    evolved = []
+    evolve = protocol._evolve
+    monkeypatch.setattr(protocol, "_evolve", lambda plan, inputs, *rest: evolved.append((len(plan), inputs))
+                        or evolve(plan, inputs, *rest))
+    for sampling in ("fast", "per-shot"):
+        config = tmp_path / f"{sampling}.json"
+        config.write_text(json.dumps({"shots": 20, "quad_points": 3, "phase_offset": "calibrate", "grid": 8,
+                                      "sampling": sampling, "noise": PAPER}), encoding="utf-8")
+        assert cli.main(["teleport", "--config", str(config), "--out", str(tmp_path / sampling)]) == 0
+        assert evolved == [(29, 6)], sampling
+        evolved.clear()
+
+
+def test_gauss_hermite_nodes_are_numpys_without_importing_numpy_polynomial(tmp_path):
+    from numpy.polynomial.hermite import hermgauss
+
+    for points in range(1, 41):
+        x, w = protocol._hermgauss(points)
+        ref_x, ref_w = hermgauss(points)
+        assert (x.tobytes(), w.tobytes()) == (ref_x.tobytes(), ref_w.tobytes()), points
+    # No command pays for importing numpy.polynomial: a fresh process runs two.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"shots": 20, "quad_points": 2, "bootstrap_resamples": 2, "noise": PAPER}))
+    script = (
+        "import sys\nfrom teleion.cli import main\n"
+        "for command in ('teleport', 'proc-tomo'):\n"
+        "    assert main([command, '--config', 'config.json', '--out', command]) == 0\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(teleion.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize(

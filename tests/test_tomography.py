@@ -205,6 +205,22 @@ def test_a_non_finite_total_is_a_config_error():
         counts_from_csv("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize(
+    "bright, total, message",
+    [
+        ((2.0, 0.5, 0.5), 1.0, r"^basis Z: Bright count 2.0 is not a number in \[0, 1.0\]$"),
+        ((-3.0, 5.0, 5.0), 10.0, r"^basis Z: Bright count -3.0 is not a number in \[0, 10.0\]$"),
+        ((float("nan"), 0.5, 0.5), 1.0, r"^basis Z: Bright count nan is not a number"),
+        ((1.0, 0.5), 1.0, r"^a count table needs one Bright count per basis \('Z', 'X', 'Y'\), got 2$"),
+    ],
+    ids=["above the total", "negative", "nan", "two bases"],
+)
+def test_a_count_table_refuses_impossible_bright_counts(bright, total, message):
+    # Built in code, not read from a CSV: no fit may see a negative Dark count.
+    with pytest.raises(ConfigError, match=message):
+        mle_state(CountsTable(bright, total))
+
+
 def test_sampled_tomography_needs_an_rng():
     with pytest.raises(ConfigError):
         simulate_state_tomography(density_from_bloch((0, 0, 1)), 100)

@@ -52,6 +52,12 @@ def matrix() -> dict[str, tuple[list[str], dict | None]]:
         "calibrated-noisy": _variant(base, {"detection_error": 0.02, "detuning_bias_SD": 0.001},
                                      phase_offset="calibrate"),
         "exact": _variant(base, shots=0),
+        # Each branch of a calibration that shares its exact pass with the command, or does not.
+        "calibrated-custom": _variant(base, phase_offset="calibrate", inputs=[
+            {"theta_chi": 1.1, "phi_chi": 0.3, "label": "a"}, {"theta_chi": 2.0, "phi_chi": 4.0, "label": "b"}]),
+        "calibrated-per-shot": _variant(base, phase_offset="calibrate", sampling="per-shot", shots=32),
+        "calibrated-exact": _variant(base, phase_offset="calibrate", shots=0),
+        "calibrated-uncorrelated": _variant(base, {"correlated_dephasing": False}, phase_offset="calibrate"),
     }
     runs = {f"{name}/{command}": ([command], config) for name, config in configs.items() for command in COMMANDS}
     runs |= {f"{name}@29/{w.command}": ([w.command], w.config(29)) for name, w in WORKLOADS.items()}
