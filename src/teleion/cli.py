@@ -397,51 +397,40 @@ def cmd_state_tomo(cfg: ExperimentConfig) -> int:
 
 
 def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
+    ideal_states = [DensityMatrix.from_pure(spec.pure()) for spec in inputs]
+    tomo.independent_inputs(ideal_states)  # before any calibration, engine run or file
+    out = _outdir(cfg)
     phase, out_counts, out_states = _output_states(cfg, out, inputs, "out_")
     in_states = []
-    for idx, spec in enumerate(inputs):
-        rho_in = DensityMatrix.from_pure(spec.pure())
+    for idx, rho_in in enumerate(ideal_states):
         if cfg.process_inputs == "reconstructed":
             rng = np.random.default_rng([cfg.seed, _INPUT_TAG, idx])
             rho_in = tomo.mle_state(tomo.simulate_state_tomography(rho_in, cfg.shots, rng))
         in_states.append(rho_in)
-        _emit_json(out / f"rho_in_{spec.label}.json", tomo.rho_to_json(rho_in))
+        _emit_json(out / f"rho_in_{inputs[idx].label}.json", tomo.rho_to_json(rho_in))
 
     chi, diag = tomo.mle_process(in_states, out_counts, return_diagnostics=True)
     if not diag.converged:
-        raise NonConvergence(
-            f"process reconstruction stopped after {diag.iterations} Newton steps "
-            f"without meeting its certified gap bound"
-        )
+        raise NonConvergence(f"process reconstruction stopped after {diag.iterations} Newton steps "
+                             f"without meeting its certified gap bound")
 
     f_proc = tomo.process_fidelity(chi, tomo.chi_ideal_identity())
     f_avg_chi = tomo.avg_from_process_fidelity(f_proc)
-    f_avg_states = float(
-        np.mean([state_fidelity(r, s.pure()) for r, s in zip(out_states, inputs)])
-    )
+    f_avg_states = float(np.mean([state_fidelity(r, s.pure()) for r, s in zip(out_states, inputs)]))
     amap = tomo.affine_decompose(chi)
     mesh = tomo.ellipsoid_mesh(amap, cfg.tomography_resolution)
 
     errors: dict = {}
     if cfg.shots > 0 and cfg.bootstrap_resamples > 0:
-        resampled, boot_diags = tomo.bootstrap_process(
-            in_states,
-            out_counts,
-            resamples=cfg.bootstrap_resamples,
-            seed=_child_seed(cfg.seed, 0xB0),
-            start=chi.chi,
-            return_diagnostics=True,
-        )
-        chi_ii = np.array([float(p.chi[0, 0].real) for p in resampled])
+        resampled, boot_diags = tomo.bootstrap_process(in_states, out_counts, resamples=cfg.bootstrap_resamples,
+                                                       seed=_child_seed(cfg.seed, 0xB0), start=chi.chi,
+                                                       return_diagnostics=True)
+        chi_ii = resampled[:, 0, 0].real
         fps = np.clip(chi_ii, 0.0, 1.0)  # the fidelity with the identity: each fit is CPTP by construction
-        amaps = [tomo.affine_decompose(p) for p in resampled]
-        bs = np.array([a.b for a in amaps])
-        eigs = np.array([a.s_eigenvalues for a in amaps])
-        angles = np.array(
-            [math.degrees(a.rotation_angle) for a in amaps if a.rotation_angle is not None]
-        )
+        amaps = tomo.affine_decompose(resampled)
+        angles = np.degrees(amaps.rotation_angle)
+        angles = angles[~np.isnan(angles)]  # an improper O (det O < 0) has no rotation angle
         errors = {
             "bootstrap_resamples": cfg.bootstrap_resamples,
             "bootstrap_nonconverged": sum(not d.converged for d in boot_diags),
@@ -449,8 +438,8 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
             "chi_II_std": float(np.std(chi_ii, ddof=1)),
             "f_proc_std": float(np.std(fps, ddof=1)),
             "f_avg_std": float(np.std((2.0 * fps + 1.0) / 3.0, ddof=1)),
-            "b_std": [float(x) for x in np.std(bs, axis=0, ddof=1)],
-            "s_eigenvalues_std": [float(x) for x in np.std(eigs, axis=0, ddof=1)],
+            "b_std": [float(x) for x in np.std(amaps.b, axis=0, ddof=1)],
+            "s_eigenvalues_std": [float(x) for x in np.std(amaps.s_eigenvalues, axis=0, ddof=1)],
             "rotation_angle_deg_std": float(np.std(angles, ddof=1)) if len(angles) > 1 else None,
         }
 
@@ -459,9 +448,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
                 for (m, n), v in np.ndenumerate(chi.chi)]
     _emit_csv(out / "chi_bars.csv", "m,n,abs,re,im", chi_rows)
     _emit_json(out / "affine.json", tomo.affine_to_json(amap, extra=errors or None))
-    _emit_csv(
-        out / "ellipsoid.csv", "x,y,z", [[_fmt(p[0]), _fmt(p[1]), _fmt(p[2])] for p in mesh]
-    )
+    _emit_csv(out / "ellipsoid.csv", "x,y,z", [[_fmt(p[0]), _fmt(p[1]), _fmt(p[2])] for p in mesh])
 
     angle = amap.rotation_angle
     consistency = abs(f_avg_states - f_avg_chi)
@@ -490,11 +477,8 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
     )
     print(f"chi_II = {chi.chi[0, 0].real:.4f}; F_proc = {f_proc:.4f}")
     print(f"F_avg: {f_avg_chi:.4f} (from chi) vs {f_avg_states:.4f} (from states)")
-    print(
-        "S eigenvalues = "
-        + ", ".join(f"{x:.4f}" for x in amap.s_eigenvalues)
-        + (f"; rotation = {math.degrees(angle):.2f} deg" if angle is not None else "; det(O) = -1")
-    )
+    print("S eigenvalues = " + ", ".join(f"{x:.4f}" for x in amap.s_eigenvalues)
+          + (f"; rotation = {math.degrees(angle):.2f} deg" if angle is not None else "; det(O) = -1"))
     return 0
 
 

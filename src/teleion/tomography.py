@@ -292,27 +292,40 @@ def chi_from_channel(channel) -> np.ndarray:
     return np.einsum("ma,ab,nb->mn", vecs.conj(), choi, vecs) / 4.0
 
 
-def tp_defect(chi: np.ndarray) -> float:
-    return float(np.max(np.abs(_input_trace(chi) - np.eye(2))))
+def _refuse(bad: np.ndarray, name: str, what: str) -> None:
+    """InvariantViolation if `bad` holds anywhere, naming the first stack member where it does."""
+    if np.any(bad):
+        at = "".join(f"[{i}]" for i in np.argwhere(bad)[0])
+        raise InvariantViolation(f"{name}{at} {what}")
+
+
+def tp_defect(chi: np.ndarray) -> float | np.ndarray:
+    """max |sum_mn chi_mn A_n^dagger A_m - 1|, one per matrix of a (..., 4, 4) stack."""
+    return np.max(np.abs(_input_trace(chi) - np.eye(2)), axis=(-2, -1))
+
+
+def checked_chi(chi) -> np.ndarray:
+    """`chi`, or a stack of them (..., 4, 4), as complex128: each Hermitian, PSD and trace-preserving."""
+    chi = np.asarray(chi, dtype=np.complex128)
+    if chi.shape[-2:] != (4, 4):
+        raise DimensionMismatch(f"chi must be 4x4, got {chi.shape}")
+    _refuse(np.max(np.abs(chi - chi.conj().swapaxes(-1, -2)), axis=(-2, -1)) > 1e-10,
+            "chi", "is not Hermitian within 1e-10")
+    _refuse(np.linalg.eigvalsh(chi)[..., 0] < -1e-10, "chi", "has eigenvalues below -1e-10")
+    _refuse(tp_defect(chi) > 1e-8, "chi", "is not trace-preserving within 1e-8")
+    return chi
 
 
 @dataclass(frozen=True)
 class ProcessMatrix:
-    """Validated chi matrix: Hermitian, PSD, trace-preserving."""
+    """Validated chi matrix: Hermitian, PSD, trace-preserving (`checked_chi`)."""
 
     chi: np.ndarray
 
     def __post_init__(self):
-        chi = np.asarray(self.chi, dtype=np.complex128)
-        object.__setattr__(self, "chi", chi)
-        if chi.shape != (4, 4):
-            raise DimensionMismatch(f"chi must be 4x4, got {chi.shape}")
-        if np.max(np.abs(chi - chi.conj().T)) > 1e-10:
-            raise InvariantViolation("chi is not Hermitian within 1e-10")
-        if float(np.min(np.linalg.eigvalsh(chi))) < -1e-10:
-            raise InvariantViolation("chi has eigenvalues below -1e-10")
-        if tp_defect(chi) > 1e-8:
-            raise InvariantViolation("chi is not trace-preserving within 1e-8")
+        if np.shape(self.chi) != (4, 4):
+            raise DimensionMismatch(f"chi must be 4x4, got {np.shape(self.chi)}")
+        object.__setattr__(self, "chi", checked_chi(self.chi))
 
 
 def chi_ideal_identity() -> np.ndarray:
@@ -389,20 +402,22 @@ _MU_START, _MU_CUT, _CENTRED, _GAP_TOL = 1e-3, 100.0, 0.25, 1e-12
 _START_FLOOR = 1e-3
 
 
-def _input_rank(inputs: list[np.ndarray]) -> int:
-    s = np.linalg.svd(np.einsum("pab,iba->ip", _P, np.array(inputs)).real, compute_uv=False)
-    return int(np.sum(s > 1e-8))
+def independent_inputs(inputs) -> np.ndarray:
+    """The input states (DensityMatrix or 2x2 arrays) as one (n, 2, 2) array; a ConfigError
+    unless they span the 4-dim operator space, as a process fit needs."""
+    rhos = np.array([x.matrix if isinstance(x, DensityMatrix) else np.asarray(x, complex) for x in inputs])
+    s = np.linalg.svd(np.einsum("pab,iba->ip", _P, rhos.reshape(-1, 2, 2)).real, compute_uv=False)
+    if np.sum(s > 1e-8) < 4:
+        raise ConfigError("need at least 4 linearly independent input states")
+    return rhos
 
 
 def _process_model(inputs, outputs) -> tuple[np.ndarray, np.ndarray]:
     """(H, counts): Hermitian H_j with p_j = tr(H_j chi), one per (input, basis,
     outcome) count row, and the (inputs, 6) table counts in that row order."""
-    rhos = [x.matrix if isinstance(x, DensityMatrix) else np.asarray(x, complex) for x in inputs]
-    if len(rhos) != len(outputs):
-        raise ConfigError(f"{len(rhos)} inputs vs {len(outputs)} count tables")
-    if _input_rank(rhos) < 4:
-        raise ConfigError("need at least 4 linearly independent input states")
-    k = np.einsum("nab,jbc,mcd,ida->ijmn", _P_DAG, _POVM, _P, np.array(rhos))
+    if len(inputs) != len(outputs):
+        raise ConfigError(f"{len(inputs)} inputs vs {len(outputs)} count tables")
+    k = np.einsum("nab,jbc,mcd,ida->ijmn", _P_DAG, _POVM, _P, independent_inputs(inputs))
     counts = np.array([[c for _, _, c in t.rows] for t in outputs], dtype=float)
     return k.conj().reshape(-1, 4, 4), counts
 
@@ -426,7 +441,7 @@ def _interior_start(start) -> np.ndarray:
 
 def _fit_chi(
     h_ops: np.ndarray, ns: np.ndarray, start, *, max_iters: int
-) -> tuple[list[ProcessMatrix], list[MLEDiagnostics]]:
+) -> tuple[np.ndarray, list[MLEDiagnostics]]:
     """Maximum-likelihood CPTP chi for each row of `ns`, all fits advanced as one batch.
 
     `h_ops` (J, 4, 4) is the shared model and `ns` (R, J) the counts of each
@@ -439,7 +454,8 @@ def _fit_chi(
     adds lam^2 (Boyd & Vandenberghe, Convex Optimization, 9.6.3 and ch. 11).
     A fit stops once that gap, 4 mu + lam^2, is <= _GAP_TOL * N. All fits
     start from `_interior_start(start)`; each keeps its own mu, step and stop
-    flag. `iterations` counts Newton steps, `gap` is the final bound.
+    flag. `iterations` counts Newton steps, `gap` is the final bound. The fits
+    come back as one (R, 4, 4) stack, checked by `checked_chi`.
     """
     tol, mu = _GAP_TOL * ns.sum(axis=1), _MU_START * ns.sum(axis=1)
     g_ops = np.einsum("jab,iba->ji", h_ops, _TP_DIRS).real
@@ -501,22 +517,15 @@ def _fit_chi(
                 break
             t[todo] *= 0.5
         live = np.delete(live, todo)  # no ascent step left: stop, unconverged
-    results = [ProcessMatrix(c) for c in _chi_of(z)]
     diags = [
         MLEDiagnostics(bool(c), int(s), h[-1], tuple(h), float(g))
         for c, s, h, g in zip(converged, steps, history, gap)
     ]
-    return results, diags
+    return checked_chi(_chi_of(z)), diags
 
 
-def mle_process(
-    inputs,
-    outputs,
-    *,
-    max_iters: int = 10_000,
-    start: np.ndarray | None = None,
-    return_diagnostics: bool = False,
-):
+def mle_process(inputs, outputs, *, max_iters: int = 10_000, start: np.ndarray | None = None,
+                return_diagnostics: bool = False):
     """Maximum-likelihood CPTP process matrix from tomography counts.
 
     `inputs` are the prepared states (DensityMatrix or 2x2 arrays), `outputs`
@@ -525,7 +534,8 @@ def mle_process(
     warns if `max_iters` Newton steps end before the certified gap is met.
     """
     h_ops, counts = _process_model(inputs, outputs)
-    (result,), (diag,) = _fit_chi(h_ops, counts.reshape(1, -1), start, max_iters=max_iters)
+    (chi,), (diag,) = _fit_chi(h_ops, counts.reshape(1, -1), start, max_iters=max_iters)
+    result = ProcessMatrix(chi)
     if not diag.converged:
         warnings.warn(
             f"mle_process stopped after {diag.iterations} Newton steps without convergence",
@@ -534,22 +544,14 @@ def mle_process(
     return (result, diag) if return_diagnostics else result
 
 
-def bootstrap_process(
-    inputs,
-    outputs,
-    *,
-    resamples: int = 200,
-    seed: int = 0,
-    start: np.ndarray | None = None,
-    max_iters: int = 10_000,
-    return_diagnostics: bool = False,
-):
+def bootstrap_process(inputs, outputs, *, resamples: int = 200, seed: int = 0, start: np.ndarray | None = None,
+                      max_iters: int = 10_000, return_diagnostics: bool = False):
     """Parametric bootstrap: redraw binomial counts, refit every resample.
 
     All resamples are fitted together by `_fit_chi`, each its own barrier
-    Newton solve from `start`. Requires integer-total count tables (sampled
-    data); exact-probability tables carry no statistical uncertainty to
-    resample. Warns once if any resample stops without a certified gap; with
+    Newton solve from `start`, and come back as one (resamples, 4, 4) stack of
+    chi matrices. Requires integer-total count tables (sampled data);
+    exact-probability tables carry no statistical uncertainty to resample. Warns once if any resample stops without a certified gap; with
     `return_diagnostics` it also returns each resample's MLEDiagnostics.
     """
     h_ops, counts = _process_model(inputs, outputs)
@@ -563,58 +565,61 @@ def bootstrap_process(
         np.broadcast_to(totals.astype(np.int64), p.shape), p, size=(resamples, *p.shape)
     ).astype(float)
     ns = np.stack([bright, totals - bright], axis=-1).reshape(resamples, counts.size)
-    results, diags = _fit_chi(h_ops, ns, start, max_iters=max_iters)
+    chis, diags = _fit_chi(h_ops, ns, start, max_iters=max_iters)
     failed = sum(not d.converged for d in diags)
     if failed:
         warnings.warn(
             f"bootstrap_process: {failed} of {resamples} resamples stopped without convergence",
             stacklevel=2,
         )
-    return (results, diags) if return_diagnostics else results
+    return (chis, diags) if return_diagnostics else chis
 
 
 # ---------------------------------------------------------------------------
 # Affine Bloch-sphere picture
 
+# math.acos element by element: numpy's arccos differs from it in the last bit
+# for about one argument in ten, and the angles are written to the artefacts.
+_acos = np.vectorize(math.acos, otypes=[float])
+
+
 @dataclass(frozen=True)
 class AffineMap:
-    """r_out = O @ S @ r_in + b: rotation, anisotropic shrink, displacement."""
+    """r_out = O @ S @ r_in + b: rotation, anisotropic shrink, displacement; or a stack of such maps,
+    O and S (..., 3, 3) and b (..., 3), checked and read off all at once."""
 
     O: np.ndarray
     S: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        o = np.asarray(self.O, dtype=float)
-        s = np.asarray(self.S, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "O", o)
-        object.__setattr__(self, "S", s)
-        object.__setattr__(self, "b", b)
-        if np.max(np.abs(o @ o.T - np.eye(3))) > 1e-10:
-            raise InvariantViolation("O is not orthogonal within 1e-10")
-        if np.max(np.abs(s - s.T)) > 1e-10:
-            raise InvariantViolation("S is not symmetric within 1e-10")
-        if float(np.min(np.linalg.eigvalsh(s))) < -1e-10:
-            raise InvariantViolation("S has eigenvalues below -1e-10")
-        if float(np.linalg.norm(b)) > 1.0 + 1e-10:
-            raise InvariantViolation("displacement leaves the unit ball")
+        for name in ("O", "S", "b"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        o, s, b = self.O, self.S, self.b
+        if o.shape[-2:] != (3, 3) or s.shape != o.shape or b.shape != o.shape[:-1]:
+            raise DimensionMismatch(f"O, S and b must be (..., 3, 3), (..., 3, 3) and (..., 3), got "
+                                    f"{o.shape}, {s.shape} and {b.shape}")
+        _refuse(np.max(np.abs(o @ o.swapaxes(-1, -2) - np.eye(3)), axis=(-2, -1)) > 1e-10,
+                "O", "is not orthogonal within 1e-10")
+        _refuse(np.max(np.abs(s - s.swapaxes(-1, -2)), axis=(-2, -1)) > 1e-10, "S", "is not symmetric within 1e-10")
+        _refuse(np.linalg.eigvalsh(s)[..., 0] < -1e-10, "S", "has eigenvalues below -1e-10")
+        _refuse(np.linalg.norm(b, axis=-1) > 1.0 + 1e-10, "displacement", "leaves the unit ball")
 
     @property
-    def det_o(self) -> float:
-        return float(np.linalg.det(self.O))
+    def det_o(self) -> float | np.ndarray:
+        return np.linalg.det(self.O)
 
     @property
-    def rotation_angle(self) -> float | None:
-        """Rotation angle of O in radians; None for det(O) = -1."""
-        if self.det_o < 0:
-            return None
-        c = (float(np.trace(self.O)) - 1.0) / 2.0
-        return math.acos(min(max(c, -1.0), 1.0))
+    def rotation_angle(self) -> float | None | np.ndarray:
+        """Rotation angle of O in radians; None for det(O) = -1, or NaN in a stack."""
+        c = np.clip((np.trace(self.O, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
+        angle = np.where(self.det_o < 0, np.nan, _acos(c))
+        return angle if angle.ndim else None if math.isnan(angle) else float(angle)
 
     @property
     def s_eigenvalues(self) -> np.ndarray:
-        return np.sort(np.linalg.eigvalsh(self.S))[::-1]
+        """S's eigenvalues in descending order, per map."""
+        return np.linalg.eigvalsh(self.S)[..., ::-1]
 
 
 # _TRANSFER[i, j, m, n] = tr(A_i A_m A_j A_n^dagger) / 2.
@@ -622,20 +627,19 @@ _TRANSFER = 0.5 * np.einsum("iab,mbc,jcd,nda->ijmn", _P, _P, _P, _P_DAG)
 
 
 def pauli_transfer(chi) -> tuple[np.ndarray, np.ndarray]:
-    """(M, b) with M_ij = tr(sigma_i E(sigma_j))/2 and b_i = tr(sigma_i E(I))/2."""
-    r = np.einsum("ijmn,mn->ij", _TRANSFER, _as_chi(chi))
-    if np.max(np.abs(r[1:, 1:].imag)) > 1e-9:
-        raise InvariantViolation("transfer matrix has imaginary parts")
-    return r[1:, 1:].real.copy(), r[1:, 0].real.copy()
+    """(M, b) with M_ij = tr(sigma_i E(sigma_j))/2 and b_i = tr(sigma_i E(I))/2, per chi of a (..., 4, 4) stack."""
+    r = np.einsum("ijmn,...mn->...ij", _TRANSFER, _as_chi(chi))
+    _refuse(np.max(np.abs(r[..., 1:, 1:].imag), axis=(-2, -1)) > 1e-9, "transfer matrix", "has imaginary parts")
+    return r[..., 1:, 1:].real.copy(), r[..., 1:, 0].real.copy()
 
 
 def affine_decompose(chi) -> AffineMap:
-    """Polar-decompose the Bloch transfer matrix into rotation x shrink."""
+    """Polar-decompose the Bloch transfer matrix into rotation x shrink; a stack of chi gives a stack of maps."""
     m, b = pauli_transfer(chi)
     u, sig, vt = np.linalg.svd(m)
     o = u @ vt
-    s = vt.T @ np.diag(sig) @ vt
-    return AffineMap(o, 0.5 * (s + s.T), b)
+    s = (vt.swapaxes(-1, -2) * sig[..., None, :]) @ vt  # V^T diag(sig) V
+    return AffineMap(o, 0.5 * (s + s.swapaxes(-1, -2)), b)
 
 
 def ellipsoid_mesh(amap: AffineMap, resolution: int = 24) -> np.ndarray:

@@ -393,6 +393,17 @@ def test_a_single_bootstrap_resample_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("phase_offset", [0.0, "calibrate"])
+def test_proc_tomo_refuses_dependent_inputs_before_any_work(tmp_path, capsys, phase_offset):
+    # Two inputs cannot span the operator space: they once calibrated, ran the
+    # engines and wrote their counts and states before exiting 2.
+    inputs = [{"theta_chi": 1.1, "phi_chi": 0.3, "label": "a"}, {"theta_chi": 2.0, "phi_chi": 4.0, "label": "b"}]
+    cfg = write_config(tmp_path, inputs=inputs, phase_offset=phase_offset)
+    assert main(["proc-tomo", "--config", str(cfg)]) == 2
+    assert "need at least 4 linearly independent input states" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, constant",
     [

@@ -38,6 +38,7 @@ from teleion.tomography import (
     bright_counts,
     bright_probabilities,
     channel_from_chi,
+    checked_chi,
     chi_from_channel,
     chi_from_json,
     chi_ideal_identity,
@@ -448,6 +449,17 @@ def test_process_matrix_validation():
         ProcessMatrix(0.5 * chi_ideal_identity())  # not TP
     with pytest.raises(InvariantViolation):
         ProcessMatrix(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex))
+    # A stack is checked by the same rules, and its error names the failing member.
+    good = chi_ideal_identity()
+    for member in (bad, 0.5 * chi_ideal_identity(), np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)):
+        with pytest.raises(InvariantViolation) as single:
+            ProcessMatrix(member)
+        with pytest.raises(InvariantViolation) as stacked:
+            checked_chi(np.array([good, member, good]))
+        assert str(stacked.value) == str(single.value).replace("chi", "chi[1]", 1)
+    assert checked_chi(np.array([good, good, good])).shape == (3, 4, 4)
+    with pytest.raises(DimensionMismatch):
+        checked_chi(np.zeros((3, 4, 3)))
 
 
 def test_process_fidelity_warns_on_mixed_ideal():
@@ -538,8 +550,9 @@ def test_bootstrap_is_seeded_and_rejects_exact_tables():
     ]
     a = bootstrap_process(FOUR_INPUTS, tables, resamples=4, seed=7)
     b = bootstrap_process(FOUR_INPUTS, tables, resamples=4, seed=7)
-    assert all(np.allclose(x.chi, y.chi) for x, y in zip(a, b))
-    spread = np.std([x.chi[0, 0].real for x in a])
+    assert a.shape == (4, 4, 4)
+    assert all(np.allclose(x, y) for x, y in zip(a, b))
+    spread = np.std(a[:, 0, 0].real)
     assert spread > 0.0
     with pytest.raises(ConfigError):
         bootstrap_process(FOUR_INPUTS, exact_tables(chi_true, FOUR_INPUTS), resamples=2)
@@ -659,9 +672,9 @@ def assert_fits_match(fits, diags, ns, oracle):
         assert converged and diag.converged
         assert 0.0 <= diag.gap <= 1e-12 * n.sum()
         assert diag.log_likelihood >= history[-1] - diag.gap
-        assert tp_defect(result.chi) <= 1e-14
+        assert tp_defect(result) <= 1e-14
         if np.linalg.eigvalsh(chi)[0] > 1e-3:
-            assert np.max(np.abs(result.chi - chi)) <= 1e-6
+            assert np.max(np.abs(result - chi)) <= 1e-6
         else:
             assert diag.iterations <= 60
 
@@ -753,7 +766,7 @@ def test_bootstrap_counts_its_nonconverged_resamples():
         warnings.simplefilter("error")
         _, diags = bootstrap_process(FOUR_INPUTS, tables, resamples=5, seed=1, return_diagnostics=True)
     assert all(d.converged for d in diags)
-    assert bootstrap_process(FOUR_INPUTS, tables, resamples=0) == []
+    assert bootstrap_process(FOUR_INPUTS, tables, resamples=0).shape == (0, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +781,12 @@ def test_affine_map_validation_and_properties():
         AffineMap(2 * np.eye(3), np.eye(3), np.zeros(3))
     with pytest.raises(InvariantViolation):
         AffineMap(np.eye(3), np.eye(3), np.array([0.0, 0.0, 1.5]))
+    with pytest.raises(DimensionMismatch):
+        AffineMap(np.eye(3), np.eye(3), np.zeros(2))
+    with pytest.raises(DimensionMismatch):  # a stack of O with one S would broadcast unseen
+        AffineMap(np.array([np.eye(3)] * 2), np.eye(3), np.zeros((2, 3)))
+    with pytest.raises(InvariantViolation, match=r"^O\[1\] is not orthogonal"):
+        AffineMap(np.array([np.eye(3), 2 * np.eye(3)]), np.array([np.eye(3)] * 2), np.zeros((2, 3)))
 
 
 def test_affine_decompose_depolarizing():
@@ -784,6 +803,22 @@ def test_affine_decompose_reads_off_a_rotation_angle():
     amap = affine_decompose(chi_from_channel(lambda r: u @ r @ u.conj().T))
     assert amap.rotation_angle == pytest.approx(alpha, abs=1e-9)
     assert np.allclose(amap.S, np.eye(3), atol=1e-9)
+
+
+def test_a_stack_of_chi_decomposes_as_its_members_do():
+    # The optimal universal-NOT channel, r -> -r/3, has an improper O = -1 and
+    # so no rotation angle; seeds 0-4 give proper ones.
+    universal_not = np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex) / 3.0
+    chis = np.array([random_cptp_qubit_channel(seed) for seed in range(5)] + [universal_not])
+    stack = affine_decompose(chis)
+    members = [affine_decompose(chi) for chi in chis]
+    for name in ("O", "S", "b", "s_eigenvalues", "det_o"):
+        each = np.array([getattr(m, name) for m in members])
+        assert np.max(np.abs(getattr(stack, name) - each)) <= 1e-12, name
+    assert np.allclose(members[-1].O, -np.eye(3), atol=1e-12) and stack.det_o[-1] < 0
+    assert [m.rotation_angle is None for m in members] == [False] * 5 + [True]
+    assert np.isnan(stack.rotation_angle).tolist() == [False] * 5 + [True]
+    assert np.max(np.abs(stack.rotation_angle[:5] - [m.rotation_angle for m in members[:5]])) <= 1e-12
 
 
 def test_pauli_transfer_of_identity():
