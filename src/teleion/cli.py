@@ -274,10 +274,10 @@ def _resolve_phase(cfg: ExperimentConfig, inputs: tuple[InputStateSpec, ...] = (
 # Subcommands
 
 def cmd_teleport(cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
     # The exact engine runs on the inputs whenever a calibration can (it refuses amplitude noise).
     phase, calibration, prefix = _resolve_phase(cfg, inputs)
+    out = _outdir(cfg)  # after the phase: a refused calibration leaves no directory
     tables = [(build_sequence(spec, phase, **cfg.sequence_kwargs()),) for spec in inputs]
     runs, counts = tomo.bright_counts(
         tables, cfg.noise, cfg.shots, cfg.seed, sampling=cfg.sampling, tag=_TELE_TAG, prefix=prefix,
@@ -337,12 +337,14 @@ def cmd_teleport(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _output_states(cfg, out: Path, inputs, name_prefix: str = "") -> tuple[float, list, list[DensityMatrix]]:
-    """(tail phase, every input's teleported count table, its maximum-likelihood state), input i
-    sampling on its own child seed; each pair is written as counts_<name_prefix><label>.csv and
-    rho_<name_prefix><label>.json."""
+def _output_states(cfg, inputs, name_prefix: str = "") -> tuple[Path, float, list, list[DensityMatrix]]:
+    """(output directory, tail phase, every input's teleported count table, its maximum-likelihood
+    state), input i sampling on its own child seed; each pair is written as
+    counts_<name_prefix><label>.csv and rho_<name_prefix><label>.json. The directory is made after
+    the phase is resolved."""
     exact = cfg.shots == 0 or tomo.resolve_sampling(cfg.noise, cfg.sampling) == "fast"
     phase, _, prefix = _resolve_phase(cfg, inputs if exact else ())
+    out = _outdir(cfg)
     counts = tomo.teleported_counts(
         inputs,
         cfg.noise,
@@ -359,13 +361,12 @@ def _output_states(cfg, out: Path, inputs, name_prefix: str = "") -> tuple[float
         (out / f"counts_{name_prefix}{spec.label}.csv").write_text(tomo.counts_to_csv(table), encoding="utf-8")
         states.append(tomo.mle_state(table))
         _emit_json(out / f"rho_{name_prefix}{spec.label}.json", tomo.rho_to_json(states[-1]))
-    return phase, counts, states
+    return out, phase, counts, states
 
 
 def cmd_state_tomo(cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
     inputs = cfg.resolved_inputs()
-    phase, _, states = _output_states(cfg, out, inputs)
+    out, phase, _, states = _output_states(cfg, inputs)
 
     bar_rows, report_states = [], []
     for spec, rho in zip(inputs, states):
@@ -400,8 +401,7 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
     inputs = cfg.resolved_inputs()
     ideal_states = [DensityMatrix.from_pure(spec.pure()) for spec in inputs]
     tomo.independent_inputs(ideal_states)  # before any calibration, engine run or file
-    out = _outdir(cfg)
-    phase, out_counts, out_states = _output_states(cfg, out, inputs, "out_")
+    out, phase, out_counts, out_states = _output_states(cfg, inputs, "out_")
     in_states = []
     for idx, rho_in in enumerate(ideal_states):
         if cfg.process_inputs == "reconstructed":
@@ -483,8 +483,8 @@ def cmd_proc_tomo(cfg: ExperimentConfig) -> int:
 
 
 def cmd_calibrate(cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
     res = calibrate_phase(cfg.noise, grid=cfg.grid, **cfg.exact_kwargs(), **cfg.sequence_kwargs())
+    out = _outdir(cfg)
     _emit_csv(
         out / "phase_sweep.csv",
         "phi,fidelity",

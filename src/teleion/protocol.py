@@ -28,12 +28,12 @@ Two execution paths take the same tables, built once by build_sequence:
   34-35 once per table index on all entries. The inputs' tables may differ
   wherever run_shot's may: a row they share acts once on all entries, and at
   any other each entry takes its own input's operator. A subsystem holds
-  only the levels its drives have reached in any input (any other level is
-  exactly zero) and leaves after the last sideband or readout needing it (at
-  most 48 levels, after rows 10-18 of the standard table, then 12, 18, 9 and
-  ion 3's 3x3 state), every readout splits the entries on the reported
-  outcome, and each ion's detuning phase waits for its next drive. This is
-  the infinite-statistics reference.
+  only the levels its drives have reached in any input and no exact pi
+  pulse has emptied since (any other level is zero) and leaves after the
+  last sideband or readout needing it (at most 32 levels between drives,
+  after rows 10-18 of the standard table, then 8, 4 and 2), every readout
+  splits the entries on the reported outcome, and each ion's detuning phase
+  waits for its next drive. This is the infinite-statistics reference.
 """
 from __future__ import annotations
 
@@ -61,6 +61,7 @@ from .trap import (
     Carrier,
     D,
     Detect,
+    H,
     Hide,
     Outcome,
     S,
@@ -497,11 +498,7 @@ def _drive_plan(pulse: trap.Pulse, fock_cutoff: int, kept: tuple[tuple[int, ...]
     if depol and grown[0] & {S, D}:  # the channel mixes S and D, and leaves H alone
         grown[0] |= {S, D}
     levels = tuple(tuple(sorted(sub)) for sub in grown)
-    dep = None
-    if depol:
-        d = len(levels[0])
-        dep = depolarizing_superop(depol, 3).reshape(3, 3, 3, 3)[np.ix_(*levels[:1] * 4)].reshape(d * d, d * d)
-        dep.flags.writeable = False
+    dep = _depolarizing_block(depol, levels[0]) if depol else None
     shape = tuple(map(len, levels))
     op = np.eye(math.prod(shape), dtype=np.complex128).reshape(shape * 2)
     where = [{level: i for i, level in enumerate(sub)} for sub in levels]  # level -> its index in `levels`
@@ -512,6 +509,14 @@ def _drive_plan(pulse: trap.Pulse, fock_cutoff: int, kept: tuple[tuple[int, ...]
                 op[row + col] = rot[i, j]
     op.flags.writeable = False
     return levels, op, dep
+
+
+@functools.lru_cache(maxsize=None)
+def _depolarizing_block(p: float, levels: tuple[int, ...]) -> np.ndarray:
+    """The depolarizing superoperator's (d*d, d*d) block on an ion's `levels`. Read-only; cached."""
+    dep = depolarizing_superop(p, 3).reshape(3, 3, 3, 3)[np.ix_(*(levels,) * 4)].reshape(len(levels) ** 2, -1)
+    dep.flags.writeable = False
+    return dep
 
 
 def _row_sites(pulse: trap.Pulse) -> tuple[tuple[int, ...], bool]:
@@ -629,7 +634,7 @@ class _Stack:
     `rho` holds each entry's unnormalized density tensor: a leading entry
     axis, then one ket and one bra axis per subsystem. Both hold the
     subsystem's `levels`, the only ones a drive has reached so far in any
-    input: every other level is exactly zero. A subsystem holds (0,), |S> or
+    input and left nonempty: every other level is zero. A subsystem holds (0,), |S> or
     |n=0>, until its first drive, and (0,), its trace, after its `_lifetimes`.
     Each ion's free-evolution time waits in `pending` until its next drive.
     """
@@ -660,7 +665,10 @@ def _advance(stack: _Stack, plan: list[tuple], life, first: int, noise: NoiseCon
     sideband raises past TRUNCATION_BOUND when an (input, node)'s entries hold
     more than that on its ion's |S, fock_cutoff-1>. Before a drive, its
     subsystems grow to the levels `_drive_plan` says it reaches in every
-    input, and the drive acts on those levels only.
+    input, and the drive acts on those levels only. An exact pi pulse
+    (|cos(area/2)| < 2^-52 in every input) that is unconditional,
+    undepolarized and not a sideband, and finds one end of its pair held,
+    leaves only rounding there: that end leaves the register.
     """
     rho, pending, keys = stack.rho.copy(), stack.pending.copy(), stack.keys
     node, inputs, weight, rates = stack.node, stack.input, stack.weight, stack.rates
@@ -700,6 +708,9 @@ def _advance(stack: _Stack, plan: list[tuple], life, first: int, noise: NoiseCon
             (grown, _, dep), ops = plans[0], np.stack([dp[1] for dp in plans])
             if dep is not None and not np.all(on):  # an input that waits is not depolarized
                 dep = np.where(on[:, None, None], dep, np.eye(len(dep)))
+            held = {S, D if isinstance(pulse, Carrier) else H} & set(levels[pulse.ion])
+            empties = (len(held) == 1 and dep is None and not isinstance(pulse, BlueSideband) and isinstance(sel, slice)
+                       and np.all(np.abs(np.cos(0.5 * theta)) < 2.0 ** -52))  # an input that waits has area 0
             for site, lv in zip(acts, grown):
                 rho, levels[site] = _grow(rho, site, levels[site], lv), lv
             part = rho[sel]
@@ -733,6 +744,11 @@ def _advance(stack: _Stack, plan: list[tuple], life, first: int, noise: NoiseCon
                     sup = dep @ sup
                 cols = (ph[:, :, None] * ph.conj()[:, None, :]).reshape(-1, 1, d * d)
                 part = _apply(sup[each] * cols, part, [k, k_bra], work)
+            if empties:  # the levels left are evenly spaced: a basic slice views them
+                at = [i for i, lv in enumerate(grown[0]) if lv not in held]
+                cut = slice(at[0], at[-1] + 1, at[-1] - at[0] or 1)
+                part = part[tuple(cut if a in (k, k_bra) else slice(None) for a in range(part.ndim))]
+                levels[pulse.ion] = tuple(grown[0][cut])
             if isinstance(sel, slice):
                 rho = part
             else:
@@ -795,13 +811,14 @@ class ExactPrefix:
 
     `stack` holds the entries of every input of `rows`, each input's table
     cut at `split`, in order, then of one more input when calibrate_phase
-    added psi6 for its fit. `life` is the `_lifetimes` the pass ran with and
-    `settings` its (noise, quad_points, fock_cutoff).
+    added psi6 for its fit. `plan` is the pass's `_row_plan`, `life` the
+    `_lifetimes` it ran with and `settings` its (noise, quad_points, fock_cutoff).
     """
 
     stack: _Stack
     rows: tuple[tuple[SequenceStep, ...], ...]
     split: int
+    plan: list[tuple]
     life: dict[int, int]
     settings: tuple
 
@@ -840,15 +857,24 @@ class ExactRun:
 
     rho_exp: DensityMatrix                   # ion 3, {S,D} block, post-row-33
     branch_probs: dict[str, float]
-    # The two per-branch conditionals below leave out every branch whose
-    # probability is at roundoff level (<= 1e-12): it has no conditional state.
-    branch_states: dict[str, DensityMatrix]  # normalized per reported branch
-    final_bright: dict[str, float]           # reported P(bright | branch), row 35, first table
     p_bright: tuple[float, ...]              # reported P(bright), row 35, per table in order,
                                              # clamped to [0, 1] against roundoff
     h_residual: float
     motional_residual: float
     truncation_population: float             # max blue-sideband |S, fock_cutoff-1> population
+    # The two per-branch conditionals below, built on first read, leave out every
+    # branch whose probability is at roundoff level (<= 1e-12): it has no conditional state.
+    branches: dict[str, np.ndarray]          # ion-3 state times its probability, per occurring branch
+    final: tuple                             # (weight, final Bright, branch) of the first table's entries
+
+    @functools.cached_property
+    def branch_states(self) -> dict[str, DensityMatrix]:  # normalized per reported branch
+        return {b: _qubit_block(acc / self.branch_probs[b]) for b, acc in self.branches.items()}
+
+    @functools.cached_property
+    def final_bright(self) -> dict[str, float]:  # reported P(bright | branch), row 35, first table
+        p, bright, label = self.final
+        return {b: float(np.sum(p[bright & (label == b)])) / float(np.sum(p[label == b])) for b in self.branches}
 
 
 def exact_run(
@@ -885,15 +911,15 @@ def exact_run(
     for a, b in (pair for h in heads for head in h[1:] for pair in itertools.zip_longest(h[0], head)):
         if a != b:
             raise InvariantViolation(f"row {(a or b)[0]}: an input's tables differ before row {_ANALYSIS_ROW}")
-    shared = sum(s.step_id < _ANALYSIS_ROW for s in tables[0][0])
-    head = _row_plan([t[0][:shared] for t in tables], noise)
+    shared, split = sum(s.step_id < _ANALYSIS_ROW for s in tables[0][0]), prefix.split if prefix else 0
+    head = _row_plan([t[0][split:shared] for t in tables], noise)
     tails = [_row_plan([t[m][shared:] for t in tables], noise) for m in range(len(tables[0]))]
-    life = _lifetimes(head + [row for tail in tails for row in tail], (_TARGET,))  # what any mode needs
-    if prefix is None:
+    life = _lifetimes((prefix.plan if prefix else []) + head + [row for tail in tails for row in tail], (_TARGET,))
+    if prefix is None:  # `life` holds what any mode needs
         stack = _evolve(head, len(tables), life, noise, quad_points, fock_cutoff)
     else:
         stack = prefix.resume(tables, life, (noise, quad_points, fock_cutoff))
-        stack = _advance(stack, head[prefix.split:], life, prefix.split, noise, fock_cutoff)
+        stack = _advance(stack, head, life, split, noise, fock_cutoff)
     ends = [_advance(stack, tail, life, shared, noise, fock_cutoff) for tail in tails]
     for end in ends:
         _check_readouts(end.keys[0])
@@ -912,10 +938,6 @@ def exact_run(
         mine = stack.input == j
         acc = {b: weighted[mine & (labels == b)].sum(axis=0) for b in BRANCHES if b in labels[mine]}
         branch_probs = {b: float(np.real(np.trace(r))) for b, r in acc.items()}
-        # A branch whose probability is a roundoff-level defect has no conditional state.
-        occurring = [b for b in acc if branch_probs[b] > ATOL_STRUCTURAL]
-        branch_states = {b: _qubit_block(acc[b] / branch_probs[b]) for b in occurring}
-
         total = sum(acc.values())
         tr_total = float(np.real(np.trace(total)))
         if abs(tr_total - 1.0) > 1e-9:
@@ -926,21 +948,16 @@ def exact_run(
         if not can_strand and stack.motion[j] > 1e-8:
             raise InvariantViolation(f"residual motional excitation {stack.motion[j]:.3e} (sequence/convention bug)")
 
-        p_bright, final_bright = [], []
-        for p, bright, label in ((p[i == j], bright[i == j], label[i == j]) for i, p, bright, label in tails):
-            final_bright.append({
-                b: float(np.sum(p[bright & (label == b)])) / float(np.sum(p[label == b])) for b in occurring
-            })
-            p_bright.append(min(max(float(np.sum(p[bright])), 0.0), 1.0))
+        finals = [(p[i == j], bright[i == j], label[i == j]) for i, p, bright, label in tails]
         runs.append(ExactRun(
             rho_exp=_qubit_block(total),
             branch_probs=branch_probs,
-            branch_states=branch_states,
-            final_bright=final_bright[0],
-            p_bright=tuple(p_bright),
+            p_bright=tuple(min(max(float(np.sum(p[bright])), 0.0), 1.0) for p, bright, _ in finals),
             h_residual=h_residual,
             motional_residual=float(stack.motion[j]),
             truncation_population=float(stack.truncation[j]),
+            branches={b: r for b, r in acc.items() if branch_probs[b] > ATOL_STRUCTURAL},
+            final=finals[0],
         ))
     return runs
 
@@ -1016,15 +1033,15 @@ def calibrate_phase(
 ) -> CalibrationResult:
     """The tail phase offset that maximises psi6's exact fidelity F.
 
-    build_sequence builds psi6's table at each of _FIT_PHASES; rows 34-35
-    are left out. The rows before the first one where those tables differ
-    (row 30, where the offset starts) advance once on the stacked live
-    register, NODE_PASS (input, quadrature node) pairs at a time, for each of
-    `inputs` and then for psi6 unless an input's rows there are psi6's; each
-    fit table's own tail, rows 30-33, then advances on psi6's entries. The
-    offset conjugates the tail by a z rotation of ion 3, so F is a degree-2
-    trigonometric polynomial of it: five replays fix it, a sixth checks it
-    (`residual`), and `_phase_fit` gives its maximum in closed form, and
+    psi6's rows before row 30, where the offset starts, advance once on the
+    stacked live register, NODE_PASS (input, quadrature node) pairs at a time,
+    after those of each of `inputs` unless an input's rows there are psi6's.
+    The offset d conjugates rows 30-33 by V = diag(1, e^{-i d}, 1) on ion 3's
+    (S, D, H), so F is a degree-2 trigonometric polynomial of d: the part of
+    coherence order m (D in the ket minus D in the bra) leaves the phase-0
+    tail times e^{i m d}, between V and V^dagger. One phase-0 tail on the three
+    parts gives F at the five DFT nodes; a replay at _FIT_PHASES[5] checks
+    it (`residual`), `_phase_fit` gives its maximum in closed form, and
     `fidelity` its value there. `grid_fidelities` are its values at `grid`
     evenly spaced phases. `prefix` hands the pass on to exact_run, which goes
     on from it for tables of `inputs` at any phase and row-34 mode.
@@ -1036,25 +1053,32 @@ def calibrate_phase(
     kwargs = dict(standby_wait_us=standby_wait_us, rephase_wait_us=rephase_wait_us, spin_echo=spin_echo)
     tables = [
         tuple(s for s in build_sequence(psi6, phi, FidelityCheck(), **kwargs) if s.step_id < _ANALYSIS_ROW)
-        for phi in _FIT_PHASES
+        for phi in _FIT_PHASES[[0, 5]]
     ]
     fixed = next(i for i, row in enumerate(zip(*tables)) if len(set(row)) > 1)
     rows, own = tuple(build_sequence(spec, 0.0, **kwargs)[:fixed] for spec in inputs), tables[0][:fixed]
     heads = list(rows) if own in rows else [*rows, own]
-    head, tails = _row_plan(heads, noise), [_row_plan([t[fixed:]], noise) for t in tables]
-    life = _lifetimes(head + tails[0], (_TARGET,))
+    head, (tail, check) = _row_plan(heads, noise), [_row_plan([t[fixed:]], noise) for t in tables]
+    life = _lifetimes(head + tail, (_TARGET,))
     stack = _evolve(head, len(heads), life, noise, quad_points, fock_cutoff)
     at = heads.index(own)
-    mine, psi, samples = _inputs(stack, at, at + 1), psi6.ket(), []
-    for tail in tails:
-        end = _advance(mine, tail, life, fixed, noise, fock_cutoff)
-        rho3 = np.einsum("e,eab->ab", end.weight, _reduced(end, (_TARGET,)))[:2, :2]
-        samples.append(float(np.real(psi.conj() @ rho3 @ psi)) / float(np.real(np.trace(rho3))))
+    mine, psi, o = _inputs(stack, at, at + 1), psi6.ket(), np.array(stack.levels[_TARGET]) == D
+    order = _along(o * 1, 1 + _TARGET) - _along(o * 1, 1 + _TARGET + _SUBSYSTEMS)
+    parts = replace(mine, rho=np.concatenate([mine.rho * (order == m) for m in (-1, 0, 1)]), keys=mine.keys * 3, **{
+        f: np.concatenate([getattr(mine, f)] * 3) for f in ("node", "input", "weight", "rates", "pending")})
+    end = _advance(parts, tail, life, fixed, noise, fock_cutoff)
+    r = [np.einsum("e,eab->ab", w, x) for w, x in zip(np.split(end.weight, 3), np.split(_reduced(end, (_TARGET,)), 3))]
+    v = np.exp(-1j * np.outer(_FIT_PHASES[:5], np.arange(3) == D))  # V's diagonal at each DFT node
+    rho3 = [x[:, None] * (np.exp(-1j * d) * r[0] + r[1] + np.exp(1j * d) * r[2]) * x.conj()
+            for d, x in zip(_FIT_PHASES, v)]
+    end = _advance(mine, check, life, fixed, noise, fock_cutoff)
+    rho3.append(np.einsum("e,eab->ab", end.weight, _reduced(end, (_TARGET,))))
+    samples = [float(np.real(psi.conj() @ x[:2, :2] @ psi)) / float(np.real(np.trace(x[:2, :2]))) for x in rho3]
 
     phi_star, coef, residual = _phase_fit(samples)
     phis = np.linspace(0.0, 2.0 * PI, grid, endpoint=False)
     fidelity = float((_trig_basis(phi_star) @ coef)[0])
-    prefix = ExactPrefix(stack, rows, fixed, life, (noise, quad_points, fock_cutoff))
+    prefix = ExactPrefix(stack, rows, fixed, head, life, (noise, quad_points, fock_cutoff))
     return CalibrationResult(phi_star, fidelity, phis, _trig_basis(phis) @ coef, residual, prefix)
 
 

@@ -730,6 +730,15 @@ def test_calibration_under_amplitude_noise_names_calibrate_phase(tmp_path, capsy
     assert "calibrate_phase" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["teleport", "state-tomo", "proc-tomo", "calibrate"])
+def test_a_refused_calibration_leaves_no_output_directory(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, phase_offset="calibrate",
+                       noise={"amplitude_error_sigma": 0.01, "detuning_sigma_SD": 0.0015})
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "calibrate_phase handles channel-representable noise only" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sampled_counts_keep_their_per_shot_streams(tmp_path, capsys):
     # shot i of stream j is run_shot(seq, noise, master_seed, j * shots + i):
     # a batched trajectory engine must reproduce these counts exactly;

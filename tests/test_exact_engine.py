@@ -567,16 +567,16 @@ CALIBRATION_NOISE = {
 
 @pytest.mark.parametrize("case", CALIBRATION_NOISE)
 def test_calibration_polynomial_matches_the_full_register_replay(monkeypatch, case):
-    # calibrate_phase replays only five fit phases and a tripwire; its curve
-    # must still be the replayed fidelity on and off its grid, and its phi*
-    # the curve's maximum.
+    # calibrate_phase advances one phase-0 tail on psi6's coherence parts and
+    # replays one tripwire; its curve must still be the replayed fidelity on
+    # and off its grid, and its phi* the curve's maximum.
     noise, quad_points = CALIBRATION_NOISE[case], 2
     advanced = []
     advance = protocol._advance
     monkeypatch.setattr(protocol, "_advance", lambda *args: advanced.append(1) or advance(*args))
     res = calibrate_phase(noise, grid=8, quad_points=quad_points)
     passes = math.ceil(len(_gh_nodes(noise, quad_points)) / protocol.NODE_PASS)
-    assert len(advanced) == passes + 6
+    assert len(advanced) == passes + 2
     assert 0.0 <= res.residual <= TOL
 
     # The grid holds a degree-2 polynomial: its least-squares fit interpolates.
@@ -594,6 +594,36 @@ def test_calibration_polynomial_matches_the_full_register_replay(monkeypatch, ca
     # The reported fidelity is the polynomial's: the exact run at phi* agrees.
     at_star = exact_run([(build_sequence(spec, res.phi_star),)], noise, quad_points=quad_points)[0]
     assert abs(res.fidelity - state_fidelity(at_star.rho_exp, spec.pure())) <= TOL
+
+
+FIT_CASES = {  # (noise, engine settings, table settings)
+    **{case: (noise, dict(quad_points=2), {}) for case, noise in CALIBRATION_NOISE.items()},
+    "noiseless": (NoiseConfig(), {}, {}),
+    "no echo, cutoff 6": (NoiseConfig(**PAPER), dict(quad_points=2, fock_cutoff=6), dict(spin_echo=False)),
+}
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_the_closed_form_fit_samples_are_the_replayed_tails(monkeypatch, case):
+    # The five DFT samples come from one phase-0 tail on psi6's coherence
+    # parts; a real replay of rows 30-33 at each of the six fit phases, from
+    # the same pass of rows 1-29, must give the same fidelities.
+    noise, engine, table = FIT_CASES[case]
+    fit, seen = protocol._phase_fit, []
+    monkeypatch.setattr(protocol, "_phase_fit", lambda samples: seen.append(samples) or fit(samples))
+    calibrate_phase(noise, grid=8, **engine, **table)
+
+    psi6 = canonical_inputs()[5]
+    tables = [build_sequence(psi6, phi, **table)[:33] for phi in protocol._FIT_PHASES]
+    head, tail = _row_plan([tables[0][:29]], noise), _row_plan([tables[0][29:]], noise)
+    life = _lifetimes(head + tail, (2,))
+    stack = protocol._evolve(head, 1, life, noise, engine.get("quad_points"), engine.get("fock_cutoff", 4))
+    replayed = []
+    for seq in tables:
+        end = protocol._advance(stack, _row_plan([seq[29:]], noise), life, 29, noise, engine.get("fock_cutoff", 4))
+        rho3 = np.einsum("e,eab->ab", end.weight, protocol._reduced(end, (2,)))[:2, :2]
+        replayed.append(float(np.real(psi6.ket().conj() @ rho3 @ psi6.ket())) / float(np.real(np.trace(rho3))))
+    assert np.abs(np.array(seen[0]) - replayed).max() <= 1e-15
 
 
 SHARED_PASS = {  # (noise, inputs, table settings, engine settings, row-34 modes)
@@ -626,6 +656,13 @@ def test_a_calibration_shares_one_exact_pass_with_the_commands_inputs(tmp_path, 
         runs = exact_run(tables, noise, prefix=shared.prefix, **engine_kw)
         for a, b in zip(runs, exact_run(tables, noise, **engine_kw), strict=True):
             _assert_same_run(a, b, tol=0.0)
+    # exact_run plans only the rows after the pass: the pass carries its own plan.
+    planned, row_plan = [], protocol._row_plan
+    monkeypatch.setattr(protocol, "_row_plan",
+                        lambda seqs, noise: planned.append(seqs[0][0].step_id) or row_plan(seqs, noise))
+    exact_run(tables, noise, prefix=shared.prefix, **engine_kw)
+    monkeypatch.undo()
+    assert min(planned) == 30
     # A pass of other rows or other settings is refused.
     with pytest.raises(InvariantViolation, match="rows 1-29"):
         exact_run(tables[1:], noise, prefix=shared.prefix, **engine_kw)
@@ -734,9 +771,9 @@ def test_lifetimes_come_from_the_sequence():
 
 def test_the_register_holds_only_the_levels_its_drives_reached():
     # The oracle passes whether or not exactly-empty levels are dropped; this
-    # pins the pruning. On the standard table ion 2 first reaches H at row 22
-    # and ion 1 leaves at row 23, before its hide, so the register holds
-    # 2 * 2 * 3 * 4 = 48 of the 108 levels after rows 10-18.
+    # pins the pruning. On the standard table ion 3's hide at row 8 empties
+    # its S, so the register holds 2 * 2 * 2 * 4 = 32 of the 108 levels after
+    # rows 10-15; the echo's hides at rows 16 and 18 empty H, then S again.
     noise = NoiseConfig(**PAPER)
     seq = build_sequence(canonical_inputs()[5])
     life = _lifetimes(_row_plan([seq], noise), (2,))
@@ -746,12 +783,13 @@ def test_the_register_holds_only_the_levels_its_drives_reached():
         assert stack.rho.shape[1:] == tuple(len(lv) for lv in stack.levels) * 2
         return stack.levels
 
-    assert after(18) == ((S, D), (S, D), (S, D, H), (0, 1, 2, 3))
+    assert after(15) == ((S, D), (S, D), (D, H), (0, 1, 2, 3))
+    assert after(16)[2] == (S, D) and after(18) == ((S, D), (S, D), (D, H), (0, 1, 2, 3))
     # A subsystem holds S until its first drive; a drive that reaches a
-    # dropped level grows it: a carrier on {S} gives {S, D} (row 5), and a
-    # hide on {S, D} gives {S, D, H} (row 22).
+    # dropped level grows it: a depolarized carrier on {S} gives {S, D}
+    # (row 5), and ion 2's undepolarized pi hide on {S, D} gives {D, H} (row 22).
     assert after(4)[1] == (S,) and after(5)[1] == (S, D)
-    assert after(21)[1] == (S, D) and after(22)[1] == (S, D, H)
+    assert after(21)[1] == (S, D) and after(22)[1] == (D, H)
     # The depolarizing channel's pattern counts too: an idle carrier moves no
     # population, but the channel after it reaches D.
     plan = protocol._drive_plan
@@ -759,6 +797,31 @@ def test_the_register_holds_only_the_levels_its_drives_reached():
     assert plan(Carrier(0, 0.0, 0.0), 4, ((S,),), 0.025)[0] == ((S, D),)
     levels, op, dep = plan(BlueSideband(0, math.pi, 0.0), 4, ((S,), (0,)), 0.0)
     assert levels == ((S, D), (0, 1)) and op.shape == (2, 2, 2, 2) and dep is None
+
+
+def test_an_exact_pi_pulse_on_every_entry_drops_the_end_it_emptied():
+    # A pi hide on ion 3's {S, D} moves S's part to H and leaves on S only
+    # cos(pi/2) x, a rounding residue: S leaves the register. So does S after
+    # an undepolarized pi carrier on ion 2's {S}. Nothing leaves when the area
+    # misses pi, or the drive is depolarized, conditional or waited by an input.
+    def levels(*rows, noise=NoiseConfig(), waits=False):
+        tables = [tuple(SequenceStep(i + 1, a) for i, a in enumerate(rows))]
+        if waits:  # a second input that waits at the last row
+            tables.append(tables[0][:-1] + (SequenceStep(len(rows), Wait(0.0)),))
+        plan = _row_plan(tables, noise)
+        stack = protocol._evolve(plan, len(tables), _lifetimes(plan, (0, 1, 2)), noise, None, 4)
+        return stack.levels[1:3], np.einsum("e,eab->ab", stack.weight, protocol._reduced(stack, (2,)))
+
+    split = Carrier(2, 0.5 * math.pi, 0.0)
+    (_, ion3), rho = levels(split, Hide(2, math.pi, 0.0))
+    ket = np.array([0.0, -1j, -1j]) / math.sqrt(2.0)  # (S, D, H)
+    assert ion3 == (D, H) and np.abs(rho - np.outer(ket, ket.conj())).max() <= 1e-15
+    assert levels(Carrier(1, math.pi, 0.3))[0] == ((D,), (S,))
+    assert levels(split, Hide(2, math.pi - 1e-6, 0.0))[0][1] == (S, D, H)
+    assert levels(Carrier(1, math.pi, 0.3), noise=NoiseConfig(depolarizing_per_pulse=0.025))[0][0] == (S, D)
+    pmt1 = Detect(0, "pmt1")
+    assert levels(split, pmt1, ConditionalPulse("pmt1", Outcome.BRIGHT, Hide(2, math.pi, 0.0)))[0][1] == (S, D, H)
+    assert levels(split, Hide(2, math.pi, 0.0), waits=True)[0][1] == (S, D, H)
 
 
 def _subsets(n):
