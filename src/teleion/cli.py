@@ -28,6 +28,7 @@ from .protocol import (
     InputStateSpec,
     Tomography,
     build_sequence,
+    _check_exact_noise,
     calibrate_phase,
     canonical_inputs,
     classical_baseline,
@@ -585,6 +586,8 @@ def main(argv=None) -> int:
             return cmd_export_sequence(cfg, args)
         if cfg.mode is not None and cfg.mode != args.command:
             raise ConfigError(f"config mode {cfg.mode!r} does not match subcommand {args.command!r}")
+        if cfg.shots == 0 and args.command in ("teleport", "state-tomo", "proc-tomo"):
+            _check_exact_noise(cfg.noise, "exact_run")  # refused before the output directory is made
         return globals()["cmd_" + args.command.replace("-", "_")](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,12 +28,15 @@ Two execution paths take the same tables, built once by build_sequence:
   34-35 once per table index on all entries. The inputs' tables may differ
   wherever run_shot's may: a row they share acts once on all entries, and at
   any other each entry takes its own input's operator. A subsystem holds
-  only the levels its drives have reached in any input and no exact pi
-  pulse has emptied since (any other level is zero) and leaves after the
-  last sideband or readout needing it (at most 32 levels between drives,
-  after rows 10-18 of the standard table, then 8, 4 and 2), every readout
-  splits the entries on the reported outcome, and each ion's detuning phase
-  waits for its next drive. This is the infinite-statistics reference.
+  only the levels its drives have reached in any input (any other level is
+  zero) and leaves after the last sideband or readout needing it (at most
+  32 levels between drives, after rows 10-18 of the standard table, then
+  8, 4 and 2). An exact pi pulse that finds one end of its pair held
+  relabels that end as the other, with a phase, and the register keeps its
+  size. Every readout splits the entries on the reported outcome, kept as
+  one reported-Bright array per readout, as run_shot keeps its shots'; a
+  conditional row compares one of them. Each ion's detuning phase waits for
+  its next drive. This is the infinite-statistics reference.
 """
 from __future__ import annotations
 
@@ -475,7 +478,7 @@ NODE_PASS = 27
 
 @functools.lru_cache(maxsize=256)
 def _drive_plan(pulse: trap.Pulse, fock_cutoff: int, kept: tuple[tuple[int, ...], ...], depol: float):
-    """(levels, op, dep) of a drive on subsystems that hold the levels `kept`.
+    """(levels, op, dep, sup) of a drive on subsystems that hold the levels `kept`.
 
     Built from trap.drive_pairs in closed form. `levels` are `kept` plus both
     ends of every pair whose rotation mixes them (a nonzero off-diagonal
@@ -485,7 +488,8 @@ def _drive_plan(pulse: trap.Pulse, fock_cutoff: int, kept: tuple[tuple[int, ...]
     written wherever its row and column both lie in `levels` (an end whose
     partner lies outside keeps its cos(area/2)). `dep` is the ion's (d*d,
     d*d) depolarizing superoperator on its levels, None for depol = 0.
-    Read-only; cached.
+    `sup` is a carrier's or hide's fused (site, site') superoperator, the
+    drive then `dep`, and None for a sideband. Read-only; cached.
     """
     pairs = [((lower, upper), trap.rotation_2x2(pulse.theta * f, pulse.phi))
              for lower, upper, f in trap.drive_pairs(pulse, fock_cutoff)[0]]
@@ -507,8 +511,14 @@ def _drive_plan(pulse: trap.Pulse, fock_cutoff: int, kept: tuple[tuple[int, ...]
         for (i, row), (j, col) in itertools.product(enumerate(at), repeat=2):
             if None not in row + col:
                 op[row + col] = rot[i, j]
+    sup = None
+    if not isinstance(pulse, BlueSideband):
+        d = len(op)
+        sup = np.einsum("ab,cd->acbd", op, op.conj()).reshape(d * d, d * d)
+        sup = sup if dep is None else dep @ sup
+        sup.flags.writeable = False
     op.flags.writeable = False
-    return levels, op, dep
+    return levels, op, dep, sup
 
 
 @functools.lru_cache(maxsize=None)
@@ -553,13 +563,15 @@ def _along(v: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _grow(rho: np.ndarray, site: int, old: tuple[int, ...], new: tuple[int, ...]) -> np.ndarray:
-    """Zero-fill a subsystem's axis pair from the levels `old` out to `new`, a superset."""
+    """Zero-fill a subsystem's axis pair from the levels `old` out to `new`, a superset in which
+    they are evenly spaced (as any kept set of an ion's three levels or the motion's first n is)."""
     if old == new:
         return rho
     axes = (1 + site, 1 + site + _SUBSYSTEMS)
     out = np.zeros([len(new) if a in axes else n for a, n in enumerate(rho.shape)], rho.dtype)
     at = [new.index(level) for level in old]
-    np.moveaxis(out, axes, (0, 1))[np.ix_(at, at)] = np.moveaxis(rho, axes, (0, 1))
+    cut = slice(at[0], at[-1] + 1, (at[-1] - at[0]) // max(len(at) - 1, 1) or 1)
+    out[tuple(cut if a in axes else slice(None) for a in range(rho.ndim))] = rho
     return out
 
 
@@ -569,12 +581,19 @@ def _apply(ops: np.ndarray, rho: np.ndarray, axes: list[int], work: tuple[np.nda
     The operand is gathered into work[0] and the product written into work[1],
     buffers the caller keeps from row to row: at a few nodes, fresh arrays per
     row cost more in page faults than the product. The result views work[1]."""
-    order = [0, *axes, *(a for a in range(1, rho.ndim) if a not in axes)]
+    order, undo = _orders(rho.ndim, tuple(axes))
     moved = rho.transpose(order)
     gathered, out = (w[:rho.size].reshape(len(moved), ops.shape[-1], -1) for w in work)
     np.copyto(gathered.reshape(moved.shape), moved)
     np.matmul(ops, gathered, out=out)
-    return out.reshape(moved.shape).transpose(np.argsort(order))
+    return out.reshape(moved.shape).transpose(undo)
+
+
+@functools.lru_cache(maxsize=None)
+def _orders(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(order, its inverse): the transpose that brings the entry axis, then `axes`, to the front."""
+    order = (0, *axes, *(a for a in range(1, ndim) if a not in axes))
+    return order, tuple(order.index(a) for a in range(ndim))
 
 
 def _hermgauss(points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -633,10 +652,13 @@ class _Stack:
 
     `rho` holds each entry's unnormalized density tensor: a leading entry
     axis, then one ket and one bra axis per subsystem. Both hold the
-    subsystem's `levels`, the only ones a drive has reached so far in any
-    input and left nonempty: every other level is zero. A subsystem holds (0,), |S> or
-    |n=0>, until its first drive, and (0,), its trace, after its `_lifetimes`.
+    subsystem's `levels`, sorted, the only ones a drive has reached so far
+    in any input and left nonempty: every other level is zero. A subsystem
+    holds (0,), |S> or |n=0>, until its first drive, and (0,), its trace,
+    after its `_lifetimes`.
     Each ion's free-evolution time waits in `pending` until its next drive.
+    An entry's branch is its reported outcomes: `bright` holds, per readout
+    label, one reported-Bright flag per entry, as run_shot's shots do.
     """
 
     rho: np.ndarray                       # (E,) + ket axes + bra axes
@@ -645,10 +667,18 @@ class _Stack:
     weight: np.ndarray                    # (E,) Gauss-Hermite weight of that node
     rates: np.ndarray                     # (E, ion, level) detuning of S, D, H in rad/us
     pending: np.ndarray                   # (E, ion) time not yet applied as a phase, in us
-    keys: tuple[dict[str, Outcome], ...]  # reported outcomes of the entry's branch
+    bright: dict[str, np.ndarray]         # readout label -> (E,) reported Bright
     levels: tuple[tuple[int, ...], ...]   # per subsystem, the levels its ket and bra axes hold
     truncation: np.ndarray                # (inputs,) largest blue-sideband |S, fock_cutoff-1> population of a node
     motion: np.ndarray                    # (inputs,) weighted population above n = 0 when the motion left
+
+    def take(self, index, **fields) -> _Stack:
+        """The entries `index`, an index of the entry axis, with `fields` given instead of taken."""
+        taken = {f: getattr(self, f)[index] for f in ("rho", "node", "input", "weight", "rates", "pending")
+                 if f not in fields}
+        if "bright" not in fields:
+            taken["bright"] = {label: b[index] for label, b in self.bright.items()}
+        return replace(self, **taken, **fields)
 
 
 def _advance(stack: _Stack, plan: list[tuple], life, first: int, noise: NoiseConfig, fock_cutoff: int) -> _Stack:
@@ -659,18 +689,19 @@ def _advance(stack: _Stack, plan: list[tuple], life, first: int, noise: NoiseCon
     acts once on every entry; at any other, each entry takes its own input's
     operator and duration: where its table waits, as in run_shot, a zero-area
     drive with no depolarizing and no truncation read. A conditional row acts
-    on the entries whose branch meets its condition. Every readout splits each
-    entry on the reported outcome (the collapse follows the true outcome). A
-    drive folds each entry's pending phase into its own operator; a blue
-    sideband raises past TRUNCATION_BOUND when an (input, node)'s entries hold
-    more than that on its ion's |S, fock_cutoff-1>. Before a drive, its
-    subsystems grow to the levels `_drive_plan` says it reaches in every
-    input, and the drive acts on those levels only. An exact pi pulse
-    (|cos(area/2)| < 2^-52 in every input) that is unconditional,
-    undepolarized and not a sideband, and finds one end of its pair held,
-    leaves only rounding there: that end leaves the register.
+    on the entries whose reported outcome meets its condition, one comparison
+    of `bright`. Every readout splits each entry on the reported outcome (the
+    collapse follows the true outcome). A drive folds each entry's pending
+    phase into its own operator; a blue sideband raises past TRUNCATION_BOUND
+    when an (input, node)'s entries hold more than that on its ion's
+    |S, fock_cutoff-1>. Before a drive, its subsystems grow to the levels
+    `_drive_plan` says it reaches in every input, and the drive acts on those
+    levels only. An exact pi pulse (|cos(area/2)| < 2^-52 in every input)
+    that is unconditional, undepolarized and not a sideband, and finds one
+    end of its pair held, only moves that end to the other: `_relabel`
+    scales and renames it, and the register keeps its size.
     """
-    rho, pending, keys = stack.rho.copy(), stack.pending.copy(), stack.keys
+    rho, pending, bright = stack.rho.copy(), stack.pending.copy(), stack.bright
     node, inputs, weight, rates = stack.node, stack.input, stack.weight, stack.rates
     truncation, motion, levels = stack.truncation, stack.motion, list(stack.levels)
     eps = noise.detection_error
@@ -678,14 +709,16 @@ def _advance(stack: _Stack, plan: list[tuple], life, first: int, noise: NoiseCon
     for i, (step_id, action, pulse, on, theta, phi, duration) in enumerate(plan, start=first):
         sel = slice(None)
         if isinstance(action, ConditionalPulse):
-            _check_readouts(keys[0], (action.detect_label,))
-            sel = np.array([key.get(action.detect_label) is action.required for key in keys], bool)
+            _check_readouts(bright, (action.detect_label,))
+            sel = bright[action.detect_label] == (action.required is Outcome.BRIGHT)
             rho = rho.copy()  # rho[sel] is written below: rho must not be _apply's output buffer
         pending[sel] += duration if np.ndim(duration) == 0 else duration[inputs[sel], None]
         acts = _row_sites(pulse)[0]
         if not acts or any(i > life.get(s, -1) for s in acts):
             continue  # a wait, or a local row on a subsystem that is only traced out
         k, k_bra = 1 + pulse.ion, 1 + pulse.ion + _SUBSYSTEMS
+        depol = noise.depolarizing_applies(step_id) and not isinstance(pulse, Hide)
+        rate, kept = noise.depolarizing_per_pulse if depol else 0.0, tuple(levels[s] for s in acts)
         if isinstance(pulse, Detect):
             is_s = np.array(levels[pulse.ion]) == S
             on_s, off_s = (_along(v, k) * _along(v, k_bra) for v in (is_s * 1.0, 1.0 - is_s))
@@ -693,24 +726,29 @@ def _advance(stack: _Stack, plan: list[tuple], life, first: int, noise: NoiseCon
             rho = (rho[:, None] * reports).reshape((-1,) + rho.shape[1:])  # Bright, then Dark
             node, inputs, weight, rates, pending = (
                 np.repeat(a, 2, axis=0) for a in (node, inputs, weight, rates, pending))
-            keys = tuple({**key, pulse.label: o} for key in keys for o in (Outcome.BRIGHT, Outcome.DARK))
+            bright = {label: np.repeat(b, 2) for label, b in bright.items()}
+            bright[pulse.label] = np.resize([True, False], len(node))
+        elif (not isinstance(pulse, BlueSideband) and rate == 0.0 and isinstance(sel, slice)
+              and np.all(np.abs(np.cos(0.5 * theta)) < 2.0 ** -52)  # an input that waits has area 0
+              and len({S, D if isinstance(pulse, Carrier) else H} & set(kept[0])) == 1):
+            ph = np.exp(-1j * pending[:, pulse.ion][:, None] * rates[:, pulse.ion][:, kept[0]])
+            pending[:, pulse.ion] = 0.0
+            rho, levels[pulse.ion] = _relabel(rho, pulse, theta, phi, inputs, ph, kept[0], fock_cutoff)
         else:
             pulses, each = (pulse,), 0  # one drive for all entries, or each input's own
             if np.ndim(on) + np.ndim(theta) + np.ndim(phi):
                 theta, phi, on = np.broadcast_arrays(np.where(on, theta, 0.0), phi, on)
                 each, pulses = inputs[sel], [replace(pulse, theta=t, phi=p) for t, p in np.c_[theta, phi].tolist()]
-            depol = noise.depolarizing_applies(step_id) and not isinstance(pulse, Hide)
-            rate, kept = noise.depolarizing_per_pulse if depol else 0.0, tuple(levels[s] for s in acts)
             plans = [_drive_plan(p, fock_cutoff, kept, rate) for p in pulses]
             while len({dp[0] for dp in plans}) > 1:  # inputs reach different levels: plan all on their union
                 kept = tuple(tuple(sorted(set().union(*lv))) for lv in zip(*(dp[0] for dp in plans)))
                 plans = [_drive_plan(p, fock_cutoff, kept, rate) for p in pulses]
-            (grown, _, dep), ops = plans[0], np.stack([dp[1] for dp in plans])
-            if dep is not None and not np.all(on):  # an input that waits is not depolarized
-                dep = np.where(on[:, None, None], dep, np.eye(len(dep)))
-            held = {S, D if isinstance(pulse, Carrier) else H} & set(levels[pulse.ion])
-            empties = (len(held) == 1 and dep is None and not isinstance(pulse, BlueSideband) and isinstance(sel, slice)
-                       and np.all(np.abs(np.cos(0.5 * theta)) < 2.0 ** -52))  # an input that waits has area 0
+            grown, op, dep, sup = plans[0]
+            if len(plans) > 1:  # each input's own drive; one that waits is the identity, undepolarized
+                op, sup = (None if x is None else np.stack([dp[j] for dp in plans]) for j, x in ((1, op), (3, sup)))
+                if dep is not None and not np.all(on):
+                    dep, sup = (None if x is None else np.where(on[:, None, None], x, np.eye(x.shape[-1]))
+                                for x in (dep, sup))
             for site, lv in zip(acts, grown):
                 rho, levels[site] = _grow(rho, site, levels[site], lv), lv
             part = rho[sel]
@@ -731,24 +769,15 @@ def _advance(stack: _Stack, plan: list[tuple], life, first: int, noise: NoiseCon
                 top = np.where(on, top, 0.0)
                 _check_truncation(step_id, pulse.ion, fock_cutoff, top)
                 truncation = np.maximum(truncation, top)
-                d = ops.shape[1] * ops.shape[2]
-                u = (ops[each] * ph[:, None, None, :, None]).reshape(len(ph), d, d)
+                d = op.shape[-4] * op.shape[-3]
+                u = ((op if op.ndim == 4 else op[each]) * ph[:, None, None, :, None]).reshape(len(ph), d, d)
                 part = _apply(u, part, [k, 1 + _MOTION], work)
                 part = _apply(u.conj(), part, [k_bra, 1 + _MOTION + _SUBSYSTEMS], work)
                 if dep is not None:
                     part = _apply(dep if dep.ndim == 2 else dep[each], part, [k, k_bra], work)
-            else:  # one fused (site, site') superoperator per input: drive, then depolarizing
-                d = ops.shape[1]
-                sup = np.einsum("iab,icd->iacbd", ops, ops.conj()).reshape(len(ops), d * d, d * d)
-                if dep is not None:
-                    sup = dep @ sup
-                cols = (ph[:, :, None] * ph.conj()[:, None, :]).reshape(-1, 1, d * d)
-                part = _apply(sup[each] * cols, part, [k, k_bra], work)
-            if empties:  # the levels left are evenly spaced: a basic slice views them
-                at = [i for i, lv in enumerate(grown[0]) if lv not in held]
-                cut = slice(at[0], at[-1] + 1, at[-1] - at[0] or 1)
-                part = part[tuple(cut if a in (k, k_bra) else slice(None) for a in range(part.ndim))]
-                levels[pulse.ion] = tuple(grown[0][cut])
+            else:  # the plan's fused (site, site') superoperator, drive then depolarizing
+                cols = (ph[:, :, None] * ph.conj()[:, None, :]).reshape(len(ph), 1, -1)
+                part = _apply((sup if sup.ndim == 2 else sup[each]) * cols, part, [k, k_bra], work)
             if isinstance(sel, slice):
                 rho = part
             else:
@@ -760,7 +789,30 @@ def _advance(stack: _Stack, plan: list[tuple], life, first: int, noise: NoiseCon
             axes = (1 + site, 1 + site + _SUBSYSTEMS)
             rho = np.expand_dims(np.trace(rho, axis1=axes[0], axis2=axes[1]), axes)
             levels[site] = (0,)
-    return _Stack(rho, node, inputs, weight, rates, pending, keys, tuple(levels), truncation, motion)
+    return _Stack(rho, node, inputs, weight, rates, pending, bright, tuple(levels), truncation, motion)
+
+
+def _relabel(rho: np.ndarray, pulse, theta, phi, inputs: np.ndarray, ph: np.ndarray, levels: tuple[int, ...],
+             fock_cutoff: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(rho, the ion's new levels) after an exact pi carrier or hide on an ion whose `levels` hold
+    exactly one end of the pulse's pair; `ph` is each entry's pending phase on those levels.
+
+    The pulse moves that end's amplitude to the other end times the rotation's
+    off-diagonal entry and leaves cos(area/2) = 0 behind: the end's ket axis
+    takes that entry and its phase, the other levels their phase, the bra
+    axis the conjugates; the end is renamed, and reversed (a view) if unsorted.
+    """
+    ((lower,), (upper,), f), = trap.drive_pairs(pulse, fock_cutoff)[0]
+    end, at = (0, levels.index(lower)) if lower in levels else (1, levels.index(upper))
+    entry = trap.rotation_2x2(np.multiply(theta, f), phi)[..., 1 - end, end]  # from the held end to the other
+    ph[:, at] *= entry if np.ndim(entry) == 0 else entry[inputs]
+    k, k_bra = 1 + pulse.ion, 1 + pulse.ion + _SUBSYSTEMS
+    rho *= _along(ph, k) * _along(ph.conj(), k_bra)
+    moved = tuple((upper, lower)[end] if i == at else level for i, level in enumerate(levels))
+    if list(moved) != sorted(moved):  # at most two levels: the held end and the idle one
+        flip = slice(None, None, -1)
+        rho, moved = rho[tuple(flip if a in (k, k_bra) else slice(None) for a in range(rho.ndim))], moved[::-1]
+    return rho, moved
 
 
 def _evolve(plan, inputs: int, life, noise: NoiseConfig, quad_points: int | None, fock_cutoff: int) -> _Stack:
@@ -779,7 +831,7 @@ def _evolve(plan, inputs: int, life, noise: NoiseConfig, quad_points: int | None
             weight=weight,
             rates=np.stack([np.zeros_like(det_sd), det_sd, det_h], axis=2),
             pending=np.zeros((n, N_IONS)),
-            keys=({},) * n,
+            bright={},
             levels=((0,),) * _SUBSYSTEMS,
             truncation=np.zeros(inputs),
             motion=np.zeros(inputs),
@@ -788,7 +840,7 @@ def _evolve(plan, inputs: int, life, noise: NoiseConfig, quad_points: int | None
     return _Stack(
         *(np.concatenate([getattr(p, f) for p in parts])
           for f in ("rho", "node", "input", "weight", "rates", "pending")),
-        keys=tuple(itertools.chain.from_iterable(p.keys for p in parts)),
+        bright={label: np.concatenate([p.bright[label] for p in parts]) for label in parts[0].bright},
         levels=parts[0].levels,
         truncation=np.max([p.truncation for p in parts], axis=0),
         motion=sum(p.motion for p in parts),
@@ -798,11 +850,8 @@ def _evolve(plan, inputs: int, life, noise: NoiseConfig, quad_points: int | None
 def _inputs(stack: _Stack, lo: int, hi: int) -> _Stack:
     """The entries of inputs lo, ..., hi - 1 of `stack`, in order, those inputs renumbered from 0."""
     keep = (stack.input >= lo) & (stack.input < hi)
-    return replace(
-        stack, rho=stack.rho[keep], node=stack.node[keep], input=stack.input[keep] - lo, weight=stack.weight[keep],
-        rates=stack.rates[keep], pending=stack.pending[keep], keys=tuple(itertools.compress(stack.keys, keep)),
-        truncation=stack.truncation[lo:hi], motion=stack.motion[lo:hi],
-    )
+    return stack.take(keep, input=stack.input[keep] - lo, truncation=stack.truncation[lo:hi],
+                      motion=stack.motion[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -922,12 +971,11 @@ def exact_run(
         stack = _advance(stack, head, life, split, noise, fock_cutoff)
     ends = [_advance(stack, tail, life, shared, noise, fock_cutoff) for tail in tails]
     for end in ends:
-        _check_readouts(end.keys[0])
-    tails = [(end.input, end.weight * _reduced(end, ()).real[:, 0, 0],
-              np.array([k["final"] is Outcome.BRIGHT for k in end.keys]),
-              np.array([branch_label(k["pmt1"], k["pmt2"]) for k in end.keys])) for end in ends]
+        _check_readouts(end.bright)
+    tails = [(end.input, end.weight * _reduced(end, ()).real[:, 0, 0], end.bright["final"], _branches(end))
+             for end in ends]
 
-    labels = np.array([branch_label(k["pmt1"], k["pmt2"]) for k in stack.keys])
+    labels = _branches(stack)
     weighted = stack.weight[:, None, None] * _reduced(stack, (_TARGET,))
     # Depolarizing flips and inter-pulse detuning phases both break the
     # composite gate's interference and legitimately strand motional
@@ -960,6 +1008,11 @@ def exact_run(
             final=finals[0],
         ))
     return runs
+
+
+def _branches(stack: _Stack) -> np.ndarray:
+    """Each entry's branch label, a member of BRANCHES, from its pmt1 and pmt2 reports."""
+    return np.array(BRANCHES)[2 * ~stack.bright["pmt1"] + ~stack.bright["pmt2"]]
 
 
 def _qubit_block(rho3: np.ndarray) -> DensityMatrix:
@@ -1064,8 +1117,8 @@ def calibrate_phase(
     at = heads.index(own)
     mine, psi, o = _inputs(stack, at, at + 1), psi6.ket(), np.array(stack.levels[_TARGET]) == D
     order = _along(o * 1, 1 + _TARGET) - _along(o * 1, 1 + _TARGET + _SUBSYSTEMS)
-    parts = replace(mine, rho=np.concatenate([mine.rho * (order == m) for m in (-1, 0, 1)]), keys=mine.keys * 3, **{
-        f: np.concatenate([getattr(mine, f)] * 3) for f in ("node", "input", "weight", "rates", "pending")})
+    parts = mine.take(np.tile(np.arange(len(mine.node)), 3),
+                      rho=np.concatenate([mine.rho * (order == m) for m in (-1, 0, 1)]))
     end = _advance(parts, tail, life, fixed, noise, fock_cutoff)
     r = [np.einsum("e,eab->ab", w, x) for w, x in zip(np.split(end.weight, 3), np.split(_reduced(end, (_TARGET,)), 3))]
     v = np.exp(-1j * np.outer(_FIT_PHASES[:5], np.arange(3) == D))  # V's diagonal at each DFT node

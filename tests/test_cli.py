@@ -739,6 +739,18 @@ def test_a_refused_calibration_leaves_no_output_directory(tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("form", ["key", "flag"])
+@pytest.mark.parametrize("command", ["teleport", "state-tomo", "proc-tomo"])
+def test_a_refused_exact_run_leaves_no_output_directory(tmp_path, capsys, command, form):
+    # Zero shots, as the "shots" key or the --exact flag, ask for the exact
+    # engine, which refuses amplitude noise before any directory is made.
+    noise = {"amplitude_error_sigma": 0.01}
+    cfg = write_config(tmp_path, noise=noise, **({"shots": 0} if form == "key" else {}))
+    assert main([command, "--config", str(cfg), *(["--exact"] if form == "flag" else [])]) == 2
+    assert "exact_run handles channel-representable noise only" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sampled_counts_keep_their_per_shot_streams(tmp_path, capsys):
     # shot i of stream j is run_shot(seq, noise, master_seed, j * shots + i):
     # a batched trajectory engine must reproduce these counts exactly;

@@ -795,15 +795,17 @@ def test_the_register_holds_only_the_levels_its_drives_reached():
     plan = protocol._drive_plan
     assert plan(Carrier(0, 0.0, 0.0), 4, ((S,),), 0.0)[0] == ((S,),)
     assert plan(Carrier(0, 0.0, 0.0), 4, ((S,),), 0.025)[0] == ((S, D),)
-    levels, op, dep = plan(BlueSideband(0, math.pi, 0.0), 4, ((S,), (0,)), 0.0)
-    assert levels == ((S, D), (0, 1)) and op.shape == (2, 2, 2, 2) and dep is None
+    levels, op, dep, sup = plan(BlueSideband(0, math.pi, 0.0), 4, ((S,), (0,)), 0.0)
+    assert levels == ((S, D), (0, 1)) and op.shape == (2, 2, 2, 2) and dep is None and sup is None
 
 
 def test_an_exact_pi_pulse_on_every_entry_drops_the_end_it_emptied():
     # A pi hide on ion 3's {S, D} moves S's part to H and leaves on S only
-    # cos(pi/2) x, a rounding residue: S leaves the register. So does S after
-    # an undepolarized pi carrier on ion 2's {S}. Nothing leaves when the area
-    # misses pi, or the drive is depolarized, conditional or waited by an input.
+    # cos(pi/2) x, zero in exact arithmetic: S is relabelled H. So is ion 2's
+    # S, relabelled D, by an undepolarized pi carrier on {S}. No level is
+    # relabelled when the area misses pi, or the drive is depolarized,
+    # conditional, waited by an input or a sideband: the drive grows the
+    # register instead.
     def levels(*rows, noise=NoiseConfig(), waits=False):
         tables = [tuple(SequenceStep(i + 1, a) for i, a in enumerate(rows))]
         if waits:  # a second input that waits at the last row
@@ -822,6 +824,62 @@ def test_an_exact_pi_pulse_on_every_entry_drops_the_end_it_emptied():
     pmt1 = Detect(0, "pmt1")
     assert levels(split, pmt1, ConditionalPulse("pmt1", Outcome.BRIGHT, Hide(2, math.pi, 0.0)))[0][1] == (S, D, H)
     assert levels(split, Hide(2, math.pi, 0.0), waits=True)[0][1] == (S, D, H)
+    assert levels(BlueSideband(1, math.pi, 0.3))[0][0] == (S, D)  # a sideband: |S, 0> to |D, 1>
+
+
+@pytest.mark.parametrize("noise, rows", [
+    (NoiseConfig(**PAPER), [8, 16, 18, 22, 25, 29]),
+    (NoiseConfig(), [5, 8, 16, 18, 22, 25, 29]),  # row 5's pi carrier is not depolarized
+], ids=["paper noise", "noiseless"])
+def test_the_standard_table_relabels_at_its_exact_pi_hides(monkeypatch, noise, rows):
+    # The hides that park and release ions 2 and 3 each find one end of their
+    # pair held; the relabel keeps the register's size and sorts its levels.
+    # Every other drive grows, multiplies, or both. The full-register replays
+    # check that the relabelled numbers are the drive's.
+    seq = build_sequence(canonical_inputs()[5])
+    plan = _row_plan([seq], noise)
+    life = _lifetimes(plan, (2,))
+    relabel, calls = protocol._relabel, []
+    monkeypatch.setattr(protocol, "_relabel", lambda *args: calls.append(1) or relabel(*args))
+    stack, seen = protocol._evolve([], 1, life, noise, 3, 4), []
+    for i, row in enumerate(plan):
+        before = (len(calls), stack.rho.shape, stack.levels)
+        stack = protocol._advance(stack, [row], life, i, noise, 4)
+        if len(calls) > before[0]:
+            seen.append(row[0])
+            assert stack.rho.shape == before[1] and len(stack.levels[row[2].ion]) == len(before[2][row[2].ion])
+        assert all(list(lv) == sorted(lv) for lv in stack.levels)
+    assert seen == rows
+
+
+def test_a_relabel_is_the_pi_pulse_it_replaces(monkeypatch):
+    # Relabels both ways on ion 3 (S to H, then H to S) and one on ion 2's
+    # superposition of S and D (S to H), at phases whose off-diagonal entries
+    # are not real, each after a wait whose detuning phase the relabelled end
+    # and the idle level carry in. Two inputs run together, their hides at
+    # other areas (pi or -pi) and phases: each input's state of ions 2 and 3
+    # is its own full-register replay's.
+    noise = NoiseConfig(detuning_bias_SD=0.003, dephasing_ratio_H=0.7)
+
+    def table(sign, phi):
+        rows = [Carrier(2, 0.5 * math.pi, 0.4), Carrier(1, 0.6 * math.pi, 0.2), Wait(5.0),
+                Hide(2, sign * math.pi, phi), Wait(7.0), Hide(2, math.pi, 2.3 * phi), Wait(3.0),
+                Hide(1, -sign * math.pi, 0.7 + phi), Carrier(2, 0.3, 0.9)]
+        return tuple(SequenceStep(i + 1, a) for i, a in enumerate(rows))
+
+    tables = [table(1.0, 1.1), table(-1.0, 2.0)]
+    relabel, calls = protocol._relabel, []
+    monkeypatch.setattr(protocol, "_relabel", lambda *args: calls.append(1) or relabel(*args))
+    plan = _row_plan(tables, noise)
+    stack = protocol._evolve(plan, 2, _lifetimes(plan, (0, 1, 2)), noise, None, 4)
+    assert len(calls) == 3
+    ((det_sd, det_h, _),) = _gh_nodes(noise, None)
+    for j, steps in enumerate(tables):
+        mine = protocol._inputs(stack, j, j + 1)
+        rho = np.einsum("e,eab->ab", mine.weight, protocol._reduced(mine, (1, 2)))
+        branches, _ = full_register_rows(_cooled(4), steps, noise, det_sd, det_h, 4)
+        (ref,) = branches.values()
+        assert np.abs(rho - _ptrace(ref.reshape(108, 108), (3, 3, 3, 4), keep=[1, 2])).max() <= 1e-15, j
 
 
 def _subsets(n):
@@ -845,11 +903,18 @@ def test_drive_plans_match_the_dense_matrices_nonzero_pattern(fock_cutoff):
                 grid = ([(i,) for i in ions] if not isinstance(pulse, BlueSideband)
                         else [(i, n) for i in ions for n in _subsets(fock_cutoff)])
                 for kept in grid:
-                    levels, op, dep = plan(pulse, fock_cutoff, kept, depol)
+                    levels, op, dep, sup = plan(pulse, fock_cutoff, kept, depol)
                     ref_levels, ref_op, ref_dep = dense_drive_plan(pulse, fock_cutoff, kept, depol)
                     assert levels == ref_levels, (pulse, kept, depol)
                     assert np.array_equal(op, ref_op), (pulse, kept, depol)
                     assert (dep is None and ref_dep is None) or np.array_equal(dep, ref_dep)
+                    if isinstance(pulse, BlueSideband):
+                        assert sup is None
+                    else:  # the fused superoperator: drive, then depolarizing
+                        d = len(ref_op)
+                        ref_sup = np.kron(ref_op, ref_op.conj()) if ref_dep is None else ref_dep @ np.kron(
+                            ref_op, ref_op.conj())
+                        assert np.abs(sup - ref_sup).max() <= 1e-15 and sup.shape == (d * d, d * d)
                     cases += 1
     assert cases == 15 * (2 * 7 + 7 * (2 ** fock_cutoff - 1))
 

@@ -1,6 +1,6 @@
 """One SHA-256 per CLI run of a fixed matrix, to check that a change leaves every artefact byte-identical.
 
-    python3 tools/artifact_digests.py [--root CHECKOUT] [--only NAME ...] [--list]
+    python3 tools/artifact_digests.py [--root CHECKOUT] [--only NAME ...] [--list] [--numbers PARENT]
 
 Each run is one teleion command on one config, in a fresh process with
 PYTHONPATH=CHECKOUT/src, BLAS on one thread, no bytecode written and a fresh
@@ -12,6 +12,14 @@ file the run wrote under --out, by relative path and bytes. The output is one
     python3 tools/artifact_digests.py > change.txt
     diff parent.txt change.txt
 
+With --numbers PARENT, each run is made on PARENT and on --root instead, and
+the output says by how much the two differ: `name  identical`, or one line
+per output that differs (`<exit>`, `<stdout>`, `<stderr>` or a file under
+--out) with the largest absolute difference of its numbers, or the first
+line whose text differs beyond its numbers:
+
+    python3 tools/artifact_digests.py --numbers ../parent --only calibrated-teleport/teleport
+
 The configs come from this checkout's perfbench/workloads.py whatever --root
 is, so both sides run the same matrix.
 """
@@ -21,6 +29,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -67,19 +76,58 @@ def matrix() -> dict[str, tuple[list[str], dict | None]]:
     return runs
 
 
-def digest(root: Path, args: list[str], config: dict | None) -> str:
-    """SHA-256 of one run of `python -m teleion.cli ARGS` on `root`'s sources."""
+def run(root: Path, args: list[str], config: dict | None, work: Path) -> subprocess.CompletedProcess:
+    """One run of `python -m teleion.cli ARGS` on `root`'s sources, in the empty directory `work`."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "0"}
     env |= dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    if config is not None:
+        (work / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+        args = [*args, "--config", "config.json"]
+    return subprocess.run([sys.executable, "-m", "teleion.cli", *args, "--out", "out"],
+                          cwd=work, env=env, capture_output=True)
+
+
+def digest(root: Path, args: list[str], config: dict | None) -> str:
+    """SHA-256 of one run on `root`'s sources: its exit code, stdout, stderr and files."""
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        if config is not None:
-            (work / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
-            args = [*args, "--config", "config.json"]
-        done = subprocess.run([sys.executable, "-m", "teleion.cli", *args, "--out", "out"],
-                              cwd=work, env=env, capture_output=True)
-        run = f"exit {done.returncode}\0".encode() + done.stdout + b"\0" + done.stderr + b"\0"
-        return hashlib.sha256(run + files_digest(work / "out").encode()).hexdigest()
+        done = run(root, args, config, Path(tmp))
+        head = f"exit {done.returncode}\0".encode() + done.stdout + b"\0" + done.stderr + b"\0"
+        return hashlib.sha256(head + files_digest(Path(tmp) / "out").encode()).hexdigest()
+
+
+def outputs(root: Path, args: list[str], config: dict | None) -> dict[str, bytes]:
+    """{output: bytes} of one run on `root`'s sources: `<exit>`, `<stdout>`, `<stderr>` and each file under --out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        done, out = run(root, args, config, Path(tmp)), Path(tmp) / "out"
+        files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    return {"<exit>": str(done.returncode).encode(), "<stdout>": done.stdout, "<stderr>": done.stderr, **files}
+
+
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def differences(parent: dict[str, bytes], change: dict[str, bytes]) -> dict[str, str]:
+    """{output: how it differs} for each output of two runs that is not byte-identical.
+
+    Outputs whose text matches once each number is taken out give the largest
+    absolute difference of their numbers, in order; any other gives the first
+    line that differs, or says which run lacks it.
+    """
+    found = {}
+    for name in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(name), change.get(name)
+        if a == b:
+            continue
+        if a is None or b is None:
+            found[name] = f"only in the {'parent' if b is None else 'change'}"
+        elif _NUMBER.split(a) == _NUMBER.split(b):
+            found[name] = "max |diff| %.3g" % max(
+                abs(float(x) - float(y)) for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b)))
+        else:
+            x, y = next((x, y) for x, y in zip([*a.splitlines(), b""], [*b.splitlines(), b""])
+                        if _NUMBER.split(x) != _NUMBER.split(y))
+            found[name] = f"text differs: {x.decode(errors='replace')!r} -> {y.decode(errors='replace')!r}"
+    return found
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,13 +135,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is run (default: this one)")
     parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these names")
     parser.add_argument("--list", action="store_true", help="print the run names and exit")
+    parser.add_argument("--numbers", type=Path, metavar="PARENT",
+                        help="run each run on PARENT and on --root, and print how their outputs differ")
     args = parser.parse_args(argv)
     runs = matrix()
     if unknown := sorted(set(args.only or ()) - set(runs)):
         parser.error(f"unknown runs: {unknown}")
     for name, (cli_args, config) in runs.items():
-        if args.only is None or name in args.only:
-            print(name if args.list else f"{digest(args.root.resolve(), cli_args, config)}  {name}", flush=True)
+        if args.only is not None and name not in args.only:
+            continue
+        if args.list:
+            print(name, flush=True)
+        elif args.numbers is not None:
+            found = differences(*(outputs(root.resolve(), cli_args, config) for root in (args.numbers, args.root)))
+            lines = [f"{name}  {output}  {how}" for output, how in found.items()] or [f"{name}  identical"]
+            print("\n".join(lines), flush=True)
+        else:
+            print(f"{digest(args.root.resolve(), cli_args, config)}  {name}", flush=True)
     return 0
 
 
